@@ -5,9 +5,10 @@
 //! for cheaper Hamming-distance inference. This module provides that
 //! binarized variant so the accuracy gap can be measured directly.
 
+use crate::classify::argmax_margin;
 use crate::error::{HdcError, Result};
 use crate::hv::{BipolarHv, DenseHv};
-use crate::model::{argmax, ClassModel};
+use crate::model::ClassModel;
 
 /// A binarized class model: the element-wise sign of each class hypervector.
 ///
@@ -81,7 +82,7 @@ impl BinaryModel {
             .iter()
             .map(|c| query.dot_bipolar(c) as f64)
             .collect();
-        Ok(argmax(&scores))
+        Ok(argmax_margin(&scores).0)
     }
 
     /// Predicts from a fully binarized query via Hamming distance (the
@@ -102,7 +103,7 @@ impl BinaryModel {
             .iter()
             .map(|c| -(query.hamming(c) as f64))
             .collect();
-        Ok(argmax(&scores))
+        Ok(argmax_margin(&scores).0)
     }
 
     /// Model size in bytes (1 bit per dimension, the binary-HDC selling

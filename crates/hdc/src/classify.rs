@@ -70,9 +70,9 @@ pub trait Classifier {
 
     /// Per-class scores for one feature vector, when the model family
     /// exposes them (`Ok(None)` otherwise — the default). Higher is more
-    /// confident; `predict` returns the argmax. Observability consumers
-    /// use this for prediction-margin (top1−top2) drift telemetry
-    /// without touching the prediction path.
+    /// confident; `predict` returns the argmax. The default
+    /// [`Classifier::predict_batch_with_margin`] reads its top1−top2
+    /// margins from these.
     ///
     /// # Errors
     ///
@@ -80,6 +80,34 @@ pub trait Classifier {
     fn class_scores(&self, features: &[f64]) -> Result<Option<Vec<f64>>> {
         let _ = features;
         Ok(None)
+    }
+
+    /// Predicts a batch together with each prediction's top1−top2 score
+    /// margin ([`argmax_margin`]; `None` for score-less models, fewer
+    /// than two classes, or a scoring error). Labels equal
+    /// [`Classifier::predict_batch`]'s.
+    ///
+    /// The default runs `predict_batch` and then
+    /// [`Classifier::class_scores`] per query: a second scoring pass.
+    /// Implementations that can read the margin off the scores their
+    /// prediction already computed should override it.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Classifier::predict_batch`].
+    fn predict_batch_with_margin(
+        &self,
+        features: &[Vec<f64>],
+    ) -> Result<Vec<(usize, Option<f64>)>> {
+        let labels = self.predict_batch(features)?;
+        Ok(labels
+            .into_iter()
+            .zip(features)
+            .map(|(label, f)| {
+                let scores = self.class_scores(f).ok().flatten();
+                (label, scores.and_then(|s| argmax_margin(&s).1))
+            })
+            .collect())
     }
 
     /// The name of the scoring kernel serving predictions, when the model
@@ -90,6 +118,26 @@ pub trait Classifier {
     fn kernel_name(&self) -> Option<&'static str> {
         None
     }
+}
+
+/// The first-maximum argmax of `scores` (strict `>`, so ties go to the
+/// lowest class, the rule every scoring path here uses) and the top1−top2
+/// margin, in one scan. The margin is `None` with fewer than two scores.
+pub fn argmax_margin(scores: &[f64]) -> (usize, Option<f64>) {
+    let mut best = 0;
+    let mut top1 = f64::NEG_INFINITY;
+    let mut top2 = f64::NEG_INFINITY;
+    for (i, &s) in scores.iter().enumerate() {
+        if s > top1 {
+            top2 = top1;
+            top1 = s;
+            best = i;
+        } else if s > top2 {
+            top2 = s;
+        }
+    }
+    let margin = (scores.len() >= 2).then(|| (top1 - top2).max(0.0));
+    (best, margin)
 }
 
 /// Training constructor for a classifier family.
@@ -138,6 +186,25 @@ mod tests {
         assert_eq!(clf.predict_batch(&xs).unwrap(), vec![0, 1, 0, 1]);
         assert_eq!(clf.evaluate(&xs, &[0, 1, 0, 1]).unwrap(), 1.0);
         assert_eq!(clf.evaluate(&xs, &[1, 1, 0, 1]).unwrap(), 0.75);
+    }
+
+    #[test]
+    fn argmax_margin_takes_first_maximum_and_top_two_gap() {
+        assert_eq!(argmax_margin(&[1.0, 1.0, 0.5]), (0, Some(0.0)));
+        assert_eq!(argmax_margin(&[0.1, 0.9, 0.9]), (1, Some(0.0)));
+        assert_eq!(argmax_margin(&[0.5, 3.0, -1.0, 2.25]), (1, Some(0.75)));
+        assert_eq!(argmax_margin(&[4.0]), (0, None));
+        assert_eq!(argmax_margin(&[]), (0, None));
+    }
+
+    #[test]
+    fn default_margin_batch_predicts_without_scores() {
+        let xs = vec![vec![-1.0], vec![2.0]];
+        assert_eq!(
+            SignStub.predict_batch_with_margin(&xs).unwrap(),
+            vec![(0, None), (1, None)]
+        );
+        assert!(SignStub.predict_batch_with_margin(&[vec![]]).is_err());
     }
 
     #[test]

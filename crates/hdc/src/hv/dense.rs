@@ -160,7 +160,13 @@ impl DenseHv {
     }
 
     /// `self += w · (key ⊙ other)` — fused bind-scale-accumulate used by the
-    /// LookHD chunk aggregation and model compression (`P ⊙ H` terms).
+    /// LookHD chunk aggregation, counter materialization and model
+    /// compression (`P ⊙ H` terms).
+    ///
+    /// Multiply-free for `w = ±1`, like the paper's negation blocks: the
+    /// sign of each dimension comes from its packed key byte through a
+    /// static byte → lane-mask table, and `key[d]·v = (v ^ m) − m` with
+    /// `m ∈ {0, −1}`.
     ///
     /// # Panics
     ///
@@ -168,8 +174,13 @@ impl DenseHv {
     pub fn add_bound_scaled(&mut self, key: &BipolarHv, other: &Self, w: i32) {
         assert_eq!(self.dim(), key.dim(), "bind requires equal dimensions");
         assert_eq!(self.dim(), other.dim(), "bind requires equal dimensions");
-        for (i, a) in self.values.iter_mut().enumerate() {
-            *a += w * key.value(i) * other.values[i];
+        let (acc, words, src) = (&mut self.values[..], key.words(), &other.values[..]);
+        // One monomorphized loop per case: an opaque `w` keeps a multiply
+        // in the common unit-weight loops.
+        match w {
+            1 => bind_accumulate(acc, words, src, |s| s),
+            -1 => bind_accumulate(acc, words, src, |s| -s),
+            _ => bind_accumulate(acc, words, src, |s| w * s),
         }
     }
 
@@ -270,6 +281,62 @@ impl DenseHv {
     /// datapath bit-widths.
     pub fn max_abs(&self) -> i32 {
         self.values.iter().map(|v| v.abs()).max().unwrap_or(0)
+    }
+}
+
+/// `SIGN_MASKS[b][j]` is `−1` when bit `j` of key byte `b` is set (the
+/// dimension holds `−1`) and `0` otherwise: the lane masks of eight
+/// packed key dimensions. 8 KiB of static data.
+static SIGN_MASKS: [[i32; 8]; 256] = sign_masks();
+
+const fn sign_masks() -> [[i32; 8]; 256] {
+    let mut table = [[0; 8]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut lane = 0;
+        while lane < 8 {
+            table[byte][lane] = -((byte >> lane) as i32 & 1);
+            lane += 1;
+        }
+        byte += 1;
+    }
+    table
+}
+
+/// `acc[d] += scale(key[d] · src[d])` over packed key `words`: one key
+/// word per 64 dimensions, one key byte per 8. `(v ^ m) − m` is `v` for
+/// `m = 0` and `−v` for `m = −1` in two's complement, so the result
+/// equals the multiply form bit for bit, wrapping included.
+///
+/// Kept out of line: as parameters, `acc` and `src` are known not to
+/// alias, which the vectorizer needs and cannot see through the `Vec`s
+/// of an inlined caller.
+#[inline(never)]
+fn bind_accumulate(acc: &mut [i32], words: &[u64], src: &[i32], scale: impl Fn(i32) -> i32) {
+    let lanes = |acc: &mut [i32], src: &[i32], byte: u8| {
+        let masks = &SIGN_MASKS[usize::from(byte)];
+        for ((a, &v), &m) in acc.iter_mut().zip(src).zip(masks) {
+            *a += scale((v ^ m).wrapping_sub(m));
+        }
+    };
+    let mut acc64 = acc.chunks_exact_mut(64);
+    let mut src64 = src.chunks_exact(64);
+    for ((a, v), &word) in (&mut acc64).zip(&mut src64).zip(words) {
+        let bodies = a.chunks_exact_mut(8).zip(v.chunks_exact(8));
+        for ((a, v), byte) in bodies.zip(word.to_le_bytes()) {
+            lanes(a, v, byte);
+        }
+    }
+    // The last `D mod 64` dimensions: the final key word, whose last
+    // byte may cover fewer than 8 dimensions.
+    if let Some(&word) = words.get(src.len() / 64) {
+        let bodies = acc64
+            .into_remainder()
+            .chunks_mut(8)
+            .zip(src64.remainder().chunks(8));
+        for ((a, v), byte) in bodies.zip(word.to_le_bytes()) {
+            lanes(a, v, byte);
+        }
     }
 }
 

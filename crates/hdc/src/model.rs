@@ -5,6 +5,7 @@
 //! the query; as in the paper, class hypervectors are pre-normalized once so
 //! the per-query similarity reduces to a dot product.
 
+use crate::classify::argmax_margin;
 use crate::error::{HdcError, Result};
 use crate::hv::DenseHv;
 
@@ -134,7 +135,7 @@ impl ClassModel {
     /// Returns [`HdcError::DimensionMismatch`] if the query dimension differs.
     pub fn predict(&self, query: &DenseHv) -> Result<usize> {
         let scores = self.scores(query)?;
-        Ok(argmax(&scores))
+        Ok(argmax_margin(&scores).0)
     }
 
     /// The `k` best-matching classes with their normalized-dot scores, best
@@ -273,19 +274,6 @@ impl ClassModel {
     }
 }
 
-/// Index of the maximum score (first one wins on ties).
-pub(crate) fn argmax(scores: &[f64]) -> usize {
-    let mut best = 0usize;
-    let mut best_score = f64::NEG_INFINITY;
-    for (i, &s) in scores.iter().enumerate() {
-        if s > best_score {
-            best_score = s;
-            best = i;
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -403,12 +391,6 @@ mod tests {
         let cs = m.cosines(&DenseHv::from_vec(vec![10, 0, 0, 0])).unwrap();
         assert!((cs[0] - 1.0).abs() < 1e-12);
         assert!(cs[1].abs() < 1e-12);
-    }
-
-    #[test]
-    fn argmax_first_wins_ties() {
-        assert_eq!(argmax(&[1.0, 1.0, 0.5]), 0);
-        assert_eq!(argmax(&[0.1, 0.9, 0.9]), 1);
     }
 
     #[test]

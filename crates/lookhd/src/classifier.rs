@@ -456,13 +456,10 @@ impl LookHdClassifier {
 
     /// Runs `per_query` over `features` partitioned into engine shards,
     /// concatenating shard results in shard order.
-    fn batch_with<F>(
-        &self,
-        features: &[Vec<f64>],
-        per_query: F,
-    ) -> Result<(Vec<usize>, EngineStats)>
+    fn batch_with<T, F>(&self, features: &[Vec<f64>], per_query: F) -> Result<(Vec<T>, EngineStats)>
     where
-        F: Fn(&[f64]) -> Result<usize> + Sync,
+        T: Send,
+        F: Fn(&[f64]) -> Result<T> + Sync,
     {
         let (preds, stats) = self.engine.map_reduce(
             features.len(),
@@ -470,14 +467,14 @@ impl LookHdClassifier {
                 features[range]
                     .iter()
                     .map(|f| per_query(f))
-                    .collect::<Result<Vec<usize>>>()
+                    .collect::<Result<Vec<T>>>()
             },
             |shards| {
                 let mut out = Vec::with_capacity(features.len());
                 for shard in shards {
                     out.extend(shard?);
                 }
-                Ok::<Vec<usize>, HdcError>(out)
+                Ok::<Vec<T>, HdcError>(out)
             },
         );
         Ok((preds?, stats))
@@ -820,6 +817,22 @@ impl Classifier for LookHdClassifier {
 
     fn predict_batch(&self, features: &[Vec<f64>]) -> Result<Vec<usize>> {
         Ok(self.predict_batch_stats(features)?.0)
+    }
+
+    /// One scoring pass per query through the active kernel's
+    /// [`ScoreKernel::predict_with_margin`], sharded like
+    /// [`Classifier::predict_batch`]: the dense and score-LUT kernels
+    /// read the margin off the scores their prediction computes.
+    fn predict_batch_with_margin(
+        &self,
+        features: &[Vec<f64>],
+    ) -> Result<Vec<(usize, Option<f64>)>> {
+        let per_query = |f: &[f64]| {
+            let _span = obs::span("predict");
+            self.kernel
+                .predict_with_margin(&self.encoder, &self.compressed, f)
+        };
+        Ok(self.batch_with(features, per_query)?.0)
     }
 
     /// Per-class scores via the inherent [`LookHdClassifier::scores`]

@@ -31,6 +31,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use hdc::classify::argmax_margin;
 use hdc::hv::{BipolarHv, DenseHv};
 use hdc::model::ClassModel;
 use hdc::{HdcError, Result};
@@ -550,16 +551,7 @@ impl CompressedModel {
     ///
     /// Returns [`HdcError::DimensionMismatch`] on dimension disagreement.
     pub fn predict(&self, query: &DenseHv) -> Result<usize> {
-        let scores = self.scores(query)?;
-        let mut best = 0;
-        let mut best_score = f64::NEG_INFINITY;
-        for (i, &s) in scores.iter().enumerate() {
-            if s > best_score {
-                best_score = s;
-                best = i;
-            }
-        }
-        Ok(best)
+        Ok(argmax_margin(&self.scores(query)?).0)
     }
 
     /// Eq. 5 decomposition for each class: compares the compressed score to

@@ -145,11 +145,15 @@ impl LookupEncoder {
 
     /// Quantizes a feature vector into per-chunk table addresses — the
     /// codebook-concatenation step (Fig. 6 steps A–C). This is all the
-    /// per-sample work counter-based training performs.
+    /// per-sample work counter-based training performs. Each chunk's
+    /// levels fold straight into its base-`q` address (the
+    /// [`ChunkLayout::address`] digit order), with no per-chunk buffer.
     ///
     /// # Errors
     ///
-    /// Returns [`HdcError::InvalidDataset`] on feature-arity mismatch.
+    /// Returns [`HdcError::InvalidDataset`] on feature-arity mismatch or
+    /// a non-finite feature (NaN or ±inf has no quantization level),
+    /// naming the first offending feature index.
     pub fn addresses(&self, features: &[f64]) -> Result<Vec<u64>> {
         let layout = self.lut.layout();
         if features.len() != layout.n_features() {
@@ -159,16 +163,21 @@ impl LookupEncoder {
                 features.len()
             )));
         }
-        let mut addrs = Vec::with_capacity(layout.n_chunks());
-        for c in 0..layout.n_chunks() {
-            let range = layout.feature_range(c);
-            let levels: Vec<usize> = features[range]
-                .iter()
-                .map(|&x| self.quantizer.level(x))
-                .collect();
-            addrs.push(layout.address(c, &levels));
+        if let Some(i) = features.iter().position(|x| !x.is_finite()) {
+            return Err(HdcError::invalid_dataset(format!(
+                "feature {i} is not finite ({})",
+                features[i]
+            )));
         }
-        Ok(addrs)
+        let q = layout.q() as u64;
+        Ok(features
+            .chunks(layout.r())
+            .map(|chunk| {
+                chunk
+                    .iter()
+                    .fold(0, |addr, &x| addr * q + self.quantizer.level(x) as u64)
+            })
+            .collect())
     }
 
     /// Aggregates pre-computed chunk addresses into the encoded hypervector
@@ -313,6 +322,19 @@ mod tests {
         let enc = encoder(10, 5, 4, 64, 6);
         assert!(enc.encode(&[0.0; 4]).is_err());
         assert!(enc.addresses(&[0.0; 11]).is_err());
+    }
+
+    #[test]
+    fn non_finite_features_rejected_by_index() {
+        let enc = encoder(10, 5, 4, 64, 6);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut f = vec![0.5; 10];
+            f[7] = bad;
+            let err = enc.addresses(&f).unwrap_err();
+            assert!(matches!(err, HdcError::InvalidDataset { .. }), "{err:?}");
+            assert!(err.to_string().contains("feature 7"), "{err}");
+            assert!(enc.encode(&f).is_err());
+        }
     }
 
     #[test]

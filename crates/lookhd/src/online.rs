@@ -15,6 +15,7 @@
 //! on devices that cannot afford epochs. The trained model drops into the
 //! same [`ClassModel`] / compression pipeline as the counter trainer.
 
+use hdc::classify::argmax_margin;
 use hdc::encoding::Encode;
 use hdc::hv::DenseHv;
 use hdc::model::ClassModel;
@@ -136,7 +137,7 @@ impl OnlineTrainer {
         let cosines: Vec<f64> = (0..self.classes.len())
             .map(|c| self.cosine_to(c, encoded, h_norm))
             .collect();
-        let pred = argmax(&cosines);
+        let pred = argmax_margin(&cosines).0;
         let lr = self.config.learning_rate;
         // Pull toward the true class, scaled by novelty.
         let alpha = lr * (1.0 - cosines[label]).max(0.0);
@@ -400,18 +401,6 @@ impl StreamingTrainer {
             self.config.seed,
         ))
     }
-}
-
-fn argmax(scores: &[f64]) -> usize {
-    let mut best = 0usize;
-    let mut best_score = f64::NEG_INFINITY;
-    for (i, &s) in scores.iter().enumerate() {
-        if s > best_score {
-            best_score = s;
-            best = i;
-        }
-    }
-    best
 }
 
 #[cfg(test)]

@@ -42,6 +42,7 @@ use std::any::Any;
 use std::fmt;
 use std::str::FromStr;
 
+use hdc::classify::argmax_margin;
 use hdc::encoding::Encode;
 use hdc::hv::BipolarHv;
 use hdc::{HdcError, Result};
@@ -190,20 +191,6 @@ impl Default for KernelSpec {
     }
 }
 
-/// First-maximum argmax with the strict-`>` rule every scoring path in
-/// this workspace uses, so ties break identically across kernels.
-fn argmax_f64(scores: &[f64]) -> usize {
-    let mut best = 0;
-    let mut best_score = f64::NEG_INFINITY;
-    for (i, &s) in scores.iter().enumerate() {
-        if s > best_score {
-            best_score = s;
-            best = i;
-        }
-    }
-    best
-}
-
 /// Object-safe scoring kernel: the one seam through which
 /// [`LookHdClassifier`](crate::classifier::LookHdClassifier) scores and
 /// classifies queries. Batch variants stay on the classifier, which shards
@@ -241,7 +228,25 @@ pub trait ScoreKernel: fmt::Debug + Send + Sync {
         compressed: &CompressedModel,
         features: &[f64],
     ) -> Result<usize> {
-        Ok(argmax_f64(&self.scores(encoder, compressed, features)?))
+        Ok(argmax_margin(&self.scores(encoder, compressed, features)?).0)
+    }
+
+    /// Predicted label and top1−top2 score margin from one scoring pass:
+    /// [`argmax_margin`] over [`ScoreKernel::scores`], so the label is
+    /// the one the default [`ScoreKernel::predict`] returns. The serve
+    /// path reads its margin telemetry from this instead of scoring a
+    /// second time.
+    ///
+    /// # Errors
+    ///
+    /// Propagates encoding/arity errors.
+    fn predict_with_margin(
+        &self,
+        encoder: &LookupEncoder,
+        compressed: &CompressedModel,
+        features: &[f64],
+    ) -> Result<(usize, Option<f64>)> {
+        Ok(argmax_margin(&self.scores(encoder, compressed, features)?))
     }
 
     /// Whether scores are bit-identical to the dense reference path.
@@ -360,16 +365,6 @@ impl ScoreKernel for DenseKernel {
     ) -> Result<Vec<f64>> {
         let h = encoder.encode(features)?;
         compressed.scores(&h)
-    }
-
-    fn predict(
-        &self,
-        encoder: &LookupEncoder,
-        compressed: &CompressedModel,
-        features: &[f64],
-    ) -> Result<usize> {
-        let h = encoder.encode(features)?;
-        compressed.predict(&h)
     }
 
     fn is_exact(&self) -> bool {
@@ -964,6 +959,19 @@ impl ScoreKernel for BinaryKernel {
             });
         }
         Ok(self.predict_packed(&self.binarize_query(h.as_slice())))
+    }
+
+    /// Two passes: the multifold predict may stop before full scores
+    /// exist, so the margin comes from a separate full scoring.
+    fn predict_with_margin(
+        &self,
+        encoder: &LookupEncoder,
+        compressed: &CompressedModel,
+        features: &[f64],
+    ) -> Result<(usize, Option<f64>)> {
+        let class = self.predict(encoder, compressed, features)?;
+        let scores = self.scores(encoder, compressed, features)?;
+        Ok((class, argmax_margin(&scores).1))
     }
 
     fn is_exact(&self) -> bool {

@@ -1028,16 +1028,26 @@ fn process_batch(inner: &Arc<Inner>, batch: Vec<Pending>) {
             pending.trace_pair("batch_assembly", pop_ns, predict_begin_ns);
         }
     }
-    match model.classifier().predict_batch(&features) {
-        Ok(predictions) => {
-            if obs::enabled() {
+    // With metrics on, the margin telemetry rides the serving pass: one
+    // scoring per request either way.
+    let predicted = if obs::enabled() {
+        model
+            .classifier()
+            .predict_batch_with_margin(&features)
+            .map(|scored| {
                 obs::record("serve/batch", started.elapsed());
                 let predict_end_ns = trace::now_ns();
                 for pending in &live {
                     pending.trace_pair("predict", predict_begin_ns, predict_end_ns);
                 }
-                record_quality_signals(&model, &features, &predictions);
-            }
+                record_quality_signals(&model, &scored);
+                scored.into_iter().map(|(class, _)| class).collect()
+            })
+    } else {
+        model.classifier().predict_batch(&features)
+    };
+    match predicted {
+        Ok(predictions) => {
             if let Some(online) = &inner.online {
                 for &class in &predictions {
                     online.note_predicted(class);
@@ -1082,43 +1092,27 @@ pub const MARGIN_SCALE: f64 = 1e6;
 
 /// Records the model-quality drift signals for one successfully
 /// predicted batch: per-class prediction counters and the top1−top2
-/// score margin histogram. Runs only when metrics are enabled — the
-/// margin needs a second [`hdc::Classifier::class_scores`] pass, which
-/// must cost nothing when observability is off.
+/// score margin histogram, both read off the batch's one scoring pass
+/// ([`hdc::Classifier::predict_batch_with_margin`]). Runs only when
+/// metrics are enabled.
 ///
 /// Per-class counts go to the dimensional `serve.predicted{class=}`
 /// family through the version's pre-interned handles: no `format!`
 /// allocation per prediction, and a model with more classes than the
 /// registry's per-name label-set cap tallies the overflow visibly in
 /// `obs.dropped_names` instead of silently exhausting the name table.
-fn record_quality_signals(model: &VersionedModel, features: &[Vec<f64>], predictions: &[usize]) {
-    for &class in predictions {
+fn record_quality_signals(model: &VersionedModel, scored: &[(usize, Option<f64>)]) {
+    for &(class, margin) in scored {
         obs::counter_id(model.predicted_id(class), 1);
-    }
-    for feats in features {
-        match model.classifier().class_scores(feats) {
-            Ok(Some(scores)) if scores.len() >= 2 => {
-                let mut top1 = f64::NEG_INFINITY;
-                let mut top2 = f64::NEG_INFINITY;
-                for &s in &scores {
-                    if s > top1 {
-                        top2 = top1;
-                        top1 = s;
-                    } else if s > top2 {
-                        top2 = s;
-                    }
-                }
-                let margin = (top1 - top2).max(0.0);
-                if margin.is_finite() {
-                    obs::record(
-                        "serve/margin",
-                        Duration::from_nanos((margin * MARGIN_SCALE) as u64),
-                    );
-                }
-            }
-            // Score-less models (or a scoring error) simply contribute no
+        match margin {
+            Some(margin) if margin.is_finite() => obs::record(
+                "serve/margin",
+                Duration::from_nanos((margin * MARGIN_SCALE) as u64),
+            ),
+            Some(_) => {}
+            // Score-less models (or a scoring error) contribute no
             // margin samples; the counter keeps the gap visible.
-            _ => obs::counter("serve.margin_unavailable", 1),
+            None => obs::counter("serve.margin_unavailable", 1),
         }
     }
 }

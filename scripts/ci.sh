@@ -23,8 +23,11 @@ cargo test -q --test persist_corruption
 echo "== wire protocol corruption sweep"
 cargo test -q --test serve_corruption
 
-echo "== encoder table-mode parity (proptest differential)"
+echo "== encoder table-mode parity + Eq. 3 oracle (proptest differential)"
 cargo test -q --test prop_encoder_parity
+
+echo "== bind-accumulate oracle (proptest)"
+cargo test -q --test prop_hypervectors bind_accumulate_matches_definition
 
 echo "== scoring-kernel differential suites + serve matrix"
 cargo test -q -p lookhd score_lut
@@ -32,6 +35,9 @@ cargo test -q -p lookhd score_kernel
 cargo test -q --test kernel_differential
 cargo test -q --test serve_differential score_lut_kernel_serves_identically_to_dense_path
 cargo test -q --test serve_differential binary_kernel_serves_identically_to_direct_calls
+
+echo "== single-pass serving: margin telemetry rides the one scoring pass"
+cargo test -q --test serve_single_pass
 
 echo "== quantizer degenerate-input regressions"
 cargo test -q -p hdc quantize
@@ -180,6 +186,9 @@ assert all(c["labels"].get("kernel") == "lut"
 # The server announces the artifact's active scoring kernel at startup
 # (the smoke model was trained with --kernel auto, so the LUT is active).
 assert counters.get("kernel.active.lut") == 1, counters
+# One scoring pass per request: the margin telemetry reads the serving
+# pass's scores instead of scoring every request a second time.
+assert counters.get("kernel.lut.queries") == counters["serve.responses.ok"], counters
 
 prom = get(addr, "/metrics")
 assert "# TYPE lookhd_span_serve_request_ns histogram" in prom, prom[:400]

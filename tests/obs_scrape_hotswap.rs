@@ -197,6 +197,13 @@ fn concurrent_scrapes_during_hotswap_stay_consistent_and_version_labels_flip_ato
         for _ in 0..2 {
             let (done, admin_addr) = (&done, admin_addr.as_str());
             scope.spawn(move || {
+                // Every render below must carry the serve counters, which
+                // exist once the first response is counted: start then.
+                while !done.load(Ordering::SeqCst)
+                    && obs::snapshot().counter("serve.responses.ok") == 0
+                {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
                 let mut scrapes = 0usize;
                 while !done.load(Ordering::SeqCst) {
                     let json = http_get(admin_addr, "/metrics.json").expect("scrape failed");

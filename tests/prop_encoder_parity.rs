@@ -1,12 +1,16 @@
-//! Differential property test: the two lookup-table storage modes are
-//! interchangeable. `TableMode::Materialized` (BRAM-style pre-stored
-//! rows) and `TableMode::OnTheFly` (rows synthesized per lookup) must
-//! produce bit-identical hypervectors and identical chunk addresses for
-//! every layout — including `n % r != 0` remainder chunks — so address
+//! Differential property tests of the lookup encoder. The two
+//! lookup-table storage modes are interchangeable:
+//! `TableMode::Materialized` (BRAM-style pre-stored rows) and
+//! `TableMode::OnTheFly` (rows synthesized per lookup) must produce
+//! bit-identical hypervectors and identical chunk addresses for every
+//! layout — including `n % r != 0` remainder chunks — so address
 //! extraction (which the score-LUT kernel reuses) can safely run against
-//! either mode.
+//! either mode. And in both modes `encode` equals Eq. 3 written out
+//! element by element on every application profile's shape.
 
+use lookhd_paper::datasets::apps::App;
 use lookhd_paper::hdc::encoding::Encode;
+use lookhd_paper::hdc::hv::DenseHv;
 use lookhd_paper::hdc::levels::{LevelMemory, LevelScheme};
 use lookhd_paper::hdc::quantize::{Quantization, Quantizer};
 use lookhd_paper::lookhd::chunking::ChunkLayout;
@@ -14,7 +18,7 @@ use lookhd_paper::lookhd::encoder::LookupEncoder;
 use lookhd_paper::lookhd::lut::TableMode;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -103,6 +107,46 @@ proptest! {
             let row_a = materialized.lut().row(last, addr);
             let row_b = on_the_fly.lut().row(last, addr);
             prop_assert_eq!(row_a.as_slice(), row_b.as_slice(), "row {} diverged", addr);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// `encode` equals Eq. 3 term by term, `Σ_c LUT_c[addr_c] ⊙ P_c`,
+    /// with each address packed from the quantized levels by
+    /// `ChunkLayout::address`: on every application profile's `(n, q)` at
+    /// the paper's `r = 5` and a small `D`, in both table modes.
+    #[test]
+    fn encode_matches_equation_three_on_app_profiles(
+        dim in 16usize..160,
+        seed in 0u64..1_000,
+    ) {
+        for app in App::ALL {
+            let profile = app.profile();
+            let (n, q) = (profile.n_features, profile.paper_q_lookhd);
+            let layout = ChunkLayout::new(n, 5, q).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let levels =
+                LevelMemory::generate(dim, q, LevelScheme::RandomFlips, &mut rng).unwrap();
+            let samples: Vec<f64> = (0..200).map(|i| (i as f64 / 50.0) - 2.0).collect();
+            let quantizer = Quantizer::fit(Quantization::Equalized, &samples, q).unwrap();
+            let features: Vec<f64> = (0..n).map(|_| rng.gen_range(-2.5..2.5)).collect();
+            for mode in [TableMode::Materialized, TableMode::OnTheFly] {
+                let enc =
+                    LookupEncoder::new(layout, &levels, quantizer.clone(), mode, seed).unwrap();
+                let mut expected = DenseHv::zeros(dim);
+                for c in 0..layout.n_chunks() {
+                    let lv = quantizer.levels_of(&features[layout.feature_range(c)]);
+                    let row = enc.lut().row(c, layout.address(c, &lv));
+                    expected.add_assign_hv(&row.bound(enc.positions().key(c)));
+                }
+                prop_assert_eq!(
+                    enc.encode(&features).unwrap(), expected,
+                    "{} (n={}, q={}, dim={}, {:?})", profile.name, n, q, dim, mode
+                );
+            }
         }
     }
 }

@@ -3,7 +3,7 @@
 use lookhd_paper::hdc::hv::{BipolarHv, DenseHv};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn bipolar(dim: usize, seed: u64) -> BipolarHv {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -73,6 +73,35 @@ proptest! {
         let key = bipolar(dim, s);
         prop_assert_eq!(v.bound(&key).bound(&key), v.clone());
         prop_assert_eq!(v.dot_bipolar(&key), v.dot(&DenseHv::from(&key)));
+    }
+
+    /// The multiply-free bind-accumulate equals its per-element definition
+    /// `acc[d] + w·key[d]·v[d]`: every D in 1..300 (tails short of a
+    /// multiple of 8 or 64) plus D = 2000, for unit weights, zero, and the
+    /// small counts counter materialization passes.
+    #[test]
+    fn bind_accumulate_matches_definition(
+        dim in 1usize..300,
+        count in 2i32..64,
+        s in any::<u64>(),
+        vals_seed in any::<u64>(),
+    ) {
+        for dim in [dim, 2000] {
+            let key = bipolar(dim, s);
+            let mut rng = StdRng::seed_from_u64(vals_seed);
+            let mut random_hv = || {
+                DenseHv::from_vec((0..dim).map(|_| rng.gen_range(-500..500)).collect())
+            };
+            let (start, v) = (random_hv(), random_hv());
+            for w in [1, -1, 0, count, -count] {
+                let mut acc = start.clone();
+                acc.add_bound_scaled(&key, &v, w);
+                let expected: Vec<i32> = (0..dim)
+                    .map(|d| start.get(d) + w * key.value(d) * v.get(d))
+                    .collect();
+                prop_assert_eq!(acc.as_slice(), &expected[..], "dim={} w={}", dim, w);
+            }
+        }
     }
 
     /// The sign of a bundle of one bipolar hypervector is that hypervector.

@@ -15,7 +15,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use lookhd_paper::hdc::FitClassifier;
+use lookhd_paper::hdc::{Classifier, FitClassifier};
 use lookhd_paper::serve::wire::{
     decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
     ErrorCode, Request, Response, WireError, MAX_FEATURES, MAX_FRAME_LEN,
@@ -426,7 +426,7 @@ fn live_server_rejects_oversized_length_headers() {
 
 /// A real trained model: the LHF1 sweeps need `start_online`, which
 /// derives a streaming trainer from the classifier.
-fn start_online_server() -> serve::ServerHandle {
+fn online_model() -> lookhd_paper::lookhd::LookHdClassifier {
     let mut xs = Vec::new();
     let mut ys = Vec::new();
     for i in 0..30 {
@@ -439,10 +439,13 @@ fn start_online_server() -> serve::ServerHandle {
         .with_retrain_epochs(0)
         .with_validation_fraction(0.0)
         .with_adaptive_grouping(false);
-    let model = lookhd_paper::lookhd::LookHdClassifier::fit(&config, &xs, &ys).expect("fit failed");
+    lookhd_paper::lookhd::LookHdClassifier::fit(&config, &xs, &ys).expect("fit failed")
+}
+
+fn start_online_server() -> serve::ServerHandle {
     serve::start_online(
         "127.0.0.1:0",
-        model,
+        online_model(),
         ServeConfig::new().with_workers(2),
         serve::OnlineConfig::new(),
     )
@@ -566,6 +569,93 @@ fn live_online_server_rejects_feedback_feature_count_lies() {
     // The poisoned connection is closed after the answer; a fresh one
     // keeps training.
     assert_still_training(addr);
+    handle.shutdown();
+    handle.join();
+}
+
+/// Non-finite feature values (NaN, ±inf) have no quantization level. A
+/// predict carrying one, pipelined into the middle of a batch, gets a
+/// BadRequest naming the feature while its batch-mates still get their
+/// exact classes; a feedback carrying one is refused without folding
+/// anything into the live counters.
+#[test]
+fn live_online_server_refuses_non_finite_feature_values() {
+    let model = online_model();
+    let handle = serve::start_online(
+        "127.0.0.1:0",
+        model.clone(),
+        ServeConfig::new().with_workers(1).with_max_batch(64),
+        serve::OnlineConfig::new(),
+    )
+    .expect("bind failed");
+    let mut client = Client::connect(handle.addr()).expect("connect failed");
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let good = [0.2, 0.8, 0.2, 0.2, 0.8];
+    let hostile = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
+    // Seven pipelined predicts in one write, hostile values in the middle
+    // three: one worker drains them as one batch (or a few).
+    let mut rows: Vec<Vec<f64>> = (0..7)
+        .map(|i| vec![[0.2, 0.8][i % 2], 0.5, [0.8, 0.2][i % 2], 0.3, 0.7])
+        .collect();
+    for (row, &bad) in rows[2..5].iter_mut().zip(&hostile) {
+        row[3] = bad;
+    }
+    let mut burst = Vec::new();
+    for (id, features) in (1u64..).zip(&rows) {
+        burst.extend(framed(&Request::Predict {
+            id,
+            trace_id: 0,
+            features: features.clone(),
+        }));
+    }
+    client.stream().write_all(&burst).expect("write failed");
+    let mut answers = std::collections::HashMap::new();
+    for _ in 0..rows.len() {
+        match client.recv().expect("recv failed") {
+            Response::Predict { id, class, .. } => answers.insert(id, Ok(class)),
+            Response::Error {
+                id, code, message, ..
+            } => answers.insert(id, Err((code, message))),
+            other => panic!("unexpected response {other:?}"),
+        };
+    }
+    for (id, features) in (1u64..).zip(&rows) {
+        match &answers[&id] {
+            Ok(class) if features.iter().all(|x| x.is_finite()) => {
+                let expected = model.predict(features).expect("direct predict");
+                assert_eq!(*class as usize, expected, "batch-mate {id}");
+            }
+            Err((code, message)) if !features[3].is_finite() => {
+                assert_eq!(*code, ErrorCode::BadRequest, "request {id}");
+                assert!(message.contains("feature 3"), "request {id}: {message}");
+            }
+            other => panic!("request {id} ({features:?}) answered {other:?}"),
+        }
+    }
+
+    // Feedback: each hostile value is refused and the next ack's observed
+    // count has not moved.
+    let observed = |response| match response {
+        Response::FeedbackAck { observed, .. } => observed,
+        other => panic!("unexpected response {other:?}"),
+    };
+    let before = observed(client.feedback(10, 0, &good).expect("feedback"));
+    for (id, &bad) in (11u64..).zip(&hostile) {
+        let mut features = good;
+        features[1] = bad;
+        match client.feedback(id, 0, &features).expect("feedback") {
+            Response::Error { code, message, .. } => {
+                assert_eq!(code, ErrorCode::BadRequest);
+                assert!(message.contains("feature 1"), "{message}");
+            }
+            other => panic!("non-finite feedback {bad} answered {other:?}"),
+        }
+    }
+    let after = observed(client.feedback(20, 0, &good).expect("feedback"));
+    assert_eq!(after, before + 1, "a non-finite feedback row was folded");
     handle.shutdown();
     handle.join();
 }
