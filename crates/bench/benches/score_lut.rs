@@ -1,11 +1,9 @@
-//! Criterion microbench: the pluggable scoring kernels (dense, score-LUT,
-//! binary Hamming) on a Table-I-shaped workload (SPEECH: n = 617
-//! features, k = 26 classes, q = 4, r = 5, D = 2000).
+//! Criterion microbench: the two exact scoring kernels (dense and
+//! score-LUT) on a Table-I-shaped workload (SPEECH: n = 617 features,
+//! k = 26 classes, q = 4, r = 5, D = 2000).
 //!
-//! All models are trained identically (decorrelation off — the kernels'
-//! eligibility requirement); dense and LUT predict bit-identically, the
-//! binary kernel is an approximation whose argmax agreement and accuracy
-//! delta are recorded alongside its latency.
+//! Both models are trained identically (decorrelation off — the LUT's
+//! eligibility requirement) and predict bit-identically.
 //!
 //! Besides the per-function criterion report, the bench self-times the
 //! same operations and writes a schema-versioned perf-trajectory record
@@ -68,34 +66,21 @@ fn bench_score_lut(c: &mut Criterion) {
     let fast = LookHdClassifier::fit(&base.clone().with_kernel(KernelSpec::auto()), &xs, &ys)
         .expect("lut training failed");
     let lut = fast.score_lut().expect("kernel should have been built");
-    let binary = LookHdClassifier::fit(&base.clone().with_kernel(KernelSpec::binary()), &xs, &ys)
-        .expect("binary training failed");
     eprintln!(
-        "score-LUT tables: {} chunks x {} classes = {} MiB; binary kernel: {}",
+        "score-LUT tables: {} chunks x {} classes = {} MiB",
         lut.n_chunks(),
         lut.n_classes(),
-        lut.size_bytes() >> 20,
-        binary.kernel().describe()
+        lut.size_bytes() >> 20
     );
     // Differential sanity before timing anything: dense and LUT are exact
-    // siblings, the binary kernel's agreement is recorded (not asserted
-    // beyond non-degeneracy).
-    let mut binary_agree = 0usize;
+    // siblings.
     for q in &queries {
         assert_eq!(
             fast.predict(q).unwrap(),
             dense.predict(q).unwrap(),
             "kernel diverged from dense path"
         );
-        if binary.predict(q).unwrap() == dense.predict(q).unwrap() {
-            binary_agree += 1;
-        }
     }
-    assert!(
-        binary_agree * 2 > queries.len(),
-        "binary kernel degenerate: {binary_agree}/{} agreement",
-        queries.len()
-    );
 
     let mut group = c.benchmark_group("score_lut_table1_speech");
     group.sample_size(20);
@@ -105,21 +90,15 @@ fn bench_score_lut(c: &mut Criterion) {
     group.bench_function("lut_predict_1", |b| {
         b.iter(|| fast.predict(black_box(&queries[0])).unwrap())
     });
-    group.bench_function("binary_predict_1", |b| {
-        b.iter(|| binary.predict(black_box(&queries[0])).unwrap())
-    });
     group.bench_function("dense_predict_batch_64", |b| {
         b.iter(|| dense.predict_batch(black_box(&queries)).unwrap())
     });
     group.bench_function("lut_predict_batch_64", |b| {
         b.iter(|| fast.predict_batch(black_box(&queries)).unwrap())
     });
-    group.bench_function("binary_predict_batch_64", |b| {
-        b.iter(|| binary.predict_batch(black_box(&queries)).unwrap())
-    });
     group.finish();
 
-    write_bench_json(&dense, &fast, &binary, binary_agree, &queries);
+    write_bench_json(&dense, &fast, &queries);
 }
 
 /// Timed nanosecond samples for one closure: short warm-up, then `n`
@@ -156,32 +135,20 @@ fn stats_json(mut samples: Vec<u64>) -> String {
 /// Self-times the benched operations for every kernel and writes the
 /// perf-trajectory record (separate from criterion's console report,
 /// whose samples are not exposed by the vendored stub).
-fn write_bench_json(
-    dense: &LookHdClassifier,
-    fast: &LookHdClassifier,
-    binary: &LookHdClassifier,
-    binary_agree: usize,
-    queries: &[Vec<f64>],
-) {
+fn write_bench_json(dense: &LookHdClassifier, fast: &LookHdClassifier, queries: &[Vec<f64>]) {
     const SAMPLES: usize = 200;
-    let ops: [(&str, &dyn Fn()); 6] = [
+    let ops: [(&str, &dyn Fn()); 4] = [
         ("dense_predict_1_ns", &|| {
             dense.predict(black_box(&queries[0])).unwrap();
         }),
         ("lut_predict_1_ns", &|| {
             fast.predict(black_box(&queries[0])).unwrap();
         }),
-        ("binary_predict_1_ns", &|| {
-            binary.predict(black_box(&queries[0])).unwrap();
-        }),
         ("dense_predict_batch_64_ns", &|| {
             dense.predict_batch(black_box(queries)).unwrap();
         }),
         ("lut_predict_batch_64_ns", &|| {
             fast.predict_batch(black_box(queries)).unwrap();
-        }),
-        ("binary_predict_batch_64_ns", &|| {
-            binary.predict_batch(black_box(queries)).unwrap();
         }),
     ];
     let mut results = String::new();
@@ -192,30 +159,14 @@ fn write_bench_json(
         let n = if name.contains("batch") { 50 } else { SAMPLES };
         let _ = write!(results, "\"{name}\": {}", stats_json(sample_ns(n, op)));
     }
-    // Query labels are known by construction (query i jitters prototype
-    // i % k), so the binary kernel's accuracy delta is measurable.
-    let correct = |clf: &LookHdClassifier| -> usize {
-        queries
-            .iter()
-            .enumerate()
-            .filter(|(i, q)| clf.predict(q).unwrap() == i % N_CLASSES)
-            .count()
-    };
-    let n_q = queries.len() as f64;
-    let dense_acc = correct(dense) as f64 / n_q;
-    let binary_acc = correct(binary) as f64 / n_q;
-    let agreement = binary_agree as f64 / n_q;
     let cores = std::thread::available_parallelism().map_or(0, usize::from);
     let json = format!(
         "{{\n  \"schema_version\": 1,\n  \"bench\": \"score_lut_table1_speech\",\n  \
          \"workload\": {{\"n_features\": {N_FEATURES}, \"n_classes\": {N_CLASSES}, \
          \"dim\": 2000, \"q\": 4, \"r\": 5, \"batch\": 64, \"samples\": {SAMPLES}}},\n  \
          \"host\": {{\"cores\": {cores}}},\n  \
-         \"kernels\": [\"dense\", \"lut\", \"binary\"],\n  \
-         \"binary_quality\": {{\"argmax_agreement\": {agreement:.4}, \
-         \"accuracy_dense\": {dense_acc:.4}, \"accuracy_binary\": {binary_acc:.4}, \
-         \"accuracy_delta\": {:.4}}},\n  \"results\": {{\n    {results}\n  }}\n}}\n",
-        binary_acc - dense_acc
+         \"kernels\": [\"dense\", \"lut\"],\n  \
+         \"results\": {{\n    {results}\n  }}\n}}\n"
     );
     let path = std::env::var("LOOKHD_BENCH_OUT").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_score_lut.json").to_string()

@@ -4,8 +4,7 @@
 //! ```text
 //! lookhd train    --data train.csv --out model.lks [--dim 2000 --q 4 --r 5
 //!                 --epochs 10 --linear --group 12 --seed 42 --threads 4
-//!                 --kernel auto|dense|lut|binary --kernel-budget BYTES
-//!                 --multifold N]
+//!                 --kernel auto|dense|lut --kernel-budget BYTES]
 //! lookhd evaluate --model model.lks --data test.csv [--threads 4]
 //! lookhd predict  --model model.lks --data queries.csv [--threads 4]
 //! lookhd info     --model model.lks [--kernel KIND]
@@ -44,16 +43,14 @@
 //! the metrics file every `MS` milliseconds, atomically, so a crashed or
 //! killed server still leaves a recent snapshot behind.
 //!
-//! `--kernel {auto,dense,lut,binary}` selects the scoring kernel. On
-//! `train` it is built at fit time and persisted with the model; on
-//! `info` and `serve` it rebuilds the kernel of a loaded `LKS1` artifact
-//! without retraining. `auto` tries the score-LUT and falls back to dense
-//! when ineligible; `lut` (exact, precomputed tables; `--kernel-budget`
-//! caps their bytes) and `binary` (approximate bit-packed Hamming
-//! scoring; `--multifold N` enables prefix-scoring with margin-gated
-//! escalation) are hard requests that fail when the model cannot satisfy
-//! them. Non-dense kinds imply compression without decorrelation at train
-//! time.
+//! `--kernel {auto,dense,lut}` selects the scoring kernel. On `train` it
+//! is built at fit time and persisted with the model; on `info` and
+//! `serve` it rebuilds the kernel of a loaded `LKS1` artifact without
+//! retraining. `auto` tries the score-LUT and falls back to dense when
+//! ineligible; `lut` (exact precomputed tables; `--kernel-budget` caps
+//! their bytes) is a hard request that fails when the model cannot
+//! satisfy it. Non-dense kinds imply compression without decorrelation
+//! at train time.
 
 mod args;
 
@@ -124,8 +121,7 @@ fn run(raw: Vec<String>) -> Result<(), String> {
 const USAGE: &str = "usage:
   lookhd train    --data train.csv --out model.lks [--dim N --q N --r N
                   --epochs N --linear --group N --seed N --threads N
-                  --kernel auto|dense|lut|binary --kernel-budget BYTES
-                  --multifold N]
+                  --kernel auto|dense|lut --kernel-budget BYTES]
   lookhd evaluate --model model.lks --data test.csv [--threads N]
   lookhd predict  --model model.lks --data queries.csv [--threads N]
   lookhd info     --model model.lks [--kernel KIND]
@@ -143,11 +139,9 @@ const USAGE: &str = "usage:
 any result bit; under `serve` it sets the batch-worker count instead.
 --kernel selects the scoring kernel: auto (score-LUT with dense fallback),
 dense (exact reference), lut (exact precomputed tables; --kernel-budget
-caps their bytes), binary (approximate bit-packed Hamming scoring;
---multifold N scores word prefixes and escalates only on thin margins).
-On train it is built and persisted with the model (non-dense kinds imply
-compression without decorrelation); on info/serve it rebuilds the kernel
-of a loaded LKS1 artifact without retraining.
+caps their bytes). On train it is built and persisted with the model
+(non-dense kinds imply compression without decorrelation); on info/serve
+it rebuilds the kernel of a loaded LKS1 artifact without retraining.
 --reactors N (serve) sets the I/O event-loop thread count; --max-conns N
 caps concurrently open connections (excess connects get one Overloaded
 frame and are closed).
@@ -186,9 +180,9 @@ fn engine_config(args: &Args) -> Result<EngineConfig, String> {
     Ok(EngineConfig::new().with_threads(threads))
 }
 
-/// Kernel selection from `--kernel {auto,dense,lut,binary}` plus the
-/// `--kernel-budget BYTES` / `--multifold N` knobs. `None` means the
-/// flag family was absent.
+/// Kernel selection from `--kernel {auto,dense,lut}` plus the
+/// `--kernel-budget BYTES` knob. `None` means the flag family was
+/// absent.
 fn kernel_spec(args: &Args) -> Result<Option<KernelSpec>, String> {
     // The one-release deprecation window for `--score-lut` is over; the
     // argument parser ignores unknown switches, so reject the removed
@@ -206,29 +200,14 @@ fn kernel_spec(args: &Args) -> Result<Option<KernelSpec>, String> {
     let budget = args
         .get_or("kernel-budget", KernelSpec::DEFAULT_BUDGET_BYTES)
         .map_err(|e| e.to_string())?;
-    let multifold = args
-        .get_or("multifold", 0usize)
-        .map_err(|e| e.to_string())?;
-    Ok(Some(
-        KernelSpec::new(kind)
-            .with_budget_bytes(budget)
-            .with_multifold(multifold),
-    ))
+    Ok(Some(KernelSpec::new(kind).with_budget_bytes(budget)))
 }
 
-/// One human-readable line describing a classifier's active kernel.
+/// One human-readable line describing a classifier's active kernel
+/// (both kernels score exactly).
 fn kernel_line(clf: &LookHdClassifier) -> String {
     let kernel = clf.kernel();
-    format!(
-        "{} ({}; {})",
-        kernel.name(),
-        if kernel.is_exact() {
-            "exact"
-        } else {
-            "approximate"
-        },
-        kernel.describe()
-    )
+    format!("{} (exact; {})", kernel.name(), kernel.describe())
 }
 
 fn train(args: &Args) -> Result<(), String> {
@@ -246,9 +225,9 @@ fn train(args: &Args) -> Result<(), String> {
     let kernel = kernel_spec(args)?;
     let mut compression = CompressionConfig::new().with_max_classes_per_vector(group.max(1));
     if kernel.is_some_and(|k| k.kind != KernelKind::Dense) {
-        // The lut and binary kernels require integer per-dimension
-        // scoring end to end; decorrelation whitens queries through f64
-        // arithmetic, so non-dense kernel requests turn it off.
+        // The score-LUT requires integer per-dimension scoring end to
+        // end; decorrelation whitens queries through f64 arithmetic, so
+        // non-dense kernel requests turn it off.
         compression = compression.with_decorrelate(false);
     }
     let mut config = LookHdConfig::new()

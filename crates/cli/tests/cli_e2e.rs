@@ -141,51 +141,49 @@ fn kernel_flags_select_and_report_kernels() {
     let dir = workdir("kernel_flags");
     let (train, test, _) = write_dataset(&dir);
 
-    // New spelling: an explicit binary kernel with multifold enabled.
-    let binary_model = dir.join("binary.lks");
+    // An explicit score-LUT request.
+    let explicit_model = dir.join("explicit_lut.lks");
     let out = bin()
         .args([
             "train",
             "--data",
             train.to_str().unwrap(),
             "--out",
-            binary_model.to_str().unwrap(),
+            explicit_model.to_str().unwrap(),
             "--dim",
             "256",
             "--epochs",
             "2",
             "--kernel",
-            "binary",
-            "--multifold",
-            "2",
+            "lut",
         ])
         .output()
-        .expect("run train --kernel binary");
+        .expect("run train --kernel lut");
     assert!(
         out.status.success(),
-        "binary train failed: {}",
+        "lut train failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(
-        text.contains("kernel: binary (approximate;"),
+        text.contains("kernel: lut (exact;"),
         "missing kernel report: {text}"
     );
 
     // The artifact reports its kernel in `info`, and a `--kernel` override
     // rebuilds it in place.
     let out = bin()
-        .args(["info", "--model", binary_model.to_str().unwrap()])
+        .args(["info", "--model", explicit_model.to_str().unwrap()])
         .output()
         .expect("run info");
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("kernel:              binary"), "{text}");
+    assert!(text.contains("kernel:              lut"), "{text}");
     let out = bin()
         .args([
             "info",
             "--model",
-            binary_model.to_str().unwrap(),
+            explicit_model.to_str().unwrap(),
             "--kernel",
             "dense",
         ])
@@ -195,12 +193,12 @@ fn kernel_flags_select_and_report_kernels() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("kernel:              dense"), "{text}");
 
-    // The binary model still classifies the easy test split.
+    // The LUT model classifies the easy test split.
     let out = bin()
         .args([
             "evaluate",
             "--model",
-            binary_model.to_str().unwrap(),
+            explicit_model.to_str().unwrap(),
             "--data",
             test.to_str().unwrap(),
         ])
@@ -262,25 +260,28 @@ fn kernel_flags_select_and_report_kernels() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("kernel:              lut"), "{text}");
 
-    // Unknown kinds are rejected with the expected vocabulary.
-    let out = bin()
-        .args([
-            "train",
-            "--data",
-            train.to_str().unwrap(),
-            "--out",
-            dir.join("bogus.lks").to_str().unwrap(),
-            "--kernel",
-            "bogus",
-        ])
-        .output()
-        .expect("run train --kernel bogus");
-    assert!(!out.status.success());
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("expected auto, dense, lut, or binary"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    // Unknown kinds, including the deleted binary kernel, are rejected
+    // with the expected vocabulary.
+    for kind in ["bogus", "binary"] {
+        let out = bin()
+            .args([
+                "train",
+                "--data",
+                train.to_str().unwrap(),
+                "--out",
+                dir.join("rejected.lks").to_str().unwrap(),
+                "--kernel",
+                kind,
+            ])
+            .output()
+            .expect("run train with an unknown kernel");
+        assert!(!out.status.success(), "--kernel {kind} was accepted");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("expected auto, dense, or lut"),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
 
     let _ = fs::remove_dir_all(&dir);
 }

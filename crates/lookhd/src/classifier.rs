@@ -19,13 +19,15 @@ use crate::compress::{CompressedModel, CompressionConfig};
 use crate::encoder::LookupEncoder;
 use crate::lut::TableMode;
 use crate::retrain::{retrain_compressed, UpdateRule};
-use crate::score_kernel::{
-    build_kernel, kernel_from_section, KernelSpec, LutKernel, ScoreKernel, KERNEL_SECTION_NONE,
-};
+use crate::score_kernel::{build_kernel, KernelSpec, ScoreKernel};
 use crate::score_lut::ScoreLut;
 use crate::trainer::CounterTrainer;
 
 const CLASSIFIER_MAGIC: &[u8; 4] = b"LKS1";
+/// LKS1 kernel-section tag: no kernel payload (dense scoring path).
+const KERNEL_SECTION_NONE: u8 = 0;
+/// LKS1 kernel-section tag: an SLT1 score-LUT section follows.
+const KERNEL_SECTION_SLT1: u8 = 1;
 
 /// Hyperparameters of the full LookHD pipeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,8 +64,8 @@ pub struct LookHdConfig {
     /// Which scoring kernel to build at fit time (see
     /// [`crate::score_kernel`]). [`crate::score_kernel::KernelKind::Auto`]
     /// tries the score-LUT and falls back to the dense path when the model
-    /// is ineligible (counted as `kernel.fallback`); explicit `lut` /
-    /// `binary` requests make ineligibility a fit error instead.
+    /// is ineligible (counted as `kernel.fallback`); an explicit `lut`
+    /// request makes ineligibility a fit error instead.
     pub kernel: KernelSpec,
     /// RNG seed (level memory, position keys).
     pub seed: u64,
@@ -222,7 +224,7 @@ pub struct LookHdClassifier {
     /// (see [`crate::score_kernel`]). Built after retraining — precomputed
     /// kernels bake in the final combined vectors — and persisted with the
     /// classifier when the kernel carries state.
-    kernel: Box<dyn ScoreKernel>,
+    kernel: ScoreKernel,
     report: TrainReport,
     /// The RNG seed levels/positions were generated from (for persistence).
     seed: u64,
@@ -365,7 +367,7 @@ impl LookHdClassifier {
         encoder: LookupEncoder,
         model: ClassModel,
         compressed: CompressedModel,
-        kernel: Box<dyn ScoreKernel>,
+        kernel: ScoreKernel,
         seed: u64,
     ) -> Self {
         Self {
@@ -512,12 +514,12 @@ impl LookHdClassifier {
     }
 
     /// The active scoring kernel.
-    pub fn kernel(&self) -> &dyn ScoreKernel {
-        self.kernel.as_ref()
+    pub fn kernel(&self) -> &ScoreKernel {
+        &self.kernel
     }
 
     /// Rebuilds the scoring kernel in place from a new [`KernelSpec`]
-    /// (e.g. to switch a loaded artifact onto the binary kernel without
+    /// (e.g. to switch a loaded artifact onto the score-LUT without
     /// retraining). The encoder and models are untouched.
     ///
     /// # Errors
@@ -531,16 +533,15 @@ impl LookHdClassifier {
     /// The score-LUT inference kernel, when the active kernel is one (see
     /// [`LookHdConfig::with_kernel`]).
     pub fn score_lut(&self) -> Option<&ScoreLut> {
-        self.kernel
-            .as_any()
-            .downcast_ref::<LutKernel>()
-            .map(LutKernel::lut)
+        match &self.kernel {
+            ScoreKernel::Dense => None,
+            ScoreKernel::Lut(lut) => Some(lut),
+        }
     }
 
     /// Per-class scores for a raw feature vector on the deployment path,
-    /// through the active [`ScoreKernel`]. Exact kernels (dense, lut)
-    /// return bit-identical values; the binary kernel returns its Hamming
-    /// agreement scores.
+    /// through the active [`ScoreKernel`]; dense and lut return
+    /// bit-identical values.
     ///
     /// When metrics are enabled, each call ticks `kernel.<name>.scores`.
     /// The build-time counter `kernel.fallback` is different: it ticks
@@ -551,10 +552,9 @@ impl LookHdClassifier {
     ///
     /// Propagates encoding/arity errors.
     pub fn scores(&self, features: &[f64]) -> Result<Vec<f64>> {
-        match self.kernel.name() {
-            "lut" => obs::counter("kernel.lut.scores", 1),
-            "binary" => obs::counter("kernel.binary.scores", 1),
-            _ => obs::counter("kernel.dense.scores", 1),
+        match self.kernel {
+            ScoreKernel::Dense => obs::counter("kernel.dense.scores", 1),
+            ScoreKernel::Lut(_) => obs::counter("kernel.lut.scores", 1),
         }
         self.kernel
             .scores(&self.encoder, &self.compressed, features)
@@ -645,12 +645,12 @@ impl LookHdClassifier {
         );
         out.extend_from_slice(&compressed_bytes);
         // The kernel-section tag byte is mandatory (0 = none/dense,
-        // 1 = SLT1, 2 = BIN1) so every truncation of the stream stays
-        // detectable.
-        match self.kernel.persist()? {
-            None => out.push(KERNEL_SECTION_NONE),
-            Some((tag, payload)) => {
-                out.push(tag);
+        // 1 = SLT1) so every truncation of the stream stays detectable.
+        match &self.kernel {
+            ScoreKernel::Dense => out.push(KERNEL_SECTION_NONE),
+            ScoreKernel::Lut(lut) => {
+                let payload = lut.to_bytes()?;
+                out.push(KERNEL_SECTION_SLT1);
                 w32(
                     &mut out,
                     serial_u32("kernel section length", payload.len(), u32::MAX as usize)?,
@@ -760,10 +760,15 @@ impl LookHdClassifier {
         let compressed_len = u32v(&mut pos)? as usize;
         let compressed = CompressedModel::from_bytes(take(&mut pos, compressed_len)?)?;
         let kernel = match take(&mut pos, 1)?[0] {
-            KERNEL_SECTION_NONE => kernel_from_section(KERNEL_SECTION_NONE, &[])?,
-            tag => {
+            KERNEL_SECTION_NONE => ScoreKernel::Dense,
+            KERNEL_SECTION_SLT1 => {
                 let kernel_len = u32v(&mut pos)? as usize;
-                kernel_from_section(tag, take(&mut pos, kernel_len)?)?
+                ScoreKernel::Lut(ScoreLut::from_bytes(take(&mut pos, kernel_len)?)?)
+            }
+            other => {
+                return Err(HdcError::invalid_dataset(format!(
+                    "unknown kernel flag {other}"
+                )))
             }
         };
         if pos != bytes.len() {
@@ -778,9 +783,11 @@ impl LookHdClassifier {
             return Err(bad("quantizer boundaries disagree with q"));
         }
         let layout = ChunkLayout::new(n_features, r, q)?;
-        // The kernel arrived as an independent section; make sure its
+        // The score-LUT arrived as an independent section; make sure its
         // geometry agrees with the layout and model it will serve.
-        kernel.validate_against(&layout, &compressed)?;
+        if let ScoreKernel::Lut(lut) = &kernel {
+            lut.validate_against(&layout, &compressed)?;
+        }
         let mut rng = StdRng::seed_from_u64(seed);
         let levels = LevelMemory::generate(dim, q, scheme, &mut rng)?;
         let encoder = LookupEncoder::new(layout, &levels, quantizer, table_mode, seed)?;
@@ -806,9 +813,8 @@ impl Classifier for LookHdClassifier {
 
     /// Predicts the class of a raw feature vector through the active
     /// [`ScoreKernel`] (the deployment path). With the score-LUT kernel
-    /// this is address extraction + table gathers; with the binary kernel
-    /// it is XOR+popcount over packed words (multifold early exit when
-    /// enabled); the dense kernel scores the compressed model directly.
+    /// this is address extraction + table gathers; the dense kernel
+    /// scores the compressed model directly.
     fn predict(&self, features: &[f64]) -> Result<usize> {
         let _span = obs::span("predict");
         self.kernel
@@ -976,7 +982,7 @@ mod tests {
             .with_compression(CompressionConfig::new().with_seed(5))
             .with_retrain_epochs(2)
             .with_update_rule(UpdateRule::PaperShift)
-            .with_kernel(KernelSpec::binary().with_multifold(4))
+            .with_kernel(KernelSpec::lut().with_budget_bytes(4096))
             .with_seed(77)
             .with_engine(EngineConfig::new().with_shard_size(64))
             .with_threads(4);
@@ -987,7 +993,7 @@ mod tests {
         assert_eq!(c.table_mode, Some(TableMode::OnTheFly));
         assert_eq!(c.retrain_epochs, 2);
         assert_eq!(c.update_rule, UpdateRule::PaperShift);
-        assert_eq!(c.kernel, KernelSpec::binary().with_multifold(4));
+        assert_eq!(c.kernel, KernelSpec::lut().with_budget_bytes(4096));
         assert_eq!(c.seed, 77);
         assert_eq!(c.engine.threads, 4);
         assert_eq!(c.engine.shard_size, 64);
@@ -1078,12 +1084,6 @@ mod tests {
             LookHdClassifier::fit(&whitened.clone().with_kernel(KernelSpec::lut()), &xs, &ys)
                 .is_err()
         );
-        assert!(LookHdClassifier::fit(
-            &whitened.clone().with_kernel(KernelSpec::binary()),
-            &xs,
-            &ys
-        )
-        .is_err());
     }
 
     #[test]
@@ -1112,40 +1112,31 @@ mod tests {
     }
 
     #[test]
-    fn binary_kernel_survives_persistence_and_set_kernel_switches() {
+    fn set_kernel_switches_a_loaded_artifact_between_kernels() {
         let (xs, ys) = blobs(11, 3, 18, 0.08, 24);
         let config = LookHdConfig::new()
             .with_dim(256)
             .with_retrain_epochs(2)
-            .with_compression(CompressionConfig::new().with_decorrelate(false))
-            .with_kernel(KernelSpec::binary().with_multifold(2));
+            .with_compression(CompressionConfig::new().with_decorrelate(false));
         let clf = LookHdClassifier::fit(&config, &xs, &ys).unwrap();
-        assert_eq!(clf.kernel().name(), "binary");
-        assert!(!clf.kernel().is_exact());
-        assert!(clf.score_lut().is_none());
-        let bytes = clf.to_bytes().unwrap();
-        let back = LookHdClassifier::from_bytes(&bytes).unwrap();
-        assert_eq!(back.kernel().name(), "binary");
-        for x in &xs {
-            assert_eq!(back.predict(x).unwrap(), clf.predict(x).unwrap());
-            assert_eq!(back.scores(x).unwrap(), clf.scores(x).unwrap());
-        }
+        let back = LookHdClassifier::from_bytes(&clf.to_bytes().unwrap()).unwrap();
+        assert_eq!(back.kernel(), &ScoreKernel::Dense);
         // `set_kernel` swaps a loaded artifact onto a different kernel
         // without retraining; the dense path is the exact reference.
         let mut switched = back.clone();
-        switched.set_kernel(&KernelSpec::dense()).unwrap();
-        assert_eq!(switched.kernel().name(), "dense");
         switched.set_kernel(&KernelSpec::lut()).unwrap();
         assert_eq!(switched.kernel().name(), "lut");
-        let dense_ref = {
-            let mut c = back.clone();
-            c.set_kernel(&KernelSpec::dense()).unwrap();
-            c
-        };
         assert_eq!(
             switched.predict_batch(&xs).unwrap(),
-            dense_ref.predict_batch(&xs).unwrap()
+            back.predict_batch(&xs).unwrap()
         );
+        // A rebuild the model cannot satisfy keeps the previous kernel.
+        assert!(switched
+            .set_kernel(&KernelSpec::lut().with_budget_bytes(1))
+            .is_err());
+        assert_eq!(switched.kernel().name(), "lut");
+        switched.set_kernel(&KernelSpec::dense()).unwrap();
+        assert_eq!(switched.kernel(), &ScoreKernel::Dense);
     }
 
     #[test]

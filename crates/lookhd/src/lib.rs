@@ -22,9 +22,9 @@
 //!   partial-score tables folding Eq. 5 scoring into the lookup table, so
 //!   predict is `m` table reads and `m·k` adds (§III, §V applied to the
 //!   scoring stage);
-//! * [`score_kernel`] — the pluggable [`score_kernel::ScoreKernel`] seam
-//!   the classifier scores through: dense, score-LUT, and bit-packed
-//!   binary Hamming kernels selected by [`score_kernel::KernelSpec`];
+//! * [`score_kernel`] — the [`score_kernel::ScoreKernel`] the classifier
+//!   scores through: the exact dense and score-LUT arithmetics, selected
+//!   by [`score_kernel::KernelSpec`];
 //! * [`classifier`] — the end-to-end [`classifier::LookHdClassifier`];
 //! * [`sweep`] — structured hyperparameter grid sweeps (the Fig. 12 /
 //!   Table II experiment pattern, reusable on any dataset);
@@ -73,7 +73,5 @@ pub mod trainer;
 pub use classifier::{LookHdClassifier, LookHdConfig};
 pub use compress::{CompressedModel, CompressionConfig};
 pub use online::StreamingTrainer;
-pub use score_kernel::{
-    build_kernel, BinaryKernel, DenseKernel, KernelKind, KernelSpec, LutKernel, ScoreKernel,
-};
+pub use score_kernel::{build_kernel, KernelKind, KernelSpec, ScoreKernel};
 pub use score_lut::ScoreLut;

@@ -25,7 +25,7 @@ use crate::classifier::{LookHdClassifier, LookHdConfig};
 use crate::compress::CompressedModel;
 use crate::counters::ChunkCounters;
 use crate::encoder::LookupEncoder;
-use crate::score_kernel::{build_kernel, BinaryKernel, KernelSpec};
+use crate::score_kernel::{build_kernel, KernelSpec, ScoreKernel};
 use crate::trainer::CounterTrainer;
 
 /// Hyperparameters of the online trainer.
@@ -298,17 +298,12 @@ impl StreamingTrainer {
     ///
     /// Propagates trainer-construction errors.
     pub fn from_classifier(clf: &LookHdClassifier) -> Result<Self> {
-        let kernel = match clf.kernel().name() {
-            "lut" => KernelSpec::lut(),
-            "binary" => {
-                let multifold = clf
-                    .kernel()
-                    .as_any()
-                    .downcast_ref::<BinaryKernel>()
-                    .map_or(0, BinaryKernel::multifold);
-                KernelSpec::binary().with_multifold(multifold)
-            }
-            _ => KernelSpec::dense(),
+        let kernel = match clf.kernel() {
+            ScoreKernel::Dense => KernelSpec::dense(),
+            // Streaming never changes the table geometry, so the served
+            // tables' own size is a budget every refresh fits — the
+            // default budget would reject a LUT built under a larger one.
+            ScoreKernel::Lut(lut) => KernelSpec::lut().with_budget_bytes(lut.size_bytes()),
         };
         let config = LookHdConfig::new()
             .with_compression(clf.compressed().compression_config().clone())

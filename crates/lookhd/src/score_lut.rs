@@ -114,8 +114,9 @@ impl ScoreLut {
     /// exactness), the table would exceed `budget_bytes` or
     /// [`MAX_SERIAL_SCORE_ENTRIES`], or the worst-case score violates
     /// [`MAX_EXACT_SCORE`] — and [`HdcError::DimensionMismatch`] when the
-    /// encoder and compressed model disagree on `D`. Callers treat these
-    /// as "fall back to the dense path".
+    /// encoder and compressed model disagree on `D`.
+    /// [`build_kernel`](crate::score_kernel::build_kernel)'s Auto
+    /// resolution treats these as "fall back to the dense path".
     pub fn build(
         encoder: &LookupEncoder,
         compressed: &CompressedModel,
@@ -146,7 +147,7 @@ impl ScoreLut {
                 "score_lut",
                 format!(
                     "table needs {total_entries} entries ({} bytes) > cap {cap} \
-                     ({budget_bytes}-byte budget); falling back to the dense path",
+                     ({budget_bytes}-byte budget)",
                     total_entries.saturating_mul(8)
                 ),
             ));
@@ -634,6 +635,10 @@ mod tests {
         // 2 chunks × 1024 rows × 3 classes × 8 B = 49 KiB > 1 KiB budget.
         let err = ScoreLut::build(&encoder, &compressed, 1024).unwrap_err();
         assert!(err.to_string().contains("budget"), "{err}");
+        // An explicit `lut` request surfaces this error as is; only
+        // `build_kernel`'s Auto arm falls back, so the text must not
+        // claim a fallback.
+        assert!(!err.to_string().contains("falling back"), "{err}");
         assert!(ScoreLut::build(&encoder, &compressed, 64 << 10).is_ok());
     }
 

@@ -7,12 +7,11 @@
 //! * **`LKS1`** — a full [`LookHdClassifier`] (quantizer, lookup encoder,
 //!   and compressed model). Requests carry *raw feature vectors*; the
 //!   server encodes and classifies exactly like `lookhd predict`. When the
-//!   artifact carries a scoring-kernel section (`--kernel` at train time:
-//!   an SLT1 score-LUT or a BIN1 binary kernel), the server picks it up
-//!   transparently and reports the active kernel in the admin snapshot
-//!   (`kernel.active.<name>`). The score-LUT is bit-identical to the
-//!   dense path, so responses do not change, only their latency; the
-//!   binary kernel is an explicitly opted-in approximation.
+//!   artifact carries an SLT1 score-LUT section (`--kernel` at train
+//!   time), the server picks it up transparently and reports the active
+//!   kernel in the admin snapshot (`kernel.active.<name>`). The score-LUT
+//!   is bit-identical to the dense path, so responses do not change, only
+//!   their latency.
 //! * **`HDC1`** — a bare [`ClassModel`] with no encoder. Requests carry a
 //!   *pre-encoded hypervector* (one `f64` per dimension, rounded to the
 //!   nearest `i32`); the edge device runs the cheap lookup encoding and
@@ -362,7 +361,7 @@ mod tests {
     }
 
     #[test]
-    fn binary_kernel_artifact_loads_and_reports_its_kernel() {
+    fn dense_kernel_artifact_loads_and_reports_its_kernel() {
         let mut xs = Vec::new();
         let mut ys = Vec::new();
         for i in 0..24 {
@@ -372,14 +371,10 @@ mod tests {
             xs.push(vec![base + jitter, base - jitter, base, 1.0 - base]);
             ys.push(class);
         }
-        let cfg = LookHdConfig::new()
-            .with_dim(64)
-            .with_retrain_epochs(1)
-            .with_compression(lookhd::CompressionConfig::new().with_decorrelate(false))
-            .with_kernel(lookhd::KernelSpec::binary().with_multifold(2));
+        let cfg = LookHdConfig::new().with_dim(64).with_retrain_epochs(1);
         let clf = LookHdClassifier::fit(&cfg, &xs, &ys).unwrap();
         let served = classifier_from_bytes(&clf.to_bytes().unwrap()).unwrap();
-        assert_eq!(served.kernel_name(), Some("binary"));
+        assert_eq!(served.kernel_name(), Some("dense"));
         for x in &xs {
             assert_eq!(served.predict(x).unwrap(), clf.predict(x).unwrap());
         }

@@ -34,7 +34,6 @@ cargo test -q -p lookhd score_lut
 cargo test -q -p lookhd score_kernel
 cargo test -q --test kernel_differential
 cargo test -q --test serve_differential score_lut_kernel_serves_identically_to_dense_path
-cargo test -q --test serve_differential binary_kernel_serves_identically_to_direct_calls
 
 echo "== single-pass serving: margin telemetry rides the one scoring pass"
 cargo test -q --test serve_single_pass
@@ -81,20 +80,24 @@ assert "score_lut.queries" not in counters, counters
 print(f"metrics OK: {len(paths)} spans, {len(counters)} counters")
 EOF
 
-echo "== binary-kernel CLI smoke test"
-cargo run --release -q -p lookhd-cli -- train \
-    --data "$smoke_dir/train.csv" --out "$smoke_dir/model_bin.lks" \
-    --dim 512 --epochs 2 --kernel binary --multifold 2 \
-    > "$smoke_dir/train_bin.log"
-grep -q "kernel: binary (approximate;" "$smoke_dir/train_bin.log"
+echo "== kernel CLI smoke test"
+# The --kernel auto artifact above carries the score-LUT ...
 cargo run --release -q -p lookhd-cli -- info \
-    --model "$smoke_dir/model_bin.lks" > "$smoke_dir/info_bin.log"
-grep -q "kernel: *binary" "$smoke_dir/info_bin.log"
-# The same artifact rebuilt behind the exact reference kernel.
+    --model "$smoke_dir/model.lks" > "$smoke_dir/info_lut.log"
+grep -q "kernel: *lut" "$smoke_dir/info_lut.log"
+# ... and rebuilds behind the exact dense reference on request.
 cargo run --release -q -p lookhd-cli -- info \
-    --model "$smoke_dir/model_bin.lks" --kernel dense \
+    --model "$smoke_dir/model.lks" --kernel dense \
     > "$smoke_dir/info_dense.log"
 grep -q "kernel: *dense" "$smoke_dir/info_dense.log"
+# The deleted binary kernel is an unknown kind.
+if cargo run --release -q -p lookhd-cli -- train \
+    --data "$smoke_dir/train.csv" --out "$smoke_dir/model_bin.lks" \
+    --kernel binary 2> "$smoke_dir/train_bin.err"; then
+    echo "train --kernel binary unexpectedly succeeded"
+    exit 1
+fi
+grep -q "expected auto, dense, or lut" "$smoke_dir/train_bin.err"
 
 echo "== serve + loadgen + live telemetry smoke test"
 # Build both binaries up front so the startup poll below is not racing
@@ -333,16 +336,12 @@ for r in runs:
 doc = json.load(open("BENCH_score_lut.json"))
 assert doc["schema_version"] == 1, doc
 assert doc["host"]["cores"] >= 1, doc
-# The score-LUT record is a per-kernel matrix: dense/lut/binary medians
-# for single and batch-64 predicts, plus the binary kernel's recorded
-# quality (argmax agreement with dense and the accuracy delta).
-assert doc["kernels"] == ["dense", "lut", "binary"], doc["kernels"]
+# The score-LUT record is a per-kernel matrix: dense/lut medians for
+# single and batch-64 predicts.
+assert doc["kernels"] == ["dense", "lut"], doc["kernels"]
 for kernel in doc["kernels"]:
     for op in (f"{kernel}_predict_1_ns", f"{kernel}_predict_batch_64_ns"):
         assert doc["results"][op]["p50"] > 0, (op, doc["results"].get(op))
-quality = doc["binary_quality"]
-assert 0.5 <= quality["argmax_agreement"] <= 1.0, quality
-assert -1.0 <= quality["accuracy_delta"] <= 1.0, quality
 print("perf trajectory files OK")
 EOF
 

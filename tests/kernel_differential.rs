@@ -1,53 +1,33 @@
-//! Differential tests across the pluggable scoring kernels.
+//! Differential tests across the two exact scoring kernels.
 //!
-//! Every kernel dispatches through the same `ScoreKernel` seam, so the
-//! kernels are directly comparable on the five Table-I application
-//! profiles: dense and score-LUT must agree *bit for bit* (scores and
-//! argmax), and the binary Hamming kernel — an explicit approximation —
-//! must keep its argmax agreement with the dense reference above a
-//! recorded per-workload floor. Multifold prefix scoring only accepts a
-//! fold's argmax early when the margin is unambiguous, so its agreement
-//! with multifold-off binary scoring is pinned too, and a proptest checks
-//! the Schmuck-style rematerialization property: binary class words
+//! [`ScoreKernel`](lookhd_paper::lookhd::ScoreKernel) is a two-variant
+//! enum (dense, score-LUT), so the kernels are directly comparable on the
+//! five Table-I application profiles: dense and score-LUT must agree
+//! *bit for bit* (scores and argmax), both must survive persistence
+//! unchanged, and a proptest checks rematerialization: score-LUT tables
 //! rebuilt from a round-tripped (seed-regenerated) model are bit-identical
-//! to the words stored in the BIN1 section.
+//! to the tables stored in the SLT1 section.
 
 use lookhd_paper::datasets::apps::App;
 use lookhd_paper::hdc::{Classifier, FitClassifier};
 use lookhd_paper::lookhd::{
-    BinaryKernel, CompressionConfig, KernelSpec, LookHdClassifier, LookHdConfig,
+    build_kernel, CompressionConfig, KernelSpec, LookHdClassifier, LookHdConfig,
 };
 use proptest::prelude::*;
 
 const DIM: usize = 512;
 
-/// Dimensionality for the binary-agreement test. Hamming fidelity to the
-/// dense argmax grows with `D` (binarization noise averages out); at 512
-/// the hardest profile agrees ≈ 0.77, at 2048 every profile clears 0.85.
-const DIM_BINARY: usize = 2048;
-
-/// Minimum fraction of test queries on which the binary kernel's argmax
-/// matches the dense reference at `DIM_BINARY`. The synthetic profiles
-/// include an ambiguous subpopulation, so exact agreement is not the
-/// ceiling; observed agreement per profile is printed by the test for
-/// re-tuning (lowest observed: Extra at 0.868).
-const BINARY_AGREEMENT_FLOOR: f64 = 0.80;
-
-fn fit_dense_at(app: App, seed: u64, dim: usize) -> (LookHdClassifier, Vec<Vec<f64>>) {
+fn fit_dense(app: App, seed: u64) -> (LookHdClassifier, Vec<Vec<f64>>) {
     let profile = app.profile();
     let data = profile.generate_small(seed);
     let config = LookHdConfig::new()
-        .with_dim(dim)
+        .with_dim(DIM)
         .with_q(profile.paper_q_lookhd)
         .with_retrain_epochs(3)
         .with_compression(CompressionConfig::new().with_decorrelate(false));
     let clf = LookHdClassifier::fit(&config, &data.train.features, &data.train.labels)
         .expect("training failed");
     (clf, data.test.features)
-}
-
-fn fit_dense(app: App, seed: u64) -> (LookHdClassifier, Vec<Vec<f64>>) {
-    fit_dense_at(app, seed, DIM)
 }
 
 #[test]
@@ -75,74 +55,9 @@ fn dense_and_lut_agree_bit_for_bit_on_all_profiles() {
 }
 
 #[test]
-fn binary_argmax_agreement_stays_above_recorded_floor() {
-    for app in App::ALL {
-        let (dense, queries) = fit_dense_at(app, 43, DIM_BINARY);
-        let mut binary = dense.clone();
-        binary
-            .set_kernel(&KernelSpec::binary())
-            .expect("binary build");
-        assert_eq!(binary.kernel().name(), "binary");
-        let mut agree = 0usize;
-        for x in &queries {
-            if dense.predict(x).expect("dense predict") == binary.predict(x).expect("binary") {
-                agree += 1;
-            }
-        }
-        let rate = agree as f64 / queries.len() as f64;
-        println!("{app:?}: binary/dense argmax agreement {rate:.3}");
-        assert!(
-            rate >= BINARY_AGREEMENT_FLOOR,
-            "{app:?}: binary agreement {rate:.3} below floor {BINARY_AGREEMENT_FLOOR}"
-        );
-    }
-}
-
-#[test]
-fn multifold_matches_full_binary_scoring_when_margins_are_clear() {
-    for app in App::ALL {
-        let (dense, queries) = fit_dense(app, 47);
-        let mut full = dense.clone();
-        full.set_kernel(&KernelSpec::binary()).expect("binary");
-        let mut folded = dense.clone();
-        folded
-            .set_kernel(&KernelSpec::binary().with_multifold(4))
-            .expect("multifold binary");
-        let mut agree = 0usize;
-        for x in &queries {
-            let full_pred = full.predict(x).expect("full binary");
-            let folded_pred = folded.predict(x).expect("folded binary");
-            if full_pred == folded_pred {
-                agree += 1;
-            }
-            // Early acceptance requires margin ≥ 4·√(remaining bits), so a
-            // disagreement can only come from a query whose full-score
-            // margin was within that drift bound: verify the margin on any
-            // disagreeing query really is thin (< 8·√D is generous).
-            if full_pred != folded_pred {
-                let scores = full.scores(x).expect("binary scores");
-                let mut sorted = scores.clone();
-                sorted.sort_by(|a, b| b.partial_cmp(a).expect("finite"));
-                let margin = sorted[0] - sorted[1];
-                assert!(
-                    margin < 8.0 * (DIM as f64).sqrt(),
-                    "{app:?}: multifold flipped a clear-margin query (margin {margin})"
-                );
-            }
-        }
-        let rate = agree as f64 / queries.len() as f64;
-        println!("{app:?}: multifold/full agreement {rate:.3}");
-        assert!(
-            rate >= 0.95,
-            "{app:?}: multifold agreement {rate:.3} below 0.95"
-        );
-    }
-}
-
-#[test]
 fn every_kernel_round_trips_through_persistence_on_a_profile() {
     let (dense, queries) = fit_dense(App::Extra, 53);
-    for spec in [KernelSpec::dense(), KernelSpec::lut(), KernelSpec::binary()] {
+    for spec in [KernelSpec::dense(), KernelSpec::lut()] {
         let mut clf = dense.clone();
         clf.set_kernel(&spec).expect("kernel build");
         let back =
@@ -162,16 +77,15 @@ fn every_kernel_round_trips_through_persistence_on_a_profile() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Rematerialization: the BIN1 section stores only packed class
-    /// words; position/`P'` keys regenerate from the seed. Rebuilding the
-    /// binary kernel from the *round-tripped* classifier's regenerated
-    /// encoder and compressed model must reproduce the stored words bit
-    /// for bit.
+    /// Rematerialization: level and position hypervectors are never
+    /// persisted, they regenerate from the seed. Rebuilding the score-LUT
+    /// from the *round-tripped* classifier's regenerated encoder and
+    /// compressed model must reproduce the stored SLT1 tables bit for
+    /// bit.
     #[test]
-    fn rematerialized_binary_words_are_bit_identical(
+    fn rematerialized_lut_tables_are_bit_identical(
         seed in 0u64..1000,
         dim_ix in 0usize..3,
-        multifold in 0usize..5,
     ) {
         let dim = [192usize, 256, 320][dim_ix];
         let data = App::Physical.profile().generate_small(seed);
@@ -181,27 +95,14 @@ proptest! {
             .with_seed(seed ^ 0xB1A5)
             .with_retrain_epochs(1)
             .with_compression(CompressionConfig::new().with_decorrelate(false))
-            .with_kernel(KernelSpec::binary().with_multifold(multifold));
+            .with_kernel(KernelSpec::lut());
         let clf = LookHdClassifier::fit(&config, &data.train.features, &data.train.labels)
             .expect("training failed");
         let back = LookHdClassifier::from_bytes(&clf.to_bytes().expect("serialize"))
             .expect("deserialize");
-        let stored = back
-            .kernel()
-            .as_any()
-            .downcast_ref::<BinaryKernel>()
-            .expect("binary kernel survived persistence");
-        let rebuilt = BinaryKernel::build(back.encoder(), back.compressed(), multifold)
+        prop_assert!(back.score_lut().is_some(), "score-LUT lost in persistence");
+        let rebuilt = build_kernel(back.encoder(), back.compressed(), &KernelSpec::lut())
             .expect("rematerialized build");
-        prop_assert_eq!(stored.n_classes(), rebuilt.n_classes());
-        prop_assert_eq!(stored.mean(), rebuilt.mean());
-        for c in 0..stored.n_classes() {
-            prop_assert_eq!(
-                stored.class(c).words(),
-                rebuilt.class(c).words(),
-                "class {} words diverged after rematerialization",
-                c
-            );
-        }
+        prop_assert_eq!(&rebuilt, back.kernel());
     }
 }

@@ -340,10 +340,27 @@ fn concurrent_scrapes_during_hotswap_stay_consistent_and_version_labels_flip_ato
         )),
         "prometheus output missing the dimensional predictions counter:\n{prom}"
     );
-    assert!(
-        prom.contains("reactor=\"0\"") && prom.contains("worker=\"0\""),
-        "prometheus output missing reactor/worker labels"
-    );
+    // Which reactor and worker indices carried traffic depends on
+    // accept and queue scheduling, so check the label sets the traffic
+    // actually produced: each is non-empty, and the render carries every
+    // one of their values.
+    for (name, key) in [
+        ("serve.reactor.frames", "reactor"),
+        ("serve.worker.batches", "worker"),
+    ] {
+        let values: Vec<&str> = snapshot
+            .counters
+            .iter()
+            .filter(|c| c.name == name && c.value > 0)
+            .filter_map(|c| c.labels.iter().find(|(k, _)| k == key))
+            .map(|(_, v)| v.as_str())
+            .collect();
+        assert!(!values.is_empty(), "no {name}{{{key}}} label sets recorded");
+        for value in values {
+            let series = format!("lookhd_{}{{{key}=\"{value}\"}}", name.replace('.', "_"));
+            assert!(prom.contains(&series), "prometheus output missing {series}");
+        }
+    }
 
     // Shutdown starts the drain; /healthz must degrade to 503 with the
     // reason in the body.

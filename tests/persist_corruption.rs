@@ -141,66 +141,25 @@ fn lut_classifier_intact_round_trip_predicts_identically() {
     }
 }
 
-/// Like [`tiny_lut_classifier`] but carrying a `BIN1` binary-kernel
-/// section (multifold on, so the escalation fields round-trip too).
-fn tiny_binary_classifier() -> (LookHdClassifier, Vec<Vec<f64>>) {
-    let (_, features) = tiny_classifier();
-    let labels: Vec<usize> = (0..features.len()).map(|i| i % 2).collect();
-    let config = LookHdConfig::new()
-        .with_dim(64)
-        .with_q(2)
-        .with_r(2)
-        .with_retrain_epochs(1)
-        .with_compression(CompressionConfig::new().with_decorrelate(false))
-        .with_kernel(KernelSpec::binary().with_multifold(2));
-    let clf = LookHdClassifier::fit(&config, &features, &labels).expect("training failed");
-    assert_eq!(clf.kernel().name(), "binary");
-    (clf, features)
-}
-
+/// LKS1 defines kernel-section tags 0 (dense, no payload) and 1 (SLT1).
+/// Tag 2 was the retired binary Hamming kernel's section: a stream carrying
+/// it, with or without a well-formed length and payload, is rejected at
+/// load instead of silently serving some other kernel.
 #[test]
-fn binary_classifier_truncated_at_every_length_errors() {
-    let (clf, _) = tiny_binary_classifier();
-    let bytes = clf.to_bytes().expect("serialization failed");
-    for cut in 0..bytes.len() {
+fn retired_kernel_tag_2_is_rejected_at_load() {
+    let (clf, _) = tiny_classifier();
+    let mut bytes = clf.to_bytes().expect("serialization failed");
+    assert_eq!(bytes.last(), Some(&0), "dense artifacts end in tag 0");
+    *bytes.last_mut().expect("non-empty") = 2;
+    let bare = LookHdClassifier::from_bytes(&bytes).expect_err("bare tag 2 parsed");
+    let payload = b"retired binary-kernel payload";
+    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(payload);
+    let framed = LookHdClassifier::from_bytes(&bytes).expect_err("framed tag 2 parsed");
+    for err in [bare, framed] {
         assert!(
-            LookHdClassifier::from_bytes(&bytes[..cut]).is_err(),
-            "binary truncation at {cut}/{} parsed successfully",
-            bytes.len()
-        );
-    }
-    let mut longer = bytes.clone();
-    longer.push(0);
-    assert!(LookHdClassifier::from_bytes(&longer).is_err());
-}
-
-#[test]
-fn binary_classifier_survives_every_single_byte_flip() {
-    let (clf, features) = tiny_binary_classifier();
-    let bytes = clf.to_bytes().expect("serialization failed");
-    for i in 0..bytes.len() {
-        let mut bad = bytes.clone();
-        bad[i] ^= 0xFF;
-        if let Ok(back) = LookHdClassifier::from_bytes(&bad) {
-            let _ = back.predict(&features[0]);
-        }
-    }
-}
-
-#[test]
-fn binary_classifier_intact_round_trip_predicts_identically() {
-    let (clf, features) = tiny_binary_classifier();
-    let bytes = clf.to_bytes().expect("serialization failed");
-    let back = LookHdClassifier::from_bytes(&bytes).expect("reload failed");
-    assert_eq!(back.kernel().name(), "binary", "kernel lost in round trip");
-    for x in &features {
-        assert_eq!(
-            clf.predict(x).expect("predict failed"),
-            back.predict(x).expect("predict failed")
-        );
-        assert_eq!(
-            clf.scores(x).expect("scores failed"),
-            back.scores(x).expect("scores failed")
+            err.to_string().contains("unknown kernel flag 2"),
+            "unexpected error: {err}"
         );
     }
 }

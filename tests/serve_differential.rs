@@ -262,71 +262,6 @@ fn score_lut_kernel_serves_identically_to_dense_path() {
     }
 }
 
-/// An LKS1 artifact carrying the binary Hamming kernel serves responses
-/// identical to a *direct* call on the same reloaded artifact across the
-/// workers × max-batch matrix: the kernel is approximate relative to the
-/// dense path, but the served approximation must be deterministic and
-/// bit-stable — batching, threading, and the wire must add nothing.
-#[test]
-fn binary_kernel_serves_identically_to_direct_calls() {
-    let (xs, ys, queries) = dataset();
-    let config = LookHdConfig::new()
-        .with_dim(256)
-        .with_retrain_epochs(2)
-        .with_compression(lookhd_paper::lookhd::CompressionConfig::new().with_decorrelate(false))
-        .with_kernel(lookhd_paper::lookhd::KernelSpec::binary().with_multifold(2));
-    let clf = LookHdClassifier::fit(&config, &xs, &ys).expect("binary training failed");
-    let bytes = clf.to_bytes().expect("serialization failed");
-    let direct = LookHdClassifier::from_bytes(&bytes).expect("reload failed");
-    assert_eq!(
-        direct.kernel().name(),
-        "binary",
-        "kernel lost in round trip"
-    );
-    let expected: Vec<usize> = queries
-        .iter()
-        .map(|q| direct.predict(q).expect("direct predict failed"))
-        .collect();
-    for workers in WORKERS {
-        for max_batch in MAX_BATCH {
-            let model = serve::classifier_from_bytes(&bytes).expect("model load failed");
-            assert_eq!(model.kernel_name(), Some("binary"));
-            let handle = serve::start(
-                "127.0.0.1:0",
-                model,
-                ServeConfig::new()
-                    .with_workers(workers)
-                    .with_max_batch(max_batch)
-                    .with_queue_cap(4096)
-                    .with_timeout(Duration::from_secs(30)),
-            )
-            .expect("bind failed");
-            let mut client = Client::connect(handle.addr()).expect("connect failed");
-            client
-                .set_read_timeout(Some(Duration::from_secs(30)))
-                .unwrap();
-            for (i, q) in queries.iter().enumerate() {
-                match client.predict(i as u64, q).expect("round trip failed") {
-                    Response::Predict { id, class, .. } => {
-                        assert_eq!(id, i as u64);
-                        assert_eq!(
-                            class as usize, expected[i],
-                            "binary-kernel server diverged from direct path on query {i} \
-                             (workers={workers}, max_batch={max_batch})"
-                        );
-                    }
-                    other => panic!(
-                        "unexpected response {other:?} \
-                         (workers={workers}, max_batch={max_batch})"
-                    ),
-                }
-            }
-            handle.shutdown();
-            handle.join();
-        }
-    }
-}
-
 /// With the metrics registry *and* the trace ring enabled, a server
 /// facing mixed v1/v2 clients still answers bit-identically to the
 /// direct path — tracing is pure observation — and every traced request
