@@ -64,18 +64,25 @@
 //! throughput numbers are co-located measurements, not isolated ones.
 
 use std::collections::HashMap;
-use std::io::{Read as _, Write as _};
+use std::io::{ErrorKind, Read as _, Write as _};
 use std::net::TcpStream;
+use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
 use lookhd_serve::wire::{decode_response, encode_request, FrameDecoder, Request, Response};
 use lookhd_serve::Client;
-use netpoll::{is_would_block, raw_fd, Interest, Poller};
+use netpoll::{Interest, Poller};
 
 /// Upper bound on one point's run, relative to the response deadline:
 /// after the last request is issued, the server gets one full deadline
 /// to answer; a stall beyond that counts the remainder as dropped.
 const POLL_TICK: Duration = Duration::from_millis(50);
+
+/// Bytes one `read(2)` may land in a connection's decoder buffer. Each
+/// connection keeps a buffer this size, so it stays small for thousands
+/// of connections; responses are tens of bytes, so a read still drains
+/// a deep pipeline.
+const READ_CHUNK: usize = 4 * 1024;
 
 /// Ceil-rank percentile over an ascending-sorted sample: the smallest
 /// sample ≥ the requested fraction of the distribution. Nearest-rank
@@ -254,7 +261,7 @@ fn run_point(w: &Workload<'_>, connections: usize) -> PointReport {
             .set_nonblocking(true)
             .unwrap_or_else(|e| fail(&format!("nonblocking conn {c}: {e}")));
         poller
-            .register(raw_fd(&stream), c as u64, Interest::READABLE)
+            .register(stream.as_raw_fd(), c as u64, Interest::READABLE)
             .unwrap_or_else(|e| fail(&format!("registering conn {c}: {e}")));
         slots.push(Slot {
             stream,
@@ -280,9 +287,7 @@ fn run_point(w: &Workload<'_>, connections: usize) -> PointReport {
     };
     let started = Instant::now();
     let mut issued_total = 0usize;
-    let mut scratch = vec![0u8; 64 * 1024];
     let mut events = Vec::new();
-    let mut frames = Vec::new();
     let mut last_progress = Instant::now();
 
     loop {
@@ -361,7 +366,7 @@ fn run_point(w: &Workload<'_>, connections: usize) -> PointReport {
                             break;
                         }
                     }
-                    Err(e) if is_would_block(&e) => break,
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                     Err(_) => {
                         slot.dead = true;
                         break;
@@ -374,7 +379,7 @@ fn run_point(w: &Workload<'_>, connections: usize) -> PointReport {
                 Interest::READABLE
             };
             if !slot.dead && (want.is_writable() != slot.interest.is_writable()) {
-                let _ = poller.modify(raw_fd(&slot.stream), c as u64, want);
+                let _ = poller.modify(slot.stream.as_raw_fd(), c as u64, want);
                 slot.interest = want;
             }
         }
@@ -393,69 +398,65 @@ fn run_point(w: &Workload<'_>, connections: usize) -> PointReport {
                 continue;
             }
             if event.readable || event.hangup {
-                loop {
-                    match slot.stream.read(&mut scratch) {
-                        Ok(0) => {
-                            slot.dead = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            frames.clear();
-                            if slot.decoder.feed(&scratch[..n], &mut frames).is_err() {
+                // Edge-triggered: read to `WouldBlock`, straight into the
+                // decoder's buffer, and settle every frame it completes.
+                while !slot.dead {
+                    match slot.stream.read(slot.decoder.space(READ_CHUNK)) {
+                        Ok(0) => slot.dead = true,
+                        Ok(n) => slot.decoder.commit(n),
+                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                        Err(_) => slot.dead = true,
+                    }
+                    loop {
+                        let frame = match slot.decoder.next_frame() {
+                            Ok(Some(frame)) => frame,
+                            Ok(None) => break,
+                            Err(_) => {
                                 slot.dead = true;
+                                break;
                             }
-                            for frame in frames.drain(..) {
-                                match decode_response(&frame) {
-                                    Ok(
-                                        Response::Predict {
-                                            id,
-                                            trace_id: got_trace,
-                                            ..
-                                        }
-                                        | Response::FeedbackAck {
-                                            id,
-                                            trace_id: got_trace,
-                                            ..
-                                        },
-                                    ) => match slot.inflight.remove(&id) {
-                                        Some(sent) => {
-                                            let took = sent.elapsed();
-                                            if took > w.deadline {
-                                                report.dropped += 1;
-                                            } else {
-                                                report.latencies_ns.push(took.as_nanos() as u64);
-                                                report.ok += 1;
-                                            }
-                                            let want_trace = if w.traced { id + 1 } else { 0 };
-                                            if got_trace != want_trace {
-                                                report.mismatches += 1;
-                                            }
-                                            last_progress = Instant::now();
-                                        }
-                                        None => report.mismatches += 1,
-                                    },
-                                    Ok(Response::Error { id, .. }) => {
-                                        if slot.inflight.remove(&id).is_some() {
-                                            report.errors += 1;
-                                            last_progress = Instant::now();
-                                        }
+                        };
+                        match decode_response(frame) {
+                            Ok(
+                                Response::Predict {
+                                    id,
+                                    trace_id: got_trace,
+                                    ..
+                                }
+                                | Response::FeedbackAck {
+                                    id,
+                                    trace_id: got_trace,
+                                    ..
+                                },
+                            ) => match slot.inflight.remove(&id) {
+                                Some(sent) => {
+                                    let took = sent.elapsed();
+                                    if took > w.deadline {
+                                        report.dropped += 1;
+                                    } else {
+                                        report.latencies_ns.push(took.as_nanos() as u64);
+                                        report.ok += 1;
                                     }
-                                    Ok(_) => report.errors += 1,
-                                    Err(e) => {
-                                        eprintln!("loadgen: conn {c}: bad response: {e}");
-                                        slot.dead = true;
+                                    let want_trace = if w.traced { id + 1 } else { 0 };
+                                    if got_trace != want_trace {
+                                        report.mismatches += 1;
                                     }
+                                    last_progress = Instant::now();
+                                }
+                                None => report.mismatches += 1,
+                            },
+                            Ok(Response::Error { id, .. }) => {
+                                if slot.inflight.remove(&id).is_some() {
+                                    report.errors += 1;
+                                    last_progress = Instant::now();
                                 }
                             }
+                            Ok(_) => report.errors += 1,
+                            Err(e) => {
+                                eprintln!("loadgen: conn {c}: bad response: {e}");
+                                slot.dead = true;
+                            }
                         }
-                        Err(e) if is_would_block(&e) => break,
-                        Err(_) => {
-                            slot.dead = true;
-                            break;
-                        }
-                    }
-                    if slot.dead {
-                        break;
                     }
                 }
             } else if event.writable && slot.backlog() > 0 {
@@ -470,7 +471,7 @@ fn run_point(w: &Workload<'_>, connections: usize) -> PointReport {
                 issued_total += w.requests_per_conn - slot.queued;
                 slot.queued = w.requests_per_conn;
                 slot.inflight.clear();
-                let _ = poller.deregister(raw_fd(&slot.stream));
+                let _ = poller.deregister(slot.stream.as_raw_fd());
             }
         }
     }

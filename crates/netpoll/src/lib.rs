@@ -1,4 +1,4 @@
-//! # netpoll — a thin, dependency-free readiness-polling shim
+//! # netpoll — a thin, dependency-free readiness-polling shim (Linux)
 //!
 //! `lookhd-serve`'s event loop needs exactly four OS facilities: "tell me
 //! which of these sockets are readable/writable", "let another thread
@@ -7,24 +7,17 @@
 //! `#![forbid(unsafe_code)]` while the workspace stays free of external
 //! dependencies (the usual `mio`/`libc` route is unavailable offline).
 //!
-//! * On **Linux** the backend is raw `epoll` — `epoll_create1` /
-//!   `epoll_ctl` / `epoll_wait` declared as `extern "C"` bindings against
-//!   the libc that `std` already links, plus an `eventfd` for cross-thread
-//!   wakeups. Pollers run level-triggered by default; [`Mode::Edge`]
-//!   switches every registration (waker included) to `EPOLLET`, trading
-//!   re-reported readiness for one wakeup per readiness *transition* —
-//!   callers must then drain each fd to `WouldBlock` before waiting again.
-//! * On **other Unixes** the same API is served by POSIX `poll(2)` with a
-//!   self-pipe waker. O(n) per wait, fine as a portability fallback.
-//!   `poll(2)` has no edge-triggered mode, so [`Mode::Edge`] degrades to
-//!   level-triggered there; code written to the edge contract (drain to
-//!   `WouldBlock`) is correct under both, it just wakes more often.
+//! The backend is raw `epoll` — `epoll_create1` / `epoll_ctl` /
+//! `epoll_wait` declared as `extern "C"` bindings against the libc that
+//! `std` already links, plus an `eventfd` for cross-thread wakeups. Every
+//! registration (the waker included) is **edge-triggered** (`EPOLLET`):
+//! an fd is reported once per readiness *transition*, so callers must
+//! drain each reported fd to `WouldBlock` before waiting again.
 //!
-//! The Linux backend also exposes [`reuseport_listener`]: a
-//! `SO_REUSEPORT` TCP listener factory so several acceptor threads can
-//! each bind their own listener to one address and let the kernel shard
-//! incoming connections across them. On the portable backend it returns
-//! `Unsupported` and callers fall back to a single shared listener.
+//! [`reuseport_listener`] is an `SO_REUSEPORT` TCP listener factory, so
+//! several acceptor threads can each bind their own listener to one
+//! address and let the kernel shard incoming connections across them.
+//! Other targets fail to compile: the crate is Linux only.
 //!
 //! The `unsafe` in this crate is confined to the `sys` FFI declarations
 //! and the few call sites that use them; every invariant (valid fds via
@@ -54,26 +47,9 @@
 
 #![deny(missing_docs)]
 
-use std::io;
-use std::os::fd::RawFd;
-
 /// The reserved token reported for wakeups triggered via [`Waker::wake`].
 /// Registering a caller fd with this token is rejected.
 pub const WAKER_TOKEN: u64 = u64::MAX;
-
-/// Readiness delivery discipline for a [`Poller`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Report an fd on every wait while it stays ready (epoll default).
-    /// Undrained sockets simply show up again next wait.
-    Level,
-    /// Report an fd only when its readiness *transitions* (`EPOLLET`).
-    /// Callers must drain each reported fd to `WouldBlock` before the
-    /// next wait or risk missing data. The portable `poll(2)` backend
-    /// cannot express this and silently serves level-triggered events;
-    /// the drain-to-`WouldBlock` contract is correct under both.
-    Edge,
-}
 
 /// Which readiness conditions a registration watches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,7 +118,7 @@ pub struct Event {
 pub use imp::{reuseport_listener, Poller, Waker};
 
 // ---------------------------------------------------------------------------
-// Linux backend: epoll + eventfd
+// epoll + eventfd
 // ---------------------------------------------------------------------------
 
 #[cfg(target_os = "linux")]
@@ -152,7 +128,7 @@ mod imp {
     use std::sync::Arc;
     use std::time::Duration;
 
-    use super::{Event, Interest, Mode, WAKER_TOKEN};
+    use super::{Event, Interest, WAKER_TOKEN};
 
     /// Raw FFI surface. These symbols live in the libc that `std` links
     /// into every Rust binary on Linux; the signatures mirror the man
@@ -245,29 +221,25 @@ mod imp {
         }
     }
 
-    fn epoll_mask(interest: Interest, edge: bool) -> u32 {
+    fn epoll_mask(interest: Interest) -> u32 {
         // EPOLLRDHUP distinguishes "peer half-closed" from plain EPOLLIN
         // and makes abandoned connections visible even when parked with
         // `Interest::NONE` (EPOLLERR/EPOLLHUP are always reported).
-        let mut mask = sys::EPOLLRDHUP;
+        let mut mask = sys::EPOLLRDHUP | sys::EPOLLET;
         if interest.is_readable() {
             mask |= sys::EPOLLIN;
         }
         if interest.is_writable() {
             mask |= sys::EPOLLOUT;
         }
-        if edge {
-            mask |= sys::EPOLLET;
-        }
         mask
     }
 
-    /// An epoll instance plus its eventfd wake channel.
+    /// An edge-triggered epoll instance plus its eventfd wake channel.
     #[derive(Debug)]
     pub struct Poller {
         epfd: OwnedFd,
         wake: Arc<OwnedFd>,
-        edge: bool,
     }
 
     /// Wakes a [`Poller::wait`] from another thread. Cheap to clone; all
@@ -297,26 +269,15 @@ mod imp {
     }
 
     impl Poller {
-        /// Creates a level-triggered poller with its wake channel already
-        /// registered.
-        ///
-        /// # Errors
-        ///
-        /// Propagates `epoll_create1`/`eventfd`/`epoll_ctl` failures.
-        pub fn new() -> io::Result<Self> {
-            Self::with_mode(Mode::Level)
-        }
-
-        /// Creates a poller in the given [`Mode`]. Under [`Mode::Edge`]
-        /// every registration — the internal waker included — carries
+        /// Creates a poller with its wake channel already registered.
+        /// Every registration — the internal waker included — carries
         /// `EPOLLET`, so callers must drain each reported fd to
         /// `WouldBlock` before the next wait.
         ///
         /// # Errors
         ///
         /// Propagates `epoll_create1`/`eventfd`/`epoll_ctl` failures.
-        pub fn with_mode(mode: Mode) -> io::Result<Self> {
-            let edge = mode == Mode::Edge;
+        pub fn new() -> io::Result<Self> {
             // SAFETY: plain syscall, no pointers. A negative return is an
             // error and never converted to an OwnedFd.
             let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
@@ -335,24 +296,14 @@ mod imp {
             let poller = Self {
                 epfd,
                 wake: Arc::new(wake),
-                edge,
             };
-            let mut wake_mask = sys::EPOLLIN;
-            if edge {
-                wake_mask |= sys::EPOLLET;
-            }
             poller.ctl(
                 sys::EPOLL_CTL_ADD,
                 poller.wake.as_raw_fd(),
                 WAKER_TOKEN,
-                wake_mask,
+                sys::EPOLLIN | sys::EPOLLET,
             )?;
             Ok(poller)
-        }
-
-        /// Whether this poller delivers edge-triggered events.
-        pub fn is_edge(&self) -> bool {
-            self.edge
         }
 
         /// A handle other threads can use to interrupt [`Poller::wait`].
@@ -389,12 +340,7 @@ mod imp {
                     "token u64::MAX is reserved for the waker",
                 ));
             }
-            self.ctl(
-                sys::EPOLL_CTL_ADD,
-                fd,
-                token,
-                epoll_mask(interest, self.edge),
-            )
+            self.ctl(sys::EPOLL_CTL_ADD, fd, token, epoll_mask(interest))
         }
 
         /// Changes the interest set (and token) of a registered fd.
@@ -409,12 +355,7 @@ mod imp {
                     "token u64::MAX is reserved for the waker",
                 ));
             }
-            self.ctl(
-                sys::EPOLL_CTL_MOD,
-                fd,
-                token,
-                epoll_mask(interest, self.edge),
-            )
+            self.ctl(sys::EPOLL_CTL_MOD, fd, token, epoll_mask(interest))
         }
 
         /// Stops watching a registered fd.
@@ -427,9 +368,11 @@ mod imp {
         }
 
         /// Blocks until at least one fd is ready, a [`Waker`] fires, or
-        /// `timeout` elapses (`None` = wait forever). Ready events are
-        /// appended to `events` (cleared first). Wakeups appear as events
-        /// with [`WAKER_TOKEN`]; their eventfd is drained here.
+        /// `timeout` elapses (`None` = wait forever; a fractional
+        /// millisecond rounds up, so the wait never ends early). Ready
+        /// events are appended to `events` (cleared first). Wakeups
+        /// appear as events with [`WAKER_TOKEN`]; their eventfd is
+        /// drained here.
         ///
         /// # Errors
         ///
@@ -439,9 +382,8 @@ mod imp {
             events.clear();
             let timeout_ms: i32 = match timeout {
                 None => -1,
-                // Round up so a 0 < t < 1 ms timeout still sleeps.
-                Some(t) => i32::try_from(t.as_millis().max(u128::from(u32::from(!t.is_zero()))))
-                    .unwrap_or(i32::MAX),
+                // Round up to whole milliseconds: epoll_wait's unit.
+                Some(t) => i32::try_from(t.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX),
             };
             const CAPACITY: usize = 256;
             let mut buf = [sys::EpollEvent { events: 0, data: 0 }; CAPACITY];
@@ -599,280 +541,14 @@ mod imp {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Portable Unix backend: poll(2) + self-pipe
-// ---------------------------------------------------------------------------
-
-#[cfg(all(unix, not(target_os = "linux")))]
-mod imp {
-    use std::collections::BTreeMap;
-    use std::io::{self, Read, Write};
-    use std::os::fd::{AsRawFd, RawFd};
-    use std::sync::{Arc, Mutex};
-    use std::time::Duration;
-
-    use super::{Event, Interest, Mode, WAKER_TOKEN};
-
-    mod sys {
-        use std::os::fd::RawFd;
-
-        #[repr(C)]
-        #[derive(Clone, Copy)]
-        pub struct PollFd {
-            pub fd: RawFd,
-            pub events: i16,
-            pub revents: i16,
-        }
-
-        pub const POLLIN: i16 = 0x001;
-        pub const POLLOUT: i16 = 0x004;
-        pub const POLLERR: i16 = 0x008;
-        pub const POLLHUP: i16 = 0x010;
-
-        extern "C" {
-            pub fn poll(fds: *mut PollFd, nfds: u64, timeout_ms: i32) -> i32;
-        }
-    }
-
-    /// POSIX `poll(2)` emulation of the epoll-backed API. The interest
-    /// table lives behind a mutex so registration from other threads
-    /// (workers requesting write interest) stays safe; `poll` itself
-    /// rebuilds the fd array each wait — O(n), acceptable for a fallback.
-    #[derive(Debug)]
-    pub struct Poller {
-        interests: Mutex<BTreeMap<RawFd, (u64, Interest)>>,
-        wake_read: std::net::TcpStream,
-        wake_write: Arc<Mutex<std::net::TcpStream>>,
-    }
-
-    /// Self-pipe waker (a loopback socketpair stand-in: `std` exposes no
-    /// portable pipe, and a localhost TCP pair behaves identically here).
-    #[derive(Debug, Clone)]
-    pub struct Waker {
-        wake_write: Arc<Mutex<std::net::TcpStream>>,
-    }
-
-    impl Waker {
-        /// Interrupts the poller's current (or next) wait.
-        pub fn wake(&self) {
-            if let Ok(mut w) = self.wake_write.lock() {
-                let _ = w.write(&[1u8]);
-            }
-        }
-    }
-
-    impl Poller {
-        /// Creates a poller with its wake channel already registered.
-        ///
-        /// # Errors
-        ///
-        /// Propagates socket-pair setup failures.
-        pub fn new() -> io::Result<Self> {
-            Self::with_mode(Mode::Level)
-        }
-
-        /// Creates a poller in the given [`Mode`]. `poll(2)` cannot
-        /// deliver edge-triggered events, so [`Mode::Edge`] is accepted
-        /// but served level-triggered; drain-to-`WouldBlock` consumers
-        /// stay correct, they just wake more often.
-        ///
-        /// # Errors
-        ///
-        /// Propagates socket-pair setup failures.
-        pub fn with_mode(_mode: Mode) -> io::Result<Self> {
-            let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
-            let write_half = std::net::TcpStream::connect(listener.local_addr()?)?;
-            let (read_half, _) = listener.accept()?;
-            read_half.set_nonblocking(true)?;
-            write_half.set_nonblocking(true)?;
-            write_half.set_nodelay(true)?;
-            Ok(Self {
-                interests: Mutex::new(BTreeMap::new()),
-                wake_read: read_half,
-                wake_write: Arc::new(Mutex::new(write_half)),
-            })
-        }
-
-        /// A handle other threads can use to interrupt [`Poller::wait`].
-        pub fn waker(&self) -> Waker {
-            Waker {
-                wake_write: Arc::clone(&self.wake_write),
-            }
-        }
-
-        /// Always `false`: this backend only serves level-triggered events.
-        pub fn is_edge(&self) -> bool {
-            false
-        }
-
-        /// Starts watching `fd` with `interest`, reporting `token`.
-        ///
-        /// # Errors
-        ///
-        /// Rejects [`WAKER_TOKEN`] and double registration.
-        pub fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            if token == WAKER_TOKEN {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "token u64::MAX is reserved for the waker",
-                ));
-            }
-            let mut interests = self.interests.lock().expect("netpoll interests poisoned");
-            if interests.insert(fd, (token, interest)).is_some() {
-                return Err(io::Error::new(
-                    io::ErrorKind::AlreadyExists,
-                    "fd already registered",
-                ));
-            }
-            Ok(())
-        }
-
-        /// Changes the interest set (and token) of a registered fd.
-        ///
-        /// # Errors
-        ///
-        /// Rejects [`WAKER_TOKEN`] and unknown fds.
-        pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            if token == WAKER_TOKEN {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "token u64::MAX is reserved for the waker",
-                ));
-            }
-            let mut interests = self.interests.lock().expect("netpoll interests poisoned");
-            match interests.get_mut(&fd) {
-                Some(slot) => {
-                    *slot = (token, interest);
-                    Ok(())
-                }
-                None => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
-            }
-        }
-
-        /// Stops watching a registered fd.
-        ///
-        /// # Errors
-        ///
-        /// Rejects unknown fds.
-        pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-            let mut interests = self.interests.lock().expect("netpoll interests poisoned");
-            match interests.remove(&fd) {
-                Some(_) => Ok(()),
-                None => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
-            }
-        }
-
-        /// Blocks until readiness, a wake, or `timeout` (see the Linux
-        /// backend for the contract).
-        ///
-        /// # Errors
-        ///
-        /// Propagates `poll` failures. `EINTR` is retried internally.
-        pub fn wait(&self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-            events.clear();
-            let mut fds: Vec<(u64, sys::PollFd)> = vec![(
-                WAKER_TOKEN,
-                sys::PollFd {
-                    fd: self.wake_read.as_raw_fd(),
-                    events: sys::POLLIN,
-                    revents: 0,
-                },
-            )];
-            {
-                let interests = self.interests.lock().expect("netpoll interests poisoned");
-                for (&fd, &(token, interest)) in interests.iter() {
-                    let mut mask = 0i16;
-                    if interest.is_readable() {
-                        mask |= sys::POLLIN;
-                    }
-                    if interest.is_writable() {
-                        mask |= sys::POLLOUT;
-                    }
-                    fds.push((
-                        token,
-                        sys::PollFd {
-                            fd,
-                            events: mask,
-                            revents: 0,
-                        },
-                    ));
-                }
-            }
-            let timeout_ms: i32 = match timeout {
-                None => -1,
-                Some(t) => i32::try_from(t.as_millis().max(u128::from(u32::from(!t.is_zero()))))
-                    .unwrap_or(i32::MAX),
-            };
-            let mut raw: Vec<sys::PollFd> = fds.iter().map(|(_, p)| *p).collect();
-            loop {
-                // SAFETY: `raw` is a live, initialized array of pollfd
-                // structs; nfds matches its length.
-                let rc = unsafe { sys::poll(raw.as_mut_ptr(), raw.len() as u64, timeout_ms) };
-                if rc >= 0 {
-                    break;
-                }
-                let err = io::Error::last_os_error();
-                if err.kind() != io::ErrorKind::Interrupted {
-                    return Err(err);
-                }
-            }
-            for ((token, _), polled) in fds.iter().zip(&raw) {
-                if polled.revents == 0 {
-                    continue;
-                }
-                if *token == WAKER_TOKEN {
-                    let mut sink = [0u8; 64];
-                    let mut read_half = &self.wake_read;
-                    while matches!(read_half.read(&mut sink), Ok(n) if n > 0) {}
-                    events.push(Event {
-                        token: *token,
-                        readable: false,
-                        writable: false,
-                        hangup: false,
-                    });
-                    continue;
-                }
-                events.push(Event {
-                    token: *token,
-                    readable: polled.revents & (sys::POLLIN | sys::POLLHUP) != 0,
-                    writable: polled.revents & sys::POLLOUT != 0,
-                    hangup: polled.revents & (sys::POLLERR | sys::POLLHUP) != 0,
-                });
-            }
-            Ok(())
-        }
-    }
-
-    /// `SO_REUSEPORT` sharding is Linux-specific here; this backend
-    /// reports `Unsupported` so callers fall back to a single listener.
-    pub fn reuseport_listener(_addr: std::net::SocketAddr) -> io::Result<std::net::TcpListener> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "SO_REUSEPORT accept sharding requires the Linux epoll backend",
-        ))
-    }
-}
-
-#[cfg(not(unix))]
-compile_error!("netpoll supports Unix targets only (epoll on Linux, poll(2) elsewhere)");
-
-/// Convenience: classify an I/O result from a nonblocking operation.
-/// `WouldBlock` is the readiness loop's steady state, not an error, and
-/// `Interrupted` calls should simply be retried.
-pub fn is_would_block(e: &io::Error) -> bool {
-    e.kind() == io::ErrorKind::WouldBlock
-}
-
-/// Registers interest flags for a raw fd owner. Blanket helper so callers
-/// can pass `&TcpStream`/`&TcpListener` without importing `AsRawFd`.
-pub fn raw_fd<T: std::os::fd::AsRawFd>(io: &T) -> RawFd {
-    io.as_raw_fd()
-}
+#[cfg(not(target_os = "linux"))]
+compile_error!("netpoll supports Linux only (it wraps epoll, eventfd and SO_REUSEPORT)");
 
 #[cfg(test)]
 mod tests {
-    use std::io::{Read, Write};
-    use std::net::{TcpListener, TcpStream};
+    use std::io::{ErrorKind, Read, Write};
+    use std::net::{SocketAddr, TcpListener, TcpStream};
+    use std::os::fd::AsRawFd;
     use std::time::{Duration, Instant};
 
     use super::*;
@@ -887,12 +563,14 @@ mod tests {
     }
 
     #[test]
-    fn readiness_fires_on_data_and_clears_when_drained() {
+    fn edge_triggered_reports_once_until_new_data_and_clears_when_drained() {
         let (a, mut b) = pair();
         let poller = Poller::new().unwrap();
-        poller.register(raw_fd(&a), 42, Interest::READABLE).unwrap();
+        poller
+            .register(a.as_raw_fd(), 42, Interest::READABLE)
+            .unwrap();
 
-        // Nothing to read yet: a zero-ish timeout returns no events.
+        // Nothing to read yet: a short timeout returns no events.
         let mut events = Vec::new();
         poller
             .wait(&mut events, Some(Duration::from_millis(10)))
@@ -905,14 +583,24 @@ mod tests {
             .unwrap();
         assert!(events.iter().any(|e| e.token == 42 && e.readable));
 
-        // Level-triggered: still ready until drained.
+        // Edge-triggered: the undrained socket is NOT re-reported.
+        poller
+            .wait(&mut events, Some(Duration::from_millis(50)))
+            .unwrap();
+        assert!(events.is_empty(), "{events:?}");
+
+        // New data is a fresh edge even though the old bytes still sit
+        // in the socket buffer.
+        b.write_all(b" world").unwrap();
         poller
             .wait(&mut events, Some(Duration::from_secs(5)))
             .unwrap();
         assert!(events.iter().any(|e| e.token == 42 && e.readable));
-        let mut buf = [0u8; 16];
+
+        let mut buf = [0u8; 32];
         let n = (&a).read(&mut buf).unwrap();
-        assert_eq!(&buf[..n], b"hello");
+        assert_eq!(&buf[..n], b"hello world");
+        // Drained: quiet until the peer writes again.
         poller
             .wait(&mut events, Some(Duration::from_millis(10)))
             .unwrap();
@@ -920,18 +608,34 @@ mod tests {
     }
 
     #[test]
+    fn fractional_millisecond_timeouts_never_return_early() {
+        let poller = Poller::new().unwrap();
+        let timeout = Duration::from_micros(1_500);
+        let mut events = Vec::new();
+        for _ in 0..5 {
+            let started = Instant::now();
+            poller.wait(&mut events, Some(timeout)).unwrap();
+            let waited = started.elapsed();
+            assert!(events.is_empty(), "{events:?}");
+            assert!(waited >= timeout, "idle wait returned after {waited:?}");
+        }
+    }
+
+    #[test]
     fn write_interest_and_modify() {
         let (a, _b) = pair();
         let poller = Poller::new().unwrap();
         // A fresh socket is immediately writable.
-        poller.register(raw_fd(&a), 7, Interest::WRITABLE).unwrap();
+        poller
+            .register(a.as_raw_fd(), 7, Interest::WRITABLE)
+            .unwrap();
         let mut events = Vec::new();
         poller
             .wait(&mut events, Some(Duration::from_secs(5)))
             .unwrap();
         assert!(events.iter().any(|e| e.token == 7 && e.writable));
         // Parked: no events despite writability.
-        poller.modify(raw_fd(&a), 7, Interest::NONE).unwrap();
+        poller.modify(a.as_raw_fd(), 7, Interest::NONE).unwrap();
         poller
             .wait(&mut events, Some(Duration::from_millis(10)))
             .unwrap();
@@ -939,7 +643,7 @@ mod tests {
             !events.iter().any(|e| e.token == 7 && e.writable),
             "{events:?}"
         );
-        poller.deregister(raw_fd(&a)).unwrap();
+        poller.deregister(a.as_raw_fd()).unwrap();
     }
 
     #[test]
@@ -972,7 +676,9 @@ mod tests {
     fn hangup_is_reported() {
         let (a, b) = pair();
         let poller = Poller::new().unwrap();
-        poller.register(raw_fd(&a), 9, Interest::READABLE).unwrap();
+        poller
+            .register(a.as_raw_fd(), 9, Interest::READABLE)
+            .unwrap();
         drop(b);
         let mut events = Vec::new();
         poller
@@ -992,108 +698,70 @@ mod tests {
         let (a, _b) = pair();
         let poller = Poller::new().unwrap();
         assert!(poller
-            .register(raw_fd(&a), WAKER_TOKEN, Interest::READABLE)
+            .register(a.as_raw_fd(), WAKER_TOKEN, Interest::READABLE)
             .is_err());
     }
 
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn edge_triggered_reports_once_until_new_data() {
-        let (a, mut b) = pair();
-        let poller = Poller::with_mode(Mode::Edge).unwrap();
-        assert!(poller.is_edge());
-        poller.register(raw_fd(&a), 42, Interest::READABLE).unwrap();
-
-        b.write_all(b"hello").unwrap();
-        let mut events = Vec::new();
-        poller
-            .wait(&mut events, Some(Duration::from_secs(5)))
-            .unwrap();
-        assert!(events.iter().any(|e| e.token == 42 && e.readable));
-
-        // Edge-triggered: the undrained socket is NOT re-reported.
-        poller
-            .wait(&mut events, Some(Duration::from_millis(50)))
-            .unwrap();
-        assert!(events.is_empty(), "{events:?}");
-
-        // New data is a fresh edge even though the old bytes still sit
-        // in the socket buffer.
-        b.write_all(b" world").unwrap();
-        poller
-            .wait(&mut events, Some(Duration::from_secs(5)))
-            .unwrap();
-        assert!(events.iter().any(|e| e.token == 42 && e.readable));
-
-        let mut buf = [0u8; 32];
-        let n = (&a).read(&mut buf).unwrap();
-        assert_eq!(&buf[..n], b"hello world");
-    }
-
     /// The ET-safety regression test for the waker: two threads hammer
-    /// wake() against a poller in edge mode while the poll thread drains.
-    /// Every round ends with a wake that MUST be observed — under the old
-    /// single-read drain, a wake racing the drain left the eventfd
-    /// counter nonzero, and the next wake never produced a fresh edge.
+    /// wake() while the poll thread drains. The storm ends with a wake
+    /// that MUST be observed — under the old single-read drain, a wake
+    /// racing the drain left the eventfd counter nonzero, and the next
+    /// wake never produced a fresh edge.
     #[test]
     fn waker_hammer_from_two_threads_never_loses_the_final_wake() {
-        for mode in [Mode::Level, Mode::Edge] {
-            let poller = Poller::with_mode(mode).unwrap();
-            let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-            let mut storms = Vec::new();
-            for _ in 0..2 {
-                let waker = poller.waker();
-                let stop = std::sync::Arc::clone(&stop);
-                storms.push(std::thread::spawn(move || {
-                    let mut n = 0u32;
-                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                        waker.wake();
-                        n += 1;
-                        if n.is_multiple_of(64) {
-                            std::thread::yield_now();
-                        }
-                    }
-                }));
-            }
-            // Drain concurrently with the storm for a while.
-            let mut events = Vec::new();
-            let deadline = Instant::now() + Duration::from_millis(200);
-            while Instant::now() < deadline {
-                poller
-                    .wait(&mut events, Some(Duration::from_millis(10)))
-                    .unwrap();
-            }
-            stop.store(true, std::sync::atomic::Ordering::Relaxed);
-            for h in storms {
-                h.join().unwrap();
-            }
-            // Settle: consume whatever the storm left behind.
-            loop {
-                poller
-                    .wait(&mut events, Some(Duration::from_millis(20)))
-                    .unwrap();
-                if events.is_empty() {
-                    break;
-                }
-            }
-            // The decisive wake after the storm must still come through.
+        let poller = Poller::new().unwrap();
+        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let mut storms = Vec::new();
+        for _ in 0..2 {
             let waker = poller.waker();
-            let h = std::thread::spawn(move || waker.wake());
-            poller
-                .wait(&mut events, Some(Duration::from_secs(10)))
-                .unwrap();
-            h.join().unwrap();
-            assert!(
-                events.iter().any(|e| e.token == WAKER_TOKEN),
-                "post-storm wake was lost in {mode:?} mode"
-            );
+            let stop = std::sync::Arc::clone(&stop);
+            storms.push(std::thread::spawn(move || {
+                let mut n = 0u32;
+                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    waker.wake();
+                    n += 1;
+                    if n.is_multiple_of(64) {
+                        std::thread::yield_now();
+                    }
+                }
+            }));
         }
+        // Drain concurrently with the storm for a while.
+        let mut events = Vec::new();
+        let deadline = Instant::now() + Duration::from_millis(200);
+        while Instant::now() < deadline {
+            poller
+                .wait(&mut events, Some(Duration::from_millis(10)))
+                .unwrap();
+        }
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        for h in storms {
+            h.join().unwrap();
+        }
+        // Settle: consume whatever the storm left behind.
+        loop {
+            poller
+                .wait(&mut events, Some(Duration::from_millis(20)))
+                .unwrap();
+            if events.is_empty() {
+                break;
+            }
+        }
+        // The decisive wake after the storm must still come through.
+        let waker = poller.waker();
+        let h = std::thread::spawn(move || waker.wake());
+        poller
+            .wait(&mut events, Some(Duration::from_secs(10)))
+            .unwrap();
+        h.join().unwrap();
+        assert!(
+            events.iter().any(|e| e.token == WAKER_TOKEN),
+            "post-storm wake was lost"
+        );
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
     fn reuseport_listeners_share_one_address() {
-        use std::net::SocketAddr;
         let first = reuseport_listener("127.0.0.1:0".parse::<SocketAddr>().unwrap()).unwrap();
         let addr = first.local_addr().unwrap();
         // A second listener binds the very same port thanks to REUSEPORT.
@@ -1114,7 +782,7 @@ mod tests {
                 loop {
                     match listener.accept() {
                         Ok(_) => accepted += 1,
-                        Err(e) if is_would_block(&e) => break,
+                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                         Err(e) => panic!("accept failed: {e}"),
                     }
                 }

@@ -11,8 +11,9 @@
 //!   request id + payload; every length capped before allocation), with
 //!   an optional v2 layout carrying a client trace id and the `LHF1`
 //!   feedback family (feedback / refresh / version-stamped predict);
-//! * [`server`] — accept loop, per-connection readers, the bounded
-//!   request queue with backpressure and deadlines, batch workers,
+//! * [`server`] — edge-triggered epoll reactors (one `SO_REUSEPORT`
+//!   listener each; Linux only), the bounded request queue with
+//!   backpressure and deadlines, batch workers,
 //!   graceful shutdown, per-request tracing + model-quality telemetry
 //!   when observability is on, and (via [`server::start_online`]) the
 //!   online-training trainer thread with atomic model hot-swap;

@@ -9,12 +9,10 @@
 //!
 //! ## Accept sharding
 //!
-//! With `SO_REUSEPORT` available (Linux), **every** reactor owns its
-//! own listener bound to the same address and adopts its accepts
-//! directly — the kernel shards incoming connections across listeners
-//! by flow hash, so there is no shared accept path at all. Where
-//! REUSEPORT is unavailable the server falls back to a single listener
-//! on reactor 0, which hands connections to reactors round-robin.
+//! **Every** reactor owns its own `SO_REUSEPORT` listener bound to the
+//! same address and adopts its accepts directly — the kernel shards
+//! incoming connections across listeners by flow hash, so there is no
+//! shared accept path at all (one reactor is just the N = 1 case).
 //!
 //! ## Edge-triggered readiness + the read-budget rule
 //!
@@ -142,8 +140,6 @@ enum ReadOutcome {
 
 /// Cross-thread requests to a reactor.
 enum Command {
-    /// Adopt a newly accepted connection.
-    Adopt(TcpStream),
     /// The connection has backlogged response bytes: flush and watch
     /// `EPOLLOUT` until empty.
     Flush(u64),
@@ -181,10 +177,6 @@ impl ReactorQueue {
         self.waker.wake();
     }
 
-    fn adopt(&self, stream: TcpStream) {
-        self.push(Command::Adopt(stream));
-    }
-
     /// Asks the reactor to flush the connection's outbox.
     pub(crate) fn flush(&self, token: u64) {
         self.push(Command::Flush(token));
@@ -217,15 +209,8 @@ pub(crate) struct Reactor {
     inner: Arc<Inner>,
     poller: Poller,
     queue: Arc<ReactorQueue>,
-    /// This reactor's listener: every reactor owns one under REUSEPORT
-    /// sharding; only reactor 0 in single-listener fallback mode.
+    /// This reactor's `SO_REUSEPORT` listener; dropped at shutdown.
     listener: Option<TcpListener>,
-    /// With sharding each reactor adopts its own accepts; without it,
-    /// reactor 0 hands connections out round-robin over these queues.
-    sharded: bool,
-    /// All reactors' queues, for round-robin connection assignment.
-    peers: Vec<Arc<ReactorQueue>>,
-    next_peer: usize,
     /// Pre-interned `serve.reactor.frames{reactor=}` handle: one bump
     /// per dispatched frame attributes wire traffic to this reactor
     /// without allocating on the event loop.
@@ -248,9 +233,7 @@ impl Reactor {
         inner: Arc<Inner>,
         poller: Poller,
         queue: Arc<ReactorQueue>,
-        listener: Option<TcpListener>,
-        sharded: bool,
-        peers: Vec<Arc<ReactorQueue>>,
+        listener: TcpListener,
     ) -> Self {
         let frames_id =
             obs::intern_counter("serve.reactor.frames", &[("reactor", &index.to_string())]);
@@ -258,10 +241,7 @@ impl Reactor {
             inner,
             poller,
             queue,
-            listener,
-            sharded,
-            peers,
-            next_peer: 0,
+            listener: Some(listener),
             frames_id,
             conns: HashMap::new(),
             ready: VecDeque::new(),
@@ -332,7 +312,6 @@ impl Reactor {
 
     fn handle_command(&mut self, command: Command) {
         match command {
-            Command::Adopt(stream) => self.adopt(stream),
             Command::Flush(token) => {
                 let Some(state) = self.conns.get(&token) else {
                     return;
@@ -398,7 +377,9 @@ impl Reactor {
     }
 
     /// Tiered admission: connection cap, then queue-pressure shed, then
-    /// hand the connection to a reactor.
+    /// adopt the connection. The kernel already picked this reactor, so
+    /// there is no cross-thread hand-off. Shutdown drops the listener
+    /// before it parks reads, so nothing is admitted after that point.
     fn admit(&mut self, stream: TcpStream) {
         if self.inner.shutdown.load(Ordering::SeqCst) {
             return;
@@ -429,22 +410,6 @@ impl Reactor {
         }
         obs::counter("serve.connections", 1);
         self.inner.conn_count.fetch_add(1, Ordering::SeqCst);
-        if self.sharded {
-            // REUSEPORT sharding: the kernel already picked this
-            // reactor; adopt locally, no cross-thread handoff.
-            self.adopt(stream);
-            return;
-        }
-        let peer = self.next_peer;
-        self.next_peer = (self.next_peer + 1) % self.peers.len();
-        if Arc::ptr_eq(&self.peers[peer], &self.queue) {
-            self.adopt(stream);
-        } else {
-            self.peers[peer].adopt(stream);
-        }
-    }
-
-    fn adopt(&mut self, stream: TcpStream) {
         let token = self.inner.next_token.fetch_add(1, Ordering::SeqCst);
         let conn = match Conn::new(stream, token, Arc::clone(&self.queue)) {
             Ok(conn) => Arc::new(conn),
@@ -453,14 +418,7 @@ impl Reactor {
                 return;
             }
         };
-        // A connection adopted after shutdown is parked immediately; the
-        // drain logic below closes it.
-        let interest = if self.shutdown_seen {
-            conn.mark_read_shut();
-            Interest::NONE
-        } else {
-            Interest::READABLE
-        };
+        let interest = Interest::READABLE;
         if self.poller.register(conn.fd(), token, interest).is_err() {
             conn.close();
             self.inner.conn_count.fetch_sub(1, Ordering::SeqCst);
@@ -613,8 +571,7 @@ impl Reactor {
                                 }
                                 if self.inner.shutdown.load(Ordering::SeqCst) {
                                     // A Shutdown frame in this chunk:
-                                    // everything after it is discarded,
-                                    // like the blocking loop's `break`.
+                                    // everything after it is discarded.
                                     outcome = ReadOutcome::Condemn;
                                     break;
                                 }
@@ -631,8 +588,7 @@ impl Reactor {
                     outcome = ReadOutcome::Drained;
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                // Transport error: the client is gone; close silently
-                // (matching the blocking loop's `WireError::Io` arm).
+                // Transport error: the client is gone; close silently.
                 Err(_) => outcome = ReadOutcome::Error,
             }
             if let Some(state) = self.conns.get_mut(&token) {
@@ -769,13 +725,12 @@ impl Reactor {
 
     /// EOF or transport error on the read side. `clean` distinguishes a
     /// proper EOF, where a frame cut mid-body still earns a truncation
-    /// error frame (matching the blocking loop).
+    /// error frame.
     fn read_finished(&mut self, token: u64, conn: &Arc<Conn>, clean: bool) {
         if clean {
             if let Some(state) = self.conns.get(&token) {
                 // EOF with a complete length prefix but a short body is
-                // frame damage; EOF inside the prefix is a silent close
-                // (the blocking loop's read_exact Io path).
+                // frame damage; EOF inside the prefix is a silent close.
                 if state.decoder.mid_frame() && state.decoder.buffered() >= 4 {
                     obs::counter("serve.bad_frames", 1);
                     conn.send(&Response::Error {

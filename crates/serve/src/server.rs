@@ -3,8 +3,8 @@
 //! ## Architecture
 //!
 //! ```text
-//!  reactor threads (epoll/poll readiness loop, one Poller each)
-//!    reactor 0 also owns the listener + tiered admission control
+//!  reactor threads (edge-triggered epoll loop, one Poller each)
+//!    each owns an SO_REUSEPORT listener + tiered admission control
 //!        │  nonblocking reads → FrameDecoder reassembly
 //!        │  pings answered inline; predicts enqueued
 //!        ▼
@@ -20,10 +20,9 @@
 //!
 //! A connection costs one epoll registration plus its reassembly
 //! buffer — no thread — so the server holds tens of thousands of
-//! concurrent connections (bounded by [`ServeConfig::max_conns`]),
-//! where the previous thread-per-connection reader design stalled at a
-//! few hundred. See DESIGN.md §13 for the reactor architecture, the
-//! four admission-control tiers, and the drain protocol.
+//! concurrent connections (bounded by [`ServeConfig::max_conns`]). See
+//! DESIGN.md §13 for the reactor architecture, the four
+//! admission-control tiers, and the drain protocol.
 //!
 //! Batching is opportunistic: a worker takes whatever has accumulated in
 //! the queue (up to [`ServeConfig::max_batch`]) in one lock acquisition,
@@ -44,7 +43,7 @@
 //! [`ServerHandle::shutdown`] (or a [`Request::Shutdown`] frame) sets
 //! the shutdown flag and wakes every reactor and worker — purely
 //! event-driven, so it works on any bind address (`0.0.0.0` included).
-//! Reactors close the listener and park all reads; workers drain the
+//! Reactors close their listeners and park all reads; workers drain the
 //! queue and exit; [`ServerHandle::join`] then flags the drain and the
 //! reactors flush remaining outboxes (bounded by a grace period) and
 //! exit.
@@ -89,7 +88,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use lookhd::{LookHdClassifier, StreamingTrainer};
-use netpoll::{Mode, Poller};
+use netpoll::Poller;
 use obs::trace::{self, Phase};
 
 use crate::conn::Conn;
@@ -116,8 +115,9 @@ pub struct ServeConfig {
     /// [`ErrorCode::DeadlineExceeded`] without running inference.
     pub timeout: Duration,
     /// Reactor (I/O event loop) thread count. One reactor drives
-    /// thousands of connections; more split the descriptor set
-    /// round-robin.
+    /// thousands of connections. Each reactor owns an `SO_REUSEPORT`
+    /// listener on the same address, and the kernel assigns every new
+    /// connection to one of them by flow hash.
     pub reactors: usize,
     /// Most connections held open at once; the accept path answers the
     /// excess with one [`ErrorCode::Overloaded`] frame and closes
@@ -432,7 +432,7 @@ pub(crate) struct Inner {
 
 impl Inner {
     /// Idempotent, event-driven shutdown trigger: sets the flag and
-    /// wakes every reactor (they close the listener and park reads) and
+    /// wakes every reactor (they close their listeners and park reads) and
     /// every worker (they drain the queue and exit). No self-connect —
     /// this works on any bind address, `0.0.0.0` included.
     pub(crate) fn trigger_shutdown(&self) {
@@ -633,14 +633,16 @@ impl ServerHandle {
     }
 }
 
-/// Binds `addr` and starts serving `model`. Returns once the listener is
-/// live; use the handle to discover the bound port (`addr` may be
-/// `127.0.0.1:0`), trigger shutdown, and join.
+/// Binds `addr` and starts serving `model`. Returns once every reactor's
+/// listener is bound; use the handle to discover the bound port (`addr`
+/// may be `127.0.0.1:0`), trigger shutdown, and join.
 ///
 /// # Errors
 ///
-/// Returns bind and event-loop setup errors; everything after startup
-/// is reported per-connection over the wire.
+/// Returns bind and event-loop setup errors (`AddrInUse` when another
+/// socket holds the port without `SO_REUSEPORT`, `InvalidInput` when
+/// `addr` resolves to nothing); everything after startup is reported
+/// per-connection over the wire.
 pub fn start<A: ToSocketAddrs>(
     addr: A,
     model: SharedClassifier,
@@ -672,27 +674,39 @@ pub fn start_online<A: ToSocketAddrs>(
     start_impl(addr, Arc::new(classifier), config, Some((trainer, online)))
 }
 
-/// Binds `n` `SO_REUSEPORT` listeners sharing one address so the kernel can
-/// shard incoming connections across reactor threads by flow hash.
+/// Binds `n` `SO_REUSEPORT` listeners sharing one address, one per
+/// reactor, so the kernel shards incoming connections across the reactor
+/// threads by flow hash.
 ///
-/// The first listener may bind an ephemeral port; the remaining `n - 1` bind
-/// to its concrete resolved address. Returns `None` when the platform (or
-/// the address) does not support `SO_REUSEPORT`, in which case the caller
-/// falls back to a single shared listener owned by reactor 0.
-fn try_reuseport_listeners(
+/// The first listener takes the first of `addrs` that binds (possibly an
+/// ephemeral port); the remaining `n - 1` bind to its concrete address.
+///
+/// # Errors
+///
+/// The last bind error, or `InvalidInput` when `addrs` is empty.
+fn reuseport_listeners(
     addrs: &[SocketAddr],
     n: usize,
-) -> Option<(Vec<TcpListener>, SocketAddr)> {
-    let first = addrs
-        .iter()
-        .find_map(|addr| netpoll::reuseport_listener(*addr).ok())?;
-    let local_addr = first.local_addr().ok()?;
-    let mut listeners = Vec::with_capacity(n);
-    listeners.push(first);
-    for _ in 1..n {
-        listeners.push(netpoll::reuseport_listener(local_addr).ok()?);
+) -> io::Result<(Vec<TcpListener>, SocketAddr)> {
+    let mut last_err = io::Error::new(
+        io::ErrorKind::InvalidInput,
+        "could not resolve to any addresses",
+    );
+    for &addr in addrs {
+        match netpoll::reuseport_listener(addr) {
+            Ok(first) => {
+                let local_addr = first.local_addr()?;
+                let mut listeners = Vec::with_capacity(n);
+                listeners.push(first);
+                for _ in 1..n {
+                    listeners.push(netpoll::reuseport_listener(local_addr)?);
+                }
+                return Ok((listeners, local_addr));
+            }
+            Err(e) => last_err = e,
+        }
     }
-    Some((listeners, local_addr))
+    Err(last_err)
 }
 
 fn start_impl<A: ToSocketAddrs>(
@@ -703,32 +717,10 @@ fn start_impl<A: ToSocketAddrs>(
 ) -> io::Result<ServerHandle> {
     let addr_list: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
     let n_reactors = config.reactors.max(1);
-    // Accept sharding: with multiple reactors, give each its own
-    // SO_REUSEPORT listener so accepts spread across threads without a
-    // shared accept lock. Falls back to one listener on reactor 0.
-    let (mut listeners, local_addr, sharded) = match try_reuseport_listeners(&addr_list, n_reactors)
-    {
-        Some((listeners, local_addr)) if n_reactors > 1 => {
-            let listeners = listeners.into_iter().map(Some).collect::<Vec<_>>();
-            (listeners, local_addr, true)
-        }
-        Some((mut listeners, local_addr)) => {
-            // Single reactor: REUSEPORT adds nothing; keep the one socket.
-            let first = listeners.drain(..1).next();
-            (vec![first], local_addr, false)
-        }
-        None => {
-            let listener = TcpListener::bind(&addr_list[..])?;
-            let local_addr = listener.local_addr()?;
-            let mut listeners: Vec<Option<TcpListener>> = Vec::with_capacity(n_reactors);
-            listeners.push(Some(listener));
-            listeners.resize_with(n_reactors, || None);
-            (listeners, local_addr, false)
-        }
-    };
-    if sharded {
-        obs::counter("serve.accept_shards", n_reactors as u64);
-    }
+    // Accept sharding: every reactor owns its own SO_REUSEPORT listener,
+    // so accepts spread across threads without a shared accept lock.
+    let (listeners, local_addr) = reuseport_listeners(&addr_list, n_reactors)?;
+    obs::counter("serve.accept_shards", n_reactors as u64);
     // Surface which scoring kernel actually serves (automatic selection
     // may have silently fallen back) in the admin counter snapshot.
     if let Some(name) = model.kernel_name() {
@@ -738,7 +730,7 @@ fn start_impl<A: ToSocketAddrs>(
     let mut pollers = Vec::with_capacity(n_reactors);
     let mut queues = Vec::with_capacity(n_reactors);
     for _ in 0..n_reactors {
-        let poller = Poller::with_mode(Mode::Edge)?;
+        let poller = Poller::new()?;
         queues.push(Arc::new(ReactorQueue::new(poller.waker())));
         pollers.push(poller);
     }
@@ -769,7 +761,7 @@ fn start_impl<A: ToSocketAddrs>(
         drained: AtomicBool::new(false),
         conn_count: AtomicUsize::new(0),
         next_token: AtomicU64::new(0),
-        reactor_queues: queues.clone(),
+        reactor_queues: queues,
         health: Arc::new(HealthState::new(config.slo)),
     });
 
@@ -787,16 +779,15 @@ fn start_impl<A: ToSocketAddrs>(
 
     let reactors = pollers
         .into_iter()
+        .zip(listeners)
         .enumerate()
-        .map(|(i, poller)| {
+        .map(|(i, (poller, listener))| {
             let reactor = Reactor::new(
                 i,
                 Arc::clone(&inner),
                 poller,
-                Arc::clone(&queues[i]),
-                listeners[i].take(), // sharded: every reactor; else reactor 0
-                sharded,
-                queues.clone(),
+                Arc::clone(&inner.reactor_queues[i]),
+                listener,
             );
             std::thread::spawn(move || reactor.run())
         })
@@ -1256,6 +1247,31 @@ mod tests {
         }
         handle.shutdown();
         handle.join();
+    }
+
+    #[test]
+    fn bind_errors_reach_the_caller_for_every_reactor_count() {
+        // A plain listener (no SO_REUSEPORT) holds the port, so no
+        // REUSEPORT listener can share it and there is no other bind to
+        // fall back to.
+        let held = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = held.local_addr().unwrap();
+        for reactors in [1, 3] {
+            let config = ServeConfig::new().with_reactors(reactors);
+            match start(addr, Arc::new(SignStub), config) {
+                Err(e) => assert_eq!(e.kind(), io::ErrorKind::AddrInUse, "{reactors}: {e}"),
+                Ok(_) => panic!("{reactors} reactors bound a port held by another socket"),
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_address_list_is_an_error_not_a_panic() {
+        let addrs: &[SocketAddr] = &[];
+        match start(addrs, Arc::new(SignStub), ServeConfig::new()) {
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidInput, "{e}"),
+            Ok(_) => panic!("serving on no address succeeded"),
+        }
     }
 
     #[test]

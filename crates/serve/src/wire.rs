@@ -975,9 +975,10 @@ const DECODER_COMPACT_AT: usize = 4 * 1024;
 /// [`read_frame`] blocks until a whole frame arrives, which a readiness
 /// loop cannot do: each `read(2)` returns whatever bytes the kernel has,
 /// possibly a fraction of a frame or several pipelined frames at once.
-/// `FrameDecoder` owns the connection's read buffer: the reactor reads
-/// straight into [`space`], records the byte count with [`commit`], and
-/// drains complete frames with [`next_frame`] — each frame body is a
+/// `FrameDecoder` owns the connection's read buffer: the reader (the
+/// serve reactor, or a client such as loadgen) reads straight into
+/// [`space`], records the byte count with [`commit`], and drains
+/// complete frames with [`next_frame`] — each frame body is a
 /// `&[u8]` **borrowed** out of that buffer, so the steady-state decode
 /// path performs zero per-frame allocations and zero copies beyond the
 /// kernel→buffer read itself.
@@ -985,7 +986,7 @@ const DECODER_COMPACT_AT: usize = 4 * 1024;
 /// ## Borrowed-frame lifetime contract
 ///
 /// A slice returned by [`next_frame`] is valid until the next call that
-/// takes `&mut self` ([`space`], [`commit`], [`next_frame`], [`feed`]) —
+/// takes `&mut self` ([`space`], [`commit`], [`next_frame`]) —
 /// the borrow checker enforces exactly this. Frames are consumed the
 /// moment they are returned; the backing bytes are reclaimed lazily by
 /// compaction (see [`DECODER_COMPACT_AT`]), never while a borrow is
@@ -997,17 +998,13 @@ const DECODER_COMPACT_AT: usize = 4 * 1024;
 /// received (plus the caller's requested read headroom) — a lying
 /// header can never demand a multi-GB allocation.
 ///
-/// After an error the decoder is poisoned and every later call fails;
-/// the connection should be torn down (which is what the serve reactor
-/// does).
-///
-/// [`feed`] remains as a convenience for blocking-ish callers (the
-/// loadgen client): it copies a chunk in and collects owned bodies.
+/// After an error the decoder is poisoned and every later
+/// [`next_frame`] fails; the connection should be torn down (which is
+/// what the serve reactor does).
 ///
 /// [`space`]: FrameDecoder::space
 /// [`commit`]: FrameDecoder::commit
 /// [`next_frame`]: FrameDecoder::next_frame
-/// [`feed`]: FrameDecoder::feed
 pub struct FrameDecoder {
     /// Read buffer. `buf.len()` is the zero-initialized high-water mark;
     /// real data lives in `buf[start..filled]`.
@@ -1129,43 +1126,11 @@ impl FrameDecoder {
         Ok(Some(&self.buf[body_start..body_start + len]))
     }
 
-    /// Consumes `chunk` (all of it), appending every frame body it
-    /// completes to `frames` in arrival order. Convenience wrapper over
-    /// [`space`]/[`commit`]/[`next_frame`] that copies bodies out; the
-    /// reactor's hot path uses the borrowing API directly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::TooLarge`] when a length prefix exceeds
-    /// [`MAX_FRAME_LEN`]; the decoder is then poisoned and every later
-    /// call fails the same way. Bytes already appended to `frames` by
-    /// the failing call are still valid complete frames.
-    ///
-    /// [`space`]: FrameDecoder::space
-    /// [`commit`]: FrameDecoder::commit
-    /// [`next_frame`]: FrameDecoder::next_frame
-    pub fn feed(&mut self, chunk: &[u8], frames: &mut Vec<Vec<u8>>) -> WireResult<()> {
-        if let Some(value) = self.poisoned {
-            return Err(Self::poison_error(value));
-        }
-        if !chunk.is_empty() {
-            self.space(chunk.len())[..chunk.len()].copy_from_slice(chunk);
-            self.commit(chunk.len());
-        }
-        loop {
-            match self.next_frame()? {
-                Some(body) => frames.push(body.to_vec()),
-                None => return Ok(()),
-            }
-        }
-    }
-
     /// True when bytes of an unfinished frame are buffered, i.e. EOF at
     /// this point means the peer hung up mid-frame. Meaningful once all
-    /// complete frames have been drained via [`next_frame`]/[`feed`].
+    /// complete frames have been drained via [`next_frame`].
     ///
     /// [`next_frame`]: FrameDecoder::next_frame
-    /// [`feed`]: FrameDecoder::feed
     pub fn mid_frame(&self) -> bool {
         self.filled != self.start
     }
@@ -1589,9 +1554,26 @@ mod tests {
         }
     }
 
+    /// Copies `chunk` into the decoder's read buffer through the
+    /// borrowing API (as a socket read would land it) and collects every
+    /// frame body it completes.
+    fn push_chunk(
+        dec: &mut FrameDecoder,
+        chunk: &[u8],
+        frames: &mut Vec<Vec<u8>>,
+    ) -> WireResult<()> {
+        dec.space(chunk.len())[..chunk.len()].copy_from_slice(chunk);
+        dec.commit(chunk.len());
+        while let Some(body) = dec.next_frame()? {
+            frames.push(body.to_vec());
+        }
+        Ok(())
+    }
+
     #[test]
-    fn frame_decoder_matches_read_frame_at_every_split() {
-        // Three pipelined frames, including an empty-features predict.
+    fn borrowing_decoder_matches_read_frame_at_every_split() {
+        // Four pipelined frames, including an empty-features predict and
+        // a response body.
         let bodies = [
             encode_request(&Request::Predict {
                 id: 1,
@@ -1604,6 +1586,7 @@ mod tests {
                 trace_id: 0,
                 features: Vec::new(),
             }),
+            encode_response(&Response::Pong { id: 4 }),
         ];
         let mut stream = Vec::new();
         for body in &bodies {
@@ -1619,9 +1602,9 @@ mod tests {
         for split in 0..=stream.len() {
             let mut dec = FrameDecoder::new();
             let mut frames = Vec::new();
-            dec.feed(&stream[..split], &mut frames).unwrap();
-            dec.feed(&stream[split..], &mut frames).unwrap();
-            assert_eq!(frames, bodies, "split at {split}");
+            push_chunk(&mut dec, &stream[..split], &mut frames).unwrap();
+            push_chunk(&mut dec, &stream[split..], &mut frames).unwrap();
+            assert_eq!(frames, reference, "split at {split}");
             assert!(!dec.mid_frame());
             assert_eq!(dec.buffered(), 0);
         }
@@ -1629,22 +1612,23 @@ mod tests {
         let mut dec = FrameDecoder::new();
         let mut frames = Vec::new();
         for b in &stream {
-            dec.feed(std::slice::from_ref(b), &mut frames).unwrap();
+            push_chunk(&mut dec, std::slice::from_ref(b), &mut frames).unwrap();
         }
-        assert_eq!(frames, bodies);
+        assert_eq!(frames, reference);
     }
 
     #[test]
     fn frame_decoder_rejects_oversized_prefix_before_buffering() {
         let mut dec = FrameDecoder::new();
         let mut frames = Vec::new();
-        // Feed exactly the 4-byte lying prefix: rejected immediately,
+        // Commit exactly the 4-byte lying prefix: rejected immediately,
         // before a body allocation.
-        let err = dec.feed(&u32::MAX.to_le_bytes(), &mut frames).unwrap_err();
+        let err = push_chunk(&mut dec, &u32::MAX.to_le_bytes(), &mut frames).unwrap_err();
         assert!(matches!(err, WireError::TooLarge { .. }));
         assert!(err.to_string().contains("limit"));
-        // Poisoned: later feeds keep failing.
-        assert!(dec.feed(&[0u8; 8], &mut frames).is_err());
+        assert!(dec.buffer_capacity() < 1024, "{}", dec.buffer_capacity());
+        // Poisoned: later reads keep failing.
+        assert!(push_chunk(&mut dec, &[0u8; 8], &mut frames).is_err());
         assert!(frames.is_empty());
     }
 
@@ -1656,54 +1640,20 @@ mod tests {
         let mut dec = FrameDecoder::new();
         let mut frames = Vec::new();
         assert!(!dec.mid_frame());
-        dec.feed(&framed[..2], &mut frames).unwrap();
+        push_chunk(&mut dec, &framed[..2], &mut frames).unwrap();
         assert!(dec.mid_frame());
         assert_eq!(dec.buffered(), 2);
-        dec.feed(&framed[2..6], &mut frames).unwrap();
+        push_chunk(&mut dec, &framed[2..6], &mut frames).unwrap();
         assert!(dec.mid_frame());
         assert_eq!(dec.buffered(), 6);
-        dec.feed(&framed[6..], &mut frames).unwrap();
+        push_chunk(&mut dec, &framed[6..], &mut frames).unwrap();
         assert!(!dec.mid_frame());
         assert_eq!(frames, vec![body]);
         // A zero-length frame completes at the prefix boundary.
         let mut frames = Vec::new();
-        dec.feed(&0u32.to_le_bytes(), &mut frames).unwrap();
+        push_chunk(&mut dec, &0u32.to_le_bytes(), &mut frames).unwrap();
         assert_eq!(frames, vec![Vec::<u8>::new()]);
         assert!(!dec.mid_frame());
-    }
-
-    #[test]
-    fn borrowing_decoder_matches_feed_at_every_split() {
-        let bodies: Vec<Vec<u8>> = vec![
-            encode_request(&Request::Ping { id: 1 }),
-            encode_request(&Request::Predict {
-                id: 2,
-                trace_id: 9,
-                features: vec![0.5; 7],
-            }),
-            encode_response(&Response::Pong { id: 3 }),
-        ];
-        let mut stream = Vec::new();
-        for body in &bodies {
-            write_frame(&mut stream, body).unwrap();
-        }
-        for split in 0..=stream.len() {
-            let mut dec = FrameDecoder::new();
-            let mut got: Vec<Vec<u8>> = Vec::new();
-            for chunk in [&stream[..split], &stream[split..]] {
-                if chunk.is_empty() {
-                    continue;
-                }
-                dec.space(chunk.len())[..chunk.len()].copy_from_slice(chunk);
-                dec.commit(chunk.len());
-                while let Some(body) = dec.next_frame().unwrap() {
-                    got.push(body.to_vec());
-                }
-            }
-            assert_eq!(got, bodies, "split at {split}");
-            assert!(!dec.mid_frame());
-            assert_eq!(dec.buffered(), 0);
-        }
     }
 
     #[test]

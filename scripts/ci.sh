@@ -262,14 +262,17 @@ assert counters.get("serve.responses.ok") == 16201, counters
 assert counters.get("serve.requests") == 16201, counters
 assert counters.get("serve.batches", 0) >= 1, counters
 assert counters.get("serve.connections", 0) >= 1605, counters
+# One SO_REUSEPORT listener per reactor.
+assert counters.get("serve.accept_shards") == 2, counters
 print(f"serve metrics OK: {counters['serve.batches']} batches "
       f"for {counters['serve.requests']} requests")
 EOF
 
-echo "== single-reactor curve point (accept-sharding fallback path)"
-# A second server with --reactors 1 exercises the single-listener
-# fallback; its 512-connection point appends a second run entry to the
-# schema-v3 BENCH_serve.json started above.
+echo "== single-reactor curve point (one accept shard)"
+# A second server with --reactors 1: the N = 1 case of accept sharding,
+# one reactor owning one SO_REUSEPORT listener. Its 512-connection point
+# appends a second run entry to the schema-v3 BENCH_serve.json started
+# above.
 cargo run --release -q -p lookhd-cli -- serve \
     --model "$smoke_dir/model.lks" --addr 127.0.0.1:0 --threads 2 \
     --reactors 1 --max-batch 64 --queue-cap 8192 --max-conns 4096 \
@@ -306,6 +309,7 @@ doc = json.load(open(sys.argv[1]))
 counters = {c["name"]: c["value"] for c in doc["counters"]}
 assert counters.get("serve.responses.ok") == 5121, counters
 assert counters.get("serve.requests") == 5121, counters
+assert counters.get("serve.accept_shards") == 1, counters
 print("single-reactor serve metrics OK: 5121 requests")
 EOF
 python3 - << 'EOF'
