@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use hdc::encoding::{Encode, PermutationEncoder};
-use hdc::levels::{LevelMemory, LevelScheme};
+use hdc::levels::LevelMemory;
 use hdc::quantize::{Quantization, Quantizer};
 use lookhd::chunking::ChunkLayout;
 use lookhd::encoder::LookupEncoder;
@@ -24,7 +24,7 @@ const R: usize = 5;
 
 fn setup() -> (PermutationEncoder, LookupEncoder, Vec<f64>) {
     let mut rng = StdRng::seed_from_u64(7);
-    let levels = LevelMemory::generate(D, Q, LevelScheme::RandomFlips, &mut rng).unwrap();
+    let levels = LevelMemory::generate(D, Q, &mut rng).unwrap();
     let samples: Vec<f64> = (0..1000).map(|i| i as f64 / 1000.0).collect();
     let quantizer = Quantizer::fit(Quantization::Equalized, &samples, Q).unwrap();
     let baseline = PermutationEncoder::new(levels.clone(), quantizer.clone(), N).unwrap();

@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use hdc::encoding::Encode;
-use hdc::levels::{LevelMemory, LevelScheme};
+use hdc::levels::LevelMemory;
 use hdc::quantize::{Quantization, Quantizer};
 use lookhd::chunking::ChunkLayout;
 use lookhd::encoder::LookupEncoder;
@@ -26,7 +26,7 @@ const SAMPLES: usize = 200;
 
 fn setup() -> (LookupEncoder, Vec<Vec<f64>>, Vec<usize>) {
     let mut rng = StdRng::seed_from_u64(9);
-    let levels = LevelMemory::generate(D, Q, LevelScheme::RandomFlips, &mut rng).unwrap();
+    let levels = LevelMemory::generate(D, Q, &mut rng).unwrap();
     let samples: Vec<f64> = (0..1000).map(|i| i as f64 / 1000.0).collect();
     let quantizer = Quantizer::fit(Quantization::Equalized, &samples, Q).unwrap();
     let layout = ChunkLayout::new(N, R, Q).unwrap();

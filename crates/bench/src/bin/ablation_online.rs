@@ -15,7 +15,7 @@
 use hdc::model::ClassModel;
 use hdc::FitClassifier;
 use lookhd::classifier::{LookHdClassifier, LookHdConfig};
-use lookhd::online::{OnlineConfig, OnlineTrainer};
+use lookhd::online::OnlineTrainer;
 use lookhd::trainer::CounterTrainer;
 use lookhd_bench::context::Context;
 use lookhd_bench::table::{pct, Table};
@@ -67,7 +67,6 @@ fn main() {
             &data.train.features,
             &data.train.labels,
             profile.n_classes,
-            OnlineConfig::new(),
         )
         .expect("online training failed");
 

@@ -10,7 +10,7 @@
 //! Run: `cargo run --release -p lookhd-bench --bin ablation_quantizer_scope`
 
 use hdc::encoding::{Encode, PermutationEncoder};
-use hdc::levels::{LevelMemory, LevelScheme};
+use hdc::levels::LevelMemory;
 use hdc::quantize::{FeatureQuantizers, Quantization, Quantizer};
 use hdc::train::{initial_fit, retrain};
 use lookhd_bench::context::Context;
@@ -38,8 +38,7 @@ fn main() {
             for per_feature in [false, true] {
                 let mut rng = StdRng::seed_from_u64(55);
                 let levels =
-                    LevelMemory::generate(ctx.dim(), q, LevelScheme::RandomFlips, &mut rng)
-                        .expect("level generation failed");
+                    LevelMemory::generate(ctx.dim(), q, &mut rng).expect("level generation failed");
                 let encoder = if per_feature {
                     let fq = FeatureQuantizers::fit(kind, &data.train.features, q)
                         .expect("quantizer fit failed");

@@ -9,7 +9,7 @@
 //!
 //! Run: `cargo run --release -p lookhd-bench --bin ext_width_plan`
 
-use hdc::levels::{LevelMemory, LevelScheme};
+use hdc::levels::LevelMemory;
 use hdc::quantize::{Quantization, Quantizer};
 use lookhd::chunking::ChunkLayout;
 use lookhd::encoder::LookupEncoder;
@@ -42,8 +42,7 @@ fn main() {
         let data = profile.generate_sized(8, 2, 77);
         let plan = WidthPlan::derive(r, profile.n_features, d, 8, (profile.n_features * 8) as i64);
         let mut rng = StdRng::seed_from_u64(77);
-        let levels = LevelMemory::generate(d, q, LevelScheme::RandomFlips, &mut rng)
-            .expect("level generation failed");
+        let levels = LevelMemory::generate(d, q, &mut rng).expect("level generation failed");
         let quantizer = Quantizer::fit(Quantization::Equalized, &data.train_values(), q)
             .expect("quantizer fit failed");
         let layout = ChunkLayout::new(profile.n_features, r, q).expect("layout failed");

@@ -591,7 +591,7 @@ fn estimate(args: &Args) -> Result<(), String> {
         dim: clf.model().dim(),
         n_classes: clf.compressed().n_classes(),
         r: layout.r(),
-        max_classes_per_vector: clf.compressed().config().max_classes_per_vector,
+        max_classes_per_vector: clf.compressed().compression_config().max_classes_per_vector,
         train_samples: samples,
         retrain_epochs: 0,
         avg_updates_per_epoch: 0,

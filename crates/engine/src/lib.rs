@@ -131,11 +131,6 @@ impl EngineStats {
         self.shards.iter().map(|s| s.elapsed).max()
     }
 
-    /// Sum of all shard times (CPU time spent mapping, ignoring overlap).
-    pub fn total_shard_time(&self) -> Duration {
-        self.shards.iter().map(|s| s.elapsed).sum()
-    }
-
     /// Folds this run's timings into the global [`obs`] registry (one
     /// `engine/shard` observation per shard, one `engine/run` for the
     /// whole run, plus an `engine.items` counter). No-op while the

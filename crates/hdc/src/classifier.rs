@@ -1,8 +1,8 @@
 //! The end-to-end baseline HDC classifier (the paper's comparison point).
 //!
 //! [`HdcConfig`] collects the hyperparameters of §II (dimensionality `D`,
-//! quantization levels `q`, quantization rule, level scheme, retraining
-//! epochs, RNG seed); [`HdcClassifier::fit`] runs the full §II pipeline:
+//! quantization levels `q`, quantization rule, retraining epochs, RNG
+//! seed); [`HdcClassifier::fit`] runs the full §II pipeline:
 //! fit the quantizer, generate level hypervectors, encode the training set,
 //! bundle class hypervectors, and retrain.
 
@@ -13,7 +13,7 @@ use crate::classify::{Classifier, FitClassifier};
 use crate::encoding::{encode_batch_with, Encode, PermutationEncoder};
 use crate::error::{HdcError, Result};
 use crate::hv::DenseHv;
-use crate::levels::{LevelMemory, LevelScheme};
+use crate::levels::LevelMemory;
 use crate::model::ClassModel;
 use crate::quantize::{Quantization, Quantizer};
 use crate::train::{initial_fit_with, retrain, TrainReport};
@@ -31,8 +31,6 @@ pub struct HdcConfig {
     pub q: usize,
     /// Quantization rule (the baseline uses [`Quantization::Linear`]).
     pub quantization: Quantization,
-    /// Level hypervector generation scheme.
-    pub level_scheme: LevelScheme,
     /// Maximum retraining epochs (the paper uses ~10; 0 disables).
     pub retrain_epochs: usize,
     /// RNG seed for reproducible level/position hypervectors.
@@ -51,7 +49,6 @@ impl HdcConfig {
             dim: 2000,
             q: 16,
             quantization: Quantization::Linear,
-            level_scheme: LevelScheme::RandomFlips,
             retrain_epochs: 10,
             seed: 0x10_0c_4d,
             engine: EngineConfig::default(),
@@ -73,12 +70,6 @@ impl HdcConfig {
     /// Sets the quantization rule.
     pub fn with_quantization(mut self, quantization: Quantization) -> Self {
         self.quantization = quantization;
-        self
-    }
-
-    /// Sets the level hypervector scheme.
-    pub fn with_level_scheme(mut self, level_scheme: LevelScheme) -> Self {
-        self.level_scheme = level_scheme;
         self
     }
 
@@ -170,7 +161,7 @@ impl HdcClassifier {
         let all_values: Vec<f64> = features.iter().flatten().copied().collect();
         let quantizer = Quantizer::fit(config.quantization, &all_values, config.q)?;
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let levels = LevelMemory::generate(config.dim, config.q, config.level_scheme, &mut rng)?;
+        let levels = LevelMemory::generate(config.dim, config.q, &mut rng)?;
         let encoder = PermutationEncoder::new(levels, quantizer, n_features)?;
         let engine = Engine::new(config.engine);
         let (encoded, _) = encode_batch_with(&engine, &encoder, features)?;
@@ -349,7 +340,6 @@ mod tests {
             .with_dim(1000)
             .with_q(4)
             .with_quantization(Quantization::Equalized)
-            .with_level_scheme(LevelScheme::DisjointFlips)
             .with_retrain_epochs(3)
             .with_seed(7)
             .with_engine(EngineConfig::new().with_shard_size(64))
@@ -357,7 +347,6 @@ mod tests {
         assert_eq!(c.dim, 1000);
         assert_eq!(c.q, 4);
         assert_eq!(c.quantization, Quantization::Equalized);
-        assert_eq!(c.level_scheme, LevelScheme::DisjointFlips);
         assert_eq!(c.retrain_epochs, 3);
         assert_eq!(c.seed, 7);
         assert_eq!(

@@ -87,13 +87,13 @@ pub fn encode_batch_with<E: Encode + Sync>(
 ///
 /// ```
 /// use hdc::encoding::{Encode, PermutationEncoder};
-/// use hdc::levels::{LevelMemory, LevelScheme};
+/// use hdc::levels::LevelMemory;
 /// use hdc::quantize::{Quantization, Quantizer};
 /// use rand::rngs::StdRng;
 /// use rand::SeedableRng;
 ///
 /// let mut rng = StdRng::seed_from_u64(1);
-/// let levels = LevelMemory::generate(1000, 4, LevelScheme::RandomFlips, &mut rng)?;
+/// let levels = LevelMemory::generate(1000, 4, &mut rng)?;
 /// let quantizer = Quantizer::fit(Quantization::Linear, &[0.0, 1.0, 2.0, 3.0], 4)?;
 /// let enc = PermutationEncoder::new(levels, quantizer, 3)?;
 /// let h = enc.encode(&[0.0, 1.5, 3.0])?;
@@ -227,14 +227,13 @@ impl Encode for PermutationEncoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::levels::LevelScheme;
     use crate::quantize::Quantization;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn encoder(dim: usize, q: usize, n: usize, seed: u64) -> PermutationEncoder {
         let mut rng = StdRng::seed_from_u64(seed);
-        let levels = LevelMemory::generate(dim, q, LevelScheme::RandomFlips, &mut rng).unwrap();
+        let levels = LevelMemory::generate(dim, q, &mut rng).unwrap();
         let samples: Vec<f64> = (0..100).map(|i| i as f64 / 100.0).collect();
         let quantizer = Quantizer::fit(Quantization::Linear, &samples, q).unwrap();
         PermutationEncoder::new(levels, quantizer, n).unwrap()
@@ -296,7 +295,7 @@ mod tests {
     #[test]
     fn constructor_validates() {
         let mut rng = StdRng::seed_from_u64(6);
-        let levels = LevelMemory::generate(64, 4, LevelScheme::RandomFlips, &mut rng).unwrap();
+        let levels = LevelMemory::generate(64, 4, &mut rng).unwrap();
         let quant = Quantizer::fit(Quantization::Linear, &[0.0, 1.0], 2).unwrap();
         assert!(PermutationEncoder::new(levels.clone(), quant, 4).is_err());
         let quant4 = Quantizer::fit(Quantization::Linear, &[0.0, 1.0], 4).unwrap();
@@ -319,7 +318,7 @@ mod tests {
         // informative, so two inputs differing only in column 0 encode
         // differently.
         let mut rng = StdRng::seed_from_u64(9);
-        let levels = LevelMemory::generate(512, 4, LevelScheme::RandomFlips, &mut rng).unwrap();
+        let levels = LevelMemory::generate(512, 4, &mut rng).unwrap();
         let rows: Vec<Vec<f64>> = (0..100)
             .map(|i| vec![i as f64 / 100.0, 100.0 + i as f64])
             .collect();

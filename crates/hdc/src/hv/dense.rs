@@ -66,11 +66,6 @@ impl DenseHv {
         &mut self.values
     }
 
-    /// Consumes the hypervector, returning the underlying vector.
-    pub fn into_vec(self) -> Vec<i32> {
-        self.values
-    }
-
     /// Value at dimension `i`.
     ///
     /// # Panics

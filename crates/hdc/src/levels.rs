@@ -5,17 +5,11 @@
 //! extreme levels `L_0` and `L_{q-1}` must be (near-)orthogonal, so that
 //! hyperspace distances mirror original-space distances.
 //!
-//! Two generation schemes are provided:
-//!
-//! * [`LevelScheme::RandomFlips`] — each next level flips `D/q` uniformly
-//!   chosen dimensions of the previous level (flips may overlap across
-//!   steps). After `q - 1` steps the fraction of net-flipped dimensions
-//!   approaches `(1 - e^{-2(q-1)/q})/2 ≈ 0.43`, i.e. `δ(L_0, L_{q-1}) ≈ 0.13`
-//!   — "nearly orthogonal", matching the paper's claim verbatim.
-//! * [`LevelScheme::DisjointFlips`] — flips disjoint spans of a random
-//!   dimension permutation, `D/(2(q-1))` per step, so similarity decays
-//!   *linearly* from 1 to exactly ~0 at the far end. This is the classical
-//!   level-hypervector construction used by several baseline HDC systems.
+//! Each next level flips `D/q` uniformly chosen dimensions of the previous
+//! level (flips may overlap across steps). After `q - 1` steps the fraction
+//! of net-flipped dimensions approaches `(1 - e^{-2(q-1)/q})/2 ≈ 0.43`, i.e.
+//! `δ(L_0, L_{q-1}) ≈ 0.13` — "nearly orthogonal", matching the paper's
+//! claim verbatim.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -23,28 +17,17 @@ use rand::Rng;
 use crate::error::{HdcError, Result};
 use crate::hv::BipolarHv;
 
-/// How successive level hypervectors are derived from `L_0`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum LevelScheme {
-    /// Flip `D/q` uniformly random dimensions per step (paper's description).
-    #[default]
-    RandomFlips,
-    /// Flip disjoint `D/(2(q-1))`-dimension spans of one random permutation
-    /// per step (classical construction; exact linear similarity decay).
-    DisjointFlips,
-}
-
 /// An item memory of `q` correlated level hypervectors.
 ///
 /// # Examples
 ///
 /// ```
-/// use hdc::levels::{LevelMemory, LevelScheme};
+/// use hdc::levels::LevelMemory;
 /// use rand::rngs::StdRng;
 /// use rand::SeedableRng;
 ///
 /// let mut rng = StdRng::seed_from_u64(7);
-/// let mem = LevelMemory::generate(1000, 4, LevelScheme::RandomFlips, &mut rng)?;
+/// let mem = LevelMemory::generate(1000, 4, &mut rng)?;
 /// // Neighbouring levels are similar, far levels are not.
 /// let near = mem.level(0).cosine(mem.level(1));
 /// let far = mem.level(0).cosine(mem.level(3));
@@ -54,22 +37,17 @@ pub enum LevelScheme {
 #[derive(Debug, Clone)]
 pub struct LevelMemory {
     levels: Vec<BipolarHv>,
-    scheme: LevelScheme,
 }
 
 impl LevelMemory {
-    /// Generates `q` level hypervectors of dimension `dim`.
+    /// Generates `q` level hypervectors of dimension `dim`, each flipping
+    /// `D/q` random dimensions of the previous one.
     ///
     /// # Errors
     ///
     /// Returns [`HdcError::InvalidConfig`] if `dim == 0`, `q == 0`, or
     /// `q > dim` (there would be no dimensions left to flip per step).
-    pub fn generate<R: Rng + ?Sized>(
-        dim: usize,
-        q: usize,
-        scheme: LevelScheme,
-        rng: &mut R,
-    ) -> Result<Self> {
+    pub fn generate<R: Rng + ?Sized>(dim: usize, q: usize, rng: &mut R) -> Result<Self> {
         if dim == 0 {
             return Err(HdcError::invalid_config(
                 "dim",
@@ -87,33 +65,15 @@ impl LevelMemory {
         }
         let mut levels = Vec::with_capacity(q);
         levels.push(BipolarHv::random(dim, rng));
-        match scheme {
-            LevelScheme::RandomFlips => {
-                let flips_per_step = (dim / q).max(1);
-                let mut indices: Vec<usize> = (0..dim).collect();
-                for _ in 1..q {
-                    let mut next = levels.last().expect("non-empty").clone();
-                    indices.shuffle(rng);
-                    next.flip(&indices[..flips_per_step]);
-                    levels.push(next);
-                }
-            }
-            LevelScheme::DisjointFlips => {
-                if q > 1 {
-                    let flips_per_step = (dim / (2 * (q - 1))).max(1);
-                    let mut perm: Vec<usize> = (0..dim).collect();
-                    perm.shuffle(rng);
-                    for step in 1..q {
-                        let mut next = levels.last().expect("non-empty").clone();
-                        let start = (step - 1) * flips_per_step;
-                        let end = (start + flips_per_step).min(dim);
-                        next.flip(&perm[start..end]);
-                        levels.push(next);
-                    }
-                }
-            }
+        let flips_per_step = (dim / q).max(1);
+        let mut indices: Vec<usize> = (0..dim).collect();
+        for _ in 1..q {
+            let mut next = levels.last().expect("non-empty").clone();
+            indices.shuffle(rng);
+            next.flip(&indices[..flips_per_step]);
+            levels.push(next);
         }
-        Ok(Self { levels, scheme })
+        Ok(Self { levels })
     }
 
     /// The level hypervector `L_i`.
@@ -135,11 +95,6 @@ impl LevelMemory {
         self.levels[0].dim()
     }
 
-    /// The generation scheme used.
-    pub fn scheme(&self) -> LevelScheme {
-        self.scheme
-    }
-
     /// Iterates over the levels in order `L_0 .. L_{q-1}`.
     pub fn iter(&self) -> std::slice::Iter<'_, BipolarHv> {
         self.levels.iter()
@@ -159,37 +114,22 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn mem(dim: usize, q: usize, scheme: LevelScheme, seed: u64) -> LevelMemory {
+    fn mem(dim: usize, q: usize, seed: u64) -> LevelMemory {
         let mut rng = StdRng::seed_from_u64(seed);
-        LevelMemory::generate(dim, q, scheme, &mut rng).unwrap()
+        LevelMemory::generate(dim, q, &mut rng).unwrap()
     }
 
     #[test]
     fn generates_requested_count_and_dim() {
-        let m = mem(2000, 8, LevelScheme::RandomFlips, 1);
+        let m = mem(2000, 8, 1);
         assert_eq!(m.levels(), 8);
         assert_eq!(m.dim(), 2000);
-        assert_eq!(m.scheme(), LevelScheme::RandomFlips);
         assert_eq!(m.iter().count(), 8);
     }
 
     #[test]
-    fn similarity_decreases_monotonically_disjoint() {
-        let m = mem(4000, 8, LevelScheme::DisjointFlips, 2);
-        let prof = m.similarity_profile();
-        for w in prof.windows(2) {
-            assert!(w[0] >= w[1] - 1e-9, "profile not decreasing: {prof:?}");
-        }
-        // Far end is orthogonal by construction (D/2 flipped dims).
-        assert!(
-            prof.last().unwrap().abs() < 0.05,
-            "far level not orthogonal: {prof:?}"
-        );
-    }
-
-    #[test]
     fn random_flips_far_level_nearly_orthogonal() {
-        let m = mem(10_000, 16, LevelScheme::RandomFlips, 3);
+        let m = mem(10_000, 16, 3);
         let prof = m.similarity_profile();
         // Neighbour similarity stays high.
         assert!(prof[1] > 0.8, "neighbour level too dissimilar: {}", prof[1]);
@@ -203,34 +143,32 @@ mod tests {
 
     #[test]
     fn neighbouring_levels_closer_than_distant_levels() {
-        for scheme in [LevelScheme::RandomFlips, LevelScheme::DisjointFlips] {
-            let m = mem(4000, 8, scheme, 4);
-            for i in 0..7 {
-                let near = m.level(i).cosine(m.level(i + 1));
-                let far = m.level(0).cosine(m.level(7));
-                assert!(near > far, "{scheme:?}: level {i} near={near} far={far}");
-            }
+        let m = mem(4000, 8, 4);
+        for i in 0..7 {
+            let near = m.level(i).cosine(m.level(i + 1));
+            let far = m.level(0).cosine(m.level(7));
+            assert!(near > far, "level {i} near={near} far={far}");
         }
     }
 
     #[test]
     fn q_equal_one_is_single_random_level() {
-        let m = mem(512, 1, LevelScheme::DisjointFlips, 5);
+        let m = mem(512, 1, 5);
         assert_eq!(m.levels(), 1);
     }
 
     #[test]
     fn rejects_invalid_configs() {
         let mut rng = StdRng::seed_from_u64(6);
-        assert!(LevelMemory::generate(0, 4, LevelScheme::RandomFlips, &mut rng).is_err());
-        assert!(LevelMemory::generate(100, 0, LevelScheme::RandomFlips, &mut rng).is_err());
-        assert!(LevelMemory::generate(4, 16, LevelScheme::RandomFlips, &mut rng).is_err());
+        assert!(LevelMemory::generate(0, 4, &mut rng).is_err());
+        assert!(LevelMemory::generate(100, 0, &mut rng).is_err());
+        assert!(LevelMemory::generate(4, 16, &mut rng).is_err());
     }
 
     #[test]
     fn deterministic_for_same_seed() {
-        let a = mem(1000, 4, LevelScheme::RandomFlips, 42);
-        let b = mem(1000, 4, LevelScheme::RandomFlips, 42);
+        let a = mem(1000, 4, 42);
+        let b = mem(1000, 4, 42);
         for i in 0..4 {
             assert_eq!(a.level(i), b.level(i));
         }
@@ -238,8 +176,8 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let a = mem(1000, 4, LevelScheme::RandomFlips, 42);
-        let b = mem(1000, 4, LevelScheme::RandomFlips, 43);
+        let a = mem(1000, 4, 42);
+        let b = mem(1000, 4, 43);
         assert_ne!(a.level(0), b.level(0));
     }
 }

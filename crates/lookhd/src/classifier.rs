@@ -6,8 +6,7 @@ use rand::SeedableRng;
 
 use hdc::encoding::{encode_batch_with, Encode};
 use hdc::hv::DenseHv;
-use hdc::levels::{LevelMemory, LevelScheme};
-use hdc::metrics::accuracy;
+use hdc::levels::LevelMemory;
 use hdc::model::ClassModel;
 use hdc::quantize::{Quantization, Quantizer};
 use hdc::train::TrainReport;
@@ -17,7 +16,6 @@ use lookhd_engine::{Engine, EngineConfig, EngineStats};
 use crate::chunking::ChunkLayout;
 use crate::compress::{CompressedModel, CompressionConfig};
 use crate::encoder::LookupEncoder;
-use crate::lut::TableMode;
 use crate::retrain::{retrain_compressed, UpdateRule};
 use crate::score_kernel::{build_kernel, KernelSpec, ScoreKernel};
 use crate::score_lut::ScoreLut;
@@ -40,27 +38,20 @@ pub struct LookHdConfig {
     pub r: usize,
     /// Quantization rule (LookHD default: equalized).
     pub quantization: Quantization,
-    /// Level hypervector scheme.
-    pub level_scheme: LevelScheme,
-    /// Lookup-table storage mode; `None` selects automatically by size.
-    pub table_mode: Option<TableMode>,
     /// Compression settings (`P'` keys, decorrelation, grouping).
     pub compression: CompressionConfig,
     /// Maximum retraining epochs on the compressed model.
     pub retrain_epochs: usize,
     /// Fraction of the training set held out to validate compression and
     /// stop retraining (§II-B's "accuracy stabilized over the validation
-    /// data, which is a part of the training dataset"). Set to 0.0 to
-    /// disable validation-guided fitting.
-    pub validation_fraction: f64,
-    /// Shrink the compression group size below
+    /// data, which is a part of the training dataset"). While validating,
+    /// fit also shrinks the compression group size below
     /// [`CompressionConfig::max_classes_per_vector`] when validation shows
     /// quality loss — the paper's exact-mode prescription ("each compressed
     /// hypervector needs to keep the information of less than 12 classes
-    /// … to eliminate the quality loss", §VI-G).
-    pub adaptive_grouping: bool,
-    /// Retraining update arithmetic.
-    pub update_rule: UpdateRule,
+    /// … to eliminate the quality loss", §VI-G). Set to 0.0 to disable
+    /// validation-guided fitting and keep the fixed ⌈k/12⌉ grouping.
+    pub validation_fraction: f64,
     /// Which scoring kernel to build at fit time (see
     /// [`crate::score_kernel`]). [`crate::score_kernel::KernelKind::Auto`]
     /// tries the score-LUT and falls back to the dense path when the model
@@ -84,13 +75,9 @@ impl LookHdConfig {
             q: 4,
             r: 5,
             quantization: Quantization::Equalized,
-            level_scheme: LevelScheme::RandomFlips,
-            table_mode: None,
             compression: CompressionConfig::new(),
             retrain_epochs: 10,
             validation_fraction: 0.15,
-            adaptive_grouping: true,
-            update_rule: UpdateRule::Exact,
             kernel: KernelSpec::dense(),
             seed: 0x10_0c_4d,
             engine: EngineConfig::new(),
@@ -121,18 +108,6 @@ impl LookHdConfig {
         self
     }
 
-    /// Sets the level hypervector scheme.
-    pub fn with_level_scheme(mut self, level_scheme: LevelScheme) -> Self {
-        self.level_scheme = level_scheme;
-        self
-    }
-
-    /// Forces a lookup-table storage mode.
-    pub fn with_table_mode(mut self, mode: TableMode) -> Self {
-        self.table_mode = Some(mode);
-        self
-    }
-
     /// Sets the compression configuration.
     pub fn with_compression(mut self, compression: CompressionConfig) -> Self {
         self.compression = compression;
@@ -148,18 +123,6 @@ impl LookHdConfig {
     /// Sets the held-out validation fraction (0.0 disables).
     pub fn with_validation_fraction(mut self, fraction: f64) -> Self {
         self.validation_fraction = fraction;
-        self
-    }
-
-    /// Enables or disables validation-guided group-size shrinking.
-    pub fn with_adaptive_grouping(mut self, on: bool) -> Self {
-        self.adaptive_grouping = on;
-        self
-    }
-
-    /// Sets the retraining update rule.
-    pub fn with_update_rule(mut self, update_rule: UpdateRule) -> Self {
-        self.update_rule = update_rule;
         self
     }
 
@@ -259,18 +222,18 @@ impl LookHdClassifier {
         };
         let use_validation = n_val >= 8 && features.len() - n_val >= 8;
 
-        let needs_encodes =
-            config.retrain_epochs > 0 || (use_validation && config.adaptive_grouping);
+        let needs_encodes = config.retrain_epochs > 0 || use_validation;
         let encoded = if needs_encodes {
             encode_batch_with(&engine, &encoder, features)?.0
         } else {
             Vec::new()
         };
 
-        // Compress; optionally shrink the group size until validation shows
-        // no quality loss vs the uncompressed model (exact mode, §VI-G).
+        // Compress; with a validation split, shrink the group size until
+        // validation shows no quality loss vs the uncompressed model (exact
+        // mode, §VI-G).
         let mut compressed = CompressedModel::compress(&model, &config.compression)?;
-        if use_validation && config.adaptive_grouping {
+        if use_validation {
             let cut = features.len() - n_val;
             let (val_encoded, val_labels) = (&encoded[cut..], &labels[cut..]);
             let accuracy_of = |cm: &CompressedModel| -> Result<f64> {
@@ -326,7 +289,7 @@ impl LookHdClassifier {
                     &labels[cut..],
                     config.retrain_epochs,
                     3,
-                    config.update_rule,
+                    UpdateRule::Exact,
                 )?
             } else {
                 retrain_compressed(
@@ -334,7 +297,7 @@ impl LookHdClassifier {
                     &encoded,
                     labels,
                     config.retrain_epochs,
-                    config.update_rule,
+                    UpdateRule::Exact,
                 )?
             }
         } else {
@@ -402,15 +365,10 @@ impl LookHdClassifier {
         let all_values: Vec<f64> = features.iter().flatten().copied().collect();
         let quantizer = Quantizer::fit(config.quantization, &all_values, config.q)?;
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let levels = LevelMemory::generate(config.dim, config.q, config.level_scheme, &mut rng)?;
-        match config.table_mode {
-            Some(mode) => LookupEncoder::new(layout, &levels, quantizer, mode, config.seed),
-            None => {
-                // Auto: materialize up to 64 MiB, otherwise on-the-fly.
-                let probe = crate::lut::ChunkLut::auto(layout, &levels, 64 << 20)?;
-                LookupEncoder::new(layout, &levels, quantizer, probe.mode(), config.seed)
-            }
-        }
+        let levels = LevelMemory::generate(config.dim, config.q, &mut rng)?;
+        // Materialize the tables up to 64 MiB, otherwise compute on the fly.
+        let probe = crate::lut::ChunkLut::auto(layout, &levels, 64 << 20)?;
+        LookupEncoder::new(layout, &levels, quantizer, probe.mode(), config.seed)
     }
 
     /// Predicts using the *uncompressed* model (ablation / exact reference).
@@ -444,16 +402,6 @@ impl LookHdClassifier {
         Ok(self
             .batch_with(features, |f| self.predict_uncompressed(f))?
             .0)
-    }
-
-    /// Accuracy over a labelled test set using the *uncompressed* model
-    /// (ablation / exact reference for [`Classifier::evaluate`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates prediction/metric errors.
-    pub fn evaluate_uncompressed(&self, features: &[Vec<f64>], labels: &[usize]) -> Result<f64> {
-        accuracy(&self.predict_batch_uncompressed(features)?, labels)
     }
 
     /// Runs `per_query` over `features` partitioned into engine shards,
@@ -610,10 +558,8 @@ impl LookHdClassifier {
             Quantization::Linear => 0,
             Quantization::Equalized => 1,
         });
-        out.push(match self.encoder.lut().levels().scheme() {
-            LevelScheme::RandomFlips => 0,
-            LevelScheme::DisjointFlips => 1,
-        });
+        // Retired level-scheme byte: levels always use random flips (0).
+        out.push(0);
         out.push(match self.encoder.lut().mode() {
             crate::lut::TableMode::Materialized => 0,
             crate::lut::TableMode::OnTheFly => 1,
@@ -728,11 +674,13 @@ impl LookHdClassifier {
             1 => Quantization::Equalized,
             _ => return Err(bad("unknown quantization tag")),
         };
-        let scheme = match take(&mut pos, 1)?[0] {
-            0 => LevelScheme::RandomFlips,
-            1 => LevelScheme::DisjointFlips,
-            _ => return Err(bad("unknown level-scheme tag")),
-        };
+        let level_scheme = take(&mut pos, 1)?[0];
+        if level_scheme != 0 {
+            return Err(HdcError::invalid_dataset(format!(
+                "level_scheme tag {level_scheme} is retired: level hypervectors \
+                 always use random flips (tag 0)"
+            )));
+        }
         let table_mode = match take(&mut pos, 1)?[0] {
             0 => crate::lut::TableMode::Materialized,
             1 => crate::lut::TableMode::OnTheFly,
@@ -789,7 +737,7 @@ impl LookHdClassifier {
             lut.validate_against(&layout, &compressed)?;
         }
         let mut rng = StdRng::seed_from_u64(seed);
-        let levels = LevelMemory::generate(dim, q, scheme, &mut rng)?;
+        let levels = LevelMemory::generate(dim, q, &mut rng)?;
         let encoder = LookupEncoder::new(layout, &levels, quantizer, table_mode, seed)?;
         Ok(Self {
             encoder,
@@ -977,11 +925,8 @@ mod tests {
             .with_q(8)
             .with_r(3)
             .with_quantization(Quantization::Linear)
-            .with_level_scheme(LevelScheme::DisjointFlips)
-            .with_table_mode(TableMode::OnTheFly)
             .with_compression(CompressionConfig::new().with_seed(5))
             .with_retrain_epochs(2)
-            .with_update_rule(UpdateRule::PaperShift)
             .with_kernel(KernelSpec::lut().with_budget_bytes(4096))
             .with_seed(77)
             .with_engine(EngineConfig::new().with_shard_size(64))
@@ -990,9 +935,7 @@ mod tests {
         assert_eq!(c.q, 8);
         assert_eq!(c.r, 3);
         assert_eq!(c.quantization, Quantization::Linear);
-        assert_eq!(c.table_mode, Some(TableMode::OnTheFly));
         assert_eq!(c.retrain_epochs, 2);
-        assert_eq!(c.update_rule, UpdateRule::PaperShift);
         assert_eq!(c.kernel, KernelSpec::lut().with_budget_bytes(4096));
         assert_eq!(c.seed, 77);
         assert_eq!(c.engine.threads, 4);
@@ -1153,9 +1096,10 @@ mod tests {
         let config = LookHdConfig::new().with_dim(512).with_retrain_epochs(0);
         let clf = LookHdClassifier::fit(&config, &xs, &ys).unwrap();
         assert!(clf.compressed().size_bytes() < clf.model().size_bytes());
-        // With adaptive grouping off, 6 classes compress into one vector.
+        // Without a validation split (so no adaptive grouping), 6 classes
+        // compress into one vector.
         let fixed =
-            LookHdClassifier::fit(&config.clone().with_adaptive_grouping(false), &xs, &ys).unwrap();
+            LookHdClassifier::fit(&config.clone().with_validation_fraction(0.0), &xs, &ys).unwrap();
         assert_eq!(
             fixed.model().size_bytes() / fixed.compressed().size_bytes(),
             6

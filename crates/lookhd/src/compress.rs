@@ -38,18 +38,6 @@ use hdc::{HdcError, Result};
 
 use crate::encoder::PositionKeys;
 
-/// How class hypervectors are magnitude-normalized before combination
-/// (the fixed-point analogue of the paper's `C'_i = C_i/‖C_i‖`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScaleMode {
-    /// Normalize every class to the *average* class norm. Keeps the model
-    /// at its natural magnitude so retraining updates (`± H`) act with a
-    /// sane effective learning rate. The default.
-    AverageNorm,
-    /// Normalize every class to a fixed integer norm.
-    Fixed(i32),
-}
-
 /// Configuration of the compression pipeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompressionConfig {
@@ -59,27 +47,17 @@ pub struct CompressionConfig {
     pub max_classes_per_vector: usize,
     /// Apply the §IV-C decorrelation (model- and query-side).
     pub decorrelate: bool,
-    /// Number of principal common directions removed when decorrelating.
-    /// Round 1 is (up to normalization) the paper's average-removal; extra
-    /// rounds deflate further shared structure, which matters when class
-    /// hypervectors are more correlated than the paper's datasets.
-    pub decorrelate_rounds: usize,
-    /// Class-magnitude normalization rule.
-    pub scale: ScaleMode,
     /// RNG seed for the `P'` keys. Keys are regenerable from this seed, so
     /// the paper's model-size accounting stores only the combined vectors.
     pub seed: u64,
 }
 
 impl CompressionConfig {
-    /// Paper defaults: 12 classes per vector, decorrelation on,
-    /// average-norm scaling.
+    /// Paper defaults: 12 classes per vector, decorrelation on.
     pub fn new() -> Self {
         Self {
             max_classes_per_vector: 12,
             decorrelate: true,
-            decorrelate_rounds: 1,
-            scale: ScaleMode::AverageNorm,
             seed: 0xC0_4F_5E,
         }
     }
@@ -93,24 +71,6 @@ impl CompressionConfig {
     /// Enables or disables decorrelation.
     pub fn with_decorrelate(mut self, on: bool) -> Self {
         self.decorrelate = on;
-        self
-    }
-
-    /// Sets how many principal common directions decorrelation removes.
-    pub fn with_decorrelate_rounds(mut self, rounds: usize) -> Self {
-        self.decorrelate_rounds = rounds.max(1);
-        self
-    }
-
-    /// Normalizes classes to a fixed integer norm instead of the average.
-    pub fn with_scale(mut self, scale: i32) -> Self {
-        self.scale = ScaleMode::Fixed(scale);
-        self
-    }
-
-    /// Sets the scale mode directly.
-    pub fn with_scale_mode(mut self, scale: ScaleMode) -> Self {
-        self.scale = scale;
         self
     }
 
@@ -159,68 +119,63 @@ pub fn decorrelate(model: &ClassModel) -> Result<ClassModel> {
     ClassModel::from_classes(out)
 }
 
-/// Computes the top `rounds` principal common directions of the class
-/// matrix by power iteration with deflation, returning the (unit-norm)
-/// directions and the deflated class vectors.
-fn deflate_classes(model: &ClassModel, rounds: usize) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-    let k = model.n_classes();
+/// Computes the principal common direction of the class matrix by power
+/// iteration, returning the unit-norm direction (`None` when the class
+/// matrix is degenerate) and the class vectors with it projected out.
+fn deflate_classes(model: &ClassModel) -> (Option<Vec<f64>>, Vec<Vec<f64>>) {
     let d = model.dim();
     let mut rows: Vec<Vec<f64>> = model
         .classes()
         .iter()
         .map(|c| c.as_slice().iter().map(|&v| v as f64).collect())
         .collect();
-    let mut directions = Vec::new();
-    for round in 0..rounds.min(k) {
-        // Start power iteration from the current mean (round 0 exactly
-        // reproduces the paper's average direction when it dominates).
-        let mut v = vec![0.0f64; d];
-        for row in &rows {
-            for (a, &x) in v.iter_mut().zip(row) {
-                *a += x;
-            }
+    // Start power iteration from the class mean (this exactly reproduces
+    // the paper's average direction when it dominates).
+    let mut v = vec![0.0f64; d];
+    for row in &rows {
+        for (a, &x) in v.iter_mut().zip(row) {
+            *a += x;
         }
-        if norm_f64(&v) < 1e-9 {
-            // Mean vanished (already centred); seed deterministically.
-            for (i, a) in v.iter_mut().enumerate() {
-                *a = if (i + round) % 2 == 0 { 1.0 } else { -1.0 };
-            }
+    }
+    if norm_f64(&v) < 1e-9 {
+        // Mean vanished (already centred); seed deterministically.
+        for (i, a) in v.iter_mut().enumerate() {
+            *a = if i % 2 == 0 { 1.0 } else { -1.0 };
         }
-        for _ in 0..8 {
-            let n = norm_f64(&v);
-            if n < 1e-12 {
-                break;
-            }
-            for a in &mut v {
-                *a /= n;
-            }
-            // v ← Σ_i (c_i · v) c_i
-            let mut next = vec![0.0f64; d];
-            for row in &rows {
-                let proj: f64 = row.iter().zip(&v).map(|(x, y)| x * y).sum();
-                for (a, &x) in next.iter_mut().zip(row) {
-                    *a += proj * x;
-                }
-            }
-            v = next;
-        }
+    }
+    for _ in 0..8 {
         let n = norm_f64(&v);
-        if n < 1e-9 {
+        if n < 1e-12 {
             break;
         }
         for a in &mut v {
             *a /= n;
         }
-        // Deflate every class.
-        for row in &mut rows {
+        // v ← Σ_i (c_i · v) c_i
+        let mut next = vec![0.0f64; d];
+        for row in &rows {
             let proj: f64 = row.iter().zip(&v).map(|(x, y)| x * y).sum();
-            for (a, &dir) in row.iter_mut().zip(&v) {
-                *a -= proj * dir;
+            for (a, &x) in next.iter_mut().zip(row) {
+                *a += proj * x;
             }
         }
-        directions.push(v);
+        v = next;
     }
-    (directions, rows)
+    let n = norm_f64(&v);
+    if n < 1e-9 {
+        return (None, rows);
+    }
+    for a in &mut v {
+        *a /= n;
+    }
+    // Deflate every class.
+    for row in &mut rows {
+        let proj: f64 = row.iter().zip(&v).map(|(x, y)| x * y).sum();
+        for (a, &dir) in row.iter_mut().zip(&v) {
+            *a -= proj * dir;
+        }
+    }
+    (Some(v), rows)
 }
 
 fn class_average(model: &ClassModel) -> Vec<f64> {
@@ -251,7 +206,7 @@ fn dot_i32_f64(a: &[i32], b: &[f64]) -> f64 {
 /// multi-GB allocation or a huge key regeneration.
 pub const MAX_SERIAL_DIM: usize = 1 << 20;
 
-/// Largest class/group/direction count the serialized formats accept
+/// Largest class/group count the serialized formats accept
 /// (2^16). Bounds the `P'` key regeneration (`k · dim` bits) a corrupt
 /// header could otherwise request.
 pub const MAX_SERIAL_CLASSES: usize = 1 << 16;
@@ -331,9 +286,9 @@ pub struct CompressedModel {
     /// Group index per class label.
     group_of: Vec<usize>,
     combined: Vec<DenseHv>,
-    /// Unit-norm common directions removed by decorrelation (empty when
-    /// decorrelation is disabled); queries are whitened against these.
-    directions: Vec<Vec<f64>>,
+    /// Unit-norm common direction removed by decorrelation (`None` when
+    /// decorrelation is disabled); queries are whitened against it.
+    direction: Option<Vec<f64>>,
     dim: usize,
 }
 
@@ -342,8 +297,7 @@ impl CompressedModel {
     ///
     /// # Errors
     ///
-    /// Returns [`HdcError::InvalidConfig`] if `max_classes_per_vector == 0`
-    /// or a fixed scale is non-positive.
+    /// Returns [`HdcError::InvalidConfig`] if `max_classes_per_vector == 0`.
     pub fn compress(model: &ClassModel, config: &CompressionConfig) -> Result<Self> {
         let _span = obs::span("compress");
         if config.max_classes_per_vector == 0 {
@@ -352,12 +306,7 @@ impl CompressedModel {
                 "must be at least 1",
             ));
         }
-        if let ScaleMode::Fixed(s) = config.scale {
-            if s <= 0 {
-                return Err(HdcError::invalid_config("scale", "must be positive"));
-            }
-        }
-        let (directions, prepared) = Self::prepare_classes(model, config)?;
+        let (direction, prepared) = Self::prepare_classes(model, config)?;
         let k = prepared.len();
         let dim = model.dim();
         let mut rng = StdRng::seed_from_u64(config.seed);
@@ -380,47 +329,39 @@ impl CompressedModel {
             groups,
             group_of,
             combined,
-            directions,
+            direction,
             dim,
         })
     }
 
     /// The decorrelated, magnitude-normalized class hypervectors the
-    /// compression is built from, along with the removed common directions.
+    /// compression is built from, along with the removed common direction.
     /// Deterministic, so analyses (Eq. 5 noise decomposition) can re-derive
     /// them from the original model.
     fn prepare_classes(
         model: &ClassModel,
         config: &CompressionConfig,
-    ) -> Result<(Vec<Vec<f64>>, Vec<DenseHv>)> {
-        // Deflating too many directions collapses the class-distinguishing
-        // subspace (k classes span at most k directions), so cap the rounds
-        // at k/4: small models get the paper's single average-removal,
-        // many-class models may deflate deeper.
-        let effective_rounds = config
-            .decorrelate_rounds
-            .clamp(1, (model.n_classes() / 4).max(1));
-        let (directions, rows) = if config.decorrelate {
-            deflate_classes(model, effective_rounds)
+    ) -> Result<(Option<Vec<f64>>, Vec<DenseHv>)> {
+        let (direction, rows) = if config.decorrelate {
+            deflate_classes(model)
         } else {
             let rows = model
                 .classes()
                 .iter()
                 .map(|c| c.as_slice().iter().map(|&v| v as f64).collect())
                 .collect();
-            (Vec::new(), rows)
+            (None, rows)
         };
+        // Every class is normalized to the *average* class norm (the
+        // fixed-point analogue of the paper's `C'_i = C_i/‖C_i‖`), which
+        // keeps the model at its natural magnitude so retraining updates
+        // (`± H`) act with a sane effective learning rate.
         let norms: Vec<f64> = rows.iter().map(|r| norm_f64(r)).collect();
-        let target = match config.scale {
-            ScaleMode::Fixed(s) => s as f64,
-            ScaleMode::AverageNorm => {
-                let nonzero: Vec<f64> = norms.iter().copied().filter(|&n| n > 0.0).collect();
-                if nonzero.is_empty() {
-                    1.0
-                } else {
-                    nonzero.iter().sum::<f64>() / nonzero.len() as f64
-                }
-            }
+        let nonzero: Vec<f64> = norms.iter().copied().filter(|&n| n > 0.0).collect();
+        let target = if nonzero.is_empty() {
+            1.0
+        } else {
+            nonzero.iter().sum::<f64>() / nonzero.len() as f64
         };
         let prepared = rows
             .iter()
@@ -434,14 +375,14 @@ impl CompressedModel {
                 }
             })
             .collect();
-        Ok((directions, prepared))
+        Ok((direction, prepared))
     }
 
-    /// Projects the stored common directions out of a query (no-op without
+    /// Projects the stored common direction out of a query (no-op without
     /// decorrelation). Returns the whitened query as `f64` values.
     fn whiten(&self, query: &DenseHv) -> Vec<f64> {
         let mut h: Vec<f64> = query.as_slice().iter().map(|&v| v as f64).collect();
-        for dir in &self.directions {
+        if let Some(dir) = &self.direction {
             let proj: f64 = h.iter().zip(dir).map(|(x, y)| x * y).sum();
             for (a, &d) in h.iter_mut().zip(dir) {
                 *a -= proj * d;
@@ -478,7 +419,7 @@ impl CompressedModel {
             });
         }
         let mut scores = vec![0.0f64; self.n_classes()];
-        if self.directions.is_empty() {
+        if self.direction.is_none() {
             // Integer fast path (no whitening): exactly the Fig. 11
             // datapath — shared products once, then per-class sign-flipped
             // accumulation driven by the packed key words.
@@ -724,15 +665,11 @@ impl CompressedModel {
         self.group_of[label]
     }
 
-    /// Number of principal common directions removed by decorrelation
-    /// (0 when `decorrelate=false` — the integer fast-path precondition).
+    /// Number of common directions removed by decorrelation: 1, or 0
+    /// when `decorrelate=false` (the integer fast-path precondition) or
+    /// the class matrix is degenerate.
     pub fn n_directions(&self) -> usize {
-        self.directions.len()
-    }
-
-    /// The compression configuration.
-    pub fn config(&self) -> &CompressionConfig {
-        &self.config
+        usize::from(self.direction.is_some())
     }
 
     /// Model size in bytes under the paper's accounting: only the combined
@@ -746,12 +683,12 @@ impl CompressedModel {
     /// Model size including materialized binary keys (1 bit/dim/class) and
     /// the stored common direction (int32 per dim) when present.
     pub fn size_bytes_with_keys(&self) -> usize {
-        let common = self.directions.len() * self.dim * std::mem::size_of::<i32>();
+        let common = self.n_directions() * self.dim * std::mem::size_of::<i32>();
         self.size_bytes() + self.n_classes() * self.dim.div_ceil(8) + common
     }
 
     /// Serializes the compressed model (`LKC1` format): configuration,
-    /// combined vectors, and whitening directions. The `P'` keys are *not*
+    /// combined vectors, and the whitening direction. The `P'` keys are *not*
     /// stored — they regenerate from [`CompressionConfig::seed`], which is
     /// exactly the paper's model-size accounting.
     ///
@@ -776,24 +713,11 @@ impl CompressedModel {
             )?,
         );
         out.push(u8::from(self.config.decorrelate));
-        w32(
-            &mut out,
-            serial_u32(
-                "decorrelate_rounds",
-                self.config.decorrelate_rounds,
-                u32::MAX as usize,
-            )?,
-        );
-        match self.config.scale {
-            ScaleMode::AverageNorm => {
-                out.push(0);
-                out.extend_from_slice(&0i32.to_le_bytes());
-            }
-            ScaleMode::Fixed(v) => {
-                out.push(1);
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
+        // Retired fields keep their bytes: `decorrelate_rounds` is always
+        // 1 and the scale mode is always average-norm (tag 0, value 0).
+        w32(&mut out, 1);
+        out.push(0);
+        out.extend_from_slice(&0i32.to_le_bytes());
         out.extend_from_slice(&self.config.seed.to_le_bytes());
         w32(
             &mut out,
@@ -808,14 +732,9 @@ impl CompressedModel {
                 out.extend_from_slice(&v.to_le_bytes());
             }
         }
-        w32(
-            &mut out,
-            serial_u32("n_directions", self.directions.len(), MAX_SERIAL_CLASSES)?,
-        );
-        for dir in &self.directions {
-            for &v in dir {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
+        w32(&mut out, self.n_directions() as u32);
+        for &v in self.direction.iter().flatten() {
+            out.extend_from_slice(&v.to_le_bytes());
         }
         Ok(out)
     }
@@ -826,12 +745,15 @@ impl CompressedModel {
     /// and the [`MAX_SERIAL_DIM`] / [`MAX_SERIAL_CLASSES`] caps before any
     /// allocation, so corrupt or hostile headers produce an error rather
     /// than a multi-GB allocation. Trailing bytes after the last section
-    /// are rejected.
+    /// are rejected, and so is a whitening direction that is not finite
+    /// with unit norm.
     ///
     /// # Errors
     ///
     /// Returns [`HdcError::InvalidDataset`] for a malformed, truncated, or
-    /// over-long byte stream.
+    /// over-long byte stream, and for a retired field value:
+    /// `decorrelate_rounds` other than 1, a scale mode other than
+    /// average-norm, or more than one whitening direction.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         struct Reader<'a> {
             bytes: &'a [u8],
@@ -903,20 +825,24 @@ impl CompressedModel {
         }
         let max_classes_per_vector = r.u32()? as usize;
         let decorrelate = r.u8()? != 0;
-        let decorrelate_rounds = r.u32()? as usize;
-        let scale_tag = r.u8()?;
-        let scale_value = r.i32()?;
-        let scale = match scale_tag {
-            0 => ScaleMode::AverageNorm,
-            1 => ScaleMode::Fixed(scale_value),
-            _ => return Err(HdcError::invalid_dataset("unknown scale mode tag")),
-        };
+        let decorrelate_rounds = r.u32()?;
+        if decorrelate_rounds != 1 {
+            return Err(HdcError::invalid_dataset(format!(
+                "decorrelate_rounds {decorrelate_rounds} is retired: \
+                 decorrelation removes exactly one direction"
+            )));
+        }
+        let (scale_tag, scale_value) = (r.u8()?, r.i32()?);
+        if (scale_tag, scale_value) != (0, 0) {
+            return Err(HdcError::invalid_dataset(format!(
+                "scale mode tag {scale_tag} (value {scale_value}) is retired: \
+                 classes always normalize to the average norm"
+            )));
+        }
         let seed = r.u64()?;
         let config = CompressionConfig {
             max_classes_per_vector,
             decorrelate,
-            decorrelate_rounds,
-            scale,
             seed,
         };
         if config.max_classes_per_vector == 0 {
@@ -942,19 +868,30 @@ impl CompressedModel {
             }
             combined.push(DenseHv::from_vec(values));
         }
-        let n_directions = r.u32()? as usize;
-        if n_directions > k {
-            return Err(HdcError::invalid_dataset("more directions than classes"));
-        }
-        r.expect_remaining(n_directions.saturating_mul(dim), 8, "whitening directions")?;
-        let mut directions = Vec::with_capacity(n_directions);
-        for _ in 0..n_directions {
-            let mut dir = Vec::with_capacity(dim);
-            for _ in 0..dim {
-                dir.push(r.f64()?);
+        let direction = match r.u32()? {
+            0 => None,
+            1 => {
+                r.expect_remaining(dim, 8, "whitening direction")?;
+                let mut dir = Vec::with_capacity(dim);
+                for _ in 0..dim {
+                    dir.push(r.f64()?);
+                }
+                // A NaN entry would make every whitened score NaN (and the
+                // argmax class 0); a huge one would swamp the scores.
+                if !dir.iter().all(|v| v.is_finite()) || (norm_f64(&dir) - 1.0).abs() > 1e-6 {
+                    return Err(HdcError::invalid_dataset(
+                        "whitening direction must be finite with unit norm",
+                    ));
+                }
+                Some(dir)
             }
-            directions.push(dir);
-        }
+            n => {
+                return Err(HdcError::invalid_dataset(format!(
+                    "n_directions {n} is retired: decorrelation stores one \
+                     whitening direction (decorrelate_rounds = 1)"
+                )))
+            }
+        };
         if r.pos != bytes.len() {
             return Err(HdcError::invalid_dataset(format!(
                 "{} trailing byte(s) after compressed model (offset {})",
@@ -978,7 +915,7 @@ impl CompressedModel {
             groups,
             group_of,
             combined,
-            directions,
+            direction,
             dim,
         })
     }
@@ -1083,6 +1020,7 @@ mod tests {
         let compressed = CompressedModel::compress(&model, &CompressionConfig::new()).unwrap();
         assert_eq!(compressed.n_vectors(), 3); // ⌈26/12⌉
         assert_eq!(compressed.n_classes(), 26);
+        assert_eq!(compressed.n_directions(), 1);
         let single = CompressedModel::compress(
             &model,
             &CompressionConfig::new().with_max_classes_per_vector(26),
@@ -1190,18 +1128,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_scale_mode_still_works() {
-        let model = random_model(3, 1000, 11);
-        let cfg = CompressionConfig::new()
-            .with_decorrelate(false)
-            .with_scale(1024);
-        let cm = CompressedModel::compress(&model, &cfg).unwrap();
-        for label in 0..3 {
-            assert_eq!(cm.predict(model.class(label)).unwrap(), label);
-        }
-    }
-
-    #[test]
     fn rejects_invalid_configs_and_arguments() {
         let model = random_model(3, 100, 10);
         assert!(CompressedModel::compress(
@@ -1209,9 +1135,6 @@ mod tests {
             &CompressionConfig::new().with_max_classes_per_vector(0)
         )
         .is_err());
-        assert!(
-            CompressedModel::compress(&model, &CompressionConfig::new().with_scale(0)).is_err()
-        );
         let mut cm = CompressedModel::compress(&model, &CompressionConfig::new()).unwrap();
         assert!(cm.scores(&DenseHv::zeros(5)).is_err());
         assert!(cm.update(9, 0, &DenseHv::zeros(100)).is_err());
@@ -1223,15 +1146,11 @@ mod tests {
         let c = CompressionConfig::new()
             .with_max_classes_per_vector(6)
             .with_decorrelate(false)
-            .with_scale(512)
             .with_seed(99);
         assert_eq!(c.max_classes_per_vector, 6);
         assert!(!c.decorrelate);
-        assert_eq!(c.scale, ScaleMode::Fixed(512));
         assert_eq!(c.seed, 99);
         assert_eq!(CompressionConfig::default(), CompressionConfig::new());
-        let c2 = CompressionConfig::new().with_scale_mode(ScaleMode::AverageNorm);
-        assert_eq!(c2.scale, ScaleMode::AverageNorm);
     }
 
     #[test]

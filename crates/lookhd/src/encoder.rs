@@ -82,7 +82,7 @@ impl PositionKeys {
 ///
 /// ```
 /// use hdc::encoding::Encode;
-/// use hdc::levels::{LevelMemory, LevelScheme};
+/// use hdc::levels::LevelMemory;
 /// use hdc::quantize::{Quantization, Quantizer};
 /// use lookhd::chunking::ChunkLayout;
 /// use lookhd::encoder::LookupEncoder;
@@ -91,7 +91,7 @@ impl PositionKeys {
 /// use rand::SeedableRng;
 ///
 /// let mut rng = StdRng::seed_from_u64(1);
-/// let levels = LevelMemory::generate(256, 4, LevelScheme::RandomFlips, &mut rng)?;
+/// let levels = LevelMemory::generate(256, 4, &mut rng)?;
 /// let samples: Vec<f64> = (0..100).map(|i| i as f64 / 100.0).collect();
 /// let quantizer = Quantizer::fit(Quantization::Equalized, &samples, 4)?;
 /// let layout = ChunkLayout::new(10, 5, 4)?;
@@ -232,12 +232,11 @@ impl Encode for LookupEncoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdc::levels::LevelScheme;
     use hdc::quantize::Quantization;
 
     fn encoder(n: usize, r: usize, q: usize, dim: usize, seed: u64) -> LookupEncoder {
         let mut rng = StdRng::seed_from_u64(seed);
-        let levels = LevelMemory::generate(dim, q, LevelScheme::RandomFlips, &mut rng).unwrap();
+        let levels = LevelMemory::generate(dim, q, &mut rng).unwrap();
         let samples: Vec<f64> = (0..1000).map(|i| i as f64 / 1000.0).collect();
         let quantizer = Quantizer::fit(Quantization::Equalized, &samples, q).unwrap();
         let layout = ChunkLayout::new(n, r, q).unwrap();
@@ -266,7 +265,7 @@ mod tests {
     #[test]
     fn lookup_mode_does_not_change_encoding() {
         let mut rng = StdRng::seed_from_u64(2);
-        let levels = LevelMemory::generate(128, 4, LevelScheme::RandomFlips, &mut rng).unwrap();
+        let levels = LevelMemory::generate(128, 4, &mut rng).unwrap();
         let samples: Vec<f64> = (0..100).map(|i| i as f64 / 100.0).collect();
         let quantizer = Quantizer::fit(Quantization::Equalized, &samples, 4).unwrap();
         let layout = ChunkLayout::new(13, 5, 4).unwrap();
@@ -340,7 +339,7 @@ mod tests {
     #[test]
     fn quantizer_level_mismatch_rejected() {
         let mut rng = StdRng::seed_from_u64(7);
-        let levels = LevelMemory::generate(64, 4, LevelScheme::RandomFlips, &mut rng).unwrap();
+        let levels = LevelMemory::generate(64, 4, &mut rng).unwrap();
         let q8 = Quantizer::fit(Quantization::Linear, &[0.0, 1.0], 8).unwrap();
         let layout = ChunkLayout::new(10, 5, 4).unwrap();
         assert!(LookupEncoder::new(layout, &levels, q8, TableMode::OnTheFly, 0).is_err());

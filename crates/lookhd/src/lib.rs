@@ -16,8 +16,9 @@
 //!   `P'` keys, with decorrelation and Eq. 5 signal/noise analysis (§IV);
 //! * [`online`] — OnlineHD-style single-pass novelty-scaled training
 //!   (the paper's ref \[13\]; an extension beyond the core LookHD pipeline);
-//! * [`retrain`] — staged retraining on the compressed model, with both
-//!   exact and paper-hardware update rules (§IV-D, §V-C);
+//! * [`retrain`] — staged retraining on the compressed model with the
+//!   exact update rule `fit` uses, plus the paper-hardware shift rule for
+//!   ablations (§IV-D, §V-C);
 //! * [`score_lut`] — the score-LUT inference kernel: per-chunk, per-class
 //!   partial-score tables folding Eq. 5 scoring into the lookup table, so
 //!   predict is `m` table reads and `m·k` adds (§III, §V applied to the

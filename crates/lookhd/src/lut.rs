@@ -38,14 +38,14 @@ pub enum TableMode {
 /// # Examples
 ///
 /// ```
-/// use hdc::levels::{LevelMemory, LevelScheme};
+/// use hdc::levels::LevelMemory;
 /// use lookhd::chunking::ChunkLayout;
 /// use lookhd::lut::{ChunkLut, TableMode};
 /// use rand::rngs::StdRng;
 /// use rand::SeedableRng;
 ///
 /// let mut rng = StdRng::seed_from_u64(3);
-/// let levels = LevelMemory::generate(256, 4, LevelScheme::RandomFlips, &mut rng)?;
+/// let levels = LevelMemory::generate(256, 4, &mut rng)?;
 /// let layout = ChunkLayout::new(10, 5, 4)?;
 /// let lut = ChunkLut::new(layout, &levels, TableMode::Materialized)?;
 /// let row = lut.row(0, 7);
@@ -259,13 +259,12 @@ impl ChunkLut {
 mod tests {
     use super::*;
     use hdc::hv::BipolarHv;
-    use hdc::levels::LevelScheme;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn setup(n: usize, r: usize, q: usize, dim: usize) -> (ChunkLayout, LevelMemory) {
         let mut rng = StdRng::seed_from_u64(11);
-        let levels = LevelMemory::generate(dim, q, LevelScheme::RandomFlips, &mut rng).unwrap();
+        let levels = LevelMemory::generate(dim, q, &mut rng).unwrap();
         let layout = ChunkLayout::new(n, r, q).unwrap();
         (layout, levels)
     }

@@ -28,50 +28,18 @@ use crate::encoder::LookupEncoder;
 use crate::score_kernel::{build_kernel, KernelSpec, ScoreKernel};
 use crate::trainer::CounterTrainer;
 
-/// Hyperparameters of the online trainer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OnlineConfig {
-    /// Base learning rate (1.0 reproduces the OnlineHD update).
-    pub learning_rate: f64,
-    /// Fixed-point scale used when rounding the float model to integers.
-    pub output_scale: f64,
-}
+/// Learning rate of the novelty-scaled update (OnlineHD's).
+const LEARNING_RATE: f64 = 1.0;
 
-impl OnlineConfig {
-    /// OnlineHD defaults: `lr = 1.0`, output scale `64` (keeps integer
-    /// resolution well above the update granularity).
-    pub fn new() -> Self {
-        Self {
-            learning_rate: 1.0,
-            output_scale: 64.0,
-        }
-    }
-
-    /// Sets the learning rate.
-    pub fn with_learning_rate(mut self, lr: f64) -> Self {
-        self.learning_rate = lr;
-        self
-    }
-
-    /// Sets the fixed-point output scale.
-    pub fn with_output_scale(mut self, scale: f64) -> Self {
-        self.output_scale = scale;
-        self
-    }
-}
-
-impl Default for OnlineConfig {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Fixed-point scale used when rounding the float model to integers;
+/// keeps integer resolution well above the update granularity.
+const OUTPUT_SCALE: f64 = 64.0;
 
 /// Incremental single-pass trainer over any [`Encode`] implementation.
 #[derive(Debug, Clone)]
 pub struct OnlineTrainer {
     classes: Vec<Vec<f64>>,
     norms: Vec<f64>,
-    config: OnlineConfig,
     seen: usize,
 }
 
@@ -80,9 +48,8 @@ impl OnlineTrainer {
     ///
     /// # Errors
     ///
-    /// Returns [`HdcError::InvalidConfig`] on zero classes/dimension or a
-    /// non-positive learning rate or scale.
-    pub fn new(n_classes: usize, dim: usize, config: OnlineConfig) -> Result<Self> {
+    /// Returns [`HdcError::InvalidConfig`] on zero classes/dimension.
+    pub fn new(n_classes: usize, dim: usize) -> Result<Self> {
         if n_classes == 0 {
             return Err(HdcError::invalid_config("k", "need at least one class"));
         }
@@ -92,19 +59,9 @@ impl OnlineTrainer {
                 "dimension must be positive",
             ));
         }
-        if config.learning_rate <= 0.0 {
-            return Err(HdcError::invalid_config(
-                "learning_rate",
-                "must be positive",
-            ));
-        }
-        if config.output_scale <= 0.0 {
-            return Err(HdcError::invalid_config("output_scale", "must be positive"));
-        }
         Ok(Self {
             classes: vec![vec![0.0; dim]; n_classes],
             norms: vec![0.0; n_classes],
-            config,
             seen: 0,
         })
     }
@@ -138,13 +95,12 @@ impl OnlineTrainer {
             .map(|c| self.cosine_to(c, encoded, h_norm))
             .collect();
         let pred = argmax_margin(&cosines).0;
-        let lr = self.config.learning_rate;
         // Pull toward the true class, scaled by novelty.
-        let alpha = lr * (1.0 - cosines[label]).max(0.0);
+        let alpha = LEARNING_RATE * (1.0 - cosines[label]).max(0.0);
         self.add_scaled(label, encoded, alpha);
         // Push away from the confused class.
         if pred != label {
-            let beta = lr * (1.0 - cosines[pred]).max(0.0);
+            let beta = LEARNING_RATE * (1.0 - cosines[pred]).max(0.0);
             self.add_scaled(pred, encoded, -beta);
         }
         self.seen += 1;
@@ -190,7 +146,7 @@ impl OnlineTrainer {
         }
         let max_norm = self.norms.iter().cloned().fold(0.0f64, f64::max);
         let scale = if max_norm > 0.0 {
-            self.config.output_scale * (self.classes[0].len() as f64).sqrt() / max_norm
+            OUTPUT_SCALE * (self.classes[0].len() as f64).sqrt() / max_norm
         } else {
             1.0
         };
@@ -214,7 +170,6 @@ impl OnlineTrainer {
         features: &[Vec<f64>],
         labels: &[usize],
         n_classes: usize,
-        config: OnlineConfig,
     ) -> Result<ClassModel> {
         if features.is_empty() {
             return Err(HdcError::invalid_dataset("cannot train on zero samples"));
@@ -226,7 +181,7 @@ impl OnlineTrainer {
                 labels.len()
             )));
         }
-        let mut trainer = Self::new(n_classes, encoder.dim(), config)?;
+        let mut trainer = Self::new(n_classes, encoder.dim())?;
         for (f, &y) in features.iter().zip(labels) {
             let h = encoder.encode(f)?;
             trainer.observe(&h, y)?;
@@ -250,10 +205,10 @@ impl OnlineTrainer {
 /// bit-identical too (pinned by `tests/online_differential.rs`).
 ///
 /// Because no training samples are stored, the sample-dependent fit
-/// stages (compressed retraining, validation splits, adaptive group
-/// shrinking) cannot run; the trainer's config is normalized to disable
-/// them, and a batch fit under the same normalized config runs the
-/// exact same pipeline tail.
+/// stages (compressed retraining, and the validation split with its
+/// adaptive group shrinking) cannot run; the trainer's config is
+/// normalized to disable them, and a batch fit under the same normalized
+/// config runs the exact same pipeline tail.
 ///
 /// [`merge`]: StreamingTrainer::merge
 /// [`materialize`]: StreamingTrainer::materialize
@@ -269,8 +224,8 @@ impl StreamingTrainer {
     ///
     /// Only `config.compression`, `config.kernel`, and `config.seed` are
     /// consumed (the encoder is already built); the sample-dependent
-    /// knobs (`retrain_epochs`, `validation_fraction`,
-    /// `adaptive_grouping`) are forced off — see the type docs.
+    /// knobs (`retrain_epochs`, `validation_fraction`) are forced off —
+    /// see the type docs.
     ///
     /// # Errors
     ///
@@ -279,7 +234,6 @@ impl StreamingTrainer {
         let mut config = config;
         config.retrain_epochs = 0;
         config.validation_fraction = 0.0;
-        config.adaptive_grouping = false;
         let trainer = CounterTrainer::new(&encoder, n_classes)?;
         Ok(Self {
             encoder,
@@ -401,7 +355,7 @@ impl StreamingTrainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdc::levels::{LevelMemory, LevelScheme};
+    use hdc::levels::LevelMemory;
     use hdc::quantize::{Quantization, Quantizer};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -413,7 +367,7 @@ mod tests {
 
     fn encoder(n: usize, q: usize, dim: usize, seed: u64) -> LookupEncoder {
         let mut rng = StdRng::seed_from_u64(seed);
-        let levels = LevelMemory::generate(dim, q, LevelScheme::RandomFlips, &mut rng).unwrap();
+        let levels = LevelMemory::generate(dim, q, &mut rng).unwrap();
         let samples: Vec<f64> = (0..1000).map(|i| i as f64 / 1000.0).collect();
         let quantizer = Quantizer::fit(Quantization::Equalized, &samples, q).unwrap();
         let layout = ChunkLayout::new(n, 5, q).unwrap();
@@ -461,7 +415,7 @@ mod tests {
             let (xs, ys) = hard_dataset(40, 60, 2 + 2 * seed);
             let (txs, tys) = hard_dataset(40, 20, 3 + 2 * seed);
             let bundled = CounterTrainer::fit(&enc, &xs, &ys, 3).unwrap();
-            let online = OnlineTrainer::fit(&enc, &xs, &ys, 3, OnlineConfig::new()).unwrap();
+            let online = OnlineTrainer::fit(&enc, &xs, &ys, 3).unwrap();
             sum_bundled += accuracy(&bundled, &enc, &txs, &tys);
             sum_online += accuracy(&online, &enc, &txs, &tys);
         }
@@ -477,7 +431,7 @@ mod tests {
     fn online_model_learns_at_all() {
         let enc = encoder(40, 4, 1024, 4);
         let (xs, ys) = hard_dataset(40, 40, 5);
-        let model = OnlineTrainer::fit(&enc, &xs, &ys, 3, OnlineConfig::new()).unwrap();
+        let model = OnlineTrainer::fit(&enc, &xs, &ys, 3).unwrap();
         let acc = accuracy(&model, &enc, &xs, &ys);
         assert!(acc > 0.6, "train accuracy too low: {acc}");
     }
@@ -486,13 +440,13 @@ mod tests {
     fn incremental_observe_matches_fit() {
         let enc = encoder(20, 2, 512, 6);
         let (xs, ys) = hard_dataset(20, 10, 7);
-        let mut t = OnlineTrainer::new(3, 512, OnlineConfig::new()).unwrap();
+        let mut t = OnlineTrainer::new(3, 512).unwrap();
         for (x, &y) in xs.iter().zip(&ys) {
             t.observe(&enc.encode(x).unwrap(), y).unwrap();
         }
         assert_eq!(t.samples_seen(), xs.len());
         let a = t.finalize().unwrap();
-        let b = OnlineTrainer::fit(&enc, &xs, &ys, 3, OnlineConfig::new()).unwrap();
+        let b = OnlineTrainer::fit(&enc, &xs, &ys, 3).unwrap();
         for c in 0..3 {
             assert_eq!(a.class(c), b.class(c));
         }
@@ -503,7 +457,7 @@ mod tests {
         let enc = encoder(20, 2, 512, 8);
         let x = vec![0.5; 20];
         let h = enc.encode(&x).unwrap();
-        let mut t = OnlineTrainer::new(2, 512, OnlineConfig::new()).unwrap();
+        let mut t = OnlineTrainer::new(2, 512).unwrap();
         t.observe(&h, 0).unwrap();
         let after_first = t.classes[0].clone();
         t.observe(&h, 0).unwrap();
@@ -521,25 +475,13 @@ mod tests {
 
     #[test]
     fn validates_configuration_and_inputs() {
-        assert!(OnlineTrainer::new(0, 10, OnlineConfig::new()).is_err());
-        assert!(OnlineTrainer::new(2, 0, OnlineConfig::new()).is_err());
-        assert!(OnlineTrainer::new(2, 10, OnlineConfig::new().with_learning_rate(0.0)).is_err());
-        assert!(OnlineTrainer::new(2, 10, OnlineConfig::new().with_output_scale(-1.0)).is_err());
-        let mut t = OnlineTrainer::new(2, 10, OnlineConfig::new()).unwrap();
+        assert!(OnlineTrainer::new(0, 10).is_err());
+        assert!(OnlineTrainer::new(2, 0).is_err());
+        let mut t = OnlineTrainer::new(2, 10).unwrap();
         assert!(t.observe(&DenseHv::zeros(5), 0).is_err());
         assert!(t.observe(&DenseHv::zeros(10), 7).is_err());
         assert!(t.finalize().is_err());
         let enc = encoder(20, 2, 128, 9);
-        assert!(OnlineTrainer::fit(&enc, &[], &[], 2, OnlineConfig::new()).is_err());
-    }
-
-    #[test]
-    fn config_builder_round_trips() {
-        let c = OnlineConfig::new()
-            .with_learning_rate(0.5)
-            .with_output_scale(128.0);
-        assert_eq!(c.learning_rate, 0.5);
-        assert_eq!(c.output_scale, 128.0);
-        assert_eq!(OnlineConfig::default(), OnlineConfig::new());
+        assert!(OnlineTrainer::fit(&enc, &[], &[], 2).is_err());
     }
 }

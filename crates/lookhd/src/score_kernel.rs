@@ -264,7 +264,7 @@ pub fn build_kernel(
 mod tests {
     use super::*;
     use hdc::hv::DenseHv;
-    use hdc::levels::{LevelMemory, LevelScheme};
+    use hdc::levels::LevelMemory;
     use hdc::model::ClassModel;
     use hdc::quantize::{Quantization, Quantizer};
     use rand::rngs::StdRng;
@@ -286,7 +286,7 @@ mod tests {
         seed: u64,
     ) -> (LookupEncoder, CompressedModel) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let levels = LevelMemory::generate(dim, q, LevelScheme::RandomFlips, &mut rng).unwrap();
+        let levels = LevelMemory::generate(dim, q, &mut rng).unwrap();
         let samples: Vec<f64> = (0..500).map(|i| i as f64 / 500.0).collect();
         let quantizer = Quantizer::fit(Quantization::Equalized, &samples, q).unwrap();
         let layout = ChunkLayout::new(n, r, q).unwrap();
@@ -358,7 +358,7 @@ mod tests {
     #[test]
     fn explicit_lut_rejects_whitened_models() {
         let mut rng = StdRng::seed_from_u64(3);
-        let levels = LevelMemory::generate(64, 4, LevelScheme::RandomFlips, &mut rng).unwrap();
+        let levels = LevelMemory::generate(64, 4, &mut rng).unwrap();
         let samples: Vec<f64> = (0..100).map(|i| i as f64 / 100.0).collect();
         let quantizer = Quantizer::fit(Quantization::Equalized, &samples, 4).unwrap();
         let layout = ChunkLayout::new(10, 5, 4).unwrap();

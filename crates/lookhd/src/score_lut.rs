@@ -110,7 +110,7 @@ impl ScoreLut {
     /// # Errors
     ///
     /// Returns [`HdcError::InvalidConfig`] when the model is ineligible —
-    /// whitening directions present (decorrelation breaks integer
+    /// a whitening direction present (decorrelation breaks integer
     /// exactness), the table would exceed `budget_bytes` or
     /// [`MAX_SERIAL_SCORE_ENTRIES`], or the worst-case score violates
     /// [`MAX_EXACT_SCORE`] — and [`HdcError::DimensionMismatch`] when the
@@ -519,7 +519,7 @@ mod tests {
     use super::*;
     use hdc::encoding::Encode;
     use hdc::hv::DenseHv;
-    use hdc::levels::{LevelMemory, LevelScheme};
+    use hdc::levels::LevelMemory;
     use hdc::model::ClassModel;
     use hdc::quantize::{Quantization, Quantizer};
     use rand::rngs::StdRng;
@@ -539,7 +539,7 @@ mod tests {
         seed: u64,
     ) -> (LookupEncoder, CompressedModel) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let levels = LevelMemory::generate(dim, q, LevelScheme::RandomFlips, &mut rng).unwrap();
+        let levels = LevelMemory::generate(dim, q, &mut rng).unwrap();
         let samples: Vec<f64> = (0..500).map(|i| i as f64 / 500.0).collect();
         let quantizer = Quantizer::fit(Quantization::Equalized, &samples, q).unwrap();
         let layout = ChunkLayout::new(n, r, q).unwrap();
@@ -613,7 +613,7 @@ mod tests {
     #[test]
     fn rejects_whitened_models() {
         let mut rng = StdRng::seed_from_u64(11);
-        let levels = LevelMemory::generate(64, 4, LevelScheme::RandomFlips, &mut rng).unwrap();
+        let levels = LevelMemory::generate(64, 4, &mut rng).unwrap();
         let samples: Vec<f64> = (0..100).map(|i| i as f64 / 100.0).collect();
         let quantizer = Quantizer::fit(Quantization::Equalized, &samples, 4).unwrap();
         let layout = ChunkLayout::new(10, 5, 4).unwrap();
@@ -654,21 +654,19 @@ mod tests {
     #[test]
     fn build_rejects_out_of_bound_scores() {
         let mut rng = StdRng::seed_from_u64(17);
-        // Fixed-scale compression rescales each class to L2 norm `s`, so a
-        // constant class lands at s/√D per dim and the worst-case score is
-        // √D·s·n. With D=1024, s=i32::MAX, n=2^17 that is ≈ 2^53 > 2^52.
+        // Average-norm scaling leaves the one nonzero class at its own
+        // norm, so |C| = 2^26 per dim and the worst-case score is
+        // D·2^26·n. With D=1024 and n=2^17 that is 2^53 > 2^52.
         let dim = 1024;
         let n = 1 << 17;
-        let levels = LevelMemory::generate(dim, 2, LevelScheme::RandomFlips, &mut rng).unwrap();
+        let levels = LevelMemory::generate(dim, 2, &mut rng).unwrap();
         let quantizer = Quantizer::fit(Quantization::Linear, &[0.0, 1.0], 2).unwrap();
         let layout = ChunkLayout::new(n, 8, 2).unwrap();
         let encoder =
             LookupEncoder::new(layout, &levels, quantizer, TableMode::OnTheFly, 17).unwrap();
-        let classes = vec![DenseHv::from_vec(vec![1; dim]), DenseHv::zeros(dim)];
+        let classes = vec![DenseHv::from_vec(vec![1 << 26; dim]), DenseHv::zeros(dim)];
         let model = ClassModel::from_classes(classes).unwrap();
-        let config = CompressionConfig::new()
-            .with_decorrelate(false)
-            .with_scale(i32::MAX);
+        let config = CompressionConfig::new().with_decorrelate(false);
         let compressed = CompressedModel::compress(&model, &config).unwrap();
         let err = ScoreLut::build(&encoder, &compressed, usize::MAX).unwrap_err();
         assert!(err.to_string().contains("2^52"), "{err}");

@@ -219,7 +219,7 @@ impl CounterTrainer {
 mod tests {
     use super::*;
     use hdc::encoding::Encode;
-    use hdc::levels::{LevelMemory, LevelScheme};
+    use hdc::levels::LevelMemory;
     use hdc::quantize::{Quantization, Quantizer};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -229,7 +229,7 @@ mod tests {
 
     fn encoder(n: usize, r: usize, q: usize, dim: usize, seed: u64) -> LookupEncoder {
         let mut rng = StdRng::seed_from_u64(seed);
-        let levels = LevelMemory::generate(dim, q, LevelScheme::RandomFlips, &mut rng).unwrap();
+        let levels = LevelMemory::generate(dim, q, &mut rng).unwrap();
         let samples: Vec<f64> = (0..1000).map(|i| i as f64 / 1000.0).collect();
         let quantizer = Quantizer::fit(Quantization::Equalized, &samples, q).unwrap();
         let layout = ChunkLayout::new(n, r, q).unwrap();
@@ -268,7 +268,7 @@ mod tests {
     #[test]
     fn equivalence_holds_for_on_the_fly_tables() {
         let mut rng = StdRng::seed_from_u64(3);
-        let levels = LevelMemory::generate(128, 4, LevelScheme::RandomFlips, &mut rng).unwrap();
+        let levels = LevelMemory::generate(128, 4, &mut rng).unwrap();
         let q = Quantizer::fit(Quantization::Linear, &[0.0, 0.5, 1.0], 4).unwrap();
         let layout = ChunkLayout::new(11, 5, 4).unwrap();
         let enc = LookupEncoder::new(layout, &levels, q, TableMode::OnTheFly, 7).unwrap();

@@ -62,7 +62,6 @@
 //!
 //! [`Snapshot::to_json`] renders the deterministic JSON document written
 //! by the CLI's `--metrics` flag (schema documented on the method);
-//! [`Snapshot::to_pretty`] renders an aligned text table for humans;
 //! [`Snapshot::to_prometheus`] renders Prometheus text exposition with
 //! real labels and OpenMetrics exemplars for live scraping (the serve
 //! admin endpoint).
@@ -867,18 +866,6 @@ pub struct CounterStats {
     pub w60: u64,
 }
 
-impl CounterStats {
-    /// Mean additions per second over the short window.
-    pub fn rate10(&self) -> f64 {
-        self.w10 as f64 / WINDOW_SHORT_SECS as f64
-    }
-
-    /// Mean additions per second over the long window.
-    pub fn rate60(&self) -> f64 {
-        self.w60 as f64 / WINDOW_LONG_SECS as f64
-    }
-}
-
 /// A point-in-time copy of a registry: spans and counters, sorted by
 /// (name, labels).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -1056,60 +1043,6 @@ impl Snapshot {
         out
     }
 
-    /// Renders an aligned human-readable table, spans sorted by total
-    /// time descending.
-    pub fn to_pretty(&self) -> String {
-        let mut spans: Vec<&SpanStats> = self.spans.iter().collect();
-        spans.sort_by(|a, b| {
-            b.total
-                .cmp(&a.total)
-                .then_with(|| (&a.path, &a.labels).cmp(&(&b.path, &b.labels)))
-        });
-        let span_names: Vec<String> = spans
-            .iter()
-            .map(|s| display_key(&s.path, &s.labels))
-            .collect();
-        let counter_names: Vec<String> = self
-            .counters
-            .iter()
-            .map(|c| display_key(&c.name, &c.labels))
-            .collect();
-        let width = span_names
-            .iter()
-            .chain(counter_names.iter())
-            .map(String::len)
-            .max()
-            .unwrap_or(0)
-            .max(4);
-        let mut out = String::new();
-        out.push_str("spans (by total time):\n");
-        if spans.is_empty() {
-            out.push_str("  (none)\n");
-        }
-        for (s, name) in spans.iter().zip(&span_names) {
-            let _ = writeln!(
-                out,
-                "  {:width$}  {:>8}x  total {:>10}  mean {:>10}  p50 {:>10}  p99 {:>10}  max {:>10}  10s {:>7.1}/s",
-                name,
-                s.count,
-                fmt_duration(s.total),
-                fmt_duration(s.mean()),
-                fmt_duration(Duration::from_nanos(s.quantile_ns(0.50))),
-                fmt_duration(Duration::from_nanos(s.quantile_ns(0.99))),
-                fmt_duration(s.max),
-                s.w10.rate_per_sec(),
-            );
-        }
-        out.push_str("counters:\n");
-        if self.counters.is_empty() {
-            out.push_str("  (none)\n");
-        }
-        for (c, name) in self.counters.iter().zip(&counter_names) {
-            let _ = writeln!(out, "  {name:width$}  {}", c.value);
-        }
-        out
-    }
-
     /// Renders the snapshot in the Prometheus text exposition format
     /// (format version 0.0.4) with OpenMetrics-style exemplars, for
     /// live scraping.
@@ -1200,24 +1133,6 @@ impl Snapshot {
     }
 }
 
-/// `name{k="v"}` display form for the pretty table.
-fn display_key(name: &str, labels: &[(String, String)]) -> String {
-    if labels.is_empty() {
-        return name.to_owned();
-    }
-    let mut out = String::with_capacity(name.len() + 16 * labels.len());
-    out.push_str(name);
-    out.push('{');
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{k}=\"{v}\"");
-    }
-    out.push('}');
-    out
-}
-
 /// Renders a label set as a JSON object with sorted keys.
 fn json_labels(labels: &[(String, String)]) -> String {
     let mut out = String::with_capacity(2 + 16 * labels.len());
@@ -1260,20 +1175,6 @@ fn prometheus_sanitize(name: &str) -> String {
     name.chars()
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
         .collect()
-}
-
-/// Formats a duration compactly (ns/µs/ms/s with 1 decimal).
-fn fmt_duration(d: Duration) -> String {
-    let ns = d.as_nanos();
-    if ns < 1_000 {
-        format!("{ns}ns")
-    } else if ns < 1_000_000 {
-        format!("{:.1}us", ns as f64 / 1e3)
-    } else if ns < 1_000_000_000 {
-        format!("{:.1}ms", ns as f64 / 1e6)
-    } else {
-        format!("{:.2}s", ns as f64 / 1e9)
-    }
 }
 
 /// Escapes and quotes a string for JSON output.
@@ -1602,26 +1503,8 @@ mod tests {
     }
 
     #[test]
-    fn pretty_output_sorts_by_total_time() {
-        let r = Registry::new();
-        r.set_enabled(true);
-        r.record_span("small", Duration::from_micros(1));
-        r.record_span("big", Duration::from_millis(5));
-        r.add("n", 3);
-        let id = r.intern_counter("tagged", &[("worker", "1")]);
-        r.add_id(id, 9);
-        let text = r.snapshot().to_pretty();
-        let big = text.find("big").expect("big span listed");
-        let small = text.find("small").expect("small span listed");
-        assert!(big < small, "{text}");
-        assert!(text.contains("counters:"));
-        assert!(text.contains("tagged{worker=\"1\"}"), "{text}");
-    }
-
-    #[test]
     fn empty_snapshot_renders() {
         let snap = Registry::new().snapshot();
-        assert!(snap.to_pretty().contains("(none)"));
         assert!(snap.to_json().contains("\"version\": 3"));
         assert!(snap.to_prometheus().is_empty());
     }
@@ -1822,13 +1705,5 @@ mod tests {
                 .count(),
             1
         );
-    }
-
-    #[test]
-    fn durations_format_human_readably() {
-        assert_eq!(fmt_duration(Duration::from_nanos(12)), "12ns");
-        assert_eq!(fmt_duration(Duration::from_micros(12)), "12.0us");
-        assert_eq!(fmt_duration(Duration::from_millis(12)), "12.0ms");
-        assert_eq!(fmt_duration(Duration::from_secs(2)), "2.00s");
     }
 }

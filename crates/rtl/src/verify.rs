@@ -145,7 +145,7 @@ pub fn verify_search_datapath(
     query: &DenseHv,
     plan: &WidthPlan,
 ) -> Result<SearchVerification> {
-    if model.config().decorrelate {
+    if model.compression_config().decorrelate {
         return Err(HdcError::invalid_config(
             "decorrelate",
             "the integer search datapath verifies non-decorrelated models only",
@@ -159,7 +159,7 @@ pub fn verify_search_datapath(
     // per combined vector, exactly as in Fig. 11.
     let mut hw_scores = vec![0i64; k];
     let mut overflows = 0u64;
-    let group_of = |label: usize| label / model.config().max_classes_per_vector;
+    let group_of = |label: usize| label / model.compression_config().max_classes_per_vector;
     for g in 0..model.n_vectors() {
         let members: Vec<usize> = (0..k).filter(|&label| group_of(label) == g).collect();
         let mut unit = SearchUnit::new(members.len(), plan.search_accumulator);
@@ -203,7 +203,7 @@ pub fn verify_search_datapath(
 mod tests {
     use super::*;
     use crate::fixed::Width;
-    use hdc::levels::{LevelMemory, LevelScheme};
+    use hdc::levels::LevelMemory;
     use hdc::quantize::{Quantization, Quantizer};
     use lookhd::chunking::ChunkLayout;
     use lookhd::lut::TableMode;
@@ -221,7 +221,7 @@ mod tests {
         seed: u64,
     ) -> (LookupEncoder, Vec<Vec<f64>>, Vec<usize>) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let levels = LevelMemory::generate(d, q, LevelScheme::RandomFlips, &mut rng).unwrap();
+        let levels = LevelMemory::generate(d, q, &mut rng).unwrap();
         let values: Vec<f64> = (0..100).map(|i| i as f64 / 100.0).collect();
         let quantizer = Quantizer::fit(Quantization::Equalized, &values, q).unwrap();
         let layout = ChunkLayout::new(n, r, q).unwrap();
@@ -311,7 +311,7 @@ mod tests {
         // 8^8 = 16.7M rows per chunk: over the emulation cap (the software
         // side handles it via the on-the-fly table mode).
         let mut rng = StdRng::seed_from_u64(6);
-        let levels = LevelMemory::generate(32, 8, LevelScheme::RandomFlips, &mut rng).unwrap();
+        let levels = LevelMemory::generate(32, 8, &mut rng).unwrap();
         let values: Vec<f64> = (0..100).map(|i| i as f64 / 100.0).collect();
         let quantizer = Quantizer::fit(Quantization::Equalized, &values, 8).unwrap();
         let layout = ChunkLayout::new(24, 8, 8).unwrap();

@@ -587,12 +587,6 @@ impl ServerHandle {
         self.inner.trigger_shutdown();
     }
 
-    /// Whether a shutdown has been triggered (locally or by a
-    /// [`Request::Shutdown`] frame).
-    pub fn is_shutting_down(&self) -> bool {
-        self.inner.shutdown.load(Ordering::SeqCst)
-    }
-
     /// The version currently being served (`1` until the first swap).
     pub fn model_version(&self) -> u64 {
         self.inner.model.version()

@@ -12,7 +12,7 @@ use lookhd_paper::datasets::synthetic::GeneratorConfig;
 use lookhd_paper::hdc::encoding::Encode;
 use lookhd_paper::hdc::HdcError;
 use lookhd_paper::hdc::{Classifier, FitClassifier};
-use lookhd_paper::lookhd::online::{OnlineConfig, OnlineTrainer};
+use lookhd_paper::lookhd::online::OnlineTrainer;
 use lookhd_paper::lookhd::{LookHdClassifier, LookHdConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,7 +38,7 @@ fn main() -> Result<(), HdcError> {
         &train_ys,
     )?;
     let encoder = scaffold.encoder();
-    let mut adaptive = OnlineTrainer::new(4, 1024, OnlineConfig::new())?;
+    let mut adaptive = OnlineTrainer::new(4, 1024)?;
     for (x, &y) in train_xs.iter().zip(&train_ys) {
         adaptive.observe(&encoder.encode(x)?, y)?;
     }

@@ -12,7 +12,7 @@ use lookhd_paper::datasets::apps::App;
 use lookhd_paper::hdc::encoding::Encode;
 use lookhd_paper::hdc::FitClassifier;
 use lookhd_paper::hdc::HdcError;
-use lookhd_paper::lookhd::online::{OnlineConfig, OnlineTrainer};
+use lookhd_paper::lookhd::online::OnlineTrainer;
 use lookhd_paper::lookhd::{CompressedModel, CompressionConfig, LookHdClassifier, LookHdConfig};
 
 fn main() -> Result<(), HdcError> {
@@ -35,7 +35,7 @@ fn main() -> Result<(), HdcError> {
     )?;
     let encoder = scaffold.encoder();
 
-    let mut trainer = OnlineTrainer::new(profile.n_classes, dim, OnlineConfig::new())?;
+    let mut trainer = OnlineTrainer::new(profile.n_classes, dim)?;
     let checkpoint_every = (data.train.len() / 6).max(1);
     println!("streaming {} samples, one pass:\n", data.train.len());
     for (i, (x, &y)) in data

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, the full test suite, the persistence
-# and wire-protocol corruption sweeps, a CLI metrics smoke test, an
-# end-to-end serve + loadgen smoke test (admin telemetry endpoint, trace
-# export, perf-trajectory files), an online-training hot-swap smoke
-# test, and the observability overhead budget.
+# and wire-protocol corruption sweeps, a CLI metrics smoke test, byte
+# pins on the smoke artifacts, an end-to-end serve + loadgen smoke test
+# (admin telemetry endpoint, trace export, perf-trajectory files), an
+# online-training hot-swap smoke test, and the observability overhead
+# budget.
 # Usage: scripts/ci.sh            (set LOOKHD_SOAK=1 for a 10k-conn soak)
 set -eu
 cd "$(dirname "$0")/.."
@@ -79,6 +80,31 @@ assert "kernel.lut.queries" in counters, counters
 assert "score_lut.queries" not in counters, counters
 print(f"metrics OK: {len(paths)} spans, {len(counters)} counters")
 EOF
+
+echo "== smoke artifact byte pins"
+# Training is deterministic, so both smoke models have fixed bytes: the
+# --kernel auto artifact above (score-LUT section) and the default
+# config (decorrelated, dense). --threads and --metrics do not change
+# them. A mismatch means training, compression or the LKS1/LKC1 format
+# changed the model.
+cargo run --release -q -p lookhd-cli -- train \
+    --data "$smoke_dir/train.csv" --out "$smoke_dir/model_dense.lks" \
+    --dim 512 --epochs 2
+check_pin() {
+    got="$(sha256sum "$1" | cut -d' ' -f1)"
+    if [ "$got" != "$2" ]; then
+        echo "smoke artifact pin mismatch ($3): sha256 $got, pinned $2"
+        echo "If the change to the model is intended, update the pin in"
+        echo "scripts/ci.sh and explain the numeric change in CHANGES.md."
+        exit 1
+    fi
+}
+check_pin "$smoke_dir/model.lks" \
+    ceb5ab11a9c9ee9cf40e0bee23e2c7c78b59c28d66ceffea4bbc9ac26d8f6ec7 \
+    "train --dim 512 --epochs 2 --kernel auto"
+check_pin "$smoke_dir/model_dense.lks" \
+    b060fbad80e3b9c6260593752bd6f0d390fbdc848ece201cef44cef04f53a20a \
+    "train --dim 512 --epochs 2"
 
 echo "== kernel CLI smoke test"
 # The --kernel auto artifact above carries the score-LUT ...

@@ -146,12 +146,13 @@ fn compressed_model_is_smaller_for_every_app() {
             profile.name,
             profile.n_classes
         );
-        // With adaptive grouping disabled, the paper's fixed ⌈k/12⌉ holds.
+        // Without a validation split (so no adaptive grouping), the
+        // paper's fixed ⌈k/12⌉ holds.
         let fixed = LookHdClassifier::fit(
             &LookHdConfig::new()
                 .with_dim(256)
                 .with_retrain_epochs(0)
-                .with_adaptive_grouping(false),
+                .with_validation_fraction(0.0),
             &data.train.features,
             &data.train.labels,
         )

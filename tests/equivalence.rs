@@ -2,7 +2,7 @@
 
 use lookhd_paper::datasets::apps::App;
 use lookhd_paper::hdc::encoding::Encode;
-use lookhd_paper::hdc::levels::{LevelMemory, LevelScheme};
+use lookhd_paper::hdc::levels::LevelMemory;
 use lookhd_paper::hdc::quantize::{Quantization, Quantizer};
 use lookhd_paper::hdc::train::initial_fit;
 use lookhd_paper::lookhd::chunking::ChunkLayout;
@@ -19,8 +19,7 @@ fn counter_training_equals_bundling_on_app_data() {
     let profile = App::Physical.profile();
     let data = profile.generate_small(21);
     let mut rng = StdRng::seed_from_u64(7);
-    let levels = LevelMemory::generate(512, 2, LevelScheme::RandomFlips, &mut rng)
-        .expect("level generation failed");
+    let levels = LevelMemory::generate(512, 2, &mut rng).expect("level generation failed");
     let quantizer = Quantizer::fit(Quantization::Equalized, &data.train_values(), 2)
         .expect("quantizer fit failed");
     let layout = ChunkLayout::new(profile.n_features, 5, 2).expect("layout failed");
@@ -57,8 +56,7 @@ fn table_modes_agree_across_dataset() {
     let profile = App::Physical.profile();
     let data = profile.generate_small(22);
     let mut rng = StdRng::seed_from_u64(8);
-    let levels = LevelMemory::generate(256, 4, LevelScheme::RandomFlips, &mut rng)
-        .expect("level generation failed");
+    let levels = LevelMemory::generate(256, 4, &mut rng).expect("level generation failed");
     let quantizer = Quantizer::fit(Quantization::Equalized, &data.train_values(), 4)
         .expect("quantizer fit failed");
     let layout = ChunkLayout::new(profile.n_features, 5, 4).expect("layout failed");
@@ -91,8 +89,7 @@ fn chunk_size_extremes_are_valid() {
     // q = 2 ⇒ 1 bit per codebook ⇒ r ≤ 48.
     for r in [1usize, profile.n_features.min(48)] {
         let mut rng = StdRng::seed_from_u64(10);
-        let levels = LevelMemory::generate(128, 2, LevelScheme::RandomFlips, &mut rng)
-            .expect("level generation failed");
+        let levels = LevelMemory::generate(128, 2, &mut rng).expect("level generation failed");
         let quantizer = Quantizer::fit(Quantization::Equalized, &data.train_values(), 2)
             .expect("quantizer fit failed");
         let layout = ChunkLayout::new(profile.n_features, r, 2).expect("layout failed");

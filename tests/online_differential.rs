@@ -7,7 +7,7 @@
 //! so counter accumulation is associative and commutative, and
 //! `materialize` runs the exact pipeline tail batch `fit` runs once its
 //! sample-dependent stages are disabled (`retrain_epochs = 0`,
-//! `validation_fraction = 0`, `adaptive_grouping = false`):
+//! `validation_fraction = 0`):
 //! finalize → refresh norms → compress → kernel build, all
 //! deterministic given the encoder and seed. These tests pin that
 //! argument at three layers: the raw chunk counters (`PartialEq`), the
@@ -56,7 +56,6 @@ fn normalized_config(kernel: KernelSpec) -> LookHdConfig {
         .with_dim(256)
         .with_retrain_epochs(0)
         .with_validation_fraction(0.0)
-        .with_adaptive_grouping(false)
         .with_compression(CompressionConfig::new().with_decorrelate(decorrelate))
         .with_kernel(kernel)
 }
@@ -168,7 +167,6 @@ fn refresh_rebuilds_a_lut_larger_than_the_default_budget() {
         .with_r(10)
         .with_retrain_epochs(0)
         .with_validation_fraction(0.0)
-        .with_adaptive_grouping(false)
         .with_compression(CompressionConfig::new().with_decorrelate(false))
         .with_kernel(KernelSpec::lut().with_budget_bytes(128 << 20));
     let reference = LookHdClassifier::fit(&config, &xs, &ys).expect("batch fit failed");

@@ -164,6 +164,79 @@ fn retired_kernel_tag_2_is_rejected_at_load() {
     }
 }
 
+/// LKC1 and LKS1 keep the bytes of retired configuration fields: writers
+/// emit `decorrelate_rounds = 1`, scale tag 0 (average-norm) with value 0,
+/// at most one whitening direction, and level-scheme tag 0. A stream
+/// carrying any other value is rejected at load with an error naming the
+/// field, instead of loading under a pipeline that no longer exists.
+#[test]
+fn retired_config_values_are_rejected_at_load() {
+    let (clf, _) = tiny_classifier();
+    let compressed = clf.compressed();
+    assert_eq!(compressed.n_directions(), 1, "default config decorrelates");
+    let lkc1 = compressed.to_bytes().expect("serialization failed");
+    let rejects = |bytes: &[u8], field: &str| {
+        let err = CompressedModel::from_bytes(bytes).expect_err("retired value loaded");
+        assert!(err.to_string().contains(field), "{field}: {err}");
+    };
+    // LKC1 header: magic, dim u32, max_classes_per_vector u32, decorrelate
+    // u8, decorrelate_rounds u32 at 13, scale tag u8 at 17, scale value
+    // i32 at 18.
+    assert_eq!(&lkc1[13..22], &[1, 0, 0, 0, 0, 0, 0, 0, 0]);
+    let mut rounds = lkc1.clone();
+    rounds[13..17].copy_from_slice(&2u32.to_le_bytes());
+    rejects(&rounds, "decorrelate_rounds");
+    let mut scale = lkc1.clone();
+    scale[17] = 1;
+    rejects(&scale, "scale");
+    // The stream ends with the direction count and the direction; a second
+    // copy of the (valid, unit-norm) direction makes two.
+    let dir_at = lkc1.len() - compressed.dim() * 8;
+    let mut two = lkc1[..dir_at - 4].to_vec();
+    two.extend_from_slice(&2u32.to_le_bytes());
+    two.extend_from_slice(&lkc1[dir_at..]);
+    two.extend_from_slice(&lkc1[dir_at..]);
+    rejects(&two, "n_directions");
+    // LKS1 header: magic, dim, q, r, n_features (u32 each), quantization
+    // tag at 20, level-scheme tag at 21.
+    let mut lks1 = clf.to_bytes().expect("serialization failed");
+    assert_eq!(lks1[21], 0);
+    lks1[21] = 1;
+    let err = LookHdClassifier::from_bytes(&lks1).expect_err("level-scheme tag 1 loaded");
+    assert!(err.to_string().contains("level_scheme"), "{err}");
+}
+
+/// A whitening direction entry that is NaN, ±inf or huge is rejected at
+/// load. Such a model used to load: with NaN every whitened score was NaN,
+/// so it predicted class 0 for every query.
+#[test]
+fn hostile_whitening_direction_values_are_rejected_at_load() {
+    let (clf, _) = tiny_classifier();
+    let dim = clf.compressed().dim();
+    let lkc1 = clf.compressed().to_bytes().expect("serialization failed");
+    let lks1 = clf.to_bytes().expect("serialization failed");
+    // LKC1 ends with the direction; a dense LKS1 ends with the LKC1
+    // section followed by kernel tag 0.
+    let lkc1_entry = lkc1.len() - dim * 8;
+    let lks1_entry = lks1.len() - 1 - dim * 8;
+    for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300] {
+        let mut bad = lkc1.clone();
+        bad[lkc1_entry..lkc1_entry + 8].copy_from_slice(&value.to_le_bytes());
+        let err = CompressedModel::from_bytes(&bad).expect_err("hostile direction loaded");
+        assert!(
+            err.to_string().contains("whitening direction"),
+            "{value}: {err}"
+        );
+        let mut bad = lks1.clone();
+        bad[lks1_entry..lks1_entry + 8].copy_from_slice(&value.to_le_bytes());
+        let err = LookHdClassifier::from_bytes(&bad).expect_err("hostile direction loaded");
+        assert!(
+            err.to_string().contains("whitening direction"),
+            "{value}: {err}"
+        );
+    }
+}
+
 #[test]
 fn hdc1_model_sweep_never_panics() {
     let (clf, _) = tiny_classifier();

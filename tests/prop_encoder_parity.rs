@@ -11,7 +11,7 @@
 use lookhd_paper::datasets::apps::App;
 use lookhd_paper::hdc::encoding::Encode;
 use lookhd_paper::hdc::hv::DenseHv;
-use lookhd_paper::hdc::levels::{LevelMemory, LevelScheme};
+use lookhd_paper::hdc::levels::LevelMemory;
 use lookhd_paper::hdc::quantize::{Quantization, Quantizer};
 use lookhd_paper::lookhd::chunking::ChunkLayout;
 use lookhd_paper::lookhd::encoder::LookupEncoder;
@@ -40,7 +40,7 @@ proptest! {
         let layout = ChunkLayout::new(n, r, q).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
         let levels =
-            LevelMemory::generate(dim, q, LevelScheme::RandomFlips, &mut rng).unwrap();
+            LevelMemory::generate(dim, q, &mut rng).unwrap();
         let kind = if quant_linear {
             Quantization::Linear
         } else {
@@ -92,7 +92,7 @@ proptest! {
         prop_assert_eq!(layout.chunk_len(layout.n_chunks() - 1), tail);
         let mut rng = StdRng::seed_from_u64(seed);
         let levels =
-            LevelMemory::generate(128, q, LevelScheme::RandomFlips, &mut rng).unwrap();
+            LevelMemory::generate(128, q, &mut rng).unwrap();
         let samples: Vec<f64> = (0..100).map(|i| i as f64 / 100.0).collect();
         let quantizer = Quantizer::fit(Quantization::Equalized, &samples, q).unwrap();
         let materialized = LookupEncoder::new(
@@ -129,7 +129,7 @@ proptest! {
             let layout = ChunkLayout::new(n, 5, q).unwrap();
             let mut rng = StdRng::seed_from_u64(seed);
             let levels =
-                LevelMemory::generate(dim, q, LevelScheme::RandomFlips, &mut rng).unwrap();
+                LevelMemory::generate(dim, q, &mut rng).unwrap();
             let samples: Vec<f64> = (0..200).map(|i| (i as f64 / 50.0) - 2.0).collect();
             let quantizer = Quantizer::fit(Quantization::Equalized, &samples, q).unwrap();
             let features: Vec<f64> = (0..n).map(|_| rng.gen_range(-2.5..2.5)).collect();

@@ -4,7 +4,7 @@
 use lookhd_paper::hdc::cluster::kmeans;
 use lookhd_paper::hdc::hv::{BipolarHv, DenseHv};
 use lookhd_paper::hdc::sequence::NgramEncoder;
-use lookhd_paper::lookhd::online::{OnlineConfig, OnlineTrainer};
+use lookhd_paper::lookhd::online::OnlineTrainer;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,7 +25,7 @@ proptest! {
             .map(|i| (DenseHv::from(&BipolarHv::random(dim, &mut rng)), i % k))
             .collect();
         let run = || -> lookhd_paper::hdc::model::ClassModel {
-            let mut t = OnlineTrainer::new(k, dim, OnlineConfig::new()).unwrap();
+            let mut t = OnlineTrainer::new(k, dim).unwrap();
             for (h, y) in &samples {
                 t.observe(h, *y).unwrap();
             }

@@ -437,8 +437,7 @@ fn online_model() -> lookhd_paper::lookhd::LookHdClassifier {
     let config = lookhd_paper::lookhd::LookHdConfig::new()
         .with_dim(128)
         .with_retrain_epochs(0)
-        .with_validation_fraction(0.0)
-        .with_adaptive_grouping(false);
+        .with_validation_fraction(0.0);
     lookhd_paper::lookhd::LookHdClassifier::fit(&config, &xs, &ys).expect("fit failed")
 }
 

@@ -50,7 +50,6 @@ fn trained() -> LookHdClassifier {
         .with_dim(256)
         .with_retrain_epochs(0)
         .with_validation_fraction(0.0)
-        .with_adaptive_grouping(false)
         .with_compression(CompressionConfig::new().with_decorrelate(false))
         .with_kernel(KernelSpec::lut());
     LookHdClassifier::fit(&config, &xs, &ys).expect("fit failed")
