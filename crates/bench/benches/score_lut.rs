@@ -1,9 +1,16 @@
 //! Criterion microbench: the two exact scoring kernels (dense and
-//! score-LUT) on a Table-I-shaped workload (SPEECH: n = 617 features,
-//! k = 26 classes, q = 4, r = 5, D = 2000).
+//! score-LUT) on the Table-I SPEECH profile (n = 617 features, k = 26
+//! classes, q = 4, r = 5, D = 2000), trained on the profile's generated
+//! train split.
 //!
 //! Both models are trained identically (decorrelation off — the LUT's
 //! eligibility requirement) and predict bit-identically.
+//!
+//! The single-query arms rotate over [`DISTINCT`] distinct test rows,
+//! one per timed call, as served traffic does: a query's table rows are
+//! not still cached from the previous call. The `*_warm_ns` arms re-score
+//! one query, so its rows stay cached; they are the kernel's best case,
+//! not its serving cost.
 //!
 //! Besides the per-function criterion report, the bench self-times the
 //! same operations and writes a schema-versioned perf-trajectory record
@@ -18,44 +25,44 @@ use std::time::Instant;
 
 use hdc::{Classifier, FitClassifier};
 use lookhd::{CompressionConfig, KernelSpec, LookHdClassifier, LookHdConfig};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use lookhd_datasets::apps::App;
 
 const N_FEATURES: usize = 617;
 const N_CLASSES: usize = 26;
+/// Distinct queries the single-query arms rotate over (one per timed
+/// call).
+const DISTINCT: usize = 512;
+/// Queries per batch-arm call.
+const BATCH: usize = 64;
 
-/// A SPEECH-shaped synthetic training set: 26 class prototypes over 617
-/// features with mild jitter.
+/// The SPEECH profile's generated train split and [`DISTINCT`] of its
+/// test rows as queries.
 fn dataset() -> (Vec<Vec<f64>>, Vec<usize>, Vec<Vec<f64>>) {
-    let mut rng = StdRng::seed_from_u64(617);
-    let protos: Vec<Vec<f64>> = (0..N_CLASSES)
-        .map(|_| (0..N_FEATURES).map(|_| rng.gen_range(0.0..1.0)).collect())
-        .collect();
-    let mut xs = Vec::new();
-    let mut ys = Vec::new();
-    for (c, p) in protos.iter().enumerate() {
-        for _ in 0..8 {
-            xs.push(
-                p.iter()
-                    .map(|&v| (v + rng.gen_range(-0.05f64..0.05)).clamp(0.0, 1.0))
-                    .collect(),
-            );
-            ys.push(c);
-        }
+    let data = App::Speech.profile().generate(617);
+    assert_eq!(
+        (data.n_features, data.n_classes),
+        (N_FEATURES, N_CLASSES),
+        "the SPEECH profile changed shape"
+    );
+    assert!(data.test.features.len() >= DISTINCT, "too few test rows");
+    let mut queries = data.test.features;
+    queries.truncate(DISTINCT);
+    (data.train.features, data.train.labels, queries)
+}
+
+/// Hands out the next query of the rotation on every call.
+fn rotating<'q>(queries: &'q [Vec<f64>]) -> impl FnMut() -> &'q [f64] {
+    let mut next = 0;
+    move || {
+        let q: &'q [f64] = &queries[next % queries.len()];
+        next += 1;
+        q
     }
-    let queries = (0..64)
-        .map(|i| {
-            let p = &protos[i % N_CLASSES];
-            p.iter()
-                .map(|&v| (v + rng.gen_range(-0.05f64..0.05)).clamp(0.0, 1.0))
-                .collect()
-        })
-        .collect();
-    (xs, ys, queries)
 }
 
 fn bench_score_lut(c: &mut Criterion) {
     let (xs, ys, queries) = dataset();
+    let batch = &queries[..BATCH];
     // Retraining and validation are inference-irrelevant; keep training
     // cheap so the bench starts quickly.
     let base = LookHdConfig::new()
@@ -84,17 +91,25 @@ fn bench_score_lut(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("score_lut_table1_speech");
     group.sample_size(20);
+    let mut next = rotating(&queries);
     group.bench_function("dense_predict_1", |b| {
+        b.iter(|| dense.predict(black_box(next())).unwrap())
+    });
+    let mut next = rotating(&queries);
+    group.bench_function("lut_predict_1", |b| {
+        b.iter(|| fast.predict(black_box(next())).unwrap())
+    });
+    group.bench_function("dense_predict_1_warm", |b| {
         b.iter(|| dense.predict(black_box(&queries[0])).unwrap())
     });
-    group.bench_function("lut_predict_1", |b| {
+    group.bench_function("lut_predict_1_warm", |b| {
         b.iter(|| fast.predict(black_box(&queries[0])).unwrap())
     });
     group.bench_function("dense_predict_batch_64", |b| {
-        b.iter(|| dense.predict_batch(black_box(&queries)).unwrap())
+        b.iter(|| dense.predict_batch(black_box(batch)).unwrap())
     });
     group.bench_function("lut_predict_batch_64", |b| {
-        b.iter(|| fast.predict_batch(black_box(&queries)).unwrap())
+        b.iter(|| fast.predict_batch(black_box(batch)).unwrap())
     });
     group.finish();
 
@@ -103,7 +118,7 @@ fn bench_score_lut(c: &mut Criterion) {
 
 /// Timed nanosecond samples for one closure: short warm-up, then `n`
 /// wall-clock samples.
-fn sample_ns(n: usize, mut f: impl FnMut()) -> Vec<u64> {
+fn sample_ns(n: usize, f: &mut dyn FnMut()) -> Vec<u64> {
     for _ in 0..(n / 10).max(3) {
         f();
     }
@@ -136,34 +151,46 @@ fn stats_json(mut samples: Vec<u64>) -> String {
 /// perf-trajectory record (separate from criterion's console report,
 /// whose samples are not exposed by the vendored stub).
 fn write_bench_json(dense: &LookHdClassifier, fast: &LookHdClassifier, queries: &[Vec<f64>]) {
-    const SAMPLES: usize = 200;
-    let ops: [(&str, &dyn Fn()); 4] = [
-        ("dense_predict_1_ns", &|| {
+    /// Samples per single-query arm: one distinct query each in the
+    /// rotating arms.
+    const SAMPLES: usize = DISTINCT;
+    let batch = &queries[..BATCH];
+    let mut next_dense = rotating(queries);
+    let mut next_lut = rotating(queries);
+    let mut ops: [(&str, &mut dyn FnMut()); 6] = [
+        ("dense_predict_1_ns", &mut || {
+            dense.predict(black_box(next_dense())).unwrap();
+        }),
+        ("lut_predict_1_ns", &mut || {
+            fast.predict(black_box(next_lut())).unwrap();
+        }),
+        ("dense_predict_1_warm_ns", &mut || {
             dense.predict(black_box(&queries[0])).unwrap();
         }),
-        ("lut_predict_1_ns", &|| {
+        ("lut_predict_1_warm_ns", &mut || {
             fast.predict(black_box(&queries[0])).unwrap();
         }),
-        ("dense_predict_batch_64_ns", &|| {
-            dense.predict_batch(black_box(queries)).unwrap();
+        ("dense_predict_batch_64_ns", &mut || {
+            dense.predict_batch(black_box(batch)).unwrap();
         }),
-        ("lut_predict_batch_64_ns", &|| {
-            fast.predict_batch(black_box(queries)).unwrap();
+        ("lut_predict_batch_64_ns", &mut || {
+            fast.predict_batch(black_box(batch)).unwrap();
         }),
     ];
     let mut results = String::new();
-    for (i, (name, op)) in ops.iter().enumerate() {
+    for (i, (name, op)) in ops.iter_mut().enumerate() {
         if i > 0 {
             results.push_str(",\n    ");
         }
         let n = if name.contains("batch") { 50 } else { SAMPLES };
-        let _ = write!(results, "\"{name}\": {}", stats_json(sample_ns(n, op)));
+        let _ = write!(results, "\"{name}\": {}", stats_json(sample_ns(n, *op)));
     }
     let cores = std::thread::available_parallelism().map_or(0, usize::from);
     let json = format!(
         "{{\n  \"schema_version\": 1,\n  \"bench\": \"score_lut_table1_speech\",\n  \
          \"workload\": {{\"n_features\": {N_FEATURES}, \"n_classes\": {N_CLASSES}, \
-         \"dim\": 2000, \"q\": 4, \"r\": 5, \"batch\": 64, \"samples\": {SAMPLES}}},\n  \
+         \"dim\": 2000, \"q\": 4, \"r\": 5, \"batch\": {BATCH}, \"samples\": {SAMPLES}, \
+         \"distinct_queries\": {DISTINCT}}},\n  \
          \"host\": {{\"cores\": {cores}}},\n  \
          \"kernels\": [\"dense\", \"lut\"],\n  \
          \"results\": {{\n    {results}\n  }}\n}}\n"

@@ -46,7 +46,8 @@
 //! (`request id + 1`) and fails the run if a response echoes the wrong
 //! id — the client half of the end-to-end tracing contract. `--admin`
 //! scrapes the server's live `/metrics.json` after the burst and reports
-//! server-side queue-wait percentiles next to the client-side latency.
+//! the server-side `serve/request` percentiles (decode begin to response
+//! appended) next to the client-side latency.
 //! `--bench-out` additionally writes a schema-versioned machine-readable
 //! summary (schema v3: workload shape, host provenance, and a `runs`
 //! array — one entry per server configuration, each holding a
@@ -578,13 +579,13 @@ fn main() {
 
     // Scrape the live admin endpoint *before* any shutdown frame: the
     // admin listener stops when the server drains.
-    let server_queue_wait: Option<(u64, u64, u64)> = admin_addr.as_deref().map(|admin| {
+    let server_request: Option<(u64, u64, u64)> = admin_addr.as_deref().map(|admin| {
         let doc = lookhd_serve::http_get(admin, "/metrics.json")
             .unwrap_or_else(|e| fail(&format!("scraping {admin}/metrics.json: {e}")));
-        let anchor = "\"path\": \"serve/queue_wait\"";
+        let anchor = "\"path\": \"serve/request\"";
         let get = |field| {
             json_field_u64(&doc, anchor, field)
-                .unwrap_or_else(|| fail(&format!("no {field} for serve/queue_wait in {admin}")))
+                .unwrap_or_else(|| fail(&format!("no {field} for serve/request in {admin}")))
         };
         (get("p50_ns"), get("p95_ns"), get("p99_ns"))
     });
@@ -655,9 +656,10 @@ fn main() {
             "model refresh: acknowledged, now serving version {version}\n"
         ));
     }
-    if let Some((p50, p95, p99)) = server_queue_wait {
+    if let Some((p50, p95, p99)) = server_request {
         report.push_str(&format!(
-            "server queue wait ms (from /metrics.json): p50 {:.3}  p95 {:.3}  p99 {:.3}\n",
+            "server request ms, decode to response appended (from /metrics.json): \
+             p50 {:.3}  p95 {:.3}  p99 {:.3}\n",
             ms(p50),
             ms(p95),
             ms(p99),
@@ -699,9 +701,9 @@ fn main() {
             ));
         }
         run.push_str("    ]");
-        if let Some((p50, p95, p99)) = server_queue_wait {
+        if let Some((p50, p95, p99)) = server_request {
             run.push_str(&format!(
-                ", \"server_queue_wait_ns\": {{\"p50\": {p50}, \"p95\": {p95}, \"p99\": {p99}}}"
+                ", \"server_request_ns\": {{\"p50\": {p50}, \"p95\": {p95}, \"p99\": {p99}}}"
             ));
         }
         run.push_str("}\n");
@@ -782,8 +784,8 @@ mod tests {
     fn json_field_scan_anchors_to_the_right_span() {
         let doc = r#"{"spans": [
             {"path": "serve/decode", "p50_ns": 11, "p95_ns": 12, "p99_ns": 13},
-            {"path": "serve/queue_wait", "p50_ns": 21, "p95_ns": 22, "p99_ns": 23}]}"#;
-        let anchor = "\"path\": \"serve/queue_wait\"";
+            {"path": "serve/request", "p50_ns": 21, "p95_ns": 22, "p99_ns": 23}]}"#;
+        let anchor = "\"path\": \"serve/request\"";
         assert_eq!(json_field_u64(doc, anchor, "p50_ns"), Some(21));
         assert_eq!(json_field_u64(doc, anchor, "p99_ns"), Some(23));
         assert_eq!(

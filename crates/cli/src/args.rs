@@ -19,6 +19,8 @@ pub enum ArgError {
     Malformed(String),
     /// A required flag was missing.
     Missing(&'static str),
+    /// A flag the subcommand does not read.
+    Unknown(String),
     /// A flag's value failed to parse.
     BadValue {
         /// The flag name.
@@ -33,6 +35,7 @@ impl fmt::Display for ArgError {
         match self {
             Self::Malformed(what) => write!(f, "malformed arguments: {what}"),
             Self::Missing(flag) => write!(f, "missing required flag --{flag}"),
+            Self::Unknown(flag) => write!(f, "unknown flag --{flag}"),
             Self::BadValue { flag, message } => write!(f, "bad value for --{flag}: {message}"),
         }
     }
@@ -136,6 +139,32 @@ impl Args {
     pub fn switch(&self, flag: &str) -> bool {
         self.switches.iter().any(|s| s == flag)
     }
+
+    /// Checks every flag against what the subcommand reads: `values`
+    /// name the flags that take a value, `switches` the boolean ones.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgError::Unknown`] for the first flag the subcommand
+    /// does not read, and [`ArgError::BadValue`] for a value flag given
+    /// without its value.
+    pub fn check(&self, values: &[&str], switches: &[&str]) -> Result<(), ArgError> {
+        if let Some(flag) = self.values.keys().find(|f| !values.contains(&f.as_str())) {
+            return Err(ArgError::Unknown(flag.clone()));
+        }
+        for flag in &self.switches {
+            if values.contains(&flag.as_str()) {
+                return Err(ArgError::BadValue {
+                    flag: flag.clone(),
+                    message: "missing value".into(),
+                });
+            }
+            if !switches.contains(&flag.as_str()) {
+                return Err(ArgError::Unknown(flag.clone()));
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -190,8 +219,30 @@ mod tests {
     }
 
     #[test]
+    fn check_rejects_unread_flags_and_valueless_value_flags() {
+        let a = parse(&["train", "--data", "d.csv", "--linear"]).unwrap();
+        assert_eq!(a.check(&["data"], &["linear"]), Ok(()));
+        assert_eq!(
+            a.check(&["data"], &[]),
+            Err(ArgError::Unknown("linear".into()))
+        );
+        assert_eq!(
+            a.check(&[], &["linear"]),
+            Err(ArgError::Unknown("data".into()))
+        );
+        let trailing = parse(&["train", "--threads"]).unwrap();
+        assert!(matches!(
+            trailing.check(&["threads"], &[]),
+            Err(ArgError::BadValue { .. })
+        ));
+    }
+
+    #[test]
     fn errors_display_cleanly() {
         assert!(ArgError::Missing("data").to_string().contains("--data"));
         assert!(ArgError::Malformed("x".into()).to_string().contains('x'));
+        assert!(ArgError::Unknown("bogus".into())
+            .to_string()
+            .contains("--bogus"));
     }
 }

@@ -10,20 +10,21 @@
 //! lookhd info     --model model.lks [--kernel KIND]
 //! lookhd inspect  --data data.csv
 //! lookhd estimate --model model.lks [--samples 1000]
-//! lookhd serve    --model model.lks [--addr 127.0.0.1:4100 --threads 1
-//!                 --max-batch 16 --queue-cap 1024 --timeout-ms 1000
-//!                 --admin-addr 127.0.0.1:4101 --metrics-interval 1000
-//!                 --slo-p99-ms 5 --slo-error-rate 0.01
-//!                 --kernel KIND --online --refresh-after N
-//!                 --drift-threshold F]
+//! lookhd serve    --model model.lks [--addr 127.0.0.1:4100 --reactors 1
+//!                 --max-conns 8192 --admin-addr 127.0.0.1:4101
+//!                 --metrics-interval 1000 --slo-p99-ms 5
+//!                 --slo-error-rate 0.01 --kernel KIND --online
+//!                 --queue-cap 1024 --refresh-after N --drift-threshold F]
 //! ```
 //!
 //! CSV rows are `feature,…,feature,label` (labels in the final column;
 //! `predict` takes label-free rows). An optional header line is skipped.
+//! A flag a subcommand does not read is an error, not a silent no-op.
 //!
 //! `--threads` shards training and batch inference across OS threads
 //! (`0` = all cores). Results are bit-identical for every thread count;
-//! only wall-clock time changes.
+//! only wall-clock time changes. `serve` has no `--threads`: each of its
+//! `--reactors` event-loop threads scores the requests it reads.
 //!
 //! `--metrics out.json` (valid on every subcommand) enables the
 //! observability registry for the run and writes one JSON document of
@@ -85,8 +86,49 @@ fn out(line: impl std::fmt::Display) {
     let _ = writeln!(lock, "{line}");
 }
 
+/// The value flags and the switches `subcommand` reads, space-separated;
+/// anything else on its command line is an error rather than a silent
+/// no-op. `--metrics FILE` is valid everywhere.
+fn flags_read_by(subcommand: &str) -> Option<(&'static str, &'static str)> {
+    Some(match subcommand {
+        "train" => (
+            "data out dim q r epochs group seed threads kernel kernel-budget",
+            "linear",
+        ),
+        "evaluate" | "predict" => ("model data threads", ""),
+        "info" => ("model threads kernel kernel-budget", ""),
+        "inspect" => ("data", ""),
+        "estimate" => ("model threads samples", ""),
+        "serve" => (
+            "model addr reactors max-conns queue-cap admin-addr metrics-interval \
+             slo-p99-ms slo-error-rate kernel kernel-budget refresh-after drift-threshold",
+            "online",
+        ),
+        _ => return None,
+    })
+}
+
+/// Rejects every flag `subcommand` does not read, naming it.
+fn check_flags(args: &Args, subcommand: &str) -> Result<(), String> {
+    // Removed in favour of --kernel: point at the replacement instead
+    // of reporting a plain unknown flag.
+    if args.switch("score-lut") {
+        return Err("--score-lut was removed; use --kernel auto (or lut)".to_owned());
+    }
+    let Some((values, switches)) = flags_read_by(subcommand) else {
+        return Ok(());
+    };
+    let values: Vec<&str> = values.split_whitespace().chain(["metrics"]).collect();
+    let switches: Vec<&str> = switches.split_whitespace().collect();
+    args.check(&values, &switches)
+        .map_err(|e| format!("{e} (`lookhd {subcommand}` does not read it)\n\n{USAGE}"))
+}
+
 fn run(raw: Vec<String>) -> Result<(), String> {
     let args = Args::parse(raw).map_err(|e| e.to_string())?;
+    if let Some(subcommand) = args.subcommand() {
+        check_flags(&args, subcommand)?;
+    }
     let metrics_path = args.get("metrics").map(str::to_owned);
     if metrics_path.is_some() {
         obs::set_enabled(true);
@@ -127,22 +169,22 @@ const USAGE: &str = "usage:
   lookhd info     --model model.lks [--kernel KIND]
   lookhd inspect  --data data.csv
   lookhd estimate --model model.lks [--samples N]
-  lookhd serve    --model model.lks [--addr HOST:PORT --threads N
-                  --max-batch N --queue-cap N --timeout-ms N
-                  --reactors N --max-conns N
-                  --admin-addr HOST:PORT --metrics-interval MS
-                  --slo-p99-ms F --slo-error-rate F
-                  --kernel KIND --online --refresh-after N
+  lookhd serve    --model model.lks [--addr HOST:PORT --reactors N
+                  --max-conns N --admin-addr HOST:PORT --metrics-interval MS
+                  --slo-p99-ms F --slo-error-rate F --kernel KIND
+                  --online --queue-cap N --refresh-after N
                   --drift-threshold F]
 
+A flag a subcommand does not read is an error.
 --threads shards work across OS threads (0 = all cores) without changing
-any result bit; under `serve` it sets the batch-worker count instead.
+any result bit.
 --kernel selects the scoring kernel: auto (score-LUT with dense fallback),
 dense (exact reference), lut (exact precomputed tables; --kernel-budget
 caps their bytes). On train it is built and persisted with the model
 (non-dense kinds imply compression without decorrelation); on info/serve
 it rebuilds the kernel of a loaded LKS1 artifact without retraining.
---reactors N (serve) sets the I/O event-loop thread count; --max-conns N
+--reactors N (serve) sets the event-loop thread count: each reactor reads,
+scores and answers the requests of its own connections; --max-conns N
 caps concurrently open connections (excess connects get one Overloaded
 frame and are closed).
 --metrics out.json (any subcommand) records per-stage timing spans and
@@ -160,6 +202,8 @@ atomically every MS milliseconds so a killed server keeps its data.
 --online (serve, LKS1 models only) folds LHF1 feedback frames into live
 training counters on a dedicated trainer thread; a refresh frame
 materializes and hot-swaps a new model version without dropping traffic.
+--queue-cap N (with --online, default 1024) bounds the trainer's queue;
+feedback past it is answered Overloaded.
 --refresh-after N (with --online) arms the automatic refresh once N
 feedback folds have accumulated since the last swap (0 = manual only);
 --drift-threshold F (default 0.25) additionally requires the served-vs-
@@ -184,12 +228,6 @@ fn engine_config(args: &Args) -> Result<EngineConfig, String> {
 /// `--kernel-budget BYTES` knob. `None` means the flag family was
 /// absent.
 fn kernel_spec(args: &Args) -> Result<Option<KernelSpec>, String> {
-    // The one-release deprecation window for `--score-lut` is over; the
-    // argument parser ignores unknown switches, so reject the removed
-    // spelling explicitly instead of silently serving a dense kernel.
-    if args.switch("score-lut") {
-        return Err("--score-lut was removed; use --kernel auto (or lut)".to_owned());
-    }
     let kind = match args.get("kernel") {
         Some(raw) => Some(raw.parse::<KernelKind>().map_err(|e| e.to_string())?),
         None => None,
@@ -422,15 +460,8 @@ fn serve(args: &Args) -> Result<(), String> {
         None
     };
     let addr = args.get("addr").unwrap_or("127.0.0.1:4100");
-    let workers = args.get_or("threads", 1usize).map_err(|e| e.to_string())?;
-    let max_batch = args
-        .get_or("max-batch", 16usize)
-        .map_err(|e| e.to_string())?;
     let queue_cap = args
         .get_or("queue-cap", 1024usize)
-        .map_err(|e| e.to_string())?;
-    let timeout_ms = args
-        .get_or("timeout-ms", 1000u64)
         .map_err(|e| e.to_string())?;
     let reactors = args.get_or("reactors", 1usize).map_err(|e| e.to_string())?;
     let max_conns = args
@@ -446,8 +477,16 @@ fn serve(args: &Args) -> Result<(), String> {
     let drift_threshold = args
         .get_or("drift-threshold", 0.25f64)
         .map_err(|e| e.to_string())?;
-    if !online && (refresh_after != 0 || args.get("drift-threshold").is_some()) {
-        return Err("--refresh-after/--drift-threshold require --online".to_owned());
+    if !online
+        && (refresh_after != 0
+            || args.get("drift-threshold").is_some()
+            || args.get("queue-cap").is_some())
+    {
+        return Err(
+            "--queue-cap/--refresh-after/--drift-threshold require --online \
+             (--queue-cap bounds the trainer queue)"
+                .to_owned(),
+        );
     }
     let slo_p99_ms = args.get("slo-p99-ms");
     let slo_error_rate = args.get("slo-error-rate");
@@ -471,18 +510,15 @@ fn serve(args: &Args) -> Result<(), String> {
         );
     }
     let config = lookhd_serve::ServeConfig::new()
-        .with_workers(workers)
-        .with_max_batch(max_batch)
         .with_queue_cap(queue_cap)
-        .with_timeout(std::time::Duration::from_millis(timeout_ms))
         .with_reactors(reactors)
         .with_max_conns(max_conns)
         .with_slo(slo);
 
     // The admin endpoint is only useful with live data behind it: enable
     // the metrics registry and the trace ring before the server starts,
-    // so its pre-interned dimensional handles (reactor/worker/model
-    // version labels) record from the first request. The listener itself
+    // so its pre-interned dimensional handles (reactor/model version
+    // labels) record from the first request. The listener itself
     // binds after the server: it carries the server's health state.
     if admin_addr.is_some() {
         obs::set_enabled(true);
@@ -536,25 +572,18 @@ fn serve(args: &Args) -> Result<(), String> {
         }
         None => None,
     };
-    let workers_label = if workers == 0 {
-        "auto".to_owned()
-    } else {
-        workers.to_string()
-    };
     let online_label = if online {
         let gate = if refresh_after == 0 {
             "manual refresh only".to_owned()
         } else {
             format!("auto-refresh after {refresh_after} folds, drift ≥ {drift_threshold}")
         };
-        format!("; online training on ({gate})")
+        format!("; online training on ({gate}, queue cap {queue_cap})")
     } else {
         String::new()
     };
     out(format!(
-        "serving on {} ({} classes; workers {workers_label}, max batch {max_batch}, \
-         queue cap {queue_cap}, timeout {timeout_ms} ms, reactors {reactors}, \
-         max conns {max_conns}{online_label})",
+        "serving on {} ({} classes; reactors {reactors}, max conns {max_conns}{online_label})",
         handle.addr(),
         n_classes,
     ));

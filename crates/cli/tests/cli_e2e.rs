@@ -332,6 +332,55 @@ fn helpful_errors_for_bad_usage() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("usage:"));
 }
 
+/// A flag a subcommand does not read fails the command and is named,
+/// instead of being silently ignored — including the `serve` flags of
+/// the retired request queue.
+#[test]
+fn unknown_flags_are_rejected_by_name() {
+    let dir = workdir("unknown_flags");
+    let (train, _, _) = write_dataset(&dir);
+    let model = dir.join("model.lks");
+    let out = bin()
+        .args([
+            "train",
+            "--data",
+            train.to_str().unwrap(),
+            "--out",
+            model.to_str().unwrap(),
+            "--dim",
+            "256",
+            "--epochs",
+            "1",
+            "--bogus-flag",
+            "1",
+        ])
+        .output()
+        .expect("run train --bogus-flag");
+    assert!(!out.status.success(), "train accepted --bogus-flag");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--bogus-flag"), "stderr: {stderr}");
+    assert!(!model.exists(), "a rejected command must not train");
+
+    // `serve` does not read --threads (each reactor scores the requests
+    // it reads), so it fails before binding.
+    let out = bin()
+        .args([
+            "serve",
+            "--model",
+            model.to_str().unwrap(),
+            "--addr",
+            "127.0.0.1:0",
+            "--threads",
+            "2",
+        ])
+        .output()
+        .expect("run serve --threads");
+    assert!(!out.status.success(), "serve accepted --threads");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--threads"), "stderr: {stderr}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// Minimal structural validation of the metrics JSON without a JSON
 /// parser: balanced braces/brackets outside strings, and the expected
 /// top-level keys.

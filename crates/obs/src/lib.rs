@@ -1050,8 +1050,8 @@ impl Snapshot {
     /// Name mapping (documented in DESIGN.md §11): every character
     /// outside `[a-zA-Z0-9_]` in a span path or counter name becomes
     /// `_`, counters are prefixed `lookhd_` and spans `lookhd_span_`
-    /// with an `_ns` unit suffix, so `serve/queue_wait` exports as the
-    /// histogram `lookhd_span_serve_queue_wait_ns`. Interned label sets
+    /// with an `_ns` unit suffix, so `serve/request` exports as the
+    /// histogram `lookhd_span_serve_request_ns`. Interned label sets
     /// are emitted as real Prometheus labels (`reactor="0"`,
     /// `model_version="2"`, …), sorted by key, with `le` last on bucket
     /// lines. Buckets are **cumulative** with integer-nanosecond `le`

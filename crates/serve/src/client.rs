@@ -2,8 +2,9 @@
 //!
 //! One [`Client`] wraps one TCP connection. Requests may be pipelined
 //! ([`Client::send`] many, then [`Client::recv`] many); responses carry
-//! the request id, so out-of-order completion under server-side batching
-//! is unambiguous. The convenience calls ([`Client::predict`],
+//! the request id, so matching them stays unambiguous even where they
+//! complete out of order (trainer acks arrive whenever the trainer
+//! thread answers). The convenience calls ([`Client::predict`],
 //! [`Client::ping`]) are strict request/response round trips.
 
 use std::io;

@@ -1,28 +1,31 @@
-//! Per-connection state shared between the reactor and the batch
-//! workers.
+//! Per-connection state shared between the reactor and the trainer
+//! thread.
 //!
 //! A [`Conn`] owns the nonblocking `TcpStream` for its whole lifetime.
-//! The reactor thread is the only reader; writers (batch workers and
-//! the reactor's inline dispatch) all go through [`Conn::send`], which
-//! serializes frames under the outbox lock:
+//! The owning reactor is the only reader. Responses reach the socket
+//! through the outbox, under its lock:
 //!
-//! * **fast path** — the outbox is empty, so the frame is written
-//!   straight to the socket. Under normal load this is the only path
-//!   and responses never touch the reactor at all.
-//! * **backlog path** — the socket would block (or older bytes are
-//!   already backlogged), so the remainder is appended to the outbox
-//!   and the owning reactor is asked to watch `EPOLLOUT` and flush.
+//! * **reactor path** — every response the reactor produces (pongs,
+//!   errors, scored predicts) is encoded onto the outbox by
+//!   [`Conn::append`] without a write; after dispatching a read chunk's
+//!   frames the reactor writes them all with one [`Conn::flush_outbox`]
+//!   and arms `EPOLLOUT` for whatever the kernel refuses. Whenever the
+//!   reactor sleeps, a non-empty outbox has `EPOLLOUT` armed.
+//! * **trainer path** — the trainer thread's acks go through
+//!   [`Conn::send`]: the frame is appended the same way, the trainer
+//!   writes what the kernel accepts, and the owning reactor is asked to
+//!   flush the rest.
 //!
 //! A client that stops reading while responses keep completing grows
-//! its outbox until [`OUTBOX_CAP`] and is then condemned (tier-3 load
+//! its outbox until [`OUTBOX_CAP`] and is then condemned (load
 //! shedding, `serve.slow_client_drops`): the connection writes nothing
 //! further and is torn down by its reactor.
 //!
 //! Teardown is reference-counted by work, not by `Arc`s: a connection
 //! whose read side is finished ([`Conn::mark_read_shut`]) is closed as
-//! soon as its last in-flight request has been answered and its outbox
-//! has drained ([`Conn::is_reapable`]). Workers finishing the last
-//! response nudge the reactor via [`ReactorQueue::check`] so the close
+//! soon as its last trainer command has been answered and its outbox
+//! has drained ([`Conn::is_reapable`]). The trainer finishing the last
+//! ack nudges the reactor via [`ReactorQueue::check`] so the close
 //! happens promptly instead of at the next unrelated wakeup.
 
 use std::io::{self, Read, Write};
@@ -47,7 +50,7 @@ pub(crate) const OUTBOX_CAP: usize = 256 * 1024;
 /// its realloc copies) without bound under sustained backpressure.
 pub(crate) const OUTBOX_COMPACT_AT: usize = 16 * 1024;
 
-/// Result of a reactor-side outbox flush attempt.
+/// Result of an outbox flush attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Flush {
     /// Everything pending was written; `EPOLLOUT` interest can drop.
@@ -142,36 +145,22 @@ impl OutboxBuf {
 /// per-connection frame-encode scratch buffer.
 struct Outbox {
     b: OutboxBuf,
-    /// Reusable frame-encode buffer: every [`Conn::send`] encodes into
-    /// this one allocation instead of a fresh `Vec` per frame.
+    /// Reusable frame-encode buffer: every response encodes into this
+    /// one allocation instead of a fresh `Vec` per frame.
     scratch: Vec<u8>,
-    /// The owning reactor has been asked to watch `EPOLLOUT`.
-    wants_flush: bool,
     /// Condemned: transport error or outbox overflow. All later writes
     /// are no-ops and the reactor tears the connection down.
     dead: bool,
 }
 
-/// Follow-up work a locked push decided on, performed after the outbox
-/// lock is released (reactor wakeups must not run under it).
-enum PushAction {
-    None,
-    /// First backlogged bytes: ask the reactor to watch `EPOLLOUT`.
-    RequestFlush,
-    /// Transport died mid-write: ask the reactor to reap.
-    Check,
-    /// Outbox overflow: tier-3 shed, count and reap.
-    SlowClientDrop,
-}
-
 /// One live client connection, shared (via `Arc`) between the owning
-/// reactor and every batch worker holding one of its requests.
+/// reactor and the trainer commands holding it.
 pub(crate) struct Conn {
     /// The reactor-assigned epoll token.
     pub(crate) token: u64,
     stream: TcpStream,
     out: Mutex<Outbox>,
-    /// Predict requests enqueued but not yet answered.
+    /// Trainer commands enqueued but not yet answered.
     inflight: AtomicUsize,
     /// The reactor stopped reading (EOF, framing damage, or shutdown).
     read_shut: AtomicBool,
@@ -195,7 +184,6 @@ impl Conn {
             out: Mutex::new(Outbox {
                 b: OutboxBuf::new(),
                 scratch: Vec::new(),
-                wants_flush: false,
                 dead: false,
             }),
             inflight: AtomicUsize::new(0),
@@ -214,88 +202,45 @@ impl Conn {
         (&self.stream).read(buf)
     }
 
-    /// Encodes and sends one response frame. Callable from any thread;
-    /// never blocks: bytes the kernel refuses go to the outbox and the
-    /// reactor is asked to flush them when the socket drains. The frame
-    /// is encoded into the connection's scratch buffer — zero
-    /// allocations per frame once the scratch has warmed up.
-    pub(crate) fn send(&self, response: &Response) {
-        let action = {
-            let mut out = self.out.lock().expect("outbox lock poisoned");
-            if out.dead {
-                return;
-            }
-            // Take the scratch out so the encoded frame and the outbox
-            // can be borrowed side by side; restored before unlock.
-            let mut scratch = std::mem::take(&mut out.scratch);
-            wire::encode_response_frame_into(response, &mut scratch);
-            debug_assert!(scratch.len() <= 4 + wire::MAX_FRAME_LEN);
-            let action = self.push_locked(&mut out, &scratch);
-            out.scratch = scratch;
-            action
-        };
-        match action {
-            PushAction::None => {}
-            PushAction::RequestFlush => self.reactor.flush(self.token),
-            PushAction::Check => self.reactor.check(self.token),
-            PushAction::SlowClientDrop => {
-                obs::counter("serve.slow_client_drops", 1);
-                self.reactor.check(self.token);
-            }
+    /// Encodes one response frame onto the outbox without writing it:
+    /// the reactor writes everything a read chunk produced with one
+    /// [`Conn::flush_outbox`]. The lock keeps frames from interleaving,
+    /// and the scratch buffer means zero allocations per frame once it
+    /// has warmed up. Overflowing [`OUTBOX_CAP`] condemns the
+    /// connection; the flush that follows reports it dead.
+    pub(crate) fn append(&self, response: &Response) {
+        let mut out = self.out.lock().expect("outbox lock poisoned");
+        if out.dead {
+            return;
         }
-    }
-
-    /// Writes or queues one frame with the outbox lock held (the lock
-    /// is what keeps frames from interleaving across workers). Reactor
-    /// wakeups happen after unlock, via the returned action.
-    fn push_locked(&self, out: &mut Outbox, frame: &[u8]) -> PushAction {
-        if out.b.backlog() > 0 {
-            // Older bytes are already queued: appending keeps frame
-            // order. Overflow condemns the connection (slow client).
-            if out.b.append(frame) {
-                return PushAction::None;
-            }
+        // Take the scratch out so the encoded frame and the outbox can
+        // be borrowed side by side; restored before unlock.
+        let mut scratch = std::mem::take(&mut out.scratch);
+        wire::encode_response_frame_into(response, &mut scratch);
+        debug_assert!(scratch.len() <= 4 + wire::MAX_FRAME_LEN);
+        if !out.b.append(&scratch) {
             out.dead = true;
-            return PushAction::SlowClientDrop;
+            obs::counter("serve.slow_client_drops", 1);
         }
-        // Fast path: nothing queued, write inline.
-        let mut written = 0;
-        loop {
-            match (&self.stream).write(&frame[written..]) {
-                Ok(0) => {
-                    out.dead = true;
-                    return PushAction::Check;
-                }
-                Ok(n) => {
-                    written += n;
-                    if written == frame.len() {
-                        return PushAction::None;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    // A single frame always fits: OUTBOX_CAP is far
-                    // above the max frame length.
-                    let fit = out.b.append(&frame[written..]);
-                    debug_assert!(fit);
-                    let first = !out.wants_flush;
-                    out.wants_flush = true;
-                    return if first {
-                        PushAction::RequestFlush
-                    } else {
-                        PushAction::None
-                    };
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    out.dead = true;
-                    return PushAction::Check;
-                }
-            }
+        out.scratch = scratch;
+    }
+
+    /// Sends one response frame from the trainer thread; never blocks.
+    /// The frame joins the outbox behind any reactor output and the
+    /// kernel takes what it will; the owning reactor is asked to flush
+    /// the rest on `EPOLLOUT`, or to reap a dead connection.
+    pub(crate) fn send(&self, response: &Response) {
+        self.append(response);
+        match self.flush_outbox() {
+            Flush::Empty => {}
+            Flush::Pending => self.reactor.flush(self.token),
+            Flush::Dead => self.reactor.check(self.token),
         }
     }
 
-    /// Writes as much backlog as the kernel accepts (reactor thread,
-    /// on `EPOLLOUT` or a flush command).
+    /// Writes as much backlog as the kernel accepts: on the reactor
+    /// once per read chunk, on `EPOLLOUT` or on a flush command, and on
+    /// the trainer after each ack.
     pub(crate) fn flush_outbox(&self) -> Flush {
         let mut out = self.out.lock().expect("outbox lock poisoned");
         if out.dead {
@@ -303,10 +248,7 @@ impl Conn {
         }
         let mut stream = &self.stream;
         match out.b.flush_with(&mut |bytes| stream.write(bytes)) {
-            Ok(true) => {
-                out.wants_flush = false;
-                Flush::Empty
-            }
+            Ok(true) => Flush::Empty,
             Ok(false) => Flush::Pending,
             Err(_) => {
                 out.dead = true;
@@ -315,14 +257,14 @@ impl Conn {
         }
     }
 
-    /// Counts one predict request handed to the batch queue.
+    /// Counts one command handed to the trainer queue.
     pub(crate) fn begin_request(&self) {
         self.inflight.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Counts one response for a queued predict request; when it was
-    /// the last one on a read-finished connection, nudges the reactor
-    /// so the close is prompt.
+    /// Counts one answered trainer command; when it was the last one on
+    /// a read-finished connection, nudges the reactor so the close is
+    /// prompt.
     pub(crate) fn finish_request(&self) {
         if self.inflight.fetch_sub(1, Ordering::SeqCst) == 1
             && self.read_shut.load(Ordering::SeqCst)
@@ -342,8 +284,8 @@ impl Conn {
     }
 
     /// A connection is reaped once it will never produce another byte:
-    /// reads are done, every queued request is answered, and the outbox
-    /// is drained (or the connection is condemned).
+    /// reads are done, every trainer command is answered, and the
+    /// outbox is drained (or the connection is condemned).
     pub(crate) fn is_reapable(&self) -> bool {
         if !self.is_read_shut() || self.inflight.load(Ordering::SeqCst) != 0 {
             return false;
@@ -359,7 +301,7 @@ impl Conn {
     }
 
     /// Hard-closes both directions (reap time). Lingering `Arc`s held
-    /// by in-flight workers turn into harmless failed writes.
+    /// by queued trainer commands turn into harmless failed writes.
     pub(crate) fn close(&self) {
         let _ = self.stream.shutdown(Shutdown::Both);
     }

@@ -1,19 +1,19 @@
-//! # lookhd-serve — a batched TCP inference service for trained models
+//! # lookhd-serve — a run-to-completion TCP inference service for trained models
 //!
 //! The paper's deployment story is real-time classification on low-power
 //! nodes; this crate is the serving half of that story: a std-only,
 //! threaded TCP server that loads any persisted model (`LKS1`, `HDC1`,
 //! `LKC1`) behind the object-safe [`hdc::Classifier`] trait and answers
-//! length-prefixed binary predict requests, coalescing concurrent
-//! requests into micro-batches.
+//! length-prefixed binary predict requests, scoring each one on the
+//! reactor thread that reads it.
 //!
 //! * [`wire`] — the hardened frame/message codec (magic + version +
 //!   request id + payload; every length capped before allocation), with
 //!   an optional v2 layout carrying a client trace id and the `LHF1`
 //!   feedback family (feedback / refresh / version-stamped predict);
 //! * [`server`] — edge-triggered epoll reactors (one `SO_REUSEPORT`
-//!   listener each; Linux only), the bounded request queue with
-//!   backpressure and deadlines, batch workers,
+//!   listener each; Linux only) that decode, score and answer each
+//!   frame in one turn under per-round read and frame budgets,
 //!   graceful shutdown, per-request tracing + model-quality telemetry
 //!   when observability is on, and (via [`server::start_online`]) the
 //!   online-training trainer thread with atomic model hot-swap;
@@ -32,8 +32,8 @@
 //!
 //! The correctness contract, pinned by `tests/serve_differential.rs`:
 //! responses are **bit-identical** to direct single-threaded
-//! [`Classifier::predict`] calls on the same model, whatever the worker
-//! count, batch size, or request interleaving.
+//! [`Classifier::predict`] calls on the same model, whatever the reactor
+//! count or request interleaving.
 //!
 //! ```no_run
 //! use std::sync::Arc;

@@ -30,22 +30,22 @@ use hdc::model::ClassModel;
 use hdc::{Classifier, HdcError, Result};
 use lookhd::{CompressedModel, LookHdClassifier};
 
-/// A classifier that can be shared across server worker threads.
+/// A classifier that can be shared across server reactor threads.
 pub type SharedClassifier = Arc<dyn Classifier + Send + Sync>;
 
 /// One immutable model version: the classifier plus the monotonically
-/// increasing version number it was installed under. Batch workers hold
-/// an `Arc<VersionedModel>` for the whole batch, so every request in a
-/// batch is answered by the version that was live when the batch was
-/// popped — even if a hot-swap lands mid-batch.
+/// increasing version number it was installed under. A reactor loads
+/// one `Arc<VersionedModel>` per predict frame, so every request is
+/// answered — and stamped — by the version that was live when its frame
+/// was scored, even if a hot-swap lands mid-score.
 ///
 /// Construction pre-interns the version's dimensional metric handles
 /// (`serve.predictions{kernel=,model_version=}` and the per-class
 /// `serve.predicted{class=}` family), so the serving hot path records
 /// through integer ids — no allocation, no string hashing — and the
 /// `model_version` label flips **atomically** with the slot swap: a
-/// batch that loaded version N keeps stamping N even while version N+1
-/// is already live for newer batches.
+/// frame that loaded version N keeps stamping N even while version N+1
+/// is already live for newer frames.
 #[derive(Clone)]
 pub struct VersionedModel {
     version: u64,

@@ -1,11 +1,20 @@
-//! The readiness-driven I/O reactor.
+//! The readiness-driven I/O reactor: each frame runs to completion on
+//! the reactor that reads it.
 //!
 //! Each reactor thread owns an **edge-triggered** [`netpoll::Poller`]
 //! plus the connection state machines assigned to it: the
 //! per-connection [`wire::FrameDecoder`] read buffer (frames are
 //! borrowed `&[u8]` slices out of it — zero copies, zero per-frame
-//! allocations), the epoll interest set, and (shared with workers
-//! through [`Conn`]) the write-backpressure outbox.
+//! allocations), the epoll interest set, and (shared with the trainer
+//! thread through [`Conn`]) the write-backpressure outbox.
+//!
+//! A decoded frame is handled where it lands: pings are answered,
+//! predicts are scored on this thread (one model call each, see
+//! [`Inner::predict`]) and feedback is queued for the trainer. Every
+//! response is encoded onto the connection's outbox, and after the
+//! frames of a read chunk are dispatched the reactor writes them with
+//! **one** flush. The invariant: whenever the reactor sleeps in `wait`,
+//! a non-empty outbox has `EPOLLOUT` armed.
 //!
 //! ## Accept sharding
 //!
@@ -14,25 +23,35 @@
 //! incoming connections across listeners by flow hash, so there is no
 //! shared accept path at all (one reactor is just the N = 1 case).
 //!
-//! ## Edge-triggered readiness + the read-budget rule
+//! ## Edge-triggered readiness + the round budgets
 //!
 //! Under `EPOLLET` the poller reports a socket once per readiness
 //! *transition*: an undrained socket is never re-reported, so the
 //! reactor keeps its own ready queue. A readable event enqueues the
-//! connection; each loop iteration runs one **round** over the queue,
-//! giving every ready connection an equal slice of the round's read
-//! budget — `ROUND_READ_BYTES / ready-connections`, clamped to
-//! [[`MIN_READ_BUDGET`], [`MAX_READ_BUDGET`]]. A connection drained to
-//! `WouldBlock` (or EOF) leaves the queue; one that exhausts its slice
-//! with bytes still pending goes to the back and counts one
-//! `serve.fairness_deferrals` — a firehose client pipelining thousands
-//! of requests gets throughput, not a monopoly.
+//! connection; each loop iteration runs one **round** over the queue.
+//! Every ready connection gets two budgets per round:
+//!
+//! * bytes — an equal slice of `ROUND_READ_BYTES / ready-connections`,
+//!   clamped to [[`MIN_READ_BUDGET`], [`MAX_READ_BUDGET`]];
+//! * frames — [`ROUND_FRAMES`]. Scoring runs on the reactor, so bytes
+//!   alone do not bound time: 256 KiB of small frames against a slow
+//!   model would hold the thread for thousands of model calls.
+//!
+//! Complete frames a connection already has buffered are dispatched
+//! before the reactor reads more from it. A connection drained to
+//! `WouldBlock` (or EOF) leaves the queue; one that uses up either
+//! budget with work possibly left counts one `serve.fairness_deferrals`
+//! and rejoins the next round behind the connections that became ready
+//! meanwhile — a firehose client pipelining thousands of requests gets
+//! throughput, not a monopoly, and a newcomer waits at most one budget
+//! of model calls per connection ahead of it.
 //!
 //! Only the owning reactor ever touches a connection's epoll
-//! registration. Other threads request changes through the reactor's
-//! [`ReactorQueue`] — a command list plus a [`netpoll::Waker`] — which
-//! the reactor drains at the top of every loop iteration. This keeps
-//! all `epoll_ctl` calls single-threaded and race-free.
+//! registration. The trainer thread requests changes through the
+//! reactor's [`ReactorQueue`] — a command list plus a
+//! [`netpoll::Waker`] — which the reactor drains at the top of every
+//! loop iteration. This keeps all `epoll_ctl` calls single-threaded and
+//! race-free.
 //!
 //! ## Admission control tiers
 //!
@@ -40,27 +59,30 @@
 //!    [`ServeConfig::max_conns`] connections answers with one
 //!    [`ErrorCode::Overloaded`] frame and closes
 //!    (`serve.conn_rejections`);
-//! 2. **queue-pressure shed** — at accept, a full request queue sheds
-//!    the new connection the same way (`serve.accept_sheds`): a
-//!    saturated server stops taking on new clients before it stops
-//!    answering existing ones;
-//! 3. **slow-client drop** — a connection whose outbox exceeds
+//! 2. **slow-client drop** — a connection whose outbox exceeds
 //!    [`crate::conn::OUTBOX_CAP`] is condemned
 //!    (`serve.slow_client_drops`);
-//! 4. **per-request backpressure** — the existing
-//!    [`ErrorCode::Overloaded`] rejection when the bounded queue is
-//!    full (`serve.overload_rejections`), unchanged.
+//! 3. **trainer-queue overload** — a feedback or refresh frame finding
+//!    the trainer queue at [`ServeConfig::queue_cap`] is answered with
+//!    [`ErrorCode::Overloaded`] (`serve.overload_rejections`).
+//!
+//! Predicts are never refused for load: one that is not yet read waits
+//! in the socket buffer, and the round budgets keep every connection
+//! moving.
 //!
 //! ## Drain protocol
 //!
 //! Shutdown is event-driven (no self-connect): the trigger sets the
-//! flag and wakes every reactor and worker. Each reactor then drops
-//! its listener, parks all read interest, and keeps
-//! flushing outboxes. Workers drain the queue and exit;
-//! [`crate::ServerHandle::join`] then sets the `drained` flag and
-//! wakes the reactors again, which now close every connection as its
-//! outbox empties and exit — with a [`DRAIN_GRACE`] bound so a client
+//! flag and wakes every reactor and the trainer. Each reactor then
+//! drops its listener, parks all read interest, and keeps flushing
+//! outboxes; every predict it read is already answered. Once the server
+//! is *drained* — at once without online training, or when the trainer
+//! has answered its queue — the reactors close every connection as its
+//! outbox empties and exit, with a [`DRAIN_GRACE`] bound so a client
 //! that never reads its last bytes cannot wedge the join.
+//!
+//! [`ServeConfig::max_conns`]: crate::ServeConfig::max_conns
+//! [`ServeConfig::queue_cap`]: crate::ServeConfig::queue_cap
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -71,15 +93,15 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use netpoll::{Event, Interest, Poller, WAKER_TOKEN};
-use obs::trace::{self, Phase};
+use obs::trace;
 
 use crate::conn::{Conn, Flush};
-use crate::server::{Inner, TrainCmd};
+use crate::server::{trace_pair, Inner, PredictFrame, TrainCmd};
 use crate::wire::{self, ErrorCode, FrameDecoder, Request, Response, WireError};
 
 /// Records the `serve/decode` histogram sample and, for traced
 /// requests, the decode begin/end trace pair. Shared by every request
-/// kind that leaves the reactor thread.
+/// kind that carries a trace id.
 fn record_decode(trace_id: u64, decode_begin_ns: u64) {
     if obs::enabled() {
         let decode_end_ns = trace::now_ns();
@@ -87,10 +109,7 @@ fn record_decode(trace_id: u64, decode_begin_ns: u64) {
             "serve/decode",
             Duration::from_nanos(decode_end_ns.saturating_sub(decode_begin_ns)),
         );
-        if trace_id != 0 && trace::enabled() {
-            trace::emit_at("decode", trace_id, Phase::Begin, decode_begin_ns);
-            trace::emit_at("decode", trace_id, Phase::End, decode_end_ns);
-        }
+        trace_pair(trace_id, "decode", decode_begin_ns, decode_end_ns);
     }
 }
 
@@ -111,6 +130,12 @@ const MIN_READ_BUDGET: usize = 16 * 1024;
 /// yields to commands and accepts after this many bytes.
 const MAX_READ_BUDGET: usize = 256 * 1024;
 
+/// Frames one connection may dispatch per ready round. Predicts are
+/// scored inline, so this bounds how long one connection holds the
+/// reactor against a slow model: the others wait at most this many
+/// model calls per round.
+const ROUND_FRAMES: usize = 16;
+
 /// Read-syscall chunk size (the granularity of decoder buffer growth).
 const READ_CHUNK: usize = 16 * 1024;
 
@@ -118,13 +143,14 @@ const READ_CHUNK: usize = 16 * 1024;
 /// round (the listener goes back on the pending list, not dropped).
 const ACCEPT_ROUND_MAX: usize = 256;
 
-/// How long after the workers drain a reactor keeps flushing outboxes
+/// How long after the server drains a reactor keeps flushing outboxes
 /// before force-closing what remains.
 pub(crate) const DRAIN_GRACE: Duration = Duration::from_secs(2);
 
 /// What a budgeted read drain decided once the decoder is restored.
 enum ReadOutcome {
-    /// Keep reading (the chunk was consumed without incident).
+    /// Keep going (frames dispatched, or a chunk read, without
+    /// incident).
     Continue,
     /// The socket reported `WouldBlock`: fully drained.
     Drained,
@@ -132,19 +158,20 @@ enum ReadOutcome {
     Eof,
     /// Transport error.
     Error,
-    /// Dispatch condemned the stream (framing damage or shutdown).
+    /// Dispatch condemned the stream (framing damage, answered, or
+    /// shutdown).
     Condemn,
-    /// The decoder rejected a length prefix; answer then condemn.
-    BadFrame(WireError),
+    /// A round budget ran out with work possibly left.
+    Defer,
 }
 
-/// Cross-thread requests to a reactor.
+/// Requests from the trainer thread to a reactor.
 enum Command {
     /// The connection has backlogged response bytes: flush and watch
     /// `EPOLLOUT` until empty.
     Flush(u64),
-    /// Re-evaluate the connection (last in-flight response finished,
-    /// or it was condemned off-thread).
+    /// Re-evaluate the connection (its last trainer command was
+    /// answered, or it was condemned off-thread).
     Check(u64),
 }
 
@@ -219,6 +246,11 @@ pub(crate) struct Reactor {
     /// Connections with potentially undrained readable bytes, served
     /// one budgeted round per loop iteration.
     ready: VecDeque<u64>,
+    /// Connections that used up a round budget with work possibly
+    /// left. They rejoin the next round behind the connections that
+    /// became ready since, so a newcomer waits at most one budget of
+    /// each.
+    deferred: Vec<u64>,
     /// The accept burst cap was hit (or accepts hit a transient error
     /// streak): resume accepting next iteration without blocking.
     accept_pending: bool,
@@ -245,6 +277,7 @@ impl Reactor {
             frames_id,
             conns: HashMap::new(),
             ready: VecDeque::new(),
+            deferred: Vec::new(),
             accept_pending: false,
             events: Vec::new(),
             shutdown_seen: false,
@@ -270,7 +303,8 @@ impl Reactor {
             // Edge-triggered: undrained work is ours to remember. With a
             // ready round (or deferred accepts) pending, poll without
             // blocking so new events interleave with the backlog.
-            let timeout = if !self.ready.is_empty() || self.accept_pending {
+            let backlog = !self.ready.is_empty() || !self.deferred.is_empty();
+            let timeout = if backlog || self.accept_pending {
                 Some(Duration::ZERO)
             } else {
                 self.drain_deadline
@@ -313,13 +347,9 @@ impl Reactor {
     fn handle_command(&mut self, command: Command) {
         match command {
             Command::Flush(token) => {
-                let Some(state) = self.conns.get(&token) else {
-                    return;
-                };
-                match state.conn.flush_outbox() {
-                    Flush::Empty => self.after_flush_empty(token),
-                    Flush::Pending => self.want(token, Interest::WRITABLE, true),
-                    Flush::Dead => self.teardown(token),
+                if let Some(state) = self.conns.get(&token) {
+                    let conn = Arc::clone(&state.conn);
+                    self.flush(token, &conn);
                 }
             }
             Command::Check(token) => {
@@ -376,10 +406,10 @@ impl Reactor {
         }
     }
 
-    /// Tiered admission: connection cap, then queue-pressure shed, then
-    /// adopt the connection. The kernel already picked this reactor, so
-    /// there is no cross-thread hand-off. Shutdown drops the listener
-    /// before it parks reads, so nothing is admitted after that point.
+    /// Admission tier 1, the connection cap, then adopt the connection.
+    /// The kernel already picked this reactor, so there is no
+    /// cross-thread hand-off. Shutdown drops the listener before it
+    /// parks reads, so nothing is admitted after that point.
     fn admit(&mut self, stream: TcpStream) {
         if self.inner.shutdown.load(Ordering::SeqCst) {
             return;
@@ -390,21 +420,6 @@ impl Reactor {
             reject(
                 stream,
                 format!("connection limit reached ({} open)", config.max_conns),
-            );
-            return;
-        }
-        let queue_full = {
-            let queue = self.inner.queue.lock().expect("queue lock poisoned");
-            queue.len() >= config.queue_cap
-        };
-        if queue_full {
-            obs::counter("serve.accept_sheds", 1);
-            reject(
-                stream,
-                format!(
-                    "request queue full ({} pending); shedding new connections",
-                    config.queue_cap
-                ),
             );
             return;
         }
@@ -449,27 +464,15 @@ impl Reactor {
             // (budget-free; the connection is dying anyway), then tear
             // down whatever remains.
             if event.readable && !conn.is_read_shut() {
-                self.read_ready(token, &conn, usize::MAX);
+                self.read_ready(token, &conn, usize::MAX, usize::MAX);
             }
             if self.conns.contains_key(&token) {
                 self.teardown(token);
             }
             return;
         }
-        if event.writable {
-            match conn.flush_outbox() {
-                Flush::Empty => {
-                    self.after_flush_empty(token);
-                    if !self.conns.contains_key(&token) {
-                        return;
-                    }
-                }
-                Flush::Pending => {}
-                Flush::Dead => {
-                    self.teardown(token);
-                    return;
-                }
-            }
+        if event.writable && !self.flush(token, &conn) {
+            return;
         }
         if event.readable && !conn.is_read_shut() {
             // Edge-triggered: remember the readiness; the budgeted
@@ -489,10 +492,12 @@ impl Reactor {
     }
 
     /// One fairness round: every queued connection gets an equal slice
-    /// of [`ROUND_READ_BYTES`] (clamped); a connection that exhausts
-    /// its slice with bytes still unread is deferred to the next round
-    /// and counted in `serve.fairness_deferrals`.
+    /// of [`ROUND_READ_BYTES`] (clamped) and [`ROUND_FRAMES`] frames; a
+    /// connection that exhausts either with work possibly left is
+    /// deferred to the next round and counted in
+    /// `serve.fairness_deferrals`.
     fn run_ready_round(&mut self) {
+        self.ready.extend(self.deferred.drain(..));
         let in_round = self.ready.len();
         if in_round == 0 {
             return;
@@ -510,8 +515,21 @@ impl Reactor {
             if conn.is_read_shut() {
                 continue;
             }
-            self.read_ready(token, &conn, budget);
+            self.read_ready(token, &conn, budget, ROUND_FRAMES);
         }
+    }
+
+    /// Writes the outbox — after a read chunk, one write for all of its
+    /// responses — and keeps the sleep invariant: bytes the kernel
+    /// refuses arm `EPOLLOUT`. Returns `false` when the connection is
+    /// gone.
+    fn flush(&mut self, token: u64, conn: &Conn) -> bool {
+        match conn.flush_outbox() {
+            Flush::Empty => self.after_flush_empty(token),
+            Flush::Pending => self.want(token, Interest::WRITABLE, true),
+            Flush::Dead => self.teardown(token),
+        }
+        self.conns.contains_key(&token)
     }
 
     /// After the outbox drains: reap a finished connection, otherwise
@@ -536,60 +554,52 @@ impl Reactor {
         );
     }
 
-    /// Drains the socket toward `WouldBlock` within `budget` bytes,
-    /// reading straight into the connection's [`FrameDecoder`] buffer
-    /// and dispatching each completed frame as a slice **borrowed**
-    /// from it — the hot path allocates nothing per frame. The decoder
-    /// is temporarily taken out of the connection state so borrowed
-    /// frame bodies and `&mut self` dispatch can coexist; it is
-    /// restored before any exit (unless the connection is gone).
-    fn read_ready(&mut self, token: u64, conn: &Arc<Conn>, budget: usize) {
-        let mut remaining = budget;
+    /// Serves one connection's share of a ready round: dispatches the
+    /// complete frames already buffered in its [`FrameDecoder`], then
+    /// reads toward `WouldBlock` within `bytes` bytes, dispatching each
+    /// completed frame as a slice **borrowed** from the decoder — the
+    /// hot path allocates nothing per frame. Each read chunk's
+    /// responses leave with one outbox flush. At most `frames` frames
+    /// are dispatched; a connection that uses up either budget is
+    /// deferred to the next round. The decoder is temporarily taken out
+    /// of the connection state so borrowed frame bodies and `&mut self`
+    /// dispatch can coexist; it is restored before any exit (unless the
+    /// connection is gone).
+    fn read_ready(&mut self, token: u64, conn: &Arc<Conn>, bytes: usize, frames: usize) {
+        let mut bytes_left = bytes;
+        let mut frames_left = frames;
         loop {
             let Some(state) = self.conns.get_mut(&token) else {
                 return;
             };
             let mut decoder = std::mem::take(&mut state.decoder);
-            let want = READ_CHUNK.min(remaining);
-            let read = conn.read_into(&mut decoder.space(want)[..want]);
-            // What to do once the decoder is back in place.
+            let before = frames_left;
+            let keep_reading = self.dispatch_frames(conn, &mut decoder, &mut frames_left);
+            // One write for everything the dispatched frames produced,
+            // before the next read.
+            if (frames_left != before || !keep_reading) && !self.flush(token, conn) {
+                return;
+            }
             let mut outcome = ReadOutcome::Continue;
-            match read {
-                Ok(0) => outcome = ReadOutcome::Eof,
-                Ok(n) => {
-                    decoder.commit(n);
-                    remaining = remaining.saturating_sub(n);
-                    loop {
-                        match decoder.next_frame() {
-                            Ok(Some(body)) => {
-                                if !self.dispatch(conn, body) {
-                                    // Framing damage mid-pipeline: stop
-                                    // reading; frames already dispatched
-                                    // stay answered.
-                                    outcome = ReadOutcome::Condemn;
-                                    break;
-                                }
-                                if self.inner.shutdown.load(Ordering::SeqCst) {
-                                    // A Shutdown frame in this chunk:
-                                    // everything after it is discarded.
-                                    outcome = ReadOutcome::Condemn;
-                                    break;
-                                }
-                            }
-                            Ok(None) => break,
-                            Err(e) => {
-                                outcome = ReadOutcome::BadFrame(e);
-                                break;
-                            }
-                        }
+            if !keep_reading {
+                outcome = ReadOutcome::Condemn;
+            } else if frames_left == 0 || bytes_left == 0 {
+                outcome = ReadOutcome::Defer;
+            } else {
+                let want = READ_CHUNK.min(bytes_left);
+                match conn.read_into(&mut decoder.space(want)[..want]) {
+                    Ok(0) => outcome = ReadOutcome::Eof,
+                    Ok(n) => {
+                        decoder.commit(n);
+                        bytes_left = bytes_left.saturating_sub(n);
                     }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                        outcome = ReadOutcome::Drained;
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    // Transport error: the client is gone; close silently.
+                    Err(_) => outcome = ReadOutcome::Error,
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    outcome = ReadOutcome::Drained;
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                // Transport error: the client is gone; close silently.
-                Err(_) => outcome = ReadOutcome::Error,
             }
             if let Some(state) = self.conns.get_mut(&token) {
                 state.decoder = decoder;
@@ -611,29 +621,51 @@ impl Reactor {
                     self.condemn_read(token, conn);
                     return;
                 }
-                ReadOutcome::BadFrame(e) => {
-                    // Over-cap length prefix: answer, then drop the
-                    // connection (the stream is no longer frame-aligned).
-                    obs::counter("serve.bad_frames", 1);
-                    conn.send(&Response::Error {
-                        id: 0,
-                        trace_id: 0,
-                        code: ErrorCode::BadRequest,
-                        message: e.to_string(),
-                    });
-                    self.condemn_read(token, conn);
+                ReadOutcome::Defer => {
+                    // Edge-triggered epoll will not remind us of bytes
+                    // still in the socket, and nothing reminds us of
+                    // frames still buffered: requeue the connection.
+                    obs::counter("serve.fairness_deferrals", 1);
+                    if let Some(state) = self.conns.get_mut(&token) {
+                        state.read_pending = true;
+                        self.deferred.push(token);
+                    }
                     return;
                 }
             }
-            if remaining == 0 {
-                // Budget exhausted with the socket possibly still
-                // holding bytes: edge-triggered epoll will not remind
-                // us, so defer the connection to the next ready round.
-                obs::counter("serve.fairness_deferrals", 1);
-                self.mark_read_pending(token);
-                return;
+        }
+    }
+
+    /// Dispatches the complete frames buffered in `decoder`, at most
+    /// `frames_left` of them. Returns `false` when the stream must stop
+    /// being read: framing damage (already answered) or a shutdown.
+    fn dispatch_frames(
+        &mut self,
+        conn: &Arc<Conn>,
+        decoder: &mut FrameDecoder,
+        frames_left: &mut usize,
+    ) -> bool {
+        while *frames_left > 0 {
+            let body = match decoder.next_frame() {
+                Ok(Some(body)) => body,
+                Ok(None) => break,
+                Err(e) => {
+                    // Over-cap length prefix: answer, then drop the
+                    // connection (the stream is no longer frame-aligned).
+                    obs::counter("serve.bad_frames", 1);
+                    conn.append(&frame_error(e));
+                    return false;
+                }
+            };
+            *frames_left -= 1;
+            // Framing damage mid-pipeline, or a Shutdown frame (everything
+            // after it is discarded): stop reading; frames already
+            // dispatched stay answered.
+            if !self.dispatch(conn, body) || self.inner.shutdown.load(Ordering::SeqCst) {
+                return false;
             }
         }
+        true
     }
 
     /// Handles one complete frame body. Returns `false` when the frame
@@ -647,33 +679,22 @@ impl Reactor {
                 // its fields claim): treated as alignment damage, answer
                 // and drop the connection.
                 obs::counter("serve.bad_frames", 1);
-                conn.send(&Response::Error {
-                    id: 0,
-                    trace_id: 0,
-                    code: ErrorCode::BadRequest,
-                    message: e.to_string(),
-                });
+                conn.append(&frame_error(e));
                 false
             }
             Err(e) => {
                 // The frame arrived intact but its body was malformed;
                 // framing is still aligned, so keep the connection.
                 obs::counter("serve.bad_frames", 1);
-                conn.send(&Response::Error {
-                    id: 0,
-                    trace_id: 0,
-                    code: ErrorCode::BadRequest,
-                    message: e.to_string(),
-                });
+                conn.append(&frame_error(e));
                 true
             }
             Ok(Request::Ping { id }) => {
-                // Answered inline, bypassing the batch queue.
-                conn.send(&Response::Pong { id });
+                conn.append(&Response::Pong { id });
                 true
             }
             Ok(Request::Shutdown { id }) => {
-                conn.send(&Response::Pong { id });
+                conn.append(&Response::Pong { id });
                 self.inner.trigger_shutdown();
                 true
             }
@@ -683,7 +704,13 @@ impl Reactor {
                 features,
             }) => {
                 record_decode(trace_id, decode_begin_ns);
-                self.inner.enqueue(conn, id, trace_id, features, false);
+                let frame = PredictFrame {
+                    id,
+                    trace_id,
+                    stamped: false,
+                    decode_begin_ns,
+                };
+                self.inner.predict(conn, frame, features);
                 true
             }
             Ok(Request::PredictStamped {
@@ -692,7 +719,13 @@ impl Reactor {
                 features,
             }) => {
                 record_decode(trace_id, decode_begin_ns);
-                self.inner.enqueue(conn, id, trace_id, features, true);
+                let frame = PredictFrame {
+                    id,
+                    trace_id,
+                    stamped: true,
+                    decode_begin_ns,
+                };
+                self.inner.predict(conn, frame, features);
                 true
             }
             Ok(Request::Feedback {
@@ -733,16 +766,10 @@ impl Reactor {
                 // frame damage; EOF inside the prefix is a silent close.
                 if state.decoder.mid_frame() && state.decoder.buffered() >= 4 {
                     obs::counter("serve.bad_frames", 1);
-                    conn.send(&Response::Error {
-                        id: 0,
-                        trace_id: 0,
-                        code: ErrorCode::BadRequest,
-                        message: WireError::Truncated {
-                            offset: state.decoder.buffered() - 4,
-                            field: "frame body",
-                        }
-                        .to_string(),
-                    });
+                    conn.append(&frame_error(WireError::Truncated {
+                        offset: state.decoder.buffered() - 4,
+                        field: "frame body",
+                    }));
                 }
             }
         }
@@ -750,7 +777,8 @@ impl Reactor {
     }
 
     /// Stops reading this connection for good; it is reaped as soon as
-    /// in-flight responses finish and the outbox drains.
+    /// its trainer commands are answered and the outbox drains. A
+    /// non-empty outbox keeps `EPOLLOUT` armed.
     fn condemn_read(&mut self, token: u64, conn: &Arc<Conn>) {
         conn.mark_read_shut();
         if conn.is_reapable() {
@@ -812,8 +840,8 @@ impl Reactor {
                 // Dropping the listener closes it: new connects are
                 // refused from this point on.
             }
-            // Park every read; queued requests still get answered and
-            // flushed.
+            // Park every read; predicts already read are answered, and
+            // their bytes and queued trainer acks still get flushed.
             let tokens: Vec<u64> = self.conns.keys().copied().collect();
             for token in tokens {
                 let Some(state) = self.conns.get(&token) else {
@@ -825,8 +853,8 @@ impl Reactor {
         }
         if self.inner.drained.load(Ordering::SeqCst) && self.drain_deadline.is_none() {
             self.drain_deadline = Some(Instant::now() + DRAIN_GRACE);
-            // Workers are gone: anything without backlogged bytes is
-            // finished now.
+            // Nothing can produce another response: anything without
+            // backlogged bytes is finished now.
             let tokens: Vec<u64> = self.conns.keys().copied().collect();
             for token in tokens {
                 if self
@@ -848,6 +876,17 @@ impl Reactor {
             return true;
         }
         Instant::now() >= deadline
+    }
+}
+
+/// The answer to a frame the decoder could not use. Its id is unknown,
+/// so it carries 0.
+fn frame_error(e: WireError) -> Response {
+    Response::Error {
+        id: 0,
+        trace_id: 0,
+        code: ErrorCode::BadRequest,
+        message: e.to_string(),
     }
 }
 

@@ -1,4 +1,4 @@
-//! The readiness-driven, micro-batching TCP inference server.
+//! The readiness-driven, run-to-completion TCP inference server.
 //!
 //! ## Architecture
 //!
@@ -6,63 +6,60 @@
 //!  reactor threads (edge-triggered epoll loop, one Poller each)
 //!    each owns an SO_REUSEPORT listener + tiered admission control
 //!        │  nonblocking reads → FrameDecoder reassembly
-//!        │  pings answered inline; predicts enqueued
+//!        │  every frame handled where it lands: pings answered,
+//!        │  predicts scored (one model call each), responses encoded
+//!        │  into the connection's outbox
 //!        ▼
-//!  bounded request queue (Mutex<VecDeque> + Condvar)
-//!        │  full → immediate Overloaded rejection
-//!        ▼
-//!  N batch workers: pop ≤ max_batch requests per wakeup, drop
-//!  deadline-expired ones with DeadlineExceeded, run
-//!  Classifier::predict_batch on the rest, write responses inline on
-//!  each connection (nonblocking); bytes the kernel refuses go to the
-//!  connection's outbox and its reactor flushes them on EPOLLOUT
+//!  one outbox flush per read chunk; bytes the kernel refuses stay in
+//!  the outbox and the reactor flushes them on EPOLLOUT
 //! ```
 //!
+//! There is no queue between decoding and scoring, as in the paper's
+//! FPGA pipeline (§V): a predict costs no thread hop, no futex wake,
+//! and shares its `send` with every other response of its read chunk.
 //! A connection costs one epoll registration plus its reassembly
 //! buffer — no thread — so the server holds tens of thousands of
 //! concurrent connections (bounded by [`ServeConfig::max_conns`]). See
-//! DESIGN.md §13 for the reactor architecture, the four
-//! admission-control tiers, and the drain protocol.
-//!
-//! Batching is opportunistic: a worker takes whatever has accumulated in
-//! the queue (up to [`ServeConfig::max_batch`]) in one lock acquisition,
-//! so under light load requests run solo with no added latency, and under
-//! concurrent load batches form naturally while workers are busy.
+//! DESIGN.md §13 for the reactor architecture, the admission-control
+//! tiers, the per-round read and frame budgets, and the drain protocol.
 //!
 //! ## Correctness contract
 //!
 //! Responses are **bit-identical** to direct single-threaded
-//! [`Classifier::predict`] calls on the same model, regardless of worker
-//! count, reactor count, batch size, or request interleaving: the
-//! classifier trait guarantees `predict_batch` equals a serial `predict`
-//! map, and the server never reorders a request's features or mutates
-//! the model (`tests/serve_differential.rs` pins this across the wire).
+//! [`Classifier::predict`] calls on the same model, regardless of
+//! reactor count or request interleaving, and each connection's predict
+//! responses leave in request order: the server never reorders a
+//! request's features or mutates the model
+//! (`tests/serve_differential.rs` pins this across the wire).
 //!
 //! ## Shutdown
 //!
 //! [`ServerHandle::shutdown`] (or a [`Request::Shutdown`] frame) sets
-//! the shutdown flag and wakes every reactor and worker — purely
-//! event-driven, so it works on any bind address (`0.0.0.0` included).
-//! Reactors close their listeners and park all reads; workers drain the
-//! queue and exit; [`ServerHandle::join`] then flags the drain and the
-//! reactors flush remaining outboxes (bounded by a grace period) and
-//! exit.
+//! the shutdown flag and wakes every reactor and the trainer thread —
+//! purely event-driven, so it works on any bind address (`0.0.0.0`
+//! included). Reactors close their listeners and park all reads; every
+//! predict already read has been answered into an outbox by then. Once
+//! nothing but the reactors can produce another response (at once
+//! without online training, or when the trainer has drained its queue)
+//! the server is *drained*: the reactors flush the remaining outboxes
+//! (bounded by a grace period) and exit, and [`ServerHandle::join`]
+//! returns.
 //!
 //! ## Tracing and telemetry
 //!
 //! When metrics are enabled the server records stage histograms
-//! (`serve/decode`, `serve/queue_wait`, `serve/batch`, `serve/encode`,
-//! `serve/request`) and, when the trace ring is also enabled
-//! (`obs::trace::set_enabled`), emits begin/end trace events for every
-//! request that carried a non-zero client trace id — one
-//! `decode → queue_wait → batch_assembly → predict → encode` chain per
-//! request, keyed by that id, exportable as Chrome trace-event JSON.
+//! (`serve/decode`, `serve/batch` — the model call — `serve/encode`,
+//! and `serve/request`, decode begin to response appended) and, when
+//! the trace ring is also enabled (`obs::trace::set_enabled`), emits
+//! begin/end trace events for every request that carried a non-zero
+//! client trace id — one `decode → predict → encode` chain per request,
+//! keyed by that id, exportable as Chrome trace-event JSON.
 //! Model-quality drift signals ride the same switch: a top1−top2 score
 //! margin histogram (`serve/margin`, micro-units), per-class prediction
 //! counters (`serve.predicted.<class>`), and the kernel fallback
 //! counters ticked inside the model's score path. All of it is
-//! observation only — the batched predict path and its bit-identity
-//! contract are untouched.
+//! observation only — the margin rides the one scoring pass, and the
+//! bit-identity contract is untouched.
 //!
 //! ## Online training and model hot-swap
 //!
@@ -71,13 +68,12 @@
 //! its live counters off the hot path; a `refresh` frame (or the
 //! drift-gated automatic trigger, see [`OnlineConfig`]) materializes a
 //! full model version — compress, kernel rebuild — and swaps it into
-//! the shared [`ModelSlot`] atomically. Workers load the slot **once
-//! per batch**, so every in-flight batch finishes on the version it
-//! started with while the next batch picks up the fresh model; stamped
-//! predict frames echo the serving version so clients (and the soak
-//! tests) can pin each answer to the exact model that produced it.
-//! See DESIGN.md §14 for the fold ≡ batch argument and the swap
-//! protocol.
+//! the shared [`ModelSlot`] atomically. Reactors load the slot **once
+//! per predict frame**, so a swap takes effect from the next frame on;
+//! stamped predict frames echo the version that scored them so clients
+//! (and the soak tests) can pin each answer to the exact model that
+//! produced it. See DESIGN.md §14 for the fold ≡ batch argument and the
+//! swap protocol.
 
 use std::collections::VecDeque;
 use std::io;
@@ -87,6 +83,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use hdc::HdcError;
 use lookhd::{LookHdClassifier, StreamingTrainer};
 use netpoll::Poller;
 use obs::trace::{self, Phase};
@@ -100,21 +97,14 @@ use crate::wire::{ErrorCode, Response};
 /// Tuning knobs of a server instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Batch worker thread count (`0` = the host's available
-    /// parallelism). Each worker runs whole batches, so this is the
-    /// server's inference parallelism.
-    pub workers: usize,
-    /// Most requests a worker coalesces into one
-    /// [`hdc::Classifier::predict_batch`] call.
-    pub max_batch: usize,
-    /// Bound on the request queue; a full queue rejects new requests
-    /// with [`ErrorCode::Overloaded`] instead of growing without limit.
+    /// Bound on the online trainer's command queue; a full queue
+    /// answers feedback and refresh frames with
+    /// [`ErrorCode::Overloaded`] instead of growing without limit.
+    /// Predicts never queue: the reactor that decodes one scores it.
     pub queue_cap: usize,
-    /// Per-request deadline, measured from enqueue to worker pickup. A
-    /// request that waits longer is dropped with
-    /// [`ErrorCode::DeadlineExceeded`] without running inference.
-    pub timeout: Duration,
-    /// Reactor (I/O event loop) thread count. One reactor drives
+    /// Reactor (I/O event loop) thread count: each reactor decodes,
+    /// scores and answers the frames of its own connections, so this is
+    /// also the server's inference parallelism. One reactor drives
     /// thousands of connections. Each reactor owns an `SO_REUSEPORT`
     /// listener on the same address, and the kernel assigns every new
     /// connection to one of them by flow hash.
@@ -133,10 +123,7 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         Self {
-            workers: 1,
-            max_batch: 16,
             queue_cap: 1024,
-            timeout: Duration::from_secs(1),
             reactors: 1,
             max_conns: 8192,
             slo: SloConfig::new(),
@@ -145,33 +132,15 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// The default configuration (1 worker, batches of ≤ 16, queue of
-    /// 1024, 1 s deadline, 1 reactor, 8192 connections).
+    /// The default configuration (trainer queue of 1024, 1 reactor,
+    /// 8192 connections, no SLOs).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Sets the worker thread count (`0` = auto-detect).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// Sets the maximum batch size (clamped up to 1).
-    pub fn with_max_batch(mut self, max_batch: usize) -> Self {
-        self.max_batch = max_batch.max(1);
-        self
-    }
-
-    /// Sets the queue bound (clamped up to 1).
+    /// Sets the trainer queue bound (clamped up to 1).
     pub fn with_queue_cap(mut self, queue_cap: usize) -> Self {
         self.queue_cap = queue_cap.max(1);
-        self
-    }
-
-    /// Sets the per-request deadline.
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
         self
     }
 
@@ -192,17 +161,6 @@ impl ServeConfig {
     pub fn with_slo(mut self, slo: SloConfig) -> Self {
         self.slo = slo;
         self
-    }
-
-    /// The worker count a server will actually spawn.
-    fn effective_workers(&self) -> usize {
-        if self.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.workers
-        }
     }
 }
 
@@ -254,38 +212,28 @@ impl OnlineConfig {
     }
 }
 
-/// One queued predict request.
-pub(crate) struct Pending {
-    id: u64,
+/// What a decoded predict frame's response echoes, plus when its
+/// decode began.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PredictFrame {
+    pub(crate) id: u64,
     /// Client-supplied trace id (`0` = untraced): echoed in the response
     /// and stamped on every trace event this request emits.
-    trace_id: u64,
-    features: Vec<f64>,
+    pub(crate) trace_id: u64,
     /// Whether the client asked for a version-stamped answer
     /// (`LHF1` kind 3): the response carries the serving model version.
-    stamped: bool,
-    enqueued: Instant,
-    /// Trace-clock timestamp of the enqueue (`0` when tracing is off);
-    /// the begin edge of the `queue_wait` span.
-    enqueued_ns: u64,
-    conn: Arc<Conn>,
+    pub(crate) stamped: bool,
+    /// Trace-clock timestamp of the decode begin (`0` with metrics
+    /// off): where the `serve/request` span starts.
+    pub(crate) decode_begin_ns: u64,
 }
 
-impl Pending {
-    /// Emits one begin/end trace pair stamped with this request's trace
-    /// id, when both the ring and the id are live.
-    fn trace_pair(&self, name: &'static str, begin_ns: u64, end_ns: u64) {
-        if self.trace_id != 0 && trace::enabled() {
-            trace::emit_at(name, self.trace_id, Phase::Begin, begin_ns);
-            trace::emit_at(name, self.trace_id, Phase::End, end_ns);
-        }
-    }
-
-    /// Sends the one response every queued request is owed, retiring
-    /// its in-flight slot on the connection.
-    fn respond(&self, response: &Response) {
-        self.conn.send(response);
-        self.conn.finish_request();
+/// Emits one begin/end trace pair stamped with `trace_id`, when both
+/// the ring and the id are live.
+pub(crate) fn trace_pair(trace_id: u64, name: &'static str, begin_ns: u64, end_ns: u64) {
+    if trace_id != 0 && trace::enabled() {
+        trace::emit_at(name, trace_id, Phase::Begin, begin_ns);
+        trace::emit_at(name, trace_id, Phase::End, end_ns);
     }
 }
 
@@ -339,7 +287,7 @@ pub(crate) struct OnlineState {
     queue: Mutex<VecDeque<TrainCmd>>,
     ready: Condvar,
     /// Per-class counts of predictions served since the last swap
-    /// (ticked by the workers; one half of the drift score).
+    /// (ticked by the reactors; one half of the drift score).
     predicted: Vec<AtomicU64>,
     /// Per-class counts of feedback labels folded since the last swap
     /// (ticked by the trainer thread; the other half).
@@ -405,18 +353,18 @@ impl OnlineState {
     }
 }
 
-/// State shared by the reactors and workers.
+/// State shared by the reactors and the trainer thread.
 pub(crate) struct Inner {
     pub(crate) model: ModelSlot,
     /// Present iff this server was started with [`start_online`].
     pub(crate) online: Option<OnlineState>,
     pub(crate) config: ServeConfig,
     pub(crate) local_addr: SocketAddr,
-    pub(crate) queue: Mutex<VecDeque<Pending>>,
-    pub(crate) work_ready: Condvar,
     pub(crate) shutdown: AtomicBool,
-    /// Set by [`ServerHandle::join`] once the workers have exited: the
-    /// reactors flush what remains and stop.
+    /// Set once no thread but the reactors can produce another
+    /// response — at shutdown without online training, or when the
+    /// trainer has drained its queue: the reactors flush what remains
+    /// and stop.
     pub(crate) drained: AtomicBool,
     /// Live connections across all reactors (admission tier 1).
     pub(crate) conn_count: AtomicUsize,
@@ -432,98 +380,96 @@ pub(crate) struct Inner {
 
 impl Inner {
     /// Idempotent, event-driven shutdown trigger: sets the flag and
-    /// wakes every reactor (they close their listeners and park reads) and
-    /// every worker (they drain the queue and exit). No self-connect —
-    /// this works on any bind address, `0.0.0.0` included.
+    /// wakes every reactor (they close their listeners and park reads)
+    /// and the trainer thread (it drains its queue and exits). No
+    /// self-connect — this works on any bind address, `0.0.0.0`
+    /// included.
     pub(crate) fn trigger_shutdown(&self) {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
         // Health degrades before any reactor learns of the shutdown: a
-        // load balancer probing /healthz sees `draining` while queued
-        // requests are still being answered.
+        // load balancer probing /healthz sees `draining` while the last
+        // responses are still being flushed.
         self.health.set_draining();
+        match &self.online {
+            Some(online) => online.ready.notify_all(),
+            // Reactors answer every predict inline as they dispatch it:
+            // nothing else can still produce a response.
+            None => self.drained.store(true, Ordering::SeqCst),
+        }
         for queue in &self.reactor_queues {
             queue.wake();
         }
-        self.work_ready.notify_all();
-        if let Some(online) = &self.online {
-            online.ready.notify_all();
+    }
+
+    /// Marks the server drained (the trainer has answered its last
+    /// command) and wakes the reactors to flush and exit.
+    fn finish_drain(&self) {
+        self.drained.store(true, Ordering::SeqCst);
+        for queue in &self.reactor_queues {
+            queue.wake();
         }
     }
 
-    /// Enqueues one predict request, or answers immediately with a
-    /// backpressure/shutdown rejection. The shutdown check happens under
-    /// the queue lock so no request can slip in after the workers'
-    /// drain-and-exit decision.
-    pub(crate) fn enqueue(
-        &self,
-        conn: &Arc<Conn>,
-        id: u64,
-        trace_id: u64,
-        features: Vec<f64>,
-        stamped: bool,
-    ) {
-        let depth = {
-            let mut queue = self.queue.lock().expect("queue lock poisoned");
-            if self.shutdown.load(Ordering::SeqCst) {
-                drop(queue);
-                conn.send(&Response::Error {
-                    id,
-                    trace_id,
-                    code: ErrorCode::ShuttingDown,
-                    message: "server is shutting down".into(),
-                });
-                obs::counter("serve.responses.error", 1);
-                return;
-            }
-            if queue.len() >= self.config.queue_cap {
-                drop(queue);
-                obs::counter("serve.overload_rejections", 1);
-                obs::counter("serve.responses.error", 1);
-                conn.send(&Response::Error {
-                    id,
-                    trace_id,
-                    code: ErrorCode::Overloaded,
-                    message: format!("request queue full ({} pending)", self.config.queue_cap),
-                });
-                return;
-            }
-            conn.begin_request();
-            queue.push_back(Pending {
-                id,
-                trace_id,
-                features,
-                stamped,
-                enqueued: Instant::now(),
-                enqueued_ns: if trace_id != 0 && trace::enabled() {
-                    trace::now_ns()
-                } else {
-                    0
-                },
-                conn: Arc::clone(conn),
-            });
-            queue.len()
-        };
+    /// Scores one decoded predict frame on the calling reactor thread
+    /// and appends its response to the connection's outbox; the reactor
+    /// writes it with the rest of the read chunk's responses.
+    ///
+    /// The model slot is loaded once per frame, so a hot-swap takes
+    /// effect from the next frame on and a stamped answer echoes the
+    /// version that scored it. Exactly one scoring pass runs: `predict`
+    /// with metrics off, the margin-carrying batch call with metrics on.
+    pub(crate) fn predict(&self, conn: &Conn, frame: PredictFrame, features: Vec<f64>) {
         obs::counter("serve.requests", 1);
-        if obs::enabled() {
-            // Dimensionless histogram: depth n recorded as n ns (see
-            // DESIGN.md §9).
-            obs::record("serve/queue_depth", Duration::from_nanos(depth as u64));
+        let model = self.model.load();
+        let predicted = if obs::enabled() {
+            let started = Instant::now();
+            let predict_begin_ns = trace::now_ns();
+            model
+                .classifier()
+                .predict_batch_with_margin(std::slice::from_ref(&features))
+                .and_then(|scored| {
+                    obs::record("serve/batch", started.elapsed());
+                    trace_pair(frame.trace_id, "predict", predict_begin_ns, trace::now_ns());
+                    record_quality_signals(&model, &scored);
+                    scored.first().map(|&(class, _)| class).ok_or_else(|| {
+                        HdcError::invalid_dataset("the margin pass returned no answer")
+                    })
+                })
+        } else {
+            model.classifier().predict(&features)
+        };
+        match predicted {
+            Ok(class) => {
+                if let Some(online) = &self.online {
+                    online.note_predicted(class);
+                }
+                respond_ok(conn, frame, class, &model);
+            }
+            Err(e) => {
+                obs::counter("serve.responses.error", 1);
+                conn.append(&Response::Error {
+                    id: frame.id,
+                    trace_id: frame.trace_id,
+                    code: ErrorCode::BadRequest,
+                    message: e.to_string(),
+                });
+            }
         }
-        self.work_ready.notify_one();
     }
 
     /// Routes one feedback/refresh command to the trainer thread, or
     /// answers immediately when online training is disabled, the server
-    /// is shutting down, or the trainer queue is full. Mirrors the
-    /// predict queue's backpressure contract (same cap, same
-    /// [`ErrorCode::Overloaded`] rejection).
+    /// is shutting down, or the trainer queue is full
+    /// ([`ErrorCode::Overloaded`] past [`ServeConfig::queue_cap`]).
+    /// Runs on the reactor thread, so rejections go to the outbox like
+    /// every other reactor-side response.
     pub(crate) fn enqueue_train(&self, cmd: TrainCmd) {
         let (id, trace_id) = cmd.ids();
         let Some(online) = &self.online else {
             obs::counter("serve.responses.error", 1);
-            cmd.conn().send(&Response::Error {
+            cmd.conn().append(&Response::Error {
                 id,
                 trace_id,
                 code: ErrorCode::BadRequest,
@@ -536,7 +482,7 @@ impl Inner {
             if self.shutdown.load(Ordering::SeqCst) {
                 drop(queue);
                 obs::counter("serve.responses.error", 1);
-                cmd.conn().send(&Response::Error {
+                cmd.conn().append(&Response::Error {
                     id,
                     trace_id,
                     code: ErrorCode::ShuttingDown,
@@ -548,7 +494,7 @@ impl Inner {
                 drop(queue);
                 obs::counter("serve.overload_rejections", 1);
                 obs::counter("serve.responses.error", 1);
-                cmd.conn().send(&Response::Error {
+                cmd.conn().append(&Response::Error {
                     id,
                     trace_id,
                     code: ErrorCode::Overloaded,
@@ -569,7 +515,6 @@ impl Inner {
 pub struct ServerHandle {
     inner: Arc<Inner>,
     reactors: Vec<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
     /// The trainer thread, when started with [`start_online`].
     trainer: Option<JoinHandle<()>>,
 }
@@ -581,8 +526,8 @@ impl ServerHandle {
     }
 
     /// Triggers a graceful shutdown: no new connections or requests are
-    /// accepted, queued requests are still answered. Idempotent; does
-    /// not block — call [`ServerHandle::join`] to wait.
+    /// accepted, requests already read are still answered. Idempotent;
+    /// does not block — call [`ServerHandle::join`] to wait.
     pub fn shutdown(&self) {
         self.inner.trigger_shutdown();
     }
@@ -602,24 +547,13 @@ impl ServerHandle {
 
     /// Blocks until the server has shut down (via [`ServerHandle::shutdown`]
     /// or a remote shutdown frame) and every thread has exited: the
-    /// workers first (they drain the queue), then the trainer thread
-    /// (when online training is on), then the reactors (they flush
-    /// every connection's remaining response bytes, bounded by a grace
-    /// period, and close).
+    /// trainer thread (when online training is on) once it has drained
+    /// its queue, and the reactors once they have flushed every
+    /// connection's remaining response bytes (bounded by a grace
+    /// period) and closed.
     pub fn join(mut self) {
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        // The trainer drains its own command queue the same way the
-        // workers drain theirs.
         if let Some(trainer) = self.trainer.take() {
             let _ = trainer.join();
-        }
-        // The workers have answered everything that will ever be
-        // answered; tell the reactors to flush and exit.
-        self.inner.drained.store(true, Ordering::SeqCst);
-        for queue in &self.inner.reactor_queues {
-            queue.wake();
         }
         for reactor in self.reactors.drain(..) {
             let _ = reactor.join();
@@ -749,8 +683,6 @@ fn start_impl<A: ToSocketAddrs>(
         online: online_state,
         config,
         local_addr,
-        queue: Mutex::new(VecDeque::new()),
-        work_ready: Condvar::new(),
         shutdown: AtomicBool::new(false),
         drained: AtomicBool::new(false),
         conn_count: AtomicUsize::new(0),
@@ -758,13 +690,6 @@ fn start_impl<A: ToSocketAddrs>(
         reactor_queues: queues,
         health: Arc::new(HealthState::new(config.slo)),
     });
-
-    let workers = (0..config.effective_workers())
-        .map(|worker| {
-            let inner = Arc::clone(&inner);
-            std::thread::spawn(move || worker_loop(&inner, worker))
-        })
-        .collect();
 
     let trainer = trainer.map(|trainer| {
         let inner = Arc::clone(&inner);
@@ -790,43 +715,15 @@ fn start_impl<A: ToSocketAddrs>(
     Ok(ServerHandle {
         inner,
         reactors,
-        workers,
         trainer,
     })
-}
-
-/// Pops batches off the queue until shutdown *and* the queue is drained.
-///
-/// `worker` is the thread's index within the pool; it pre-interns its
-/// `serve.worker.batches{worker=}` handle once, so attributing batches
-/// to workers costs one id-indexed bump per batch.
-fn worker_loop(inner: &Arc<Inner>, worker: usize) {
-    let batches_id =
-        obs::intern_counter("serve.worker.batches", &[("worker", &worker.to_string())]);
-    loop {
-        let batch: Vec<Pending> = {
-            let mut queue = inner.queue.lock().expect("queue lock poisoned");
-            loop {
-                if !queue.is_empty() {
-                    break;
-                }
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                queue = inner.work_ready.wait(queue).expect("queue lock poisoned");
-            }
-            let take = queue.len().min(inner.config.max_batch);
-            queue.drain(..take).collect()
-        };
-        obs::counter_id(batches_id, 1);
-        process_batch(inner, batch);
-    }
 }
 
 /// The trainer thread: folds feedback into the live counters, answers
 /// acks, and performs manual + drift-gated automatic hot-swaps. Exits
 /// only once shutdown is triggered *and* its command queue is drained,
-/// so every accepted feedback/refresh frame gets its answer.
+/// so every accepted feedback/refresh frame gets its answer; then it
+/// marks the server drained.
 fn trainer_loop(inner: &Arc<Inner>, mut trainer: StreamingTrainer) {
     let online = inner
         .online
@@ -840,6 +737,8 @@ fn trainer_loop(inner: &Arc<Inner>, mut trainer: StreamingTrainer) {
                     break cmd;
                 }
                 if inner.shutdown.load(Ordering::SeqCst) {
+                    drop(queue);
+                    inner.finish_drain();
                     return;
                 }
                 queue = online
@@ -913,8 +812,8 @@ fn trainer_loop(inner: &Arc<Inner>, mut trainer: StreamingTrainer) {
 }
 
 /// Materializes the trainer's counters into a full model (compress +
-/// kernel rebuild) and swaps it into the slot. In-flight batches keep
-/// the version they loaded; the next batch pop serves the new one.
+/// kernel rebuild) and swaps it into the slot. A frame being scored
+/// keeps the version it loaded; the next frame serves the new one.
 fn swap_model(
     inner: &Arc<Inner>,
     online: &OnlineState,
@@ -957,127 +856,14 @@ fn maybe_auto_refresh(
     }
 }
 
-fn process_batch(inner: &Arc<Inner>, batch: Vec<Pending>) {
-    // One slot load per batch: every request in this batch is answered
-    // by the same model version, and a concurrent hot-swap only affects
-    // batches popped after it.
-    let model = inner.model.load();
-    // Expire requests that waited past their deadline before spending any
-    // inference time on them; expiry frees their queue slots for free.
-    let now = Instant::now();
-    let pop_ns = if obs::enabled() { trace::now_ns() } else { 0 };
-    let mut live = Vec::with_capacity(batch.len());
-    for pending in batch {
-        if obs::enabled() {
-            obs::record("serve/queue_wait", now.duration_since(pending.enqueued));
-            if pending.enqueued_ns != 0 {
-                pending.trace_pair("queue_wait", pending.enqueued_ns, pop_ns);
-            }
-        }
-        if now.duration_since(pending.enqueued) > inner.config.timeout {
-            obs::counter("serve.deadline_misses", 1);
-            obs::counter("serve.responses.error", 1);
-            pending.respond(&Response::Error {
-                id: pending.id,
-                trace_id: pending.trace_id,
-                code: ErrorCode::DeadlineExceeded,
-                message: format!(
-                    "request waited past the {} ms deadline",
-                    inner.config.timeout.as_millis()
-                ),
-            });
-            continue;
-        }
-        live.push(pending);
-    }
-    if live.is_empty() {
-        return;
-    }
-
-    obs::counter("serve.batches", 1);
-    if obs::enabled() {
-        // Dimensionless histogram: batch of n recorded as n ns.
-        obs::record("serve/batch_size", Duration::from_nanos(live.len() as u64));
-    }
-
-    let features: Vec<Vec<f64>> = live
-        .iter_mut()
-        .map(|p| std::mem::take(&mut p.features))
-        .collect();
-    let started = Instant::now();
-    let predict_begin_ns = if obs::enabled() { trace::now_ns() } else { 0 };
-    if obs::enabled() {
-        // Batch assembly = everything between queue pop and the predict
-        // call: expiry checks and feature gathering.
-        for pending in &live {
-            pending.trace_pair("batch_assembly", pop_ns, predict_begin_ns);
-        }
-    }
-    // With metrics on, the margin telemetry rides the serving pass: one
-    // scoring per request either way.
-    let predicted = if obs::enabled() {
-        model
-            .classifier()
-            .predict_batch_with_margin(&features)
-            .map(|scored| {
-                obs::record("serve/batch", started.elapsed());
-                let predict_end_ns = trace::now_ns();
-                for pending in &live {
-                    pending.trace_pair("predict", predict_begin_ns, predict_end_ns);
-                }
-                record_quality_signals(&model, &scored);
-                scored.into_iter().map(|(class, _)| class).collect()
-            })
-    } else {
-        model.classifier().predict_batch(&features)
-    };
-    match predicted {
-        Ok(predictions) => {
-            if let Some(online) = &inner.online {
-                for &class in &predictions {
-                    online.note_predicted(class);
-                }
-            }
-            for (pending, class) in live.iter().zip(predictions) {
-                respond_ok(pending, class, &model);
-            }
-        }
-        // The batch call propagates its *first* error, which would
-        // poison every request sharing the batch; fall back to
-        // per-request predictions so one bad feature vector only fails
-        // its own request.
-        Err(_) => {
-            for (pending, feats) in live.iter().zip(&features) {
-                match model.classifier().predict(feats) {
-                    Ok(class) => {
-                        if let Some(online) = &inner.online {
-                            online.note_predicted(class);
-                        }
-                        respond_ok(pending, class, &model);
-                    }
-                    Err(e) => {
-                        obs::counter("serve.responses.error", 1);
-                        pending.respond(&Response::Error {
-                            id: pending.id,
-                            trace_id: pending.trace_id,
-                            code: ErrorCode::BadRequest,
-                            message: e.to_string(),
-                        });
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Scale for the `serve/margin` histogram: a top1−top2 score margin of
 /// `m` is recorded as `m × 1e6` dimensionless "nanoseconds", giving six
 /// decimal digits of margin resolution inside integer buckets.
 pub const MARGIN_SCALE: f64 = 1e6;
 
 /// Records the model-quality drift signals for one successfully
-/// predicted batch: per-class prediction counters and the top1−top2
-/// score margin histogram, both read off the batch's one scoring pass
+/// scored predict: per-class prediction counters and the top1−top2
+/// score margin histogram, both read off the request's one scoring pass
 /// ([`hdc::Classifier::predict_batch_with_margin`]). Runs only when
 /// metrics are enabled.
 ///
@@ -1102,57 +888,62 @@ fn record_quality_signals(model: &VersionedModel, scored: &[(usize, Option<f64>)
     }
 }
 
-fn respond_ok(pending: &Pending, class: usize, model: &VersionedModel) {
+/// Appends the answer to a successfully scored predict frame.
+fn respond_ok(conn: &Conn, frame: PredictFrame, class: usize, model: &VersionedModel) {
     // A class label the wire cannot carry is a server-side fault, not a
     // plausible-looking answer: report it as Internal instead of
     // clamping to u32::MAX.
     let Ok(class) = u32::try_from(class) else {
         obs::counter("serve.class_overflows", 1);
         obs::counter("serve.responses.error", 1);
-        pending.respond(&Response::Error {
-            id: pending.id,
-            trace_id: pending.trace_id,
+        conn.append(&Response::Error {
+            id: frame.id,
+            trace_id: frame.trace_id,
             code: ErrorCode::Internal,
             message: format!("predicted class {class} exceeds the wire's u32 range"),
         });
         return;
     };
     obs::counter("serve.responses.ok", 1);
-    if obs::enabled() {
-        // The dimensional response counter: kernel + model_version
-        // labels ride the version's pre-interned handle, so the labels
-        // flip atomically with the hot-swap.
-        obs::counter_id(model.predictions_id(), 1);
-        // Traced end-to-end latency: a tail-bucket hit captures the
-        // request's trace id as an OpenMetrics exemplar.
-        obs::record_traced(
-            "serve/request",
-            pending.enqueued.elapsed(),
-            pending.trace_id,
-        );
-    }
-    let response = if pending.stamped {
+    let response = if frame.stamped {
         Response::PredictStamped {
-            id: pending.id,
-            trace_id: pending.trace_id,
+            id: frame.id,
+            trace_id: frame.trace_id,
             class,
             version: model.version(),
         }
     } else {
         Response::Predict {
-            id: pending.id,
-            trace_id: pending.trace_id,
+            id: frame.id,
+            trace_id: frame.trace_id,
             class,
         }
     };
-    if obs::enabled() {
-        let encode_begin_ns = trace::now_ns();
-        let started = Instant::now();
-        pending.respond(&response);
-        obs::record("serve/encode", started.elapsed());
-        pending.trace_pair("encode", encode_begin_ns, trace::now_ns());
-    } else {
-        pending.respond(&response);
+    if !obs::enabled() {
+        conn.append(&response);
+        return;
+    }
+    // The dimensional response counter: kernel + model_version labels
+    // ride the version's pre-interned handle, so the labels flip
+    // atomically with the hot-swap.
+    obs::counter_id(model.predictions_id(), 1);
+    let encode_begin_ns = trace::now_ns();
+    let started = Instant::now();
+    conn.append(&response);
+    obs::record("serve/encode", started.elapsed());
+    let appended_ns = trace::now_ns();
+    trace_pair(frame.trace_id, "encode", encode_begin_ns, appended_ns);
+    // Traced end-to-end latency, decode begin to response appended: a
+    // tail-bucket hit captures the request's trace id as an OpenMetrics
+    // exemplar.
+    // (A frame decoded just before metrics were switched on has no
+    // begin stamp and records no sample.)
+    if frame.decode_begin_ns != 0 {
+        obs::record_traced(
+            "serve/request",
+            Duration::from_nanos(appended_ns.saturating_sub(frame.decode_begin_ns)),
+            frame.trace_id,
+        );
     }
 }
 
@@ -1223,7 +1014,7 @@ mod tests {
 
     #[test]
     fn serves_across_multiple_reactors() {
-        let handle = start_stub(ServeConfig::new().with_reactors(3).with_workers(2));
+        let handle = start_stub(ServeConfig::new().with_reactors(3));
         let mut clients: Vec<Client> = (0..8)
             .map(|_| Client::connect(handle.addr()).unwrap())
             .collect();
@@ -1296,11 +1087,11 @@ mod tests {
     }
 
     #[test]
-    fn bad_feature_vectors_fail_alone_in_a_batch() {
-        let handle = start_stub(ServeConfig::new().with_max_batch(8));
+    fn bad_feature_vectors_fail_alone_among_pipelined_requests() {
+        let handle = start_stub(ServeConfig::new());
         let mut client = Client::connect(handle.addr()).unwrap();
         // Pipeline a good, an empty (model-rejected), and another good
-        // request so they can share a batch.
+        // request so they share one read chunk.
         client
             .send(&Request::Predict {
                 id: 1,
@@ -1495,18 +1286,11 @@ mod tests {
     #[test]
     fn config_builder_clamps_and_chains() {
         let c = ServeConfig::new()
-            .with_workers(4)
-            .with_max_batch(0)
             .with_queue_cap(0)
-            .with_timeout(Duration::from_millis(5))
             .with_reactors(0)
             .with_max_conns(0);
-        assert_eq!(c.workers, 4);
-        assert_eq!(c.max_batch, 1);
         assert_eq!(c.queue_cap, 1);
-        assert_eq!(c.timeout, Duration::from_millis(5));
         assert_eq!(c.reactors, 1);
         assert_eq!(c.max_conns, 1);
-        assert!(ServeConfig::new().with_workers(0).effective_workers() >= 1);
     }
 }

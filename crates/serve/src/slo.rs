@@ -6,11 +6,11 @@
 //! already keeps (last-10-s and last-60-s aggregates, see
 //! [`obs::WindowAgg`]) into an actionable health verdict:
 //!
-//! * **Draining** — the server took a shutdown and is finishing queued
-//!   work; new traffic belongs elsewhere immediately.
+//! * **Draining** — the server took a shutdown and is flushing its last
+//!   responses; new traffic belongs elsewhere immediately.
 //! * **Sustained admission shed** — the admission tiers
-//!   (`serve.conn_rejections`, `serve.accept_sheds`,
-//!   `serve.overload_rejections`) are rejecting work in the short window
+//!   (`serve.conn_rejections` at accept, `serve.overload_rejections` at
+//!   the trainer queue) are rejecting work in the short window
 //!   *and* were already rejecting before it (`w60 > w10`): not a blip
 //!   but a standing overload.
 //! * **SLO burn** — the operator declared a p99 latency target
@@ -43,11 +43,7 @@ const ERROR_COUNTER: &str = "serve.responses.error";
 
 /// Admission-control rejection counters; any of them firing means work
 /// was turned away at the door.
-const SHED_COUNTERS: &[&str] = &[
-    "serve.conn_rejections",
-    "serve.accept_sheds",
-    "serve.overload_rejections",
-];
+const SHED_COUNTERS: &[&str] = &["serve.conn_rejections", "serve.overload_rejections"];
 
 /// Operator-declared service-level objectives. Both axes are optional;
 /// with neither set, health still reflects draining and sustained-shed
@@ -136,7 +132,7 @@ impl SloAxis {
 /// A point-in-time health verdict (see [`HealthState::evaluate`]).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Health {
-    /// Draining: shutdown triggered, queued work still completing.
+    /// Draining: shutdown triggered, last responses still flushing.
     pub draining: bool,
     /// Sustained admission shed: rejections in the short window on top
     /// of rejections predating it.
@@ -363,7 +359,7 @@ mod tests {
 
         // Shed only inside the short window: a blip, still healthy.
         obs::set_window_epoch_for_test(1000);
-        obs::counter("serve.accept_sheds", 3);
+        obs::counter("serve.conn_rejections", 3);
         let health = state.evaluate(&obs::snapshot());
         assert!(health.healthy(), "blip must not degrade: {health:?}");
         assert_eq!(health.shed_counts, (3, 3));

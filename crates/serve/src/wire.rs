@@ -122,14 +122,14 @@ pub enum Request {
         /// Raw feature values, in model arity.
         features: Vec<f64>,
     },
-    /// Liveness probe answered directly by the connection reader,
-    /// bypassing the batch queue.
+    /// Liveness probe, answered by the reactor that reads it.
     Ping {
         /// Caller-chosen id echoed in the pong.
         id: u64,
     },
-    /// Ask the server to shut down gracefully (drain the queue, join all
-    /// workers). Acknowledged with a pong before the drain begins.
+    /// Ask the server to shut down gracefully (answer what it has read,
+    /// drain the trainer queue, flush, join every thread). Acknowledged
+    /// with a pong before the drain begins.
     Shutdown {
         /// Caller-chosen id echoed in the acknowledgement.
         id: u64,
@@ -204,11 +204,12 @@ pub enum ErrorCode {
     /// The request was malformed or the model rejected its features
     /// (wrong arity, non-finite values, …).
     BadRequest = 1,
-    /// The request sat in the queue past its deadline and was dropped
-    /// without running inference.
+    /// The request waited past a deadline and was dropped without
+    /// running inference. Kept for decoding: the current server, which
+    /// scores every predict where it lands, never sends it.
     DeadlineExceeded = 2,
-    /// The bounded request queue was full; the client should back off and
-    /// retry.
+    /// A bounded resource was full (the connection cap, or the online
+    /// trainer's queue); the client should back off and retry.
     Overloaded = 3,
     /// The server failed internally while processing the request.
     Internal = 4,

@@ -124,6 +124,15 @@ if cargo run --release -q -p lookhd-cli -- train \
     exit 1
 fi
 grep -q "expected auto, dense, or lut" "$smoke_dir/train_bin.err"
+# A flag a subcommand does not read fails the command and is named:
+# serve has no --threads (each reactor scores the requests it reads).
+if timeout 60 cargo run --release -q -p lookhd-cli -- serve \
+    --model "$smoke_dir/model.lks" --addr 127.0.0.1:0 --threads 2 \
+    2> "$smoke_dir/serve_threads.err"; then
+    echo "serve --threads unexpectedly succeeded"
+    exit 1
+fi
+grep -q -- "--threads" "$smoke_dir/serve_threads.err"
 
 echo "== serve + loadgen + live telemetry smoke test"
 # Build both binaries up front so the startup poll below is not racing
@@ -131,9 +140,8 @@ echo "== serve + loadgen + live telemetry smoke test"
 cargo build --release -q -p lookhd-cli
 cargo build --release -q -p lookhd-bench --bin loadgen
 cargo run --release -q -p lookhd-cli -- serve \
-    --model "$smoke_dir/model.lks" --addr 127.0.0.1:0 --threads 2 \
-    --reactors 2 --max-batch 64 --queue-cap 8192 --max-conns 4096 \
-    --timeout-ms 30000 \
+    --model "$smoke_dir/model.lks" --addr 127.0.0.1:0 \
+    --reactors 2 --max-conns 4096 \
     --metrics "$smoke_dir/serve_metrics.json" --metrics-interval 200 \
     --admin-addr 127.0.0.1:0 \
     > "$smoke_dir/serve.log" 2>&1 &
@@ -192,8 +200,8 @@ for c in doc["counters"]:
     assert isinstance(c["labels"], dict), c
     assert c["w10"] <= c["value"] and c["w60"] <= c["value"], c
 paths = {s["path"] for s in doc["spans"]}
-for path in ("serve/request", "serve/decode", "serve/queue_wait",
-             "serve/encode", "serve/margin"):
+for path in ("serve/request", "serve/decode", "serve/encode",
+             "serve/margin"):
     assert path in paths, f"missing span {path}: {sorted(paths)}"
 counters = {}
 for c in doc["counters"]:  # fold label sets into per-name totals
@@ -224,7 +232,7 @@ assert "# TYPE lookhd_span_serve_request_ns histogram" in prom, prom[:400]
 assert "lookhd_serve_responses_ok 200" in prom, prom[:400]
 # Dimensional labels survive the Prometheus render.
 assert 'lookhd_serve_predictions{kernel="lut",model_version="1"} 200' in prom, prom[:400]
-assert 'reactor="' in prom and 'worker="' in prom, prom[:400]
+assert 'reactor="' in prom, prom[:400]
 # At least one OpenMetrics tail exemplar rides a histogram bucket line,
 # and its trace id must resolve in the Chrome trace export below.
 import re
@@ -233,10 +241,11 @@ assert exemplar_ids, "no OpenMetrics exemplars in /metrics"
 
 # Chrome trace-event export: every traced request (trace ids 1..=200,
 # one per loadgen request) must carry a balanced begin/end pair for
-# each pipeline stage, keyed by its client-chosen trace id.
+# each stage of decode → predict → encode, keyed by its client-chosen
+# trace id.
 trace = json.loads(get(addr, "/trace.json"))
 events = trace["traceEvents"]
-stages = ("decode", "queue_wait", "batch_assembly", "predict", "encode")
+stages = ("decode", "predict", "encode")
 seen = {}
 for e in events:
     assert e["ph"] in ("b", "e"), e
@@ -278,20 +287,17 @@ import json, sys
 doc = json.load(open(sys.argv[1]))
 assert doc["version"] == 3, doc
 paths = [s["path"] for s in doc["spans"]]
-for path in ("serve/request", "serve/batch_size", "serve/queue_depth"):
-    assert path in paths, f"missing span {path}: {paths}"
+assert "serve/request" in paths, f"missing span serve/request: {paths}"
 # 200 traced + 16000 from the connections curve + 1 shutdown probe.
 # (The asserted counters are all unlabeled single-entry names, so a
 # name-keyed dict stays exact.)
 counters = {c["name"]: c["value"] for c in doc["counters"]}
 assert counters.get("serve.responses.ok") == 16201, counters
 assert counters.get("serve.requests") == 16201, counters
-assert counters.get("serve.batches", 0) >= 1, counters
 assert counters.get("serve.connections", 0) >= 1605, counters
 # One SO_REUSEPORT listener per reactor.
 assert counters.get("serve.accept_shards") == 2, counters
-print(f"serve metrics OK: {counters['serve.batches']} batches "
-      f"for {counters['serve.requests']} requests")
+print(f"serve metrics OK: {counters['serve.requests']} requests")
 EOF
 
 echo "== single-reactor curve point (one accept shard)"
@@ -300,9 +306,8 @@ echo "== single-reactor curve point (one accept shard)"
 # appends a second run entry to the schema-v3 BENCH_serve.json started
 # above.
 cargo run --release -q -p lookhd-cli -- serve \
-    --model "$smoke_dir/model.lks" --addr 127.0.0.1:0 --threads 2 \
-    --reactors 1 --max-batch 64 --queue-cap 8192 --max-conns 4096 \
-    --timeout-ms 30000 \
+    --model "$smoke_dir/model.lks" --addr 127.0.0.1:0 \
+    --reactors 1 --max-conns 4096 \
     --metrics "$smoke_dir/serve1_metrics.json" --metrics-interval 200 \
     > "$smoke_dir/serve1.log" 2>&1 &
 serve1_pid=$!
@@ -367,10 +372,13 @@ doc = json.load(open("BENCH_score_lut.json"))
 assert doc["schema_version"] == 1, doc
 assert doc["host"]["cores"] >= 1, doc
 # The score-LUT record is a per-kernel matrix: dense/lut medians for
-# single and batch-64 predicts.
+# single predicts rotating over distinct queries, the same query
+# re-scored (the labelled warm arms), and batch-64 predicts.
 assert doc["kernels"] == ["dense", "lut"], doc["kernels"]
+assert doc["workload"]["distinct_queries"] >= 512, doc["workload"]
 for kernel in doc["kernels"]:
-    for op in (f"{kernel}_predict_1_ns", f"{kernel}_predict_batch_64_ns"):
+    for op in (f"{kernel}_predict_1_ns", f"{kernel}_predict_1_warm_ns",
+               f"{kernel}_predict_batch_64_ns"):
         assert doc["results"][op]["p50"] > 0, (op, doc["results"].get(op))
 print("perf trajectory files OK")
 EOF
@@ -379,7 +387,7 @@ echo "== online training + hot-swap smoke test"
 # A separate serve instance with online training enabled; the previous
 # instance's exact counter assertions stay undisturbed.
 cargo run --release -q -p lookhd-cli -- serve \
-    --model "$smoke_dir/model.lks" --addr 127.0.0.1:0 --threads 2 \
+    --model "$smoke_dir/model.lks" --addr 127.0.0.1:0 \
     --online --admin-addr 127.0.0.1:0 \
     > "$smoke_dir/online.log" 2>&1 &
 online_pid=$!
@@ -447,9 +455,8 @@ if [ "${LOOKHD_SOAK:-0}" = "1" ]; then
         exit 1
     fi
     cargo run --release -q -p lookhd-cli -- serve \
-        --model "$smoke_dir/model.lks" --addr 127.0.0.1:0 --threads 2 \
-        --reactors 2 --max-batch 64 --queue-cap 65536 --max-conns 20000 \
-        --timeout-ms 60000 \
+        --model "$smoke_dir/model.lks" --addr 127.0.0.1:0 \
+        --reactors 2 --max-conns 20000 \
         > "$smoke_dir/soak.log" 2>&1 &
     soak_pid=$!
     trap 'kill "$serve_pid" "$serve1_pid" "$soak_pid" 2> /dev/null || true; rm -rf "$smoke_dir"' EXIT

@@ -132,10 +132,7 @@ fn concurrent_scrapes_during_hotswap_stay_consistent_and_version_labels_flip_ato
     let handle = start_online(
         "127.0.0.1:0",
         trained(),
-        ServeConfig::new()
-            .with_workers(2)
-            .with_reactors(2)
-            .with_max_batch(8),
+        ServeConfig::new().with_reactors(2),
         OnlineConfig::new(),
     )
     .expect("bind failed");
@@ -339,14 +336,11 @@ fn concurrent_scrapes_during_hotswap_stay_consistent_and_version_labels_flip_ato
         )),
         "prometheus output missing the dimensional predictions counter:\n{prom}"
     );
-    // Which reactor and worker indices carried traffic depends on
-    // accept and queue scheduling, so check the label sets the traffic
-    // actually produced: each is non-empty, and the render carries every
-    // one of their values.
-    for (name, key) in [
-        ("serve.reactor.frames", "reactor"),
-        ("serve.worker.batches", "worker"),
-    ] {
+    // Which reactor indices carried traffic depends on accept
+    // scheduling, so check the label sets the traffic actually produced:
+    // they are non-empty, and the render carries every one of their
+    // values.
+    for (name, key) in [("serve.reactor.frames", "reactor")] {
         let values: Vec<&str> = snapshot
             .counters
             .iter()

@@ -310,12 +310,7 @@ impl lookhd_paper::hdc::Classifier for SignStub {
 }
 
 fn start_server() -> serve::ServerHandle {
-    serve::start(
-        "127.0.0.1:0",
-        Arc::new(SignStub),
-        ServeConfig::new().with_workers(2),
-    )
-    .expect("bind failed")
+    serve::start("127.0.0.1:0", Arc::new(SignStub), ServeConfig::new()).expect("bind failed")
 }
 
 /// Checks the server at `addr` still answers a well-formed request.
@@ -445,7 +440,7 @@ fn start_online_server() -> serve::ServerHandle {
     serve::start_online(
         "127.0.0.1:0",
         online_model(),
-        ServeConfig::new().with_workers(2),
+        ServeConfig::new(),
         serve::OnlineConfig::new(),
     )
     .expect("bind failed")
@@ -474,8 +469,7 @@ fn assert_still_training(addr: std::net::SocketAddr) {
 }
 
 /// Every truncation of every LHF1 frame kind, sent raw and half-closed,
-/// leaves the online server alive — reactor, workers, and the trainer
-/// thread.
+/// leaves the online server alive — reactor and trainer thread.
 #[test]
 fn live_online_server_survives_every_feedback_frame_truncation() {
     let handle = start_online_server();
@@ -573,8 +567,8 @@ fn live_online_server_rejects_feedback_feature_count_lies() {
 }
 
 /// Non-finite feature values (NaN, ±inf) have no quantization level. A
-/// predict carrying one, pipelined into the middle of a batch, gets a
-/// BadRequest naming the feature while its batch-mates still get their
+/// predict carrying one, pipelined into the middle of a burst, gets a
+/// BadRequest naming the feature while its burst-mates still get their
 /// exact classes; a feedback carrying one is refused without folding
 /// anything into the live counters.
 #[test]
@@ -583,7 +577,7 @@ fn live_online_server_refuses_non_finite_feature_values() {
     let handle = serve::start_online(
         "127.0.0.1:0",
         model.clone(),
-        ServeConfig::new().with_workers(1).with_max_batch(64),
+        ServeConfig::new(),
         serve::OnlineConfig::new(),
     )
     .expect("bind failed");
@@ -595,7 +589,7 @@ fn live_online_server_refuses_non_finite_feature_values() {
     let hostile = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
 
     // Seven pipelined predicts in one write, hostile values in the middle
-    // three: one worker drains them as one batch (or a few).
+    // three: the reactor scores them from one read chunk (or a few).
     let mut rows: Vec<Vec<f64>> = (0..7)
         .map(|i| vec![[0.2, 0.8][i % 2], 0.5, [0.8, 0.2][i % 2], 0.3, 0.7])
         .collect();

@@ -1,7 +1,7 @@
 //! Differential equivalence of the batched inference server: every
 //! response from `lookhd-serve` must be **bit-identical** to a direct
 //! single-threaded `Classifier::predict` call on the same deserialized
-//! model, regardless of worker count, batch size, thread interleaving, or
+//! model, regardless of reactor count, thread interleaving, or
 //! pipelining depth. This extends the engine determinism contract of
 //! `tests/engine_equivalence.rs` across the wire.
 
@@ -11,10 +11,9 @@ use std::time::Duration;
 use lookhd_paper::prelude::*;
 use lookhd_paper::serve::{self, Client, Request, Response, ServeConfig};
 
-/// Worker counts the acceptance criteria pin.
-const WORKERS: [usize; 3] = [1, 2, 8];
-/// Batch sizes the acceptance criteria pin (7 exercises ragged batches).
-const MAX_BATCH: [usize; 3] = [1, 7, 64];
+/// Reactor counts the acceptance criteria pin: each reactor scores the
+/// frames of its own connections, so this is the serving parallelism.
+const REACTORS: [usize; 3] = [1, 2, 3];
 
 /// Well-separated 3-class training set plus off-grid query rows.
 fn dataset() -> (Vec<Vec<f64>>, Vec<usize>, Vec<Vec<f64>>) {
@@ -43,9 +42,9 @@ fn trained_bytes() -> (Vec<u8>, Vec<Vec<f64>>) {
     (clf.to_bytes().expect("serialization failed"), queries)
 }
 
-/// Every (workers × max_batch) combination serves predictions identical
-/// to the direct single-threaded path on the same model bytes, under
-/// concurrent clients with varied pipelining interleavings.
+/// Every reactor count serves predictions identical to the direct
+/// single-threaded path on the same model bytes, under concurrent
+/// clients with varied pipelining interleavings.
 #[test]
 fn server_matches_direct_predictions_for_all_configs() {
     let (bytes, queries) = trained_bytes();
@@ -57,88 +56,84 @@ fn server_matches_direct_predictions_for_all_configs() {
     let queries = Arc::new(queries);
     let expected = Arc::new(expected);
 
-    for workers in WORKERS {
-        for max_batch in MAX_BATCH {
-            let model = serve::classifier_from_bytes(&bytes).expect("model load failed");
-            let config = ServeConfig::new()
-                .with_workers(workers)
-                .with_max_batch(max_batch)
-                .with_queue_cap(4096)
-                .with_timeout(Duration::from_secs(30));
-            let handle = serve::start("127.0.0.1:0", model, config).expect("bind failed");
-            let addr = handle.addr();
+    for reactors in REACTORS {
+        let model = serve::classifier_from_bytes(&bytes).expect("model load failed");
+        let config = ServeConfig::new()
+            .with_reactors(reactors)
+            .with_queue_cap(4096);
+        let handle = serve::start("127.0.0.1:0", model, config).expect("bind failed");
+        let addr = handle.addr();
 
-            // 4 concurrent client threads, each with a different
-            // pipelining window so request interleavings vary: windows of
-            // 1 (strict request/response), 3, 5, and the whole set.
-            std::thread::scope(|scope| {
-                for (thread_idx, window) in [1usize, 3, 5, usize::MAX].into_iter().enumerate() {
-                    let queries = Arc::clone(&queries);
-                    let expected = Arc::clone(&expected);
-                    scope.spawn(move || {
-                        let mut client = Client::connect(addr).expect("connect failed");
-                        client
-                            .set_read_timeout(Some(Duration::from_secs(30)))
-                            .unwrap();
-                        let window = window.min(queries.len());
-                        // Odd-numbered clients speak the traced v2 wire
-                        // layout, even ones stay on v1 — the server must
-                        // serve the mixed population identically.
-                        let trace_of = |id: u64| {
-                            if thread_idx % 2 == 1 {
-                                id + 1000
-                            } else {
-                                0
-                            }
-                        };
-                        let mut next_send = 0usize;
-                        let mut outstanding = 0usize;
-                        let mut seen = 0usize;
-                        while seen < queries.len() {
-                            while outstanding < window && next_send < queries.len() {
-                                client
-                                    .send(&Request::Predict {
-                                        id: next_send as u64,
-                                        trace_id: trace_of(next_send as u64),
-                                        features: queries[next_send].clone(),
-                                    })
-                                    .expect("send failed");
-                                next_send += 1;
-                                outstanding += 1;
-                            }
-                            match client.recv().expect("recv failed") {
-                                Response::Predict {
-                                    id,
-                                    trace_id,
-                                    class,
-                                } => {
-                                    let idx = id as usize;
-                                    assert_eq!(
-                                        trace_id,
-                                        trace_of(id),
-                                        "client {thread_idx}: trace id not echoed"
-                                    );
-                                    assert_eq!(
-                                        class as usize, expected[idx],
-                                        "client {thread_idx}: query {idx} diverged \
-                                         (workers={workers}, max_batch={max_batch})"
-                                    );
-                                }
-                                other => panic!(
-                                    "client {thread_idx}: unexpected response {other:?} \
-                                     (workers={workers}, max_batch={max_batch})"
-                                ),
-                            }
-                            outstanding -= 1;
-                            seen += 1;
+        // 4 concurrent client threads, each with a different
+        // pipelining window so request interleavings vary: windows of
+        // 1 (strict request/response), 3, 5, and the whole set.
+        std::thread::scope(|scope| {
+            for (thread_idx, window) in [1usize, 3, 5, usize::MAX].into_iter().enumerate() {
+                let queries = Arc::clone(&queries);
+                let expected = Arc::clone(&expected);
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).expect("connect failed");
+                    client
+                        .set_read_timeout(Some(Duration::from_secs(30)))
+                        .unwrap();
+                    let window = window.min(queries.len());
+                    // Odd-numbered clients speak the traced v2 wire
+                    // layout, even ones stay on v1 — the server must
+                    // serve the mixed population identically.
+                    let trace_of = |id: u64| {
+                        if thread_idx % 2 == 1 {
+                            id + 1000
+                        } else {
+                            0
                         }
-                    });
-                }
-            });
+                    };
+                    let mut next_send = 0usize;
+                    let mut outstanding = 0usize;
+                    let mut seen = 0usize;
+                    while seen < queries.len() {
+                        while outstanding < window && next_send < queries.len() {
+                            client
+                                .send(&Request::Predict {
+                                    id: next_send as u64,
+                                    trace_id: trace_of(next_send as u64),
+                                    features: queries[next_send].clone(),
+                                })
+                                .expect("send failed");
+                            next_send += 1;
+                            outstanding += 1;
+                        }
+                        match client.recv().expect("recv failed") {
+                            Response::Predict {
+                                id,
+                                trace_id,
+                                class,
+                            } => {
+                                let idx = id as usize;
+                                assert_eq!(
+                                    trace_id,
+                                    trace_of(id),
+                                    "client {thread_idx}: trace id not echoed"
+                                );
+                                assert_eq!(
+                                    class as usize, expected[idx],
+                                    "client {thread_idx}: query {idx} diverged \
+                                         (reactors={reactors})"
+                                );
+                            }
+                            other => panic!(
+                                "client {thread_idx}: unexpected response {other:?} \
+                                     (reactors={reactors})"
+                            ),
+                        }
+                        outstanding -= 1;
+                        seen += 1;
+                    }
+                });
+            }
+        });
 
-            handle.shutdown();
-            handle.join();
-        }
+        handle.shutdown();
+        handle.join();
     }
 }
 
@@ -173,7 +168,7 @@ fn raw_and_compressed_formats_match_direct_predictions() {
         let handle = serve::start(
             "127.0.0.1:0",
             serve::classifier_from_bytes(&artifact).unwrap(),
-            ServeConfig::new().with_workers(2).with_max_batch(7),
+            ServeConfig::new(),
         )
         .expect("bind failed");
         let mut client = Client::connect(handle.addr()).expect("connect failed");
@@ -192,9 +187,9 @@ fn raw_and_compressed_formats_match_direct_predictions() {
 }
 
 /// An LKS1 artifact carrying the score-LUT kernel serves responses
-/// byte-identical to the dense-path server across the full workers ×
-/// max-batch matrix: the kernel is an exact integer refactoring of the
-/// dense scoring, so only latency may differ, never a class.
+/// byte-identical to the dense-path server for every reactor count: the
+/// kernel is an exact integer refactoring of the dense scoring, so only
+/// latency may differ, never a class.
 #[test]
 fn score_lut_kernel_serves_identically_to_dense_path() {
     let (xs, ys, queries) = dataset();
@@ -223,50 +218,46 @@ fn score_lut_kernel_serves_identically_to_dense_path() {
         .iter()
         .map(|q| dense.predict(q).expect("dense predict failed"))
         .collect();
-    for workers in WORKERS {
-        for max_batch in MAX_BATCH {
-            let model = serve::classifier_from_bytes(&lut_bytes).expect("model load failed");
-            let handle = serve::start(
-                "127.0.0.1:0",
-                model,
-                ServeConfig::new()
-                    .with_workers(workers)
-                    .with_max_batch(max_batch)
-                    .with_queue_cap(4096)
-                    .with_timeout(Duration::from_secs(30)),
-            )
-            .expect("bind failed");
-            let mut client = Client::connect(handle.addr()).expect("connect failed");
-            client
-                .set_read_timeout(Some(Duration::from_secs(30)))
-                .unwrap();
-            for (i, q) in queries.iter().enumerate() {
-                match client.predict(i as u64, q).expect("round trip failed") {
-                    Response::Predict { id, class, .. } => {
-                        assert_eq!(id, i as u64);
-                        assert_eq!(
-                            class as usize, expected[i],
-                            "score-LUT server diverged from dense path on query {i} \
-                             (workers={workers}, max_batch={max_batch})"
-                        );
-                    }
-                    other => panic!(
-                        "unexpected response {other:?} \
-                         (workers={workers}, max_batch={max_batch})"
-                    ),
+    for reactors in REACTORS {
+        let model = serve::classifier_from_bytes(&lut_bytes).expect("model load failed");
+        let handle = serve::start(
+            "127.0.0.1:0",
+            model,
+            ServeConfig::new()
+                .with_reactors(reactors)
+                .with_queue_cap(4096),
+        )
+        .expect("bind failed");
+        let mut client = Client::connect(handle.addr()).expect("connect failed");
+        client
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        for (i, q) in queries.iter().enumerate() {
+            match client.predict(i as u64, q).expect("round trip failed") {
+                Response::Predict { id, class, .. } => {
+                    assert_eq!(id, i as u64);
+                    assert_eq!(
+                        class as usize, expected[i],
+                        "score-LUT server diverged from dense path on query {i} \
+                             (reactors={reactors})"
+                    );
                 }
+                other => panic!(
+                    "unexpected response {other:?} \
+                         (reactors={reactors})"
+                ),
             }
-            handle.shutdown();
-            handle.join();
         }
+        handle.shutdown();
+        handle.join();
     }
 }
 
 /// With the metrics registry *and* the trace ring enabled, a server
 /// facing mixed v1/v2 clients still answers bit-identically to the
 /// direct path — tracing is pure observation — and every traced request
-/// leaves a complete decode → queue_wait → batch_assembly → predict →
-/// encode span chain in the ring, keyed by its client trace id.
+/// leaves a complete decode → predict → encode span chain in the ring,
+/// keyed by its client trace id.
 #[test]
 fn tracing_enabled_keeps_responses_identical_and_records_span_chains() {
     use lookhd_paper::obs;
@@ -283,12 +274,7 @@ fn tracing_enabled_keeps_responses_identical_and_records_span_chains() {
     obs::trace::reset();
 
     let model = serve::classifier_from_bytes(&bytes).expect("model load failed");
-    let handle = serve::start(
-        "127.0.0.1:0",
-        model,
-        ServeConfig::new().with_workers(2).with_max_batch(7),
-    )
-    .expect("bind failed");
+    let handle = serve::start("127.0.0.1:0", model, ServeConfig::new()).expect("bind failed");
     let mut v2 = Client::connect(handle.addr()).expect("connect failed");
     let mut v1 = Client::connect(handle.addr()).expect("connect failed");
     for client in [&mut v2, &mut v1] {
@@ -328,16 +314,10 @@ fn tracing_enabled_keeps_responses_identical_and_records_span_chains() {
     handle.shutdown();
     handle.join();
 
-    // Every traced request left its full five-stage span chain; the v1
+    // Every traced request left its full three-stage span chain; the v1
     // client (trace id 0) left none.
     let events = obs::trace::events();
-    const STAGES: [&str; 5] = [
-        "decode",
-        "queue_wait",
-        "batch_assembly",
-        "predict",
-        "encode",
-    ];
+    const STAGES: [&str; 3] = ["decode", "predict", "encode"];
     for i in 0..queries.len() {
         let trace_id = i as u64 + 1;
         for stage in STAGES {
@@ -384,14 +364,12 @@ fn tracing_enabled_keeps_responses_identical_and_records_span_chains() {
 fn repeated_queries_are_stable_across_server_restarts() {
     let (bytes, queries) = trained_bytes();
     let mut first: Option<Vec<u32>> = None;
-    for (workers, max_batch) in [(1, 1), (8, 64), (2, 7)] {
+    for reactors in REACTORS {
         let model = serve::classifier_from_bytes(&bytes).unwrap();
         let handle = serve::start(
             "127.0.0.1:0",
             model,
-            ServeConfig::new()
-                .with_workers(workers)
-                .with_max_batch(max_batch),
+            ServeConfig::new().with_reactors(reactors),
         )
         .expect("bind failed");
         let mut client = Client::connect(handle.addr()).expect("connect failed");
@@ -405,10 +383,9 @@ fn repeated_queries_are_stable_across_server_restarts() {
             .collect();
         match &first {
             None => first = Some(classes),
-            Some(reference) => assert_eq!(
-                &classes, reference,
-                "server (workers={workers}, max_batch={max_batch}) diverged"
-            ),
+            Some(reference) => {
+                assert_eq!(&classes, reference, "server (reactors={reactors}) diverged")
+            }
         }
         handle.shutdown();
         handle.join();

@@ -66,8 +66,9 @@ fn firehose_client_cannot_starve_polite_clients() {
     const FIREHOSE_REQUESTS: usize = 4000;
     const POLITE: usize = 4;
     const POLITE_ROUNDS: usize = 100;
-    /// Generous: polite round trips share workers with the firehose
-    /// backlog, so they queue — but must never wait out the firehose.
+    /// Generous: polite round trips share the reactor with the firehose
+    /// backlog, so they wait rounds — but must never wait out the
+    /// firehose.
     const POLITE_P99_BOUND: Duration = Duration::from_secs(5);
 
     let (bytes, queries) = trained_bytes();
@@ -87,10 +88,7 @@ fn firehose_client_cannot_starve_polite_clients() {
         "127.0.0.1:0",
         model,
         ServeConfig::new()
-            .with_workers(2)
-            .with_max_batch(64)
             .with_queue_cap(2 * FIREHOSES * FIREHOSE_REQUESTS)
-            .with_timeout(Duration::from_secs(60))
             .with_reactors(1) // everyone shares one reactor thread
             .with_max_conns(64),
     )
@@ -122,7 +120,7 @@ fn firehose_client_cannot_starve_polite_clients() {
                         })
                         .expect("firehose send failed");
                 }
-                // Workers may answer a window out of order: match by id.
+                // Match responses by id.
                 let mut seen = vec![false; FIREHOSE_REQUESTS];
                 for _ in 0..FIREHOSE_REQUESTS {
                     match client.recv().expect("firehose recv failed") {
@@ -203,8 +201,9 @@ fn firehose_client_cannot_starve_polite_clients() {
 /// (written in 3-byte slivers to force partial-frame reads, mid-frame
 /// compaction, and repeated ET re-arms on the server) and compare the
 /// complete response byte stream against the locally computed expected
-/// encoding. One worker keeps response order deterministic, so the
-/// comparison is exact: ET + zero-copy decode must change no bytes.
+/// encoding. Predicts are answered in request order on their
+/// connection, so the comparison is exact: ET + zero-copy decode +
+/// per-chunk flushes must change no bytes.
 #[test]
 fn edge_triggered_zero_copy_keeps_response_bytes_identical() {
     const REQUESTS: usize = 200;
@@ -216,11 +215,7 @@ fn edge_triggered_zero_copy_keeps_response_bytes_identical() {
     let handle = serve::start(
         "127.0.0.1:0",
         model,
-        ServeConfig::new()
-            .with_workers(1)
-            .with_max_batch(7)
-            .with_queue_cap(4 * REQUESTS)
-            .with_timeout(Duration::from_secs(60)),
+        ServeConfig::new().with_queue_cap(4 * REQUESTS),
     )
     .expect("bind failed");
 

@@ -74,10 +74,7 @@ fn soak_hotswaps_under_pipelined_load_stay_bit_identical_to_the_stamped_version(
     let handle = start_online(
         "127.0.0.1:0",
         v1.clone(),
-        ServeConfig::new()
-            .with_workers(2)
-            .with_reactors(2)
-            .with_max_batch(8),
+        ServeConfig::new().with_reactors(2),
         OnlineConfig::new(),
     )
     .expect("bind failed");

@@ -1,17 +1,17 @@
-//! Robustness tests for the batched inference server's flow-control
-//! machinery: per-request deadlines expire queued work (and free the
-//! slot), a full bounded queue rejects with a backpressure error instead
-//! of buffering unboundedly, and graceful shutdown drains every accepted
-//! request before the workers exit.
+//! Robustness tests for the run-to-completion server's flow control:
+//! a slow model cannot let one pipelining connection hold the reactor
+//! that scores its frames, and graceful shutdown answers every request
+//! the server read before its threads exit.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use lookhd_paper::hdc::{Classifier, HdcError, Result as HdcResult};
-use lookhd_paper::serve::{self, Client, ErrorCode, Request, Response, ServeConfig};
+use lookhd_paper::obs;
+use lookhd_paper::serve::{self, Client, Request, Response, ServeConfig};
 
 /// Sign-of-first-feature classifier that sleeps in `predict`, simulating
-/// an expensive model so requests pile up behind the workers.
+/// an expensive model so pipelined requests pile up on the reactor.
 struct SlowStub {
     delay: Duration,
 }
@@ -34,27 +34,40 @@ fn start_slow(delay: Duration, config: ServeConfig) -> serve::ServerHandle {
     serve::start("127.0.0.1:0", Arc::new(SlowStub { delay }), config).expect("bind failed")
 }
 
-/// Requests that sit in the queue past their deadline get a
-/// `DeadlineExceeded` error instead of a stale (but expensive) answer,
-/// and the freed server keeps serving fresh requests afterwards.
+/// Predicts are scored on the reactor thread, so a slow model must not
+/// let one connection hold its reactor: a firehose connection that
+/// pipelines far more frames than the per-round frame budget is
+/// deferred after each budget's worth, and a polite client sharing the
+/// reactor waits at most one budget of model calls plus its own.
 #[test]
-fn queued_requests_past_their_deadline_time_out() {
-    let handle = start_slow(
-        Duration::from_millis(80),
-        ServeConfig::new()
-            .with_workers(1)
-            .with_max_batch(1)
-            .with_timeout(Duration::from_millis(30)),
-    );
-    let mut client = Client::connect(handle.addr()).expect("connect failed");
-    client
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
+fn slow_model_cannot_let_one_connection_hold_its_reactor() {
+    /// The reactor's per-connection frame budget per round.
+    const ROUND_FRAMES: u32 = 16;
+    const DELAY: Duration = Duration::from_millis(20);
+    const FIREHOSE: u64 = 200;
+    /// Scheduling slack on a shared host.
+    const SLACK: Duration = Duration::from_millis(250);
 
-    // Pipeline three requests: the first is picked up fresh; the other
-    // two wait the full 80 ms service time and expire (80 ms > 30 ms).
-    for id in 0..3u64 {
+    obs::set_enabled(true);
+    let deferrals_before = obs::snapshot().counter("serve.fairness_deferrals");
+    // The default configuration runs one reactor: both clients share it.
+    let handle = start_slow(DELAY, ServeConfig::new());
+    let mut firehose = Client::connect(handle.addr()).expect("connect failed");
+    let mut polite = Client::connect(handle.addr()).expect("connect failed");
+    for client in [&mut firehose, &mut polite] {
         client
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        // A round trip proves the connection accepted and registered
+        // before the load starts.
+        assert_eq!(
+            client.ping(0).expect("ping failed"),
+            Response::Pong { id: 0 }
+        );
+    }
+
+    for id in 1..=FIREHOSE {
+        firehose
             .send(&Request::Predict {
                 id,
                 trace_id: 0,
@@ -62,94 +75,39 @@ fn queued_requests_past_their_deadline_time_out() {
             })
             .expect("send failed");
     }
-    let mut ok = 0usize;
-    let mut expired = 0usize;
-    for _ in 0..3 {
-        match client.recv().expect("recv failed") {
-            Response::Predict { class: 1, .. } => ok += 1,
-            Response::Error {
-                code: ErrorCode::DeadlineExceeded,
-                ..
-            } => expired += 1,
-            other => panic!("unexpected response {other:?}"),
-        }
-    }
-    assert_eq!(ok, 1, "exactly the fresh request should be served");
-    assert_eq!(expired, 2, "stale queued requests should expire");
-
-    // The expired requests freed their slots: a fresh request succeeds.
-    match client.predict(99, &[1.0]).expect("round trip failed") {
+    // Let the reactor get going on the firehose backlog.
+    std::thread::sleep(DELAY * 2);
+    let started = Instant::now();
+    match polite
+        .predict(u64::MAX, &[-1.0])
+        .expect("round trip failed")
+    {
         Response::Predict {
-            id: 99, class: 1, ..
+            id: u64::MAX,
+            class: 0,
+            ..
         } => {}
         other => panic!("unexpected response {other:?}"),
     }
-
-    handle.shutdown();
-    handle.join();
-}
-
-/// With the queue full and the worker busy, further requests are
-/// rejected immediately with `Overloaded` — every request still gets
-/// exactly one response, and the server recovers once drained.
-#[test]
-fn full_queue_rejects_with_backpressure_error() {
-    const BURST: u64 = 8;
-    let handle = start_slow(
-        Duration::from_millis(100),
-        ServeConfig::new()
-            .with_workers(1)
-            .with_max_batch(1)
-            .with_queue_cap(2)
-            .with_timeout(Duration::from_secs(10)),
+    let round_trip = started.elapsed();
+    let bound = DELAY * (ROUND_FRAMES + 1) + SLACK;
+    assert!(
+        round_trip < bound,
+        "the polite round trip took {round_trip:?} behind a {FIREHOSE}-frame firehose \
+         (bound {bound:?}): one connection held the reactor"
     );
-    let mut client = Client::connect(handle.addr()).expect("connect failed");
-    client
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
 
-    for id in 0..BURST {
-        client
-            .send(&Request::Predict {
-                id,
-                trace_id: 0,
-                features: vec![1.0],
-            })
-            .expect("send failed");
-    }
-    let mut served = Vec::new();
-    let mut rejected = Vec::new();
-    for _ in 0..BURST {
-        match client.recv().expect("recv failed") {
-            Response::Predict { id, class: 1, .. } => served.push(id),
-            Response::Error {
-                id,
-                code: ErrorCode::Overloaded,
-                ..
-            } => rejected.push(id),
-            other => panic!("unexpected response {other:?}"),
+    // Every firehose request is still answered, in request order.
+    for want in 1..=FIREHOSE {
+        match firehose.recv().expect("firehose recv failed") {
+            Response::Predict { id, class: 1, .. } => assert_eq!(id, want),
+            other => panic!("unexpected firehose response {other:?}"),
         }
     }
     assert!(
-        !rejected.is_empty(),
-        "a burst of {BURST} against queue_cap=2 must trip backpressure"
+        obs::snapshot().counter("serve.fairness_deferrals") > deferrals_before,
+        "the firehose was never deferred for its frame budget"
     );
-    assert!(!served.is_empty(), "accepted requests must still be served");
-    let mut all: Vec<u64> = served.iter().chain(&rejected).copied().collect();
-    all.sort_unstable();
-    assert_eq!(
-        all,
-        (0..BURST).collect::<Vec<_>>(),
-        "every id answered once"
-    );
-
-    // Once the backlog drains, capacity is available again.
-    match client.predict(1000, &[1.0]).expect("round trip failed") {
-        Response::Predict {
-            id: 1000, class: 1, ..
-        } => {}
-        other => panic!("unexpected response {other:?}"),
-    }
 
     handle.shutdown();
     handle.join();
@@ -162,11 +120,7 @@ fn graceful_shutdown_drains_accepted_requests() {
     const PREDICTS: u64 = 4;
     let handle = start_slow(
         Duration::from_millis(20),
-        ServeConfig::new()
-            .with_workers(1)
-            .with_max_batch(1)
-            .with_queue_cap(64)
-            .with_timeout(Duration::from_secs(10)),
+        ServeConfig::new().with_queue_cap(64),
     );
     let mut client = Client::connect(handle.addr()).expect("connect failed");
     client
@@ -182,8 +136,8 @@ fn graceful_shutdown_drains_accepted_requests() {
             })
             .expect("send failed");
     }
-    // The ping is answered inline by the reader thread, so receiving the
-    // pong proves the server consumed (and enqueued) all four predicts.
+    // The ping is answered after the four predicts it follows, so
+    // receiving the pong proves the server read all four.
     // It must arrive *before* we trigger shutdown: shutdown half-closes
     // the read side, and unread frames would otherwise race with it.
     client
@@ -202,8 +156,8 @@ fn graceful_shutdown_drains_accepted_requests() {
         }
     }
 
-    // Trigger shutdown while the slow worker still has a backlog, then
-    // collect the remaining predict responses — none may be dropped.
+    // Trigger shutdown, then collect the remaining predict responses —
+    // none may be dropped.
     handle.shutdown();
     while classes.iter().any(Option::is_none) {
         match client.recv().expect("shutdown dropped an accepted request") {
@@ -216,6 +170,6 @@ fn graceful_shutdown_drains_accepted_requests() {
         "every accepted predict must be answered before shutdown: {classes:?}"
     );
 
-    // All threads (accept, readers, workers) terminate.
+    // All threads (reactors) terminate.
     handle.join();
 }

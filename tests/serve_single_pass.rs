@@ -46,14 +46,8 @@ fn margin(mut scores: Vec<f64>) -> f64 {
 /// Serves every row once, pipelined on one connection, and returns the
 /// served classes in row order.
 fn serve_rows(clf: LookHdClassifier, rows: &[Vec<f64>]) -> Vec<usize> {
-    let handle = serve::start(
-        "127.0.0.1:0",
-        Arc::new(clf),
-        ServeConfig::new()
-            .with_workers(1)
-            .with_timeout(Duration::from_secs(60)),
-    )
-    .expect("bind failed");
+    let handle =
+        serve::start("127.0.0.1:0", Arc::new(clf), ServeConfig::new()).expect("bind failed");
     let mut client = Client::connect(handle.addr()).expect("connect failed");
     client
         .set_read_timeout(Some(Duration::from_secs(60)))

@@ -3,10 +3,9 @@
 //!
 //! The acceptance bar of the reactor rewrite: a thousand-plus concurrent
 //! pipelined connections served with responses **bit-identical** to the
-//! direct single-threaded predict path and zero in-deadline drops, the
-//! tiered admission control (connection cap at accept, queue-pressure
-//! shed at accept, per-request overload) answering with explicit
-//! `Overloaded` errors instead of hangs, and event-driven shutdown that
+//! direct single-threaded predict path and zero drops, the connection
+//! cap at accept answering with an explicit `Overloaded` error instead
+//! of a hang, and event-driven shutdown that
 //! wakes the reactors without the old self-connect hack — including on
 //! `0.0.0.0` binds, where self-connect used to wedge `join()`.
 
@@ -14,7 +13,6 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use lookhd_paper::hdc::Classifier;
 use lookhd_paper::prelude::*;
 use lookhd_paper::serve::{self, Client, ErrorCode, Request, Response, ServeConfig};
 
@@ -45,23 +43,6 @@ fn trained_bytes() -> (Vec<u8>, Vec<Vec<f64>>) {
     (clf.to_bytes().expect("serialization failed"), queries)
 }
 
-/// A classifier that holds every predict for a fixed duration — lets the
-/// admission tests fill the request queue deterministically.
-struct SlowStub {
-    hold: Duration,
-}
-
-impl Classifier for SlowStub {
-    fn num_classes(&self) -> usize {
-        2
-    }
-
-    fn predict(&self, _features: &[f64]) -> lookhd_paper::hdc::Result<usize> {
-        std::thread::sleep(self.hold);
-        Ok(0)
-    }
-}
-
 /// ≥1k concurrent pipelined connections, every response bit-identical to
 /// the direct predict path, zero drops. Connections are all opened (and
 /// verified accepted) before any load is issued, so the server really
@@ -87,10 +68,7 @@ fn soak_1k_pipelined_connections_stay_bit_identical() {
         "127.0.0.1:0",
         model,
         ServeConfig::new()
-            .with_workers(2)
-            .with_max_batch(64)
             .with_queue_cap(CONNS * WINDOW)
-            .with_timeout(Duration::from_secs(30))
             .with_reactors(2)
             .with_max_conns(2 * CONNS),
     )
@@ -130,8 +108,7 @@ fn soak_1k_pipelined_connections_stay_bit_identical() {
                     }
                 }
                 // Phase 2: WINDOW pipelined requests on every connection,
-                // then collect. Workers may answer a connection's window
-                // out of order, so responses are matched by id.
+                // then collect; responses are matched by id.
                 for (i, client) in clients.iter_mut().enumerate() {
                     for w in 0..WINDOW {
                         let q = (driver + i + w) % queries.len();
@@ -183,15 +160,8 @@ fn connection_cap_rejects_excess_connections_with_overloaded() {
 
     let (bytes, queries) = trained_bytes();
     let model = serve::classifier_from_bytes(&bytes).expect("model load failed");
-    let handle = serve::start(
-        "127.0.0.1:0",
-        model,
-        ServeConfig::new()
-            .with_workers(1)
-            .with_timeout(Duration::from_secs(30))
-            .with_max_conns(CAP),
-    )
-    .expect("bind failed");
+    let handle = serve::start("127.0.0.1:0", model, ServeConfig::new().with_max_conns(CAP))
+        .expect("bind failed");
     let addr = handle.addr();
 
     // Fill the cap, proving each admitted connection live (the round
@@ -271,96 +241,6 @@ fn connection_cap_rejects_excess_connections_with_overloaded() {
     handle.join();
 }
 
-/// With the request queue full, new connections are shed at accept with
-/// an `Overloaded` frame (tier 2) and requests on admitted connections
-/// get per-request `Overloaded` responses (tier 4) — neither hangs.
-#[test]
-fn queue_pressure_sheds_new_connections_and_requests() {
-    let hold = Duration::from_millis(2000);
-    let model: serve::SharedClassifier = Arc::new(SlowStub { hold });
-    let handle = serve::start(
-        "127.0.0.1:0",
-        model,
-        ServeConfig::new()
-            .with_workers(1)
-            .with_max_batch(1)
-            .with_queue_cap(2)
-            .with_timeout(Duration::from_secs(30)),
-    )
-    .expect("bind failed");
-    let addr = handle.addr();
-
-    // Request 0 first, alone, so the worker pops it and falls asleep in
-    // the stub; then a burst: 1 and 2 fill the queue (the worker is held
-    // for `hold`), and 3 must be shed per-request.
-    let mut filler = Client::connect(addr).expect("connect failed");
-    filler
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    filler
-        .send(&Request::Predict {
-            id: 0,
-            trace_id: 0,
-            features: vec![0.5],
-        })
-        .expect("send failed");
-    std::thread::sleep(Duration::from_millis(300));
-    for id in 1..4u64 {
-        filler
-            .send(&Request::Predict {
-                id,
-                trace_id: 0,
-                features: vec![0.5],
-            })
-            .expect("send failed");
-    }
-    // The shed response arrives immediately (the worker holds the rest).
-    match filler.recv().expect("shed response expected") {
-        Response::Error { id, code, .. } => {
-            assert_eq!(id, 3, "the over-quota request should be shed");
-            assert_eq!(code, ErrorCode::Overloaded);
-        }
-        other => panic!("expected per-request Overloaded, got {other:?}"),
-    }
-
-    // While the queue is still full (the stub holds the worker for
-    // `hold`), a brand-new connection is shed at accept time.
-    let mut probe = Client::connect(addr).expect("probe connect failed");
-    probe
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    match probe.recv().expect("accept-shed frame expected") {
-        Response::Error { code, message, .. } => {
-            assert_eq!(code, ErrorCode::Overloaded, "{message}");
-            assert!(
-                message.contains("queue"),
-                "accept shed should name the queue: {message}"
-            );
-        }
-        other => panic!("expected accept-time Overloaded, got {other:?}"),
-    }
-    assert!(
-        probe.recv().is_err(),
-        "shed connection must be closed after the error frame"
-    );
-
-    // The filler's three admitted requests all complete.
-    let mut served: Vec<u64> = (0..3)
-        .map(|_| match filler.recv().expect("held response expected") {
-            Response::Predict { id, class, .. } => {
-                assert_eq!(class, 0);
-                id
-            }
-            other => panic!("unexpected response {other:?}"),
-        })
-        .collect();
-    served.sort_unstable();
-    assert_eq!(served, [0, 1, 2]);
-
-    handle.shutdown();
-    handle.join();
-}
-
 /// `shutdown()` + `join()` complete promptly on a `0.0.0.0` bind with
 /// live idle connections — the regression the event-driven drain fixes:
 /// the old accept-loop unblocking self-connected to `local_addr()`,
@@ -370,8 +250,7 @@ fn queue_pressure_sheds_new_connections_and_requests() {
 fn shutdown_wakes_reactors_on_unspecified_bind() {
     let (bytes, queries) = trained_bytes();
     let model = serve::classifier_from_bytes(&bytes).expect("model load failed");
-    let handle =
-        serve::start("0.0.0.0:0", model, ServeConfig::new().with_workers(1)).expect("bind failed");
+    let handle = serve::start("0.0.0.0:0", model, ServeConfig::new()).expect("bind failed");
     let port = handle.addr().port();
 
     // An idle connection (no pending request) must not block the drain.
