@@ -46,12 +46,13 @@
 //!
 //! `--kernel {auto,dense,lut}` selects the scoring kernel. On `train` it
 //! is built at fit time and persisted with the model; on `info` and
-//! `serve` it rebuilds the kernel of a loaded `LKS1` artifact without
-//! retraining. `auto` tries the score-LUT and falls back to dense when
-//! ineligible; `lut` (exact precomputed tables; `--kernel-budget` caps
-//! their bytes) is a hard request that fails when the model cannot
-//! satisfy it. Non-dense kinds imply compression without decorrelation
-//! at train time.
+//! `serve` it rebuilds the kernel of the loaded `LKS1` artifact without
+//! retraining (`serve`, like every subcommand that reads a model, loads
+//! `LKS1` classifiers only). `auto` tries the score-LUT and falls back
+//! to dense when ineligible; `lut` (exact precomputed tables;
+//! `--kernel-budget` caps their bytes) is a hard request that fails
+//! when the model cannot satisfy it. Non-dense kinds imply compression
+//! without decorrelation at train time.
 
 mod args;
 
@@ -199,9 +200,9 @@ the p99 latency (ms) and error-rate (0..1) objectives /healthz judges
 with multi-window (10 s + 60 s) burn rates.
 --metrics-interval MS (serve, with --metrics) rewrites the metrics file
 atomically every MS milliseconds so a killed server keeps its data.
---online (serve, LKS1 models only) folds LHF1 feedback frames into live
-training counters on a dedicated trainer thread; a refresh frame
-materializes and hot-swaps a new model version without dropping traffic.
+--online (serve) folds LHF1 feedback frames into live training counters
+on a dedicated trainer thread; a refresh frame materializes and
+hot-swaps a new model version without dropping traffic.
 --queue-cap N (with --online, default 1024) bounds the trainer's queue;
 feedback past it is answered Overloaded.
 --refresh-after N (with --online) arms the automatic refresh once N
@@ -431,34 +432,15 @@ fn inspect(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Serves a persisted model (`LKS1`, `HDC1`, or `LKC1`) over TCP until a
-/// shutdown frame arrives (e.g. `loadgen --shutdown`).
+/// Serves a persisted `LKS1` classifier over TCP until a shutdown frame
+/// arrives (e.g. `loadgen --shutdown`).
 fn serve(args: &Args) -> Result<(), String> {
-    let model_path = args.require("model").map_err(|e| e.to_string())?;
+    let mut clf = load_classifier(args)?;
+    if let Some(spec) = kernel_spec(args)? {
+        clf.set_kernel(&spec)
+            .map_err(|e| format!("rebuilding kernel: {e}"))?;
+    }
     let online = args.switch("online");
-    // Online training folds feedback into a StreamingTrainer seeded from
-    // the classifier's own encoder, so it needs the full LKS1 artifact
-    // (the encoder-less HDC1/LKC1 formats cannot re-train).
-    let full_classifier = if online || kernel_spec(args)?.is_some() {
-        let bytes = fs::read(model_path).map_err(|e| format!("reading {model_path}: {e}"))?;
-        if bytes.get(..4) != Some(b"LKS1".as_slice()) {
-            let need = if online {
-                "--online"
-            } else {
-                "--kernel override"
-            };
-            return Err(format!("{need} requires a full LKS1 model artifact"));
-        }
-        let mut clf = LookHdClassifier::from_bytes(&bytes)
-            .map_err(|e| format!("loading {model_path}: {e}"))?;
-        if let Some(spec) = kernel_spec(args)? {
-            clf.set_kernel(&spec)
-                .map_err(|e| format!("rebuilding kernel: {e}"))?;
-        }
-        Some(clf)
-    } else {
-        None
-    };
     let addr = args.get("addr").unwrap_or("127.0.0.1:4100");
     let queue_cap = args
         .get_or("queue-cap", 1024usize)
@@ -510,7 +492,6 @@ fn serve(args: &Args) -> Result<(), String> {
         );
     }
     let config = lookhd_serve::ServeConfig::new()
-        .with_queue_cap(queue_cap)
         .with_reactors(reactors)
         .with_max_conns(max_conns)
         .with_slo(slo);
@@ -536,26 +517,17 @@ fn serve(args: &Args) -> Result<(), String> {
         _ => None,
     };
 
-    let (n_classes, handle) = if online {
-        let clf = full_classifier.expect("online requires the full classifier");
-        let n_classes = clf.num_classes();
+    let n_classes = clf.num_classes();
+    let handle = if online {
         let online_config = lookhd_serve::OnlineConfig::new()
+            .with_queue_cap(queue_cap)
             .with_auto_refresh_min_folds(refresh_after)
             .with_drift_threshold(drift_threshold);
-        let handle = lookhd_serve::start_online(addr, clf, config, online_config)
-            .map_err(|e| format!("binding {addr}: {e}"))?;
-        (n_classes, handle)
+        lookhd_serve::start_online(addr, clf, config, online_config)
     } else {
-        let model = match full_classifier {
-            Some(clf) => std::sync::Arc::new(clf) as lookhd_serve::SharedClassifier,
-            None => lookhd_serve::load_classifier(std::path::Path::new(model_path))
-                .map_err(|e| format!("loading {model_path}: {e}"))?,
-        };
-        let n_classes = model.num_classes();
-        let handle =
-            lookhd_serve::start(addr, model, config).map_err(|e| format!("binding {addr}: {e}"))?;
-        (n_classes, handle)
-    };
+        lookhd_serve::start(addr, std::sync::Arc::new(clf), config)
+    }
+    .map_err(|e| format!("binding {addr}: {e}"))?;
     let admin = match &admin_addr {
         Some(admin_addr) => {
             let options = lookhd_serve::AdminOptions::new().with_health(handle.health());

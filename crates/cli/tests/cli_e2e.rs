@@ -381,6 +381,31 @@ fn unknown_flags_are_rejected_by_name() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// `serve` loads `LKS1` classifiers only: a file in any other format
+/// fails at load, before the server binds.
+#[test]
+fn serve_rejects_a_model_that_is_not_lks1() {
+    let dir = workdir("serve_not_lks1");
+    let model = dir.join("model.hdc");
+    fs::write(&model, b"HDC1 a bare class model, not a classifier").expect("write model");
+    let out = bin()
+        .args([
+            "serve",
+            "--model",
+            model.to_str().unwrap(),
+            "--addr",
+            "127.0.0.1:0",
+        ])
+        .output()
+        .expect("run serve");
+    assert!(!out.status.success(), "serve accepted a non-LKS1 model");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("LKS1"), "stderr: {stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!stdout.contains("serving on"), "stdout: {stdout}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// Minimal structural validation of the metrics JSON without a JSON
 /// parser: balanced braces/brackets outside strings, and the expected
 /// top-level keys.

@@ -71,8 +71,8 @@ pub trait Classifier {
     /// Per-class scores for one feature vector, when the model family
     /// exposes them (`Ok(None)` otherwise — the default). Higher is more
     /// confident; `predict` returns the argmax. The default
-    /// [`Classifier::predict_batch_with_margin`] reads its top1−top2
-    /// margins from these.
+    /// [`Classifier::predict_with_margin`] reads its top1−top2 margin
+    /// from these.
     ///
     /// # Errors
     ///
@@ -82,32 +82,23 @@ pub trait Classifier {
         Ok(None)
     }
 
-    /// Predicts a batch together with each prediction's top1−top2 score
+    /// Predicts one feature vector together with its top1−top2 score
     /// margin ([`argmax_margin`]; `None` for score-less models, fewer
-    /// than two classes, or a scoring error). Labels equal
-    /// [`Classifier::predict_batch`]'s.
+    /// than two classes, or a scoring error). The label equals
+    /// [`Classifier::predict`]'s.
     ///
-    /// The default runs `predict_batch` and then
-    /// [`Classifier::class_scores`] per query: a second scoring pass.
+    /// The default runs `predict` and then
+    /// [`Classifier::class_scores`]: a second scoring pass.
     /// Implementations that can read the margin off the scores their
     /// prediction already computed should override it.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Classifier::predict_batch`].
-    fn predict_batch_with_margin(
-        &self,
-        features: &[Vec<f64>],
-    ) -> Result<Vec<(usize, Option<f64>)>> {
-        let labels = self.predict_batch(features)?;
-        Ok(labels
-            .into_iter()
-            .zip(features)
-            .map(|(label, f)| {
-                let scores = self.class_scores(f).ok().flatten();
-                (label, scores.and_then(|s| argmax_margin(&s).1))
-            })
-            .collect())
+    /// Same conditions as [`Classifier::predict`].
+    fn predict_with_margin(&self, features: &[f64]) -> Result<(usize, Option<f64>)> {
+        let label = self.predict(features)?;
+        let scores = self.class_scores(features).ok().flatten();
+        Ok((label, scores.and_then(|s| argmax_margin(&s).1)))
     }
 
     /// The name of the scoring kernel serving predictions, when the model
@@ -198,13 +189,10 @@ mod tests {
     }
 
     #[test]
-    fn default_margin_batch_predicts_without_scores() {
-        let xs = vec![vec![-1.0], vec![2.0]];
-        assert_eq!(
-            SignStub.predict_batch_with_margin(&xs).unwrap(),
-            vec![(0, None), (1, None)]
-        );
-        assert!(SignStub.predict_batch_with_margin(&[vec![]]).is_err());
+    fn default_margin_predicts_without_scores() {
+        assert_eq!(SignStub.predict_with_margin(&[-1.0]).unwrap(), (0, None));
+        assert_eq!(SignStub.predict_with_margin(&[2.0]).unwrap(), (1, None));
+        assert!(SignStub.predict_with_margin(&[]).is_err());
     }
 
     #[test]

@@ -773,20 +773,13 @@ impl Classifier for LookHdClassifier {
         Ok(self.predict_batch_stats(features)?.0)
     }
 
-    /// One scoring pass per query through the active kernel's
-    /// [`ScoreKernel::predict_with_margin`], sharded like
-    /// [`Classifier::predict_batch`]: the dense and score-LUT kernels
-    /// read the margin off the scores their prediction computes.
-    fn predict_batch_with_margin(
-        &self,
-        features: &[Vec<f64>],
-    ) -> Result<Vec<(usize, Option<f64>)>> {
-        let per_query = |f: &[f64]| {
-            let _span = obs::span("predict");
-            self.kernel
-                .predict_with_margin(&self.encoder, &self.compressed, f)
-        };
-        Ok(self.batch_with(features, per_query)?.0)
+    /// One scoring pass through the active kernel's
+    /// [`ScoreKernel::predict_with_margin`]: the dense and score-LUT
+    /// kernels read the margin off the scores their prediction computes.
+    fn predict_with_margin(&self, features: &[f64]) -> Result<(usize, Option<f64>)> {
+        let _span = obs::span("predict");
+        self.kernel
+            .predict_with_margin(&self.encoder, &self.compressed, features)
     }
 
     /// Per-class scores via the inherent [`LookHdClassifier::scores`]

@@ -1,40 +1,36 @@
-//! Per-connection state shared between the reactor and the trainer
-//! thread.
+//! Per-connection state, owned by one reactor thread.
 //!
-//! A [`Conn`] owns the nonblocking `TcpStream` for its whole lifetime.
-//! The owning reactor is the only reader. Responses reach the socket
-//! through the outbox, under its lock:
+//! A [`Conn`] owns the nonblocking `TcpStream` for its whole lifetime,
+//! and only the reactor that accepted it ever touches it: that reactor
+//! reads the socket, encodes every response onto the outbox and writes
+//! it. Responses come from two places, both on the reactor thread:
 //!
-//! * **reactor path** — every response the reactor produces (pongs,
-//!   errors, scored predicts) is encoded onto the outbox by
-//!   [`Conn::append`] without a write; after dispatching a read chunk's
-//!   frames the reactor writes them all with one [`Conn::flush_outbox`]
-//!   and arms `EPOLLOUT` for whatever the kernel refuses. Whenever the
-//!   reactor sleeps, a non-empty outbox has `EPOLLOUT` armed.
-//! * **trainer path** — the trainer thread's acks go through
-//!   [`Conn::send`]: the frame is appended the same way, the trainer
-//!   writes what the kernel accepts, and the owning reactor is asked to
-//!   flush the rest.
+//! * **frames the reactor dispatches** — pongs, errors and scored
+//!   predicts are encoded onto the outbox by [`Conn::append`] without a
+//!   write;
+//! * **trainer replies** — the trainer thread never sees a connection;
+//!   it hands each ack to the owning reactor's queue under the
+//!   connection's token, and the reactor appends it here and counts the
+//!   command answered (`inflight`).
+//!
+//! After appending a read chunk's responses (or a batch of replies) the
+//! reactor writes them with one [`Conn::flush_outbox`] and arms
+//! `EPOLLOUT` for whatever the kernel refuses. Whenever the reactor
+//! sleeps, a non-empty outbox has `EPOLLOUT` armed.
 //!
 //! A client that stops reading while responses keep completing grows
 //! its outbox until [`OUTBOX_CAP`] and is then condemned (load
 //! shedding, `serve.slow_client_drops`): the connection writes nothing
 //! further and is torn down by its reactor.
 //!
-//! Teardown is reference-counted by work, not by `Arc`s: a connection
-//! whose read side is finished ([`Conn::mark_read_shut`]) is closed as
-//! soon as its last trainer command has been answered and its outbox
-//! has drained ([`Conn::is_reapable`]). The trainer finishing the last
-//! ack nudges the reactor via [`ReactorQueue::check`] so the close
-//! happens promptly instead of at the next unrelated wakeup.
+//! Teardown is counted by work: a connection whose read side is
+//! finished (`read_shut`) is closed as soon as its last trainer command
+//! has been answered and its outbox has drained ([`Conn::is_reapable`]).
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 
-use crate::reactor::ReactorQueue;
 use crate::wire::{self, Response};
 
 /// Cap on buffered-but-unsent response bytes per connection. A client
@@ -141,54 +137,37 @@ impl OutboxBuf {
     }
 }
 
-/// Pending response bytes not yet accepted by the kernel, plus the
-/// per-connection frame-encode scratch buffer.
-struct Outbox {
-    b: OutboxBuf,
+/// One live client connection: its socket, the pending response bytes
+/// not yet accepted by the kernel, and the per-connection frame-encode
+/// scratch buffer.
+pub(crate) struct Conn {
+    stream: TcpStream,
+    out: OutboxBuf,
     /// Reusable frame-encode buffer: every response encodes into this
     /// one allocation instead of a fresh `Vec` per frame.
     scratch: Vec<u8>,
     /// Condemned: transport error or outbox overflow. All later writes
     /// are no-ops and the reactor tears the connection down.
     dead: bool,
-}
-
-/// One live client connection, shared (via `Arc`) between the owning
-/// reactor and the trainer commands holding it.
-pub(crate) struct Conn {
-    /// The reactor-assigned epoll token.
-    pub(crate) token: u64,
-    stream: TcpStream,
-    out: Mutex<Outbox>,
     /// Trainer commands enqueued but not yet answered.
-    inflight: AtomicUsize,
+    pub(crate) inflight: usize,
     /// The reactor stopped reading (EOF, framing damage, or shutdown).
-    read_shut: AtomicBool,
-    /// The owning reactor's command queue + waker.
-    reactor: Arc<ReactorQueue>,
+    pub(crate) read_shut: bool,
 }
 
 impl Conn {
     /// Wraps an accepted stream: nonblocking (readiness-driven) and
     /// nodelay (small response frames must not wait for ACKs).
-    pub(crate) fn new(
-        stream: TcpStream,
-        token: u64,
-        reactor: Arc<ReactorQueue>,
-    ) -> io::Result<Self> {
+    pub(crate) fn new(stream: TcpStream) -> io::Result<Self> {
         stream.set_nonblocking(true)?;
         let _ = stream.set_nodelay(true);
         Ok(Self {
-            token,
             stream,
-            out: Mutex::new(Outbox {
-                b: OutboxBuf::new(),
-                scratch: Vec::new(),
-                dead: false,
-            }),
-            inflight: AtomicUsize::new(0),
-            read_shut: AtomicBool::new(false),
-            reactor,
+            out: OutboxBuf::new(),
+            scratch: Vec::new(),
+            dead: false,
+            inflight: 0,
+            read_shut: false,
         })
     }
 
@@ -197,111 +176,58 @@ impl Conn {
         self.stream.as_raw_fd()
     }
 
-    /// Reads from the socket (reactor thread only).
+    /// Reads from the socket.
     pub(crate) fn read_into(&self, buf: &mut [u8]) -> io::Result<usize> {
         (&self.stream).read(buf)
     }
 
     /// Encodes one response frame onto the outbox without writing it:
     /// the reactor writes everything a read chunk produced with one
-    /// [`Conn::flush_outbox`]. The lock keeps frames from interleaving,
-    /// and the scratch buffer means zero allocations per frame once it
-    /// has warmed up. Overflowing [`OUTBOX_CAP`] condemns the
-    /// connection; the flush that follows reports it dead.
-    pub(crate) fn append(&self, response: &Response) {
-        let mut out = self.out.lock().expect("outbox lock poisoned");
-        if out.dead {
+    /// [`Conn::flush_outbox`]. The scratch buffer means zero allocations
+    /// per frame once it has warmed up. Overflowing [`OUTBOX_CAP`]
+    /// condemns the connection; the flush that follows reports it dead.
+    pub(crate) fn append(&mut self, response: &Response) {
+        if self.dead {
             return;
         }
-        // Take the scratch out so the encoded frame and the outbox can
-        // be borrowed side by side; restored before unlock.
-        let mut scratch = std::mem::take(&mut out.scratch);
-        wire::encode_response_frame_into(response, &mut scratch);
-        debug_assert!(scratch.len() <= 4 + wire::MAX_FRAME_LEN);
-        if !out.b.append(&scratch) {
-            out.dead = true;
+        wire::encode_response_frame_into(response, &mut self.scratch);
+        debug_assert!(self.scratch.len() <= 4 + wire::MAX_FRAME_LEN);
+        if !self.out.append(&self.scratch) {
+            self.dead = true;
             obs::counter("serve.slow_client_drops", 1);
         }
-        out.scratch = scratch;
     }
 
-    /// Sends one response frame from the trainer thread; never blocks.
-    /// The frame joins the outbox behind any reactor output and the
-    /// kernel takes what it will; the owning reactor is asked to flush
-    /// the rest on `EPOLLOUT`, or to reap a dead connection.
-    pub(crate) fn send(&self, response: &Response) {
-        self.append(response);
-        match self.flush_outbox() {
-            Flush::Empty => {}
-            Flush::Pending => self.reactor.flush(self.token),
-            Flush::Dead => self.reactor.check(self.token),
-        }
-    }
-
-    /// Writes as much backlog as the kernel accepts: on the reactor
-    /// once per read chunk, on `EPOLLOUT` or on a flush command, and on
-    /// the trainer after each ack.
-    pub(crate) fn flush_outbox(&self) -> Flush {
-        let mut out = self.out.lock().expect("outbox lock poisoned");
-        if out.dead {
+    /// Writes as much backlog as the kernel accepts: once per read
+    /// chunk, once per batch of trainer replies, and on `EPOLLOUT`.
+    pub(crate) fn flush_outbox(&mut self) -> Flush {
+        if self.dead {
             return Flush::Dead;
         }
         let mut stream = &self.stream;
-        match out.b.flush_with(&mut |bytes| stream.write(bytes)) {
+        match self.out.flush_with(&mut |bytes| stream.write(bytes)) {
             Ok(true) => Flush::Empty,
             Ok(false) => Flush::Pending,
             Err(_) => {
-                out.dead = true;
+                self.dead = true;
                 Flush::Dead
             }
         }
-    }
-
-    /// Counts one command handed to the trainer queue.
-    pub(crate) fn begin_request(&self) {
-        self.inflight.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Counts one answered trainer command; when it was the last one on
-    /// a read-finished connection, nudges the reactor so the close is
-    /// prompt.
-    pub(crate) fn finish_request(&self) {
-        if self.inflight.fetch_sub(1, Ordering::SeqCst) == 1
-            && self.read_shut.load(Ordering::SeqCst)
-        {
-            self.reactor.check(self.token);
-        }
-    }
-
-    /// Marks the read side finished (EOF, framing damage, shutdown).
-    pub(crate) fn mark_read_shut(&self) {
-        self.read_shut.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether the read side is finished.
-    pub(crate) fn is_read_shut(&self) -> bool {
-        self.read_shut.load(Ordering::SeqCst)
     }
 
     /// A connection is reaped once it will never produce another byte:
     /// reads are done, every trainer command is answered, and the
     /// outbox is drained (or the connection is condemned).
     pub(crate) fn is_reapable(&self) -> bool {
-        if !self.is_read_shut() || self.inflight.load(Ordering::SeqCst) != 0 {
-            return false;
-        }
-        let out = self.out.lock().expect("outbox lock poisoned");
-        out.dead || out.b.backlog() == 0
+        self.read_shut && self.inflight == 0 && (self.dead || self.out.backlog() == 0)
     }
 
     /// Whether backlogged bytes are waiting on `EPOLLOUT`.
     pub(crate) fn has_backlog(&self) -> bool {
-        let out = self.out.lock().expect("outbox lock poisoned");
-        !out.dead && out.b.backlog() > 0
+        !self.dead && self.out.backlog() > 0
     }
 
-    /// Hard-closes both directions (reap time). Lingering `Arc`s held
-    /// by queued trainer commands turn into harmless failed writes.
+    /// Hard-closes both directions (reap time).
     pub(crate) fn close(&self) {
         let _ = self.stream.shutdown(Shutdown::Both);
     }

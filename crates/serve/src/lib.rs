@@ -2,10 +2,10 @@
 //!
 //! The paper's deployment story is real-time classification on low-power
 //! nodes; this crate is the serving half of that story: a std-only,
-//! threaded TCP server that loads any persisted model (`LKS1`, `HDC1`,
-//! `LKC1`) behind the object-safe [`hdc::Classifier`] trait and answers
-//! length-prefixed binary predict requests, scoring each one on the
-//! reactor thread that reads it.
+//! threaded TCP server that serves a trained `LKS1` classifier behind
+//! the object-safe [`hdc::Classifier`] trait and answers length-prefixed
+//! binary predict requests, scoring each one on the reactor thread that
+//! reads it.
 //!
 //! * [`wire`] — the hardened frame/message codec (magic + version +
 //!   request id + payload; every length capped before allocation), with
@@ -16,11 +16,12 @@
 //!   frame in one turn under per-round read and frame budgets,
 //!   graceful shutdown, per-request tracing + model-quality telemetry
 //!   when observability is on, and (via [`server::start_online`]) the
-//!   online-training trainer thread with atomic model hot-swap;
+//!   online-training trainer thread with atomic model hot-swap, whose
+//!   acks the reactor that owns each connection writes;
 //! * [`client`] — a small blocking client (used by the CLI tests and the
 //!   `loadgen` benchmark driver);
-//! * [`model`] — format sniffing and [`Classifier`] adapters for the
-//!   encoder-less formats;
+//! * [`model`] — the shareable classifier, its versions and the
+//!   hot-swappable model slot;
 //! * [`admin`] — the std-only HTTP admin listener serving live snapshot
 //!   JSON, Prometheus text (with dimensional labels and OpenMetrics
 //!   tail exemplars), Chrome trace-event exports, and the SLO-aware
@@ -70,9 +71,7 @@ pub use admin::{
 };
 pub use client::Client;
 pub use metrics::MetricsFlusher;
-pub use model::{
-    classifier_from_bytes, load_classifier, ModelSlot, SharedClassifier, VersionedModel,
-};
+pub use model::{ModelSlot, SharedClassifier, VersionedModel};
 pub use server::{start, start_online, OnlineConfig, ServeConfig, ServerHandle};
 pub use slo::{Health, HealthState, SloAxis, SloConfig};
 pub use wire::{ErrorCode, Request, Response, WireError};

@@ -1,34 +1,19 @@
-//! Loading served models from the workspace's persisted formats.
+//! The served model: a shareable classifier, the versions it is
+//! installed under, and the slot that hot-swaps them.
 //!
-//! The server speaks to models exclusively through the object-safe
-//! [`Classifier`] trait, so any of the three on-disk formats can sit
-//! behind one endpoint:
-//!
-//! * **`LKS1`** — a full [`LookHdClassifier`] (quantizer, lookup encoder,
-//!   and compressed model). Requests carry *raw feature vectors*; the
-//!   server encodes and classifies exactly like `lookhd predict`. When the
-//!   artifact carries an SLT1 score-LUT section (`--kernel` at train
-//!   time), the server picks it up transparently and reports the active
-//!   kernel in the admin snapshot (`kernel.active.<name>`). The score-LUT
-//!   is bit-identical to the dense path, so responses do not change, only
-//!   their latency.
-//! * **`HDC1`** — a bare [`ClassModel`] with no encoder. Requests carry a
-//!   *pre-encoded hypervector* (one `f64` per dimension, rounded to the
-//!   nearest `i32`); the edge device runs the cheap lookup encoding and
-//!   ships the hypervector, the server runs the similarity search.
-//! * **`LKC1`** — a bare [`CompressedModel`]; same pre-encoded contract
-//!   as `HDC1` against the compressed search path.
-//!
-//! The format is sniffed from the artifact's magic bytes, mirroring how
-//! the persistence layer brands its streams.
+//! The server loads `LKS1` artifacts ([`lookhd::LookHdClassifier`]:
+//! quantizer, lookup encoder and compressed model). Requests carry raw
+//! feature vectors, and the server encodes and classifies them exactly
+//! like `lookhd predict`. When the artifact carries an SLT1 score-LUT
+//! section the classifier scores through it, and the server reports
+//! the active kernel in the admin snapshot (`kernel.active.<name>`);
+//! the score-LUT is bit-identical to the dense path, so only latency
+//! changes. The server speaks to the model through the object-safe
+//! [`Classifier`] trait, which also lets tests substitute a fake.
 
-use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-use hdc::hv::DenseHv;
-use hdc::model::ClassModel;
-use hdc::{Classifier, HdcError, Result};
-use lookhd::{CompressedModel, LookHdClassifier};
+use hdc::Classifier;
 
 /// A classifier that can be shared across server reactor threads.
 pub type SharedClassifier = Arc<dyn Classifier + Send + Sync>;
@@ -150,248 +135,5 @@ impl ModelSlot {
     /// The live version number.
     pub fn version(&self) -> u64 {
         self.current.lock().expect("model slot poisoned").version()
-    }
-}
-
-/// Converts a wire feature vector into a hypervector query for the
-/// encoder-less formats: arity must match the model dimension exactly and
-/// every value is rounded to the nearest `i32`.
-fn query_from_features(features: &[f64], dim: usize) -> Result<DenseHv> {
-    if features.len() != dim {
-        return Err(HdcError::DimensionMismatch {
-            expected: dim,
-            actual: features.len(),
-        });
-    }
-    Ok(DenseHv::from_vec(
-        features.iter().map(|&v| v.round() as i32).collect(),
-    ))
-}
-
-/// [`Classifier`] adapter over a bare `HDC1` class model: features are a
-/// pre-encoded hypervector.
-#[derive(Debug, Clone)]
-pub struct RawModelClassifier {
-    model: ClassModel,
-}
-
-impl RawModelClassifier {
-    /// Wraps a deserialized class model.
-    pub fn new(model: ClassModel) -> Self {
-        Self { model }
-    }
-
-    /// The wrapped model.
-    pub fn model(&self) -> &ClassModel {
-        &self.model
-    }
-}
-
-impl Classifier for RawModelClassifier {
-    fn num_classes(&self) -> usize {
-        self.model.n_classes()
-    }
-
-    fn predict(&self, features: &[f64]) -> Result<usize> {
-        self.model
-            .predict(&query_from_features(features, self.model.dim())?)
-    }
-
-    fn class_scores(&self, features: &[f64]) -> Result<Option<Vec<f64>>> {
-        self.model
-            .scores(&query_from_features(features, self.model.dim())?)
-            .map(Some)
-    }
-}
-
-/// [`Classifier`] adapter over a bare `LKC1` compressed model: features
-/// are a pre-encoded hypervector.
-#[derive(Debug, Clone)]
-pub struct CompressedModelClassifier {
-    model: CompressedModel,
-}
-
-impl CompressedModelClassifier {
-    /// Wraps a deserialized compressed model.
-    pub fn new(model: CompressedModel) -> Self {
-        Self { model }
-    }
-
-    /// The wrapped model.
-    pub fn model(&self) -> &CompressedModel {
-        &self.model
-    }
-}
-
-impl Classifier for CompressedModelClassifier {
-    fn num_classes(&self) -> usize {
-        self.model.n_classes()
-    }
-
-    fn predict(&self, features: &[f64]) -> Result<usize> {
-        self.model
-            .predict(&query_from_features(features, self.model.dim())?)
-    }
-
-    fn class_scores(&self, features: &[f64]) -> Result<Option<Vec<f64>>> {
-        self.model
-            .scores(&query_from_features(features, self.model.dim())?)
-            .map(Some)
-    }
-}
-
-/// Deserializes a servable classifier from any persisted format,
-/// dispatching on the artifact's magic bytes (`LKS1`, `HDC1`, `LKC1`).
-///
-/// # Errors
-///
-/// Returns [`HdcError::InvalidDataset`] for an unrecognized magic and
-/// propagates the format's own errors for malformed artifacts.
-pub fn classifier_from_bytes(bytes: &[u8]) -> Result<SharedClassifier> {
-    match bytes.get(..4) {
-        Some(b"LKS1") => Ok(Arc::new(LookHdClassifier::from_bytes(bytes)?)),
-        Some(b"HDC1") => {
-            let model = hdc::persist::model_from_bytes(bytes)
-                .map_err(|e| HdcError::invalid_dataset(format!("HDC1 model: {e}")))?;
-            Ok(Arc::new(RawModelClassifier::new(model)))
-        }
-        Some(b"LKC1") => Ok(Arc::new(CompressedModelClassifier::new(
-            CompressedModel::from_bytes(bytes)?,
-        ))),
-        _ => Err(HdcError::invalid_dataset(
-            "unrecognized model magic: expected LKS1, HDC1, or LKC1",
-        )),
-    }
-}
-
-/// Reads a servable classifier from a file (see [`classifier_from_bytes`]).
-///
-/// # Errors
-///
-/// Returns [`HdcError::InvalidDataset`] for I/O failures or malformed
-/// artifacts.
-pub fn load_classifier(path: &Path) -> Result<SharedClassifier> {
-    let bytes = std::fs::read(path)
-        .map_err(|e| HdcError::invalid_dataset(format!("reading {}: {e}", path.display())))?;
-    classifier_from_bytes(&bytes)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use hdc::FitClassifier;
-    use lookhd::LookHdConfig;
-
-    fn tiny_lookhd() -> (LookHdClassifier, Vec<Vec<f64>>) {
-        let mut features = Vec::new();
-        let mut labels = Vec::new();
-        for i in 0..24 {
-            let class = i % 2;
-            let base = if class == 0 { 0.25 } else { 0.75 };
-            let jitter = (i / 2) as f64 * 0.01;
-            features.push(vec![base + jitter, base - jitter, base, 1.0 - base]);
-            labels.push(class);
-        }
-        let config = LookHdConfig::new().with_dim(64).with_retrain_epochs(1);
-        let clf = LookHdClassifier::fit(&config, &features, &labels).unwrap();
-        (clf, features)
-    }
-
-    #[test]
-    fn all_three_formats_load_and_predict() {
-        let (clf, features) = tiny_lookhd();
-
-        let lks = classifier_from_bytes(&clf.to_bytes().unwrap()).unwrap();
-        for x in &features {
-            assert_eq!(lks.predict(x).unwrap(), clf.predict(x).unwrap());
-        }
-
-        let hdc_bytes = hdc::persist::model_to_bytes(clf.model()).unwrap();
-        let raw = classifier_from_bytes(&hdc_bytes).unwrap();
-        assert_eq!(raw.num_classes(), clf.model().n_classes());
-        let lkc = classifier_from_bytes(&clf.compressed().to_bytes().unwrap()).unwrap();
-        assert_eq!(lkc.num_classes(), clf.compressed().n_classes());
-        for x in &features {
-            let h = clf.encode(x).unwrap();
-            let as_f64: Vec<f64> = h.as_slice().iter().map(|&v| v as f64).collect();
-            assert_eq!(
-                raw.predict(&as_f64).unwrap(),
-                clf.model().predict(&h).unwrap()
-            );
-            assert_eq!(
-                lkc.predict(&as_f64).unwrap(),
-                clf.compressed().predict(&h).unwrap()
-            );
-        }
-    }
-
-    #[test]
-    fn score_lut_artifact_loads_and_matches_dense_sibling() {
-        let (dense_clf, features) = tiny_lookhd();
-        // Same data and seed, kernel enabled (which needs decorrelation
-        // off — also turn it off for the dense sibling so the two models
-        // are trained identically).
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
-        for i in 0..24 {
-            let class = i % 2;
-            let base = if class == 0 { 0.25 } else { 0.75 };
-            let jitter = (i / 2) as f64 * 0.01;
-            xs.push(vec![base + jitter, base - jitter, base, 1.0 - base]);
-            ys.push(class);
-        }
-        let base_cfg = LookHdConfig::new()
-            .with_dim(64)
-            .with_retrain_epochs(1)
-            .with_compression(lookhd::CompressionConfig::new().with_decorrelate(false));
-        let dense = LookHdClassifier::fit(&base_cfg, &xs, &ys).unwrap();
-        let fast = LookHdClassifier::fit(
-            &base_cfg.clone().with_kernel(lookhd::KernelSpec::auto()),
-            &xs,
-            &ys,
-        )
-        .unwrap();
-        assert!(fast.score_lut().is_some());
-        let served = classifier_from_bytes(&fast.to_bytes().unwrap()).unwrap();
-        assert_eq!(served.kernel_name(), Some("lut"));
-        for x in &features {
-            assert_eq!(served.predict(x).unwrap(), dense.predict(x).unwrap());
-        }
-        let _ = dense_clf;
-    }
-
-    #[test]
-    fn dense_kernel_artifact_loads_and_reports_its_kernel() {
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
-        for i in 0..24 {
-            let class = i % 2;
-            let base = if class == 0 { 0.25 } else { 0.75 };
-            let jitter = (i / 2) as f64 * 0.01;
-            xs.push(vec![base + jitter, base - jitter, base, 1.0 - base]);
-            ys.push(class);
-        }
-        let cfg = LookHdConfig::new().with_dim(64).with_retrain_epochs(1);
-        let clf = LookHdClassifier::fit(&cfg, &xs, &ys).unwrap();
-        let served = classifier_from_bytes(&clf.to_bytes().unwrap()).unwrap();
-        assert_eq!(served.kernel_name(), Some("dense"));
-        for x in &xs {
-            assert_eq!(served.predict(x).unwrap(), clf.predict(x).unwrap());
-        }
-        // Encoder-less formats report no kernel.
-        let raw =
-            classifier_from_bytes(&hdc::persist::model_to_bytes(clf.model()).unwrap()).unwrap();
-        assert_eq!(raw.kernel_name(), None);
-    }
-
-    #[test]
-    fn wrong_arity_and_bad_magic_error() {
-        let (clf, _) = tiny_lookhd();
-        let raw =
-            classifier_from_bytes(&hdc::persist::model_to_bytes(clf.model()).unwrap()).unwrap();
-        assert!(raw.predict(&[1.0, 2.0]).is_err());
-        assert!(classifier_from_bytes(b"NOPE-not-a-model").is_err());
-        assert!(classifier_from_bytes(&[]).is_err());
-        assert!(load_classifier(Path::new("/nonexistent/model.lks")).is_err());
     }
 }

@@ -5,8 +5,8 @@
 //! plus the connection state machines assigned to it: the
 //! per-connection [`wire::FrameDecoder`] read buffer (frames are
 //! borrowed `&[u8]` slices out of it — zero copies, zero per-frame
-//! allocations), the epoll interest set, and (shared with the trainer
-//! thread through [`Conn`]) the write-backpressure outbox.
+//! allocations), the epoll interest set, and the write-backpressure
+//! outbox ([`Conn`]). No other thread touches a connection.
 //!
 //! A decoded frame is handled where it lands: pings are answered,
 //! predicts are scored on this thread (one model call each, see
@@ -15,6 +15,20 @@
 //! frames of a read chunk are dispatched the reactor writes them with
 //! **one** flush. The invariant: whenever the reactor sleeps in `wait`,
 //! a non-empty outbox has `EPOLLOUT` armed.
+//!
+//! The trainer thread answers through the reactor's [`ReactorQueue`] —
+//! a list of `(token, response)` replies plus a [`netpoll::Waker`].
+//! At the top of every loop iteration the reactor appends each reply to
+//! its connection's outbox, counts the command answered, and flushes
+//! like a read chunk. A reply for a connection that is gone is dropped;
+//! tokens never recycle, so it cannot reach another connection.
+//!
+//! **The drain rule.** Replies and the server's `drained` flag travel
+//! separately, so a reactor can see `drained` while a reply still sits
+//! in its list; that connection still counts the command in flight.
+//! Every teardown after drain therefore goes through
+//! [`Conn::is_reapable`] (read side shut, no trainer command in flight,
+//! outbox empty or condemned), never through "no backlog".
 //!
 //! ## Accept sharding
 //!
@@ -46,13 +60,6 @@
 //! throughput, not a monopoly, and a newcomer waits at most one budget
 //! of model calls per connection ahead of it.
 //!
-//! Only the owning reactor ever touches a connection's epoll
-//! registration. The trainer thread requests changes through the
-//! reactor's [`ReactorQueue`] — a command list plus a
-//! [`netpoll::Waker`] — which the reactor drains at the top of every
-//! loop iteration. This keeps all `epoll_ctl` calls single-threaded and
-//! race-free.
-//!
 //! ## Admission control tiers
 //!
 //! 1. **connection cap** — at accept, a server already holding
@@ -63,7 +70,7 @@
 //!    [`crate::conn::OUTBOX_CAP`] is condemned
 //!    (`serve.slow_client_drops`);
 //! 3. **trainer-queue overload** — a feedback or refresh frame finding
-//!    the trainer queue at [`ServeConfig::queue_cap`] is answered with
+//!    the trainer queue at [`OnlineConfig::queue_cap`] is answered with
 //!    [`ErrorCode::Overloaded`] (`serve.overload_rejections`).
 //!
 //! Predicts are never refused for load: one that is not yet read waits
@@ -77,12 +84,13 @@
 //! drops its listener, parks all read interest, and keeps flushing
 //! outboxes; every predict it read is already answered. Once the server
 //! is *drained* — at once without online training, or when the trainer
-//! has answered its queue — the reactors close every connection as its
-//! outbox empties and exit, with a [`DRAIN_GRACE`] bound so a client
-//! that never reads its last bytes cannot wedge the join.
+//! has answered its queue — the reactors close every connection as it
+//! becomes reapable (see the drain rule above) and exit, with a
+//! [`DRAIN_GRACE`] bound so a client that never reads its last bytes
+//! cannot wedge the join.
 //!
 //! [`ServeConfig::max_conns`]: crate::ServeConfig::max_conns
-//! [`ServeConfig::queue_cap`]: crate::ServeConfig::queue_cap
+//! [`OnlineConfig::queue_cap`]: crate::OnlineConfig::queue_cap
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -96,7 +104,7 @@ use netpoll::{Event, Interest, Poller, WAKER_TOKEN};
 use obs::trace;
 
 use crate::conn::{Conn, Flush};
-use crate::server::{trace_pair, Inner, PredictFrame, TrainCmd};
+use crate::server::{trace_pair, Inner, PredictFrame, ReplyTo, TrainCmd};
 use crate::wire::{self, ErrorCode, FrameDecoder, Request, Response, WireError};
 
 /// Records the `serve/decode` histogram sample and, for traced
@@ -165,64 +173,46 @@ enum ReadOutcome {
     Defer,
 }
 
-/// Requests from the trainer thread to a reactor.
-enum Command {
-    /// The connection has backlogged response bytes: flush and watch
-    /// `EPOLLOUT` until empty.
-    Flush(u64),
-    /// Re-evaluate the connection (its last trainer command was
-    /// answered, or it was condemned off-thread).
-    Check(u64),
-}
-
-/// The handle other threads use to talk to a reactor: a command list
-/// drained at the top of each loop iteration, plus the waker that
-/// interrupts its `wait`.
+/// The handle other threads use to talk to a reactor: the trainer's
+/// replies, taken at the top of each loop iteration, plus the waker
+/// that interrupts its `wait`.
 pub(crate) struct ReactorQueue {
     waker: netpoll::Waker,
-    commands: Mutex<Vec<Command>>,
+    replies: Mutex<Vec<(u64, Response)>>,
 }
 
 impl ReactorQueue {
     pub(crate) fn new(waker: netpoll::Waker) -> Self {
         Self {
             waker,
-            commands: Mutex::new(Vec::new()),
+            replies: Mutex::new(Vec::new()),
         }
     }
 
-    /// Wakes the reactor with no command (shutdown/drain flag polls).
+    /// Wakes the reactor with no reply (shutdown/drain flag polls).
     pub(crate) fn wake(&self) {
         self.waker.wake();
     }
 
-    fn push(&self, command: Command) {
-        self.commands
+    /// Hands the reactor the answer to a trainer command from its
+    /// connection `token`, then wakes it.
+    pub(crate) fn reply(&self, token: u64, response: Response) {
+        self.replies
             .lock()
-            .expect("reactor command lock poisoned")
-            .push(command);
+            .expect("reactor reply lock poisoned")
+            .push((token, response));
         self.waker.wake();
     }
 
-    /// Asks the reactor to flush the connection's outbox.
-    pub(crate) fn flush(&self, token: u64) {
-        self.push(Command::Flush(token));
-    }
-
-    /// Asks the reactor to re-evaluate the connection for teardown.
-    pub(crate) fn check(&self, token: u64) {
-        self.push(Command::Check(token));
-    }
-
-    fn drain(&self) -> Vec<Command> {
-        std::mem::take(&mut *self.commands.lock().expect("reactor command lock poisoned"))
+    fn take_replies(&self) -> Vec<(u64, Response)> {
+        std::mem::take(&mut *self.replies.lock().expect("reactor reply lock poisoned"))
     }
 }
 
-/// Reactor-private view of one connection: the shared [`Conn`] plus
-/// state only the owning reactor touches.
+/// One connection as its reactor holds it: the [`Conn`] plus the read
+/// and readiness state of the event loop.
 struct ConnState {
-    conn: Arc<Conn>,
+    conn: Conn,
     decoder: FrameDecoder,
     interest: Interest,
     /// Queued in the reactor's ready round: readable bytes may remain
@@ -314,9 +304,7 @@ impl Reactor {
             if self.poller.wait(&mut events, timeout).is_err() {
                 break;
             }
-            for command in self.queue.drain() {
-                self.handle_command(command);
-            }
+            self.take_replies();
             let resume_accepts = self.accept_pending;
             for event in &events {
                 match event.token {
@@ -342,25 +330,25 @@ impl Reactor {
         }
     }
 
-    // -- commands -----------------------------------------------------------
+    // -- trainer replies ----------------------------------------------------
 
-    fn handle_command(&mut self, command: Command) {
-        match command {
-            Command::Flush(token) => {
-                if let Some(state) = self.conns.get(&token) {
-                    let conn = Arc::clone(&state.conn);
-                    self.flush(token, &conn);
-                }
+    /// Appends each trainer reply to its connection's outbox and counts
+    /// the command answered, then flushes every connection that got
+    /// one, reaping it if that was all it waited for. A reply for a
+    /// connection that is gone is dropped.
+    fn take_replies(&mut self) {
+        let mut touched = Vec::new();
+        for (token, response) in self.queue.take_replies() {
+            if let Some(state) = self.conns.get_mut(&token) {
+                state.conn.inflight -= 1;
+                state.conn.append(&response);
+                touched.push(token);
             }
-            Command::Check(token) => {
-                if self
-                    .conns
-                    .get(&token)
-                    .is_some_and(|state| state.conn.is_reapable())
-                {
-                    self.teardown(token);
-                }
-            }
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        for token in touched {
+            self.flush(token);
         }
     }
 
@@ -426,8 +414,8 @@ impl Reactor {
         obs::counter("serve.connections", 1);
         self.inner.conn_count.fetch_add(1, Ordering::SeqCst);
         let token = self.inner.next_token.fetch_add(1, Ordering::SeqCst);
-        let conn = match Conn::new(stream, token, Arc::clone(&self.queue)) {
-            Ok(conn) => Arc::new(conn),
+        let conn = match Conn::new(stream) {
+            Ok(conn) => conn,
             Err(_) => {
                 self.inner.conn_count.fetch_sub(1, Ordering::SeqCst);
                 return;
@@ -456,25 +444,22 @@ impl Reactor {
         let Some(state) = self.conns.get(&token) else {
             return;
         };
-        let conn = Arc::clone(&state.conn);
         if event.hangup {
             // Hard errors (EPOLLERR/EPOLLHUP): the socket is gone in
             // both directions, and edge-triggered delivery will not
             // repeat the event — drain any final readable bytes now
             // (budget-free; the connection is dying anyway), then tear
             // down whatever remains.
-            if event.readable && !conn.is_read_shut() {
-                self.read_ready(token, &conn, usize::MAX, usize::MAX);
+            if event.readable && !state.conn.read_shut {
+                self.read_ready(token, usize::MAX, usize::MAX);
             }
-            if self.conns.contains_key(&token) {
-                self.teardown(token);
-            }
+            self.teardown(token);
             return;
         }
-        if event.writable && !self.flush(token, &conn) {
+        if event.writable && !self.flush(token) {
             return;
         }
-        if event.readable && !conn.is_read_shut() {
+        if event.readable {
             // Edge-triggered: remember the readiness; the budgeted
             // ready round does the actual reads.
             self.mark_read_pending(token);
@@ -484,7 +469,7 @@ impl Reactor {
     /// Queues a connection for the ready round (idempotent).
     fn mark_read_pending(&mut self, token: u64) {
         if let Some(state) = self.conns.get_mut(&token) {
-            if !state.read_pending && !state.conn.is_read_shut() {
+            if !state.read_pending && !state.conn.read_shut {
                 state.read_pending = true;
                 self.ready.push_back(token);
             }
@@ -511,20 +496,22 @@ impl Reactor {
                 continue;
             };
             state.read_pending = false;
-            let conn = Arc::clone(&state.conn);
-            if conn.is_read_shut() {
+            if state.conn.read_shut {
                 continue;
             }
-            self.read_ready(token, &conn, budget, ROUND_FRAMES);
+            self.read_ready(token, budget, ROUND_FRAMES);
         }
     }
 
-    /// Writes the outbox — after a read chunk, one write for all of its
-    /// responses — and keeps the sleep invariant: bytes the kernel
-    /// refuses arm `EPOLLOUT`. Returns `false` when the connection is
-    /// gone.
-    fn flush(&mut self, token: u64, conn: &Conn) -> bool {
-        match conn.flush_outbox() {
+    /// Writes the outbox — after a read chunk or a batch of trainer
+    /// replies, one write for all of their responses — and keeps the
+    /// sleep invariant: bytes the kernel refuses arm `EPOLLOUT`. Returns
+    /// `false` when the connection is gone.
+    fn flush(&mut self, token: u64) -> bool {
+        let Some(state) = self.conns.get_mut(&token) else {
+            return false;
+        };
+        match state.conn.flush_outbox() {
             Flush::Empty => self.after_flush_empty(token),
             Flush::Pending => self.want(token, Interest::WRITABLE, true),
             Flush::Dead => self.teardown(token),
@@ -538,11 +525,11 @@ impl Reactor {
         let Some(state) = self.conns.get(&token) else {
             return;
         };
-        if state.conn.is_reapable() || (self.drained() && !state.conn.has_backlog()) {
+        if state.conn.is_reapable() {
             self.teardown(token);
             return;
         }
-        let read = !state.conn.is_read_shut();
+        let read = !state.conn.read_shut;
         self.want(
             token,
             if read {
@@ -565,7 +552,7 @@ impl Reactor {
     /// of the connection state so borrowed frame bodies and `&mut self`
     /// dispatch can coexist; it is restored before any exit (unless the
     /// connection is gone).
-    fn read_ready(&mut self, token: u64, conn: &Arc<Conn>, bytes: usize, frames: usize) {
+    fn read_ready(&mut self, token: u64, bytes: usize, frames: usize) {
         let mut bytes_left = bytes;
         let mut frames_left = frames;
         loop {
@@ -574,10 +561,10 @@ impl Reactor {
             };
             let mut decoder = std::mem::take(&mut state.decoder);
             let before = frames_left;
-            let keep_reading = self.dispatch_frames(conn, &mut decoder, &mut frames_left);
+            let keep_reading = self.dispatch_frames(token, &mut decoder, &mut frames_left);
             // One write for everything the dispatched frames produced,
             // before the next read.
-            if (frames_left != before || !keep_reading) && !self.flush(token, conn) {
+            if (frames_left != before || !keep_reading) && !self.flush(token) {
                 return;
             }
             let mut outcome = ReadOutcome::Continue;
@@ -586,8 +573,11 @@ impl Reactor {
             } else if frames_left == 0 || bytes_left == 0 {
                 outcome = ReadOutcome::Defer;
             } else {
+                let Some(state) = self.conns.get(&token) else {
+                    return;
+                };
                 let want = READ_CHUNK.min(bytes_left);
-                match conn.read_into(&mut decoder.space(want)[..want]) {
+                match state.conn.read_into(&mut decoder.space(want)[..want]) {
                     Ok(0) => outcome = ReadOutcome::Eof,
                     Ok(n) => {
                         decoder.commit(n);
@@ -610,15 +600,15 @@ impl Reactor {
                 ReadOutcome::Continue => {}
                 ReadOutcome::Drained => return,
                 ReadOutcome::Eof => {
-                    self.read_finished(token, conn, true);
+                    self.read_finished(token, true);
                     return;
                 }
                 ReadOutcome::Error => {
-                    self.read_finished(token, conn, false);
+                    self.read_finished(token, false);
                     return;
                 }
                 ReadOutcome::Condemn => {
-                    self.condemn_read(token, conn);
+                    self.condemn_read(token);
                     return;
                 }
                 ReadOutcome::Defer => {
@@ -641,7 +631,7 @@ impl Reactor {
     /// being read: framing damage (already answered) or a shutdown.
     fn dispatch_frames(
         &mut self,
-        conn: &Arc<Conn>,
+        token: u64,
         decoder: &mut FrameDecoder,
         frames_left: &mut usize,
     ) -> bool {
@@ -653,7 +643,9 @@ impl Reactor {
                     // Over-cap length prefix: answer, then drop the
                     // connection (the stream is no longer frame-aligned).
                     obs::counter("serve.bad_frames", 1);
-                    conn.append(&frame_error(e));
+                    if let Some(state) = self.conns.get_mut(&token) {
+                        state.conn.append(&frame_error(e));
+                    }
                     return false;
                 }
             };
@@ -661,7 +653,7 @@ impl Reactor {
             // Framing damage mid-pipeline, or a Shutdown frame (everything
             // after it is discarded): stop reading; frames already
             // dispatched stay answered.
-            if !self.dispatch(conn, body) || self.inner.shutdown.load(Ordering::SeqCst) {
+            if !self.dispatch(token, body) || self.inner.shutdown.load(Ordering::SeqCst) {
                 return false;
             }
         }
@@ -670,8 +662,12 @@ impl Reactor {
 
     /// Handles one complete frame body. Returns `false` when the frame
     /// was damaged in a way that poisons stream alignment.
-    fn dispatch(&mut self, conn: &Arc<Conn>, body: &[u8]) -> bool {
+    fn dispatch(&mut self, token: u64, body: &[u8]) -> bool {
         obs::counter_id(self.frames_id, 1);
+        let Some(state) = self.conns.get_mut(&token) else {
+            return false;
+        };
+        let conn = &mut state.conn;
         let decode_begin_ns = if obs::enabled() { trace::now_ns() } else { 0 };
         match wire::decode_request(body) {
             Err(e @ (WireError::TooLarge { .. } | WireError::Truncated { .. })) => {
@@ -735,22 +731,32 @@ impl Reactor {
                 features,
             }) => {
                 record_decode(trace_id, decode_begin_ns);
-                self.inner.enqueue_train(TrainCmd::Feedback {
-                    conn: Arc::clone(conn),
-                    id,
-                    trace_id,
-                    label,
-                    features,
-                });
+                let queue = Arc::clone(&self.queue);
+                let reply = ReplyTo { queue, token };
+                self.inner.enqueue_train(
+                    conn,
+                    TrainCmd::Feedback {
+                        reply,
+                        id,
+                        trace_id,
+                        label,
+                        features,
+                    },
+                );
                 true
             }
             Ok(Request::Refresh { id, trace_id }) => {
                 record_decode(trace_id, decode_begin_ns);
-                self.inner.enqueue_train(TrainCmd::Refresh {
-                    conn: Arc::clone(conn),
-                    id,
-                    trace_id,
-                });
+                let queue = Arc::clone(&self.queue);
+                let reply = ReplyTo { queue, token };
+                self.inner.enqueue_train(
+                    conn,
+                    TrainCmd::Refresh {
+                        reply,
+                        id,
+                        trace_id,
+                    },
+                );
                 true
             }
         }
@@ -759,33 +765,36 @@ impl Reactor {
     /// EOF or transport error on the read side. `clean` distinguishes a
     /// proper EOF, where a frame cut mid-body still earns a truncation
     /// error frame.
-    fn read_finished(&mut self, token: u64, conn: &Arc<Conn>, clean: bool) {
+    fn read_finished(&mut self, token: u64, clean: bool) {
         if clean {
-            if let Some(state) = self.conns.get(&token) {
+            if let Some(state) = self.conns.get_mut(&token) {
                 // EOF with a complete length prefix but a short body is
                 // frame damage; EOF inside the prefix is a silent close.
                 if state.decoder.mid_frame() && state.decoder.buffered() >= 4 {
                     obs::counter("serve.bad_frames", 1);
-                    conn.append(&frame_error(WireError::Truncated {
+                    state.conn.append(&frame_error(WireError::Truncated {
                         offset: state.decoder.buffered() - 4,
                         field: "frame body",
                     }));
                 }
             }
         }
-        self.condemn_read(token, conn);
+        self.condemn_read(token);
     }
 
     /// Stops reading this connection for good; it is reaped as soon as
     /// its trainer commands are answered and the outbox drains. A
     /// non-empty outbox keeps `EPOLLOUT` armed.
-    fn condemn_read(&mut self, token: u64, conn: &Arc<Conn>) {
-        conn.mark_read_shut();
-        if conn.is_reapable() {
+    fn condemn_read(&mut self, token: u64) {
+        let Some(state) = self.conns.get_mut(&token) else {
+            return;
+        };
+        state.conn.read_shut = true;
+        if state.conn.is_reapable() {
             self.teardown(token);
             return;
         }
-        let writable = conn.has_backlog();
+        let writable = state.conn.has_backlog();
         self.want(
             token,
             if writable {
@@ -828,10 +837,6 @@ impl Reactor {
 
     // -- shutdown + drain ---------------------------------------------------
 
-    fn drained(&self) -> bool {
-        self.drain_deadline.is_some()
-    }
-
     fn poll_shutdown(&mut self) {
         if self.inner.shutdown.load(Ordering::SeqCst) && !self.shutdown_seen {
             self.shutdown_seen = true;
@@ -844,23 +849,20 @@ impl Reactor {
             // their bytes and queued trainer acks still get flushed.
             let tokens: Vec<u64> = self.conns.keys().copied().collect();
             for token in tokens {
-                let Some(state) = self.conns.get(&token) else {
-                    continue;
-                };
-                let conn = Arc::clone(&state.conn);
-                self.condemn_read(token, &conn);
+                self.condemn_read(token);
             }
         }
         if self.inner.drained.load(Ordering::SeqCst) && self.drain_deadline.is_none() {
             self.drain_deadline = Some(Instant::now() + DRAIN_GRACE);
-            // Nothing can produce another response: anything without
-            // backlogged bytes is finished now.
+            // Nothing can produce another response, but a reply may still
+            // wait in this reactor's list: the drain rule reaps only what
+            // `is_reapable` allows, and the reply's flush reaps the rest.
             let tokens: Vec<u64> = self.conns.keys().copied().collect();
             for token in tokens {
                 if self
                     .conns
                     .get(&token)
-                    .is_some_and(|state| !state.conn.has_backlog())
+                    .is_some_and(|state| state.conn.is_reapable())
                 {
                     self.teardown(token);
                 }
@@ -907,4 +909,67 @@ fn reject(mut stream: TcpStream, message: String) {
             message,
         },
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
+
+    use super::*;
+    use crate::client::Client;
+    use crate::model::ModelSlot;
+    use crate::slo::{HealthState, SloConfig};
+    use crate::ServeConfig;
+
+    struct ZeroStub;
+
+    impl hdc::Classifier for ZeroStub {
+        fn num_classes(&self) -> usize {
+            1
+        }
+
+        fn predict(&self, _features: &[f64]) -> hdc::Result<usize> {
+            Ok(0)
+        }
+    }
+
+    /// The drain rule: a reactor that sees the server drained while a
+    /// trainer reply still waits in its list keeps that connection until
+    /// the reply is written, instead of closing it for having no backlog.
+    #[test]
+    fn a_reply_still_listed_at_drain_is_delivered_before_teardown() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let local_addr = listener.local_addr().expect("local address");
+        let mut client = Client::connect(local_addr).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        let poller = Poller::new().expect("poller");
+        let queue = Arc::new(ReactorQueue::new(poller.waker()));
+        let inner = Arc::new(Inner {
+            model: ModelSlot::new(Arc::new(ZeroStub)),
+            online: None,
+            config: ServeConfig::new(),
+            local_addr,
+            shutdown: AtomicBool::new(false),
+            drained: AtomicBool::new(false),
+            conn_count: AtomicUsize::new(0),
+            next_token: AtomicU64::new(0),
+            reactor_queues: vec![Arc::clone(&queue)],
+            health: Arc::new(HealthState::new(SloConfig::new())),
+        });
+        let mut reactor = Reactor::new(0, Arc::clone(&inner), poller, Arc::clone(&queue), listener);
+        reactor.admit(stream);
+
+        // The trainer answered the connection's one command, then drained;
+        // the reactor sees the drain before it takes the reply.
+        let state = reactor.conns.get_mut(&0).expect("admitted as token 0");
+        state.conn.inflight = 1;
+        queue.reply(0, Response::Pong { id: 7 });
+        inner.shutdown.store(true, Ordering::SeqCst);
+        inner.drained.store(true, Ordering::SeqCst);
+        reactor.poll_shutdown();
+        assert!(reactor.conns.contains_key(&0), "closed in flight");
+        reactor.take_replies();
+        assert!(reactor.conns.is_empty(), "answered but not reaped");
+        assert_eq!(client.recv().expect("reply"), Response::Pong { id: 7 });
+    }
 }

@@ -41,9 +41,9 @@
 //! predict already read has been answered into an outbox by then. Once
 //! nothing but the reactors can produce another response (at once
 //! without online training, or when the trainer has drained its queue)
-//! the server is *drained*: the reactors flush the remaining outboxes
-//! (bounded by a grace period) and exit, and [`ServerHandle::join`]
-//! returns.
+//! the server is *drained*: the reactors deliver the trainer's last
+//! replies, flush the remaining outboxes (bounded by a grace period)
+//! and exit, and [`ServerHandle::join`] returns.
 //!
 //! ## Tracing and telemetry
 //!
@@ -68,11 +68,13 @@
 //! its live counters off the hot path; a `refresh` frame (or the
 //! drift-gated automatic trigger, see [`OnlineConfig`]) materializes a
 //! full model version — compress, kernel rebuild — and swaps it into
-//! the shared [`ModelSlot`] atomically. Reactors load the slot **once
-//! per predict frame**, so a swap takes effect from the next frame on;
-//! stamped predict frames echo the version that scored them so clients
-//! (and the soak tests) can pin each answer to the exact model that
-//! produced it. See DESIGN.md §14 for the fold ≡ batch argument and the
+//! the shared [`ModelSlot`] atomically. The trainer never touches a
+//! connection: it hands each ack to the reactor that owns the
+//! connection, which writes it like any other response. Reactors load
+//! the slot **once per predict frame**, so a swap takes effect from the
+//! next frame on; stamped predict frames echo the version that scored
+//! them so clients (and the soak tests) can pin each answer to the
+//! exact model that produced it. See DESIGN.md §14 for the fold ≡ batch argument and the
 //! swap protocol.
 
 use std::collections::VecDeque;
@@ -83,7 +85,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use hdc::HdcError;
 use lookhd::{LookHdClassifier, StreamingTrainer};
 use netpoll::Poller;
 use obs::trace::{self, Phase};
@@ -97,11 +98,6 @@ use crate::wire::{ErrorCode, Response};
 /// Tuning knobs of a server instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Bound on the online trainer's command queue; a full queue
-    /// answers feedback and refresh frames with
-    /// [`ErrorCode::Overloaded`] instead of growing without limit.
-    /// Predicts never queue: the reactor that decodes one scores it.
-    pub queue_cap: usize,
     /// Reactor (I/O event loop) thread count: each reactor decodes,
     /// scores and answers the frames of its own connections, so this is
     /// also the server's inference parallelism. One reactor drives
@@ -123,7 +119,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         Self {
-            queue_cap: 1024,
             reactors: 1,
             max_conns: 8192,
             slo: SloConfig::new(),
@@ -132,16 +127,10 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// The default configuration (trainer queue of 1024, 1 reactor,
-    /// 8192 connections, no SLOs).
+    /// The default configuration (1 reactor, 8192 connections, no
+    /// SLOs).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets the trainer queue bound (clamped up to 1).
-    pub fn with_queue_cap(mut self, queue_cap: usize) -> Self {
-        self.queue_cap = queue_cap.max(1);
-        self
     }
 
     /// Sets the reactor thread count (clamped up to 1).
@@ -167,6 +156,11 @@ impl ServeConfig {
 /// Tuning knobs of the online-training path (see [`start_online`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineConfig {
+    /// Bound on the trainer's command queue; a full queue answers
+    /// feedback and refresh frames with [`ErrorCode::Overloaded`]
+    /// instead of growing without limit. It is the server's only queue:
+    /// the reactor that decodes a predict scores it.
+    pub queue_cap: usize,
     /// Automatic refresh gate: once at least this many feedback frames
     /// have been folded since the last swap **and** the drift score
     /// crosses [`OnlineConfig::drift_threshold`], the trainer thread
@@ -186,6 +180,7 @@ pub struct OnlineConfig {
 impl Default for OnlineConfig {
     fn default() -> Self {
         Self {
+            queue_cap: 1024,
             auto_refresh_min_folds: 0,
             drift_threshold: 0.25,
         }
@@ -193,10 +188,16 @@ impl Default for OnlineConfig {
 }
 
 impl OnlineConfig {
-    /// Manual-refresh-only defaults (`auto_refresh_min_folds = 0`,
-    /// `drift_threshold = 0.25`).
+    /// Manual-refresh-only defaults (`queue_cap = 1024`,
+    /// `auto_refresh_min_folds = 0`, `drift_threshold = 0.25`).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Sets the trainer queue bound (clamped up to 1).
+    pub fn with_queue_cap(mut self, queue_cap: usize) -> Self {
+        self.queue_cap = queue_cap.max(1);
+        self
     }
 
     /// Sets the automatic-refresh fold gate (`0` = manual only).
@@ -237,12 +238,26 @@ pub(crate) fn trace_pair(trace_id: u64, name: &'static str, begin_ns: u64, end_n
     }
 }
 
+/// Where a trainer command's answer goes: the reactor that owns the
+/// connection, and the connection's token there.
+pub(crate) struct ReplyTo {
+    pub(crate) queue: Arc<ReactorQueue>,
+    pub(crate) token: u64,
+}
+
+impl ReplyTo {
+    /// Hands `response` to the owning reactor, which writes it.
+    fn send(self, response: Response) {
+        self.queue.reply(self.token, response);
+    }
+}
+
 /// One command routed off the reactor threads to the trainer thread.
 pub(crate) enum TrainCmd {
     /// Fold one labelled example into the live counters and ack.
     Feedback {
-        /// Connection owed the [`Response::FeedbackAck`].
-        conn: Arc<Conn>,
+        /// Where the [`Response::FeedbackAck`] goes.
+        reply: ReplyTo,
         /// Client request id, echoed in the ack.
         id: u64,
         /// Client trace id, echoed in the ack.
@@ -254,8 +269,8 @@ pub(crate) enum TrainCmd {
     },
     /// Materialize the counters into a full model and swap it live.
     Refresh {
-        /// Connection owed the [`Response::RefreshAck`].
-        conn: Arc<Conn>,
+        /// Where the [`Response::RefreshAck`] goes.
+        reply: ReplyTo,
         /// Client request id, echoed in the ack.
         id: u64,
         /// Client trace id, echoed in the ack.
@@ -264,12 +279,6 @@ pub(crate) enum TrainCmd {
 }
 
 impl TrainCmd {
-    fn conn(&self) -> &Arc<Conn> {
-        match self {
-            TrainCmd::Feedback { conn, .. } | TrainCmd::Refresh { conn, .. } => conn,
-        }
-    }
-
     fn ids(&self) -> (u64, u64) {
         match self {
             TrainCmd::Feedback { id, trace_id, .. } | TrainCmd::Refresh { id, trace_id, .. } => {
@@ -364,14 +373,16 @@ pub(crate) struct Inner {
     /// Set once no thread but the reactors can produce another
     /// response — at shutdown without online training, or when the
     /// trainer has drained its queue: the reactors flush what remains
-    /// and stop.
+    /// and stop. A reply the trainer handed over may still wait in a
+    /// reactor's list when this is seen (the drain rule in
+    /// `crate::reactor`).
     pub(crate) drained: AtomicBool,
     /// Live connections across all reactors (admission tier 1).
     pub(crate) conn_count: AtomicUsize,
     /// Monotonic connection-token source (tokens never recycle, so a
-    /// stale command can never act on the wrong connection).
+    /// stale trainer reply can never reach the wrong connection).
     pub(crate) next_token: AtomicU64,
-    /// Every reactor's command queue + waker, for shutdown broadcast.
+    /// Every reactor's reply queue + waker, for shutdown broadcast.
     pub(crate) reactor_queues: Vec<Arc<ReactorQueue>>,
     /// SLO-aware health shared with the admin listener; the draining
     /// bit flips with [`Inner::trigger_shutdown`].
@@ -419,8 +430,9 @@ impl Inner {
     /// The model slot is loaded once per frame, so a hot-swap takes
     /// effect from the next frame on and a stamped answer echoes the
     /// version that scored it. Exactly one scoring pass runs: `predict`
-    /// with metrics off, the margin-carrying batch call with metrics on.
-    pub(crate) fn predict(&self, conn: &Conn, frame: PredictFrame, features: Vec<f64>) {
+    /// with metrics off, the margin-carrying `predict_with_margin` with
+    /// metrics on.
+    pub(crate) fn predict(&self, conn: &mut Conn, frame: PredictFrame, features: Vec<f64>) {
         obs::counter("serve.requests", 1);
         let model = self.model.load();
         let predicted = if obs::enabled() {
@@ -428,14 +440,12 @@ impl Inner {
             let predict_begin_ns = trace::now_ns();
             model
                 .classifier()
-                .predict_batch_with_margin(std::slice::from_ref(&features))
-                .and_then(|scored| {
+                .predict_with_margin(&features)
+                .map(|(class, margin)| {
                     obs::record("serve/batch", started.elapsed());
                     trace_pair(frame.trace_id, "predict", predict_begin_ns, trace::now_ns());
-                    record_quality_signals(&model, &scored);
-                    scored.first().map(|&(class, _)| class).ok_or_else(|| {
-                        HdcError::invalid_dataset("the margin pass returned no answer")
-                    })
+                    record_quality_signals(&model, class, margin);
+                    class
                 })
         } else {
             model.classifier().predict(&features)
@@ -459,17 +469,18 @@ impl Inner {
         }
     }
 
-    /// Routes one feedback/refresh command to the trainer thread, or
-    /// answers immediately when online training is disabled, the server
-    /// is shutting down, or the trainer queue is full
-    /// ([`ErrorCode::Overloaded`] past [`ServeConfig::queue_cap`]).
+    /// Routes one feedback/refresh command from `conn` to the trainer
+    /// thread, or answers immediately when online training is disabled,
+    /// the server is shutting down, or the trainer queue is full
+    /// ([`ErrorCode::Overloaded`] past [`OnlineConfig::queue_cap`]).
     /// Runs on the reactor thread, so rejections go to the outbox like
-    /// every other reactor-side response.
-    pub(crate) fn enqueue_train(&self, cmd: TrainCmd) {
+    /// every other reactor-side response; an accepted command counts in
+    /// `conn.inflight` until its reply arrives.
+    pub(crate) fn enqueue_train(&self, conn: &mut Conn, cmd: TrainCmd) {
         let (id, trace_id) = cmd.ids();
         let Some(online) = &self.online else {
             obs::counter("serve.responses.error", 1);
-            cmd.conn().append(&Response::Error {
+            conn.append(&Response::Error {
                 id,
                 trace_id,
                 code: ErrorCode::BadRequest,
@@ -482,7 +493,7 @@ impl Inner {
             if self.shutdown.load(Ordering::SeqCst) {
                 drop(queue);
                 obs::counter("serve.responses.error", 1);
-                cmd.conn().append(&Response::Error {
+                conn.append(&Response::Error {
                     id,
                     trace_id,
                     code: ErrorCode::ShuttingDown,
@@ -490,19 +501,20 @@ impl Inner {
                 });
                 return;
             }
-            if queue.len() >= self.config.queue_cap {
+            let cap = online.config.queue_cap;
+            if queue.len() >= cap {
                 drop(queue);
                 obs::counter("serve.overload_rejections", 1);
                 obs::counter("serve.responses.error", 1);
-                cmd.conn().append(&Response::Error {
+                conn.append(&Response::Error {
                     id,
                     trace_id,
                     code: ErrorCode::Overloaded,
-                    message: format!("trainer queue full ({} pending)", self.config.queue_cap),
+                    message: format!("trainer queue full ({cap} pending)"),
                 });
                 return;
             }
-            cmd.conn().begin_request();
+            conn.inflight += 1;
             queue.push_back(cmd);
         }
         obs::counter("serve.requests", 1);
@@ -719,11 +731,12 @@ fn start_impl<A: ToSocketAddrs>(
     })
 }
 
-/// The trainer thread: folds feedback into the live counters, answers
-/// acks, and performs manual + drift-gated automatic hot-swaps. Exits
-/// only once shutdown is triggered *and* its command queue is drained,
-/// so every accepted feedback/refresh frame gets its answer; then it
-/// marks the server drained.
+/// The trainer thread: folds feedback into the live counters, hands each
+/// ack to the reactor that owns the connection, and performs manual +
+/// drift-gated automatic hot-swaps. Exits only once shutdown is
+/// triggered *and* its command queue is drained, so every accepted
+/// feedback/refresh frame has its answer handed over; then it marks the
+/// server drained.
 fn trainer_loop(inner: &Arc<Inner>, mut trainer: StreamingTrainer) {
     let online = inner
         .online
@@ -749,7 +762,7 @@ fn trainer_loop(inner: &Arc<Inner>, mut trainer: StreamingTrainer) {
         };
         match cmd {
             TrainCmd::Feedback {
-                conn,
+                reply,
                 id,
                 trace_id,
                 label,
@@ -765,46 +778,46 @@ fn trainer_loop(inner: &Arc<Inner>, mut trainer: StreamingTrainer) {
                         }
                         let folds = online.folds_since_swap.fetch_add(1, Ordering::Relaxed) + 1;
                         obs::counter("serve.responses.ok", 1);
-                        conn.send(&Response::FeedbackAck {
+                        reply.send(Response::FeedbackAck {
                             id,
                             trace_id,
                             version: inner.model.version(),
                             observed: trainer.observed(),
                         });
-                        conn.finish_request();
                         maybe_auto_refresh(inner, online, &trainer, folds);
                     }
                     Err(e) => {
                         obs::counter("serve.responses.error", 1);
-                        conn.send(&Response::Error {
+                        reply.send(Response::Error {
                             id,
                             trace_id,
                             code: ErrorCode::BadRequest,
                             message: e.to_string(),
                         });
-                        conn.finish_request();
                     }
                 }
             }
-            TrainCmd::Refresh { conn, id, trace_id } => match swap_model(inner, online, &trainer) {
+            TrainCmd::Refresh {
+                reply,
+                id,
+                trace_id,
+            } => match swap_model(inner, online, &trainer) {
                 Ok(version) => {
                     obs::counter("serve.responses.ok", 1);
-                    conn.send(&Response::RefreshAck {
+                    reply.send(Response::RefreshAck {
                         id,
                         trace_id,
                         version,
                     });
-                    conn.finish_request();
                 }
                 Err(message) => {
                     obs::counter("serve.responses.error", 1);
-                    conn.send(&Response::Error {
+                    reply.send(Response::Error {
                         id,
                         trace_id,
                         code: ErrorCode::Internal,
                         message,
                     });
-                    conn.finish_request();
                 }
             },
         }
@@ -825,14 +838,7 @@ fn swap_model(
     obs::counter("serve.model_swaps", 1);
     obs::counter("model.version", 1);
     online.reset_window();
-    version_log(version);
     Ok(version)
-}
-
-/// Marker counter so a swap's version is greppable in the admin
-/// snapshot history even after further swaps (`serve.swapped_to.<v>`).
-fn version_log(version: u64) {
-    obs::counter(&format!("serve.swapped_to.{version}"), 1);
 }
 
 /// Drift-gated automatic refresh: fires when enough feedback has been
@@ -862,34 +868,32 @@ fn maybe_auto_refresh(
 pub const MARGIN_SCALE: f64 = 1e6;
 
 /// Records the model-quality drift signals for one successfully
-/// scored predict: per-class prediction counters and the top1−top2
-/// score margin histogram, both read off the request's one scoring pass
-/// ([`hdc::Classifier::predict_batch_with_margin`]). Runs only when
-/// metrics are enabled.
+/// scored predict: its per-class prediction counter and its top1−top2
+/// score margin sample, both read off the request's one scoring pass
+/// ([`hdc::Classifier::predict_with_margin`]). Runs only when metrics
+/// are enabled.
 ///
 /// Per-class counts go to the dimensional `serve.predicted{class=}`
 /// family through the version's pre-interned handles: no `format!`
 /// allocation per prediction, and a model with more classes than the
 /// registry's per-name label-set cap tallies the overflow visibly in
 /// `obs.dropped_names` instead of silently exhausting the name table.
-fn record_quality_signals(model: &VersionedModel, scored: &[(usize, Option<f64>)]) {
-    for &(class, margin) in scored {
-        obs::counter_id(model.predicted_id(class), 1);
-        match margin {
-            Some(margin) if margin.is_finite() => obs::record(
-                "serve/margin",
-                Duration::from_nanos((margin * MARGIN_SCALE) as u64),
-            ),
-            Some(_) => {}
-            // Score-less models (or a scoring error) contribute no
-            // margin samples; the counter keeps the gap visible.
-            None => obs::counter("serve.margin_unavailable", 1),
-        }
+fn record_quality_signals(model: &VersionedModel, class: usize, margin: Option<f64>) {
+    obs::counter_id(model.predicted_id(class), 1);
+    match margin {
+        Some(margin) if margin.is_finite() => obs::record(
+            "serve/margin",
+            Duration::from_nanos((margin * MARGIN_SCALE) as u64),
+        ),
+        Some(_) => {}
+        // Score-less models (or a scoring error) contribute no margin
+        // samples; the counter keeps the gap visible.
+        None => obs::counter("serve.margin_unavailable", 1),
     }
 }
 
 /// Appends the answer to a successfully scored predict frame.
-fn respond_ok(conn: &Conn, frame: PredictFrame, class: usize, model: &VersionedModel) {
+fn respond_ok(conn: &mut Conn, frame: PredictFrame, class: usize, model: &VersionedModel) {
     // A class label the wire cannot carry is a server-side fault, not a
     // plausible-looking answer: report it as Internal instead of
     // clamping to u32::MAX.
@@ -1285,12 +1289,9 @@ mod tests {
 
     #[test]
     fn config_builder_clamps_and_chains() {
-        let c = ServeConfig::new()
-            .with_queue_cap(0)
-            .with_reactors(0)
-            .with_max_conns(0);
-        assert_eq!(c.queue_cap, 1);
+        let c = ServeConfig::new().with_reactors(0).with_max_conns(0);
         assert_eq!(c.reactors, 1);
         assert_eq!(c.max_conns, 1);
+        assert_eq!(OnlineConfig::new().with_queue_cap(0).queue_cap, 1);
     }
 }

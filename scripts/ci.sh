@@ -39,6 +39,9 @@ cargo test -q --test serve_differential score_lut_kernel_serves_identically_to_d
 echo "== single-pass serving: margin telemetry rides the one scoring pass"
 cargo test -q --test serve_single_pass
 
+echo "== serve flow control: slow-model frame budget, trainer-queue overload, online drain"
+cargo test -q --test serve_robustness
+
 echo "== quantizer degenerate-input regressions"
 cargo test -q -p hdc quantize
 
@@ -431,7 +434,6 @@ for c in range(3):
     assert got == 90, f"train.observed.{c} = {got}, want 90"
 assert counters.get("serve.model_swaps") == 1, counters
 assert counters.get("serve.model_swaps.auto", 0) == 0, counters
-assert counters.get("serve.swapped_to.2") == 1, counters
 spans = {s["path"] for s in doc["spans"]}
 for name in ("serve_feedback", "serve_model_swap", "online_materialize"):
     assert any(name in p for p in spans), f"missing span {name}: {sorted(spans)}"

@@ -57,10 +57,8 @@ fn server_matches_direct_predictions_for_all_configs() {
     let expected = Arc::new(expected);
 
     for reactors in REACTORS {
-        let model = serve::classifier_from_bytes(&bytes).expect("model load failed");
-        let config = ServeConfig::new()
-            .with_reactors(reactors)
-            .with_queue_cap(4096);
+        let model = Arc::new(LookHdClassifier::from_bytes(&bytes).expect("model load failed"));
+        let config = ServeConfig::new().with_reactors(reactors);
         let handle = serve::start("127.0.0.1:0", model, config).expect("bind failed");
         let addr = handle.addr();
 
@@ -137,55 +135,6 @@ fn server_matches_direct_predictions_for_all_configs() {
     }
 }
 
-/// The encoder-less formats (`HDC1` raw models, `LKC1` compressed
-/// models) serve pre-encoded hypervector queries identically to direct
-/// model calls.
-#[test]
-fn raw_and_compressed_formats_match_direct_predictions() {
-    let (bytes, queries) = trained_bytes();
-    let direct = LookHdClassifier::from_bytes(&bytes).expect("reload failed");
-    let encoded: Vec<Vec<f64>> = queries
-        .iter()
-        .map(|q| {
-            direct
-                .encode(q)
-                .expect("encode failed")
-                .as_slice()
-                .iter()
-                .map(|&v| v as f64)
-                .collect()
-        })
-        .collect();
-
-    let hdc1 = lookhd_paper::hdc::persist::model_to_bytes(direct.model()).unwrap();
-    let lkc1 = direct.compressed().to_bytes().unwrap();
-    for (label, artifact) in [("HDC1", hdc1), ("LKC1", lkc1)] {
-        let model = serve::classifier_from_bytes(&artifact).expect("model load failed");
-        let expected: Vec<usize> = encoded
-            .iter()
-            .map(|h| model.predict(h).expect("direct predict failed"))
-            .collect();
-        let handle = serve::start(
-            "127.0.0.1:0",
-            serve::classifier_from_bytes(&artifact).unwrap(),
-            ServeConfig::new(),
-        )
-        .expect("bind failed");
-        let mut client = Client::connect(handle.addr()).expect("connect failed");
-        for (i, h) in encoded.iter().enumerate() {
-            match client.predict(i as u64, h).expect("round trip failed") {
-                Response::Predict { id, class, .. } => {
-                    assert_eq!(id, i as u64);
-                    assert_eq!(class as usize, expected[i], "{label} query {i} diverged");
-                }
-                other => panic!("{label}: unexpected response {other:?}"),
-            }
-        }
-        handle.shutdown();
-        handle.join();
-    }
-}
-
 /// An LKS1 artifact carrying the score-LUT kernel serves responses
 /// byte-identical to the dense-path server for every reactor count: the
 /// kernel is an exact integer refactoring of the dense scoring, so only
@@ -219,13 +168,11 @@ fn score_lut_kernel_serves_identically_to_dense_path() {
         .map(|q| dense.predict(q).expect("dense predict failed"))
         .collect();
     for reactors in REACTORS {
-        let model = serve::classifier_from_bytes(&lut_bytes).expect("model load failed");
+        let model = Arc::new(LookHdClassifier::from_bytes(&lut_bytes).expect("model load failed"));
         let handle = serve::start(
             "127.0.0.1:0",
             model,
-            ServeConfig::new()
-                .with_reactors(reactors)
-                .with_queue_cap(4096),
+            ServeConfig::new().with_reactors(reactors),
         )
         .expect("bind failed");
         let mut client = Client::connect(handle.addr()).expect("connect failed");
@@ -273,7 +220,7 @@ fn tracing_enabled_keeps_responses_identical_and_records_span_chains() {
     obs::trace::set_enabled(true);
     obs::trace::reset();
 
-    let model = serve::classifier_from_bytes(&bytes).expect("model load failed");
+    let model = Arc::new(LookHdClassifier::from_bytes(&bytes).expect("model load failed"));
     let handle = serve::start("127.0.0.1:0", model, ServeConfig::new()).expect("bind failed");
     let mut v2 = Client::connect(handle.addr()).expect("connect failed");
     let mut v1 = Client::connect(handle.addr()).expect("connect failed");
@@ -365,7 +312,7 @@ fn repeated_queries_are_stable_across_server_restarts() {
     let (bytes, queries) = trained_bytes();
     let mut first: Option<Vec<u32>> = None;
     for reactors in REACTORS {
-        let model = serve::classifier_from_bytes(&bytes).unwrap();
+        let model = Arc::new(LookHdClassifier::from_bytes(&bytes).unwrap());
         let handle = serve::start(
             "127.0.0.1:0",
             model,

@@ -83,12 +83,11 @@ fn firehose_client_cannot_starve_polite_clients() {
 
     obs::set_enabled(true);
 
-    let model = serve::classifier_from_bytes(&bytes).expect("model load failed");
+    let model = Arc::new(LookHdClassifier::from_bytes(&bytes).expect("model load failed"));
     let handle = serve::start(
         "127.0.0.1:0",
         model,
         ServeConfig::new()
-            .with_queue_cap(2 * FIREHOSES * FIREHOSE_REQUESTS)
             .with_reactors(1) // everyone shares one reactor thread
             .with_max_conns(64),
     )
@@ -211,13 +210,8 @@ fn edge_triggered_zero_copy_keeps_response_bytes_identical() {
     let (bytes, queries) = trained_bytes();
     let direct = LookHdClassifier::from_bytes(&bytes).expect("reload failed");
 
-    let model = serve::classifier_from_bytes(&bytes).expect("model load failed");
-    let handle = serve::start(
-        "127.0.0.1:0",
-        model,
-        ServeConfig::new().with_queue_cap(4 * REQUESTS),
-    )
-    .expect("bind failed");
+    let model = Arc::new(LookHdClassifier::from_bytes(&bytes).expect("model load failed"));
+    let handle = serve::start("127.0.0.1:0", model, ServeConfig::new()).expect("bind failed");
 
     // Build the request byte stream and, in lockstep, the exact byte
     // stream the server must answer with. Odd requests use the traced v2

@@ -1,14 +1,21 @@
 //! Robustness tests for the run-to-completion server's flow control:
 //! a slow model cannot let one pipelining connection hold the reactor
-//! that scores its frames, and graceful shutdown answers every request
-//! the server read before its threads exit.
+//! that scores its frames, a full trainer queue answers `Overloaded`
+//! without holding the connection open, and graceful shutdown answers
+//! every request the server read — predicts and accepted trainer
+//! commands alike — before its threads exit.
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use lookhd_paper::hdc::{Classifier, HdcError, Result as HdcResult};
+use lookhd_paper::datasets::apps::App;
+use lookhd_paper::hdc::{Classifier, FitClassifier, HdcError, Result as HdcResult};
+use lookhd_paper::lookhd::{LookHdClassifier, LookHdConfig};
 use lookhd_paper::obs;
-use lookhd_paper::serve::{self, Client, Request, Response, ServeConfig};
+use lookhd_paper::serve::{
+    self, Client, ErrorCode, OnlineConfig, Request, Response, ServeConfig, WireError,
+};
 
 /// Sign-of-first-feature classifier that sleeps in `predict`, simulating
 /// an expensive model so pipelined requests pile up on the reactor.
@@ -118,10 +125,7 @@ fn slow_model_cannot_let_one_connection_hold_its_reactor() {
 #[test]
 fn graceful_shutdown_drains_accepted_requests() {
     const PREDICTS: u64 = 4;
-    let handle = start_slow(
-        Duration::from_millis(20),
-        ServeConfig::new().with_queue_cap(64),
-    );
+    let handle = start_slow(Duration::from_millis(20), ServeConfig::new());
     let mut client = Client::connect(handle.addr()).expect("connect failed");
     client
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -172,4 +176,183 @@ fn graceful_shutdown_drains_accepted_requests() {
 
     // All threads (reactors) terminate.
     handle.join();
+}
+
+/// The server's drain grace: a connection still open when the server
+/// drains is force-closed after this long.
+const DRAIN_GRACE: Duration = Duration::from_secs(2);
+
+/// Feedback frames pipelined after the refresh by the trainer-queue
+/// tests.
+const TRAILING_FEEDBACKS: u64 = 50;
+
+/// A SPEECH-shaped classifier (n = 617, k = 26, D = 2000) and one
+/// labelled training row to feed back. At this size a refresh
+/// (materialize, compress, swap) runs long enough that commands
+/// pipelined behind it are still queued when the reactor answers the
+/// ping that follows them. The fit takes seconds in a debug build, so
+/// the tests share one.
+fn speech_model() -> &'static (LookHdClassifier, Vec<f64>, u32) {
+    static MODEL: OnceLock<(LookHdClassifier, Vec<f64>, u32)> = OnceLock::new();
+    MODEL.get_or_init(|| {
+        let data = App::Speech.profile().generate_small(41);
+        let config = LookHdConfig::new().with_dim(2000);
+        let clf = LookHdClassifier::fit(&config, &data.train.features, &data.train.labels)
+            .expect("training failed");
+        let label = u32::try_from(data.train.labels[0]).expect("label fits the wire");
+        (clf, data.train.features[0].clone(), label)
+    })
+}
+
+/// Feedback (id 1), refresh (id 2), [`TRAILING_FEEDBACKS`] more
+/// feedbacks (ids 3..), then a ping with the last id.
+fn trainer_frames(features: &[f64], label: u32) -> Vec<Request> {
+    let feedback = |id| Request::Feedback {
+        id,
+        trace_id: 0,
+        label,
+        features: features.to_vec(),
+    };
+    let mut frames = vec![feedback(1), Request::Refresh { id: 2, trace_id: 0 }];
+    frames.extend((3..3 + TRAILING_FEEDBACKS).map(feedback));
+    frames.push(Request::Ping {
+        id: 3 + TRAILING_FEEDBACKS,
+    });
+    frames
+}
+
+/// Starts an online server on the shared model and pipelines
+/// [`trainer_frames`] on one connection.
+fn start_pipelined(online: OnlineConfig) -> (serve::ServerHandle, Client, Vec<Request>) {
+    let (clf, features, label) = speech_model();
+    let handle = serve::start_online("127.0.0.1:0", clf.clone(), ServeConfig::new(), online)
+        .expect("bind failed");
+    let mut client = Client::connect(handle.addr()).expect("connect failed");
+    client
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let frames = trainer_frames(features, *label);
+    for frame in &frames {
+        client.send(frame).expect("send failed");
+    }
+    (handle, client, frames)
+}
+
+/// Records `response` under its id; a second answer to one frame fails.
+fn record(answers: &mut HashMap<u64, Response>, response: Response) {
+    let id = response.id();
+    if let Some(first) = answers.insert(id, response) {
+        panic!("frame {id} answered twice (first {first:?})");
+    }
+}
+
+/// Admission tier 3: with a trainer queue of one, commands pipelined
+/// behind a refresh are refused with `Overloaded`. Every frame still
+/// gets exactly one answer carrying its own id, and a refused frame
+/// leaves nothing in flight: once the client closes, the server drains
+/// at once instead of holding the connection for the drain grace.
+#[test]
+fn full_trainer_queue_answers_overloaded() {
+    obs::set_enabled(true);
+    let rejections_before = obs::snapshot().counter("serve.overload_rejections");
+    let (handle, mut client, frames) = start_pipelined(OnlineConfig::new().with_queue_cap(1));
+    let mut answers = HashMap::new();
+    while answers.len() < frames.len() {
+        record(&mut answers, client.recv().expect("recv failed"));
+    }
+    // Nothing else is owed: a last ping's pong is the next answer.
+    let last = Request::Ping { id: u64::MAX };
+    client.send(&last).expect("send failed");
+    assert_eq!(
+        client.recv().expect("recv failed"),
+        Response::Pong { id: u64::MAX }
+    );
+
+    let mut overloaded = 0;
+    for frame in &frames {
+        match (frame, &answers[&frame.id()]) {
+            (_, Response::Error { code, .. }) if *code == ErrorCode::Overloaded => overloaded += 1,
+            (Request::Feedback { .. }, Response::FeedbackAck { .. })
+            | (Request::Refresh { .. }, Response::RefreshAck { .. })
+            | (Request::Ping { .. }, Response::Pong { .. }) => {}
+            (frame, answer) => panic!("{frame:?} answered with {answer:?}"),
+        }
+    }
+    assert!(overloaded > 0, "a queue of one refused nothing");
+    assert!(
+        obs::snapshot().counter("serve.overload_rejections") > rejections_before,
+        "serve.overload_rejections did not count the refusals"
+    );
+
+    drop(client);
+    let started = Instant::now();
+    handle.shutdown();
+    handle.join();
+    let drain = started.elapsed();
+    assert!(
+        drain < DRAIN_GRACE / 2,
+        "shutdown took {drain:?}: a refused frame left the connection waiting for a reply"
+    );
+}
+
+/// Graceful shutdown answers every trainer command it accepted: the
+/// trainer drains its queue, each ack reaches the socket through the
+/// reactor that owns the connection, and only then does the server
+/// close it and join. Shutdown starts as soon as the ping that follows
+/// the commands is answered, while the refresh is still running.
+#[test]
+fn graceful_shutdown_answers_accepted_trainer_commands() {
+    let (handle, mut client, frames) = start_pipelined(OnlineConfig::new());
+    let ping = frames.last().expect("frames end with a ping").id();
+    let mut answers = HashMap::new();
+    loop {
+        let response = client.recv().expect("recv failed");
+        if response == (Response::Pong { id: ping }) {
+            break;
+        }
+        record(&mut answers, response);
+    }
+    let answered_before_shutdown = answers.len();
+
+    handle.shutdown();
+    let commands = frames.len() - 1;
+    while answers.len() < commands {
+        let response = client
+            .recv()
+            .expect("shutdown dropped an accepted trainer command");
+        record(&mut answers, response);
+    }
+    // Every command is answered; the server then closes the connection.
+    match client.recv() {
+        Err(WireError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "{e}"),
+        other => panic!("expected EOF after the last answer, got {other:?}"),
+    }
+    handle.join();
+
+    // One trainer folds in arrival order: the refresh swaps in version
+    // 2 after the first fold, and each ack counts the folds so far.
+    assert_eq!(
+        answers[&2],
+        Response::RefreshAck {
+            id: 2,
+            trace_id: 0,
+            version: 2
+        }
+    );
+    for (observed, id) in (1u64..).zip(std::iter::once(1).chain(3..3 + TRAILING_FEEDBACKS)) {
+        let version = if id == 1 { 1 } else { 2 };
+        assert_eq!(
+            answers[&id],
+            Response::FeedbackAck {
+                id,
+                trace_id: 0,
+                version,
+                observed
+            }
+        );
+    }
+    eprintln!(
+        "{} of {commands} trainer answers outstanding at shutdown",
+        commands - answered_before_shutdown
+    );
 }

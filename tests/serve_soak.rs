@@ -63,12 +63,11 @@ fn soak_1k_pipelined_connections_stay_bit_identical() {
     );
     let queries = Arc::new(queries);
 
-    let model = serve::classifier_from_bytes(&bytes).expect("model load failed");
+    let model = Arc::new(LookHdClassifier::from_bytes(&bytes).expect("model load failed"));
     let handle = serve::start(
         "127.0.0.1:0",
         model,
         ServeConfig::new()
-            .with_queue_cap(CONNS * WINDOW)
             .with_reactors(2)
             .with_max_conns(2 * CONNS),
     )
@@ -159,7 +158,7 @@ fn connection_cap_rejects_excess_connections_with_overloaded() {
     const CAP: usize = 4;
 
     let (bytes, queries) = trained_bytes();
-    let model = serve::classifier_from_bytes(&bytes).expect("model load failed");
+    let model = Arc::new(LookHdClassifier::from_bytes(&bytes).expect("model load failed"));
     let handle = serve::start("127.0.0.1:0", model, ServeConfig::new().with_max_conns(CAP))
         .expect("bind failed");
     let addr = handle.addr();
@@ -249,7 +248,7 @@ fn connection_cap_rejects_excess_connections_with_overloaded() {
 #[test]
 fn shutdown_wakes_reactors_on_unspecified_bind() {
     let (bytes, queries) = trained_bytes();
-    let model = serve::classifier_from_bytes(&bytes).expect("model load failed");
+    let model = Arc::new(LookHdClassifier::from_bytes(&bytes).expect("model load failed"));
     let handle = serve::start("0.0.0.0:0", model, ServeConfig::new()).expect("bind failed");
     let port = handle.addr().port();
 
