@@ -3,8 +3,10 @@
 //! classes, q = 4, r = 5, D = 2000), trained on the profile's generated
 //! train split.
 //!
-//! Both models are trained identically (decorrelation off — the LUT's
-//! eligibility requirement) and predict bit-identically.
+//! Both models are trained identically (decorrelation off) and predict
+//! bit-identically. A third arm serves the default decorrelated model
+//! through the score-LUT, whose tables carry the whitening projection as
+//! one more column per row.
 //!
 //! The single-query arms rotate over [`DISTINCT`] distinct test rows,
 //! one per timed call, as served traffic does: a query's table rows are
@@ -74,18 +76,36 @@ fn bench_score_lut(c: &mut Criterion) {
         .expect("lut training failed");
     let lut = fast.score_lut().expect("kernel should have been built");
     eprintln!(
-        "score-LUT tables: {} chunks x {} classes = {} MiB",
+        "score-LUT tables: {} chunks x {} columns = {} MiB",
         lut.n_chunks(),
-        lut.n_classes(),
+        lut.n_columns(),
         lut.size_bytes() >> 20
     );
+    // The default (decorrelated) compression behind the score-LUT.
+    let whitened_config = LookHdConfig::new()
+        .with_retrain_epochs(0)
+        .with_validation_fraction(0.0)
+        .with_kernel(KernelSpec::auto());
+    let whitened =
+        LookHdClassifier::fit(&whitened_config, &xs, &ys).expect("whitened training failed");
+    let whitened_lut = whitened.score_lut().expect("kernel should have been built");
+    assert_eq!(whitened_lut.n_columns(), N_CLASSES + 1, "projection column");
+    let mut whitened_dense = whitened.clone();
+    whitened_dense
+        .set_kernel(&KernelSpec::dense())
+        .expect("dense kernel");
     // Differential sanity before timing anything: dense and LUT are exact
-    // siblings.
+    // siblings, whitened or not.
     for q in &queries {
         assert_eq!(
             fast.predict(q).unwrap(),
             dense.predict(q).unwrap(),
             "kernel diverged from dense path"
+        );
+        assert_eq!(
+            whitened.scores(q).unwrap(),
+            whitened_dense.scores(q).unwrap(),
+            "whitened kernel diverged from dense path"
         );
     }
 
@@ -98,6 +118,10 @@ fn bench_score_lut(c: &mut Criterion) {
     let mut next = rotating(&queries);
     group.bench_function("lut_predict_1", |b| {
         b.iter(|| fast.predict(black_box(next())).unwrap())
+    });
+    let mut next = rotating(&queries);
+    group.bench_function("lut_whitened_predict_1", |b| {
+        b.iter(|| whitened.predict(black_box(next())).unwrap())
     });
     group.bench_function("dense_predict_1_warm", |b| {
         b.iter(|| dense.predict(black_box(&queries[0])).unwrap())
@@ -113,7 +137,7 @@ fn bench_score_lut(c: &mut Criterion) {
     });
     group.finish();
 
-    write_bench_json(&dense, &fast, &queries);
+    write_bench_json(&dense, &fast, &whitened, &queries);
 }
 
 /// Timed nanosecond samples for one closure: short warm-up, then `n`
@@ -150,19 +174,28 @@ fn stats_json(mut samples: Vec<u64>) -> String {
 /// Self-times the benched operations for every kernel and writes the
 /// perf-trajectory record (separate from criterion's console report,
 /// whose samples are not exposed by the vendored stub).
-fn write_bench_json(dense: &LookHdClassifier, fast: &LookHdClassifier, queries: &[Vec<f64>]) {
+fn write_bench_json(
+    dense: &LookHdClassifier,
+    fast: &LookHdClassifier,
+    whitened: &LookHdClassifier,
+    queries: &[Vec<f64>],
+) {
     /// Samples per single-query arm: one distinct query each in the
     /// rotating arms.
     const SAMPLES: usize = DISTINCT;
     let batch = &queries[..BATCH];
     let mut next_dense = rotating(queries);
     let mut next_lut = rotating(queries);
-    let mut ops: [(&str, &mut dyn FnMut()); 6] = [
+    let mut next_whitened = rotating(queries);
+    let mut ops: [(&str, &mut dyn FnMut()); 7] = [
         ("dense_predict_1_ns", &mut || {
             dense.predict(black_box(next_dense())).unwrap();
         }),
         ("lut_predict_1_ns", &mut || {
             fast.predict(black_box(next_lut())).unwrap();
+        }),
+        ("lut_whitened_predict_1_ns", &mut || {
+            whitened.predict(black_box(next_whitened())).unwrap();
         }),
         ("dense_predict_1_warm_ns", &mut || {
             dense.predict(black_box(&queries[0])).unwrap();

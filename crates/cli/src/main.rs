@@ -49,10 +49,10 @@
 //! `serve` it rebuilds the kernel of the loaded `LKS1` artifact without
 //! retraining (`serve`, like every subcommand that reads a model, loads
 //! `LKS1` classifiers only). `auto` tries the score-LUT and falls back
-//! to dense when ineligible; `lut` (exact precomputed tables;
-//! `--kernel-budget` caps their bytes) is a hard request that fails
-//! when the model cannot satisfy it. Non-dense kinds imply compression
-//! without decorrelation at train time.
+//! to dense when its tables are over budget or out of integer bound;
+//! `lut` (exact precomputed tables; `--kernel-budget` caps their bytes)
+//! is a hard request that fails when the model cannot satisfy it. Every
+//! kind trains the same decorrelated model.
 
 mod args;
 
@@ -181,9 +181,9 @@ A flag a subcommand does not read is an error.
 any result bit.
 --kernel selects the scoring kernel: auto (score-LUT with dense fallback),
 dense (exact reference), lut (exact precomputed tables; --kernel-budget
-caps their bytes). On train it is built and persisted with the model
-(non-dense kinds imply compression without decorrelation); on info/serve
-it rebuilds the kernel of a loaded LKS1 artifact without retraining.
+caps their bytes). On train it is built and persisted with the model;
+on info/serve it rebuilds the kernel of a loaded LKS1 artifact without
+retraining.
 --reactors N (serve) sets the event-loop thread count: each reactor reads,
 scores and answers the requests of its own connections; --max-conns N
 caps concurrently open connections (excess connects get one Overloaded
@@ -246,7 +246,11 @@ fn kernel_spec(args: &Args) -> Result<Option<KernelSpec>, String> {
 /// (both kernels score exactly).
 fn kernel_line(clf: &LookHdClassifier) -> String {
     let kernel = clf.kernel();
-    format!("{} (exact; {})", kernel.name(), kernel.describe())
+    format!(
+        "{} (exact; {})",
+        kernel.name(),
+        kernel.describe(clf.compressed())
+    )
 }
 
 fn train(args: &Args) -> Result<(), String> {
@@ -262,13 +266,7 @@ fn train(args: &Args) -> Result<(), String> {
         .get_or("seed", 0x10_0c_4du64)
         .map_err(|e| e.to_string())?;
     let kernel = kernel_spec(args)?;
-    let mut compression = CompressionConfig::new().with_max_classes_per_vector(group.max(1));
-    if kernel.is_some_and(|k| k.kind != KernelKind::Dense) {
-        // The score-LUT requires integer per-dimension scoring end to
-        // end; decorrelation whitens queries through f64 arithmetic, so
-        // non-dense kernel requests turn it off.
-        compression = compression.with_decorrelate(false);
-    }
+    let compression = CompressionConfig::new().with_max_classes_per_vector(group.max(1));
     let mut config = LookHdConfig::new()
         .with_dim(dim)
         .with_q(q)
@@ -304,7 +302,7 @@ fn train(args: &Args) -> Result<(), String> {
     if let Some(requested) = kernel {
         let active = clf.kernel();
         if requested.kind == KernelKind::Auto && active.name() == "dense" {
-            out("kernel: auto fell back to the dense path (model ineligible or over budget)");
+            out("kernel: auto fell back to the dense path (tables over budget or out of bound)");
         } else {
             out(format!("kernel: {}", kernel_line(&clf)));
         }

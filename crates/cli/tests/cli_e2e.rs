@@ -169,6 +169,12 @@ fn kernel_flags_select_and_report_kernels() {
         text.contains("kernel: lut (exact;"),
         "missing kernel report: {text}"
     );
+    // The default config decorrelates: the tables carry the whitening
+    // projection as one column after the class columns.
+    assert!(
+        text.contains("x 3 classes + 1 projection column"),
+        "missing projection column: {text}"
+    );
 
     // The artifact reports its kernel in `info`, and a `--kernel` override
     // rebuilds it in place.
@@ -259,6 +265,7 @@ fn kernel_flags_select_and_report_kernels() {
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("kernel:              lut"), "{text}");
+    assert!(text.contains("+ 1 projection column"), "{text}");
 
     // Unknown kinds, including the deleted binary kernel, are rejected
     // with the expected vocabulary.

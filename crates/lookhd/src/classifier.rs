@@ -54,9 +54,10 @@ pub struct LookHdConfig {
     pub validation_fraction: f64,
     /// Which scoring kernel to build at fit time (see
     /// [`crate::score_kernel`]). [`crate::score_kernel::KernelKind::Auto`]
-    /// tries the score-LUT and falls back to the dense path when the model
-    /// is ineligible (counted as `kernel.fallback`); an explicit `lut`
-    /// request makes ineligibility a fit error instead.
+    /// tries the score-LUT and falls back to the dense path when its
+    /// tables are over budget or out of integer bound (counted as
+    /// `kernel.fallback`); an explicit `lut` request makes that a fit
+    /// error instead.
     pub kernel: KernelSpec,
     /// RNG seed (level memory, position keys).
     pub seed: u64,
@@ -308,7 +309,8 @@ impl LookHdClassifier {
         // Build the scoring kernel from the *final* compressed model —
         // retraining mutates the combined vectors precomputed kernels
         // bake in. Auto resolution (with its dense fallback) lives in
-        // `build_kernel`; explicit ineligible requests fail the fit.
+        // `build_kernel`; an explicit request the tables cannot meet
+        // fails the fit.
         let kernel = build_kernel(&encoder, &compressed, &config.kernel)?;
         Ok(Self {
             encoder,
@@ -964,48 +966,44 @@ mod tests {
     #[test]
     fn score_lut_predictions_match_dense_path() {
         let (xs, ys) = blobs(13, 4, 20, 0.08, 21);
-        let base = LookHdConfig::new()
-            .with_dim(512)
-            .with_retrain_epochs(3)
-            .with_compression(CompressionConfig::new().with_decorrelate(false));
-        let dense = LookHdClassifier::fit(&base, &xs, &ys).unwrap();
-        let fast =
-            LookHdClassifier::fit(&base.clone().with_kernel(KernelSpec::auto()), &xs, &ys).unwrap();
-        assert!(dense.score_lut().is_none());
-        assert_eq!(dense.kernel().name(), "dense");
-        assert_eq!(fast.kernel().name(), "lut");
-        assert_eq!(Classifier::kernel_name(&fast), Some("lut"));
-        let lut = fast.score_lut().expect("kernel should build");
-        assert_eq!(lut.n_classes(), 4);
-        assert_eq!(
-            fast.predict_batch(&xs).unwrap(),
-            dense.predict_batch(&xs).unwrap()
-        );
-        for x in &xs {
-            assert_eq!(fast.scores(x).unwrap(), dense.scores(x).unwrap());
+        // Decorrelated models carry the whitening projection as one more
+        // table column and score exactly like the dense path too.
+        for decorrelate in [false, true] {
+            let base = LookHdConfig::new()
+                .with_dim(512)
+                .with_retrain_epochs(3)
+                .with_compression(CompressionConfig::new().with_decorrelate(decorrelate));
+            let dense = LookHdClassifier::fit(&base, &xs, &ys).unwrap();
+            let fast =
+                LookHdClassifier::fit(&base.clone().with_kernel(KernelSpec::auto()), &xs, &ys)
+                    .unwrap();
+            assert!(dense.score_lut().is_none());
+            assert_eq!(dense.kernel().name(), "dense");
+            assert_eq!(fast.kernel().name(), "lut");
+            assert_eq!(Classifier::kernel_name(&fast), Some("lut"));
+            let lut = fast.score_lut().expect("kernel should build");
+            assert_eq!(lut.n_columns(), 4 + usize::from(decorrelate));
+            assert_eq!(
+                fast.predict_batch(&xs).unwrap(),
+                dense.predict_batch(&xs).unwrap()
+            );
+            for x in &xs {
+                assert_eq!(fast.scores(x).unwrap(), dense.scores(x).unwrap());
+            }
+            // Sharded batches dispatch through the kernel per query, so any
+            // thread count stays bit-identical too.
+            let mut threaded = fast.clone();
+            threaded.set_engine(EngineConfig::new().with_threads(3).with_shard_size(7));
+            assert_eq!(
+                threaded.predict_batch(&xs).unwrap(),
+                dense.predict_batch(&xs).unwrap()
+            );
         }
-        // Sharded batches dispatch through the kernel per query, so any
-        // thread count stays bit-identical too.
-        let mut threaded = fast.clone();
-        threaded.set_engine(EngineConfig::new().with_threads(3).with_shard_size(7));
-        assert_eq!(
-            threaded.predict_batch(&xs).unwrap(),
-            dense.predict_batch(&xs).unwrap()
-        );
     }
 
     #[test]
     fn score_lut_falls_back_when_ineligible() {
         let (xs, ys) = blobs(10, 3, 15, 0.08, 22);
-        // Default compression decorrelates — whitening disqualifies the
-        // integer kernel, so Auto resolution falls back silently.
-        let whitened = LookHdConfig::new()
-            .with_dim(256)
-            .with_retrain_epochs(0)
-            .with_kernel(KernelSpec::auto());
-        let clf = LookHdClassifier::fit(&whitened, &xs, &ys).unwrap();
-        assert!(clf.score_lut().is_none());
-        assert_eq!(clf.kernel().name(), "dense");
         // A one-byte budget can never hold the tables.
         let starved = LookHdConfig::new()
             .with_dim(256)
@@ -1016,10 +1014,14 @@ mod tests {
         assert!(clf.score_lut().is_none());
         assert!(clf.predict(&xs[0]).is_ok());
         // Explicit (non-Auto) requests fail the fit instead.
-        assert!(
-            LookHdClassifier::fit(&whitened.clone().with_kernel(KernelSpec::lut()), &xs, &ys)
-                .is_err()
-        );
+        assert!(LookHdClassifier::fit(
+            &starved
+                .clone()
+                .with_kernel(KernelSpec::lut().with_budget_bytes(1)),
+            &xs,
+            &ys
+        )
+        .is_err());
     }
 
     #[test]

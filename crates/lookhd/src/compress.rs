@@ -25,8 +25,30 @@
 //! query-side projection is the same `D`-wide multiply-accumulate the
 //! shared product already needs, so it does not change the §IV cost story.
 //!
+//! ## Integer whitening
+//!
+//! Whitening is linear in the query, so it is an exact integer correction
+//! of the plain score. With the unit direction in fixed point,
+//! `dir_fx[d] = round(dir[d]·2^S)` ([`WHITEN_BITS`] = `S`), the
+//! projection `p = H·dir_fx` and the per-class gain
+//! `G_c = Σ_d P'_c[d]·dir_fx[d]·C[d]` (the base score of `dir_fx`):
+//!
+//! ```text
+//! score_c(H − (p/2^S)·dir_fx/2^S) = (score_c(H)·2^(2S) − p·G_c) / 2^(2S)
+//! ```
+//!
+//! evaluated in `i128` and divided by the power of two only when cast to
+//! `f64`. Both kernels hand their integer base scores and projection to
+//! `CompressedModel::finish_scores`, so the score-LUT (which splits `p`
+//! per chunk like the class scores, see [`crate::score_lut`]) matches the
+//! dense path bit for bit. Retraining updates whiten with the same
+//! projection, rounded to nearest. A model without a direction scores its
+//! plain integer scores.
+//!
 //! For `k` beyond [`CompressionConfig::max_classes_per_vector`] classes are
 //! packed into multiple combined vectors ("exact mode", §VI-G).
+
+use std::sync::OnceLock;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -274,6 +296,108 @@ impl SignalNoise {
     }
 }
 
+/// Fixed-point precision `S` of the whitening direction:
+/// `dir_fx[d] = round(dir[d]·2^S)`. At 24 bits the whitened argmax matches
+/// an `f64` projection on the SPEECH profile, and the score-LUT's
+/// projection column stays exact up to `D·n ≤ 2^28`
+/// ([`crate::score_lut::check_projection_bound`]).
+pub const WHITEN_BITS: u32 = 24;
+
+/// The common direction removed by decorrelation, in the two forms the
+/// model needs: the unit `f64` vector `LKC1` stores, and its fixed-point
+/// image every whitened score and update is computed from.
+#[derive(Debug, Clone)]
+struct Direction {
+    unit: Vec<f64>,
+    /// `round(unit[d]·2^S)`.
+    fixed: Vec<i64>,
+    /// Per-class gains `G_c = Σ_d P'_c[d]·fixed[d]·C[d]`. They depend on
+    /// the combined vectors, so an update clears them and the next score
+    /// recomputes them once: retraining stages many updates on a copy it
+    /// never scores.
+    gains: OnceLock<Vec<i64>>,
+}
+
+impl Direction {
+    fn new(unit: Vec<f64>) -> Self {
+        let scale = f64::from(1u32 << WHITEN_BITS);
+        let fixed = unit.iter().map(|&x| (x * scale).round() as i64).collect();
+        Self {
+            unit,
+            fixed,
+            gains: OnceLock::new(),
+        }
+    }
+}
+
+/// `SIGN_MASKS[b][j]` is `−1` when bit `j` of key byte `b` is set (the
+/// dimension holds `−1`) and `0` otherwise: the `i64` lane masks of eight
+/// packed key dimensions. 16 KiB of static data.
+static SIGN_MASKS: [[i64; 8]; 256] = sign_masks();
+
+const fn sign_masks() -> [[i64; 8]; 256] {
+    let mut table = [[0; 8]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut lane = 0;
+        while lane < 8 {
+            table[byte][lane] = -((byte >> lane) as i64 & 1);
+            lane += 1;
+        }
+        byte += 1;
+    }
+    table
+}
+
+/// `Σ_d key[d]·v[d]` over a packed bipolar key (bit 1 ⇔ −1): the
+/// sign-flipped accumulation behind every compressed score, gain and
+/// score-LUT entry. `(x ^ m) − m` is `x` for `m = 0` and `−x` for
+/// `m = −1`, with one mask per key bit read from [`SIGN_MASKS`] a byte
+/// at a time into eight independent lane sums, so the loop vectorizes.
+pub(crate) fn signed_sum(v: &[i64], key: &BipolarHv) -> i64 {
+    let words = key.words();
+    let mut lanes = [0i64; 8];
+    let mut add = |v: &[i64], byte: u8| {
+        let masks = &SIGN_MASKS[usize::from(byte)];
+        for ((acc, &x), &m) in lanes.iter_mut().zip(v).zip(masks) {
+            *acc += (x ^ m).wrapping_sub(m);
+        }
+    };
+    let mut v64 = v.chunks_exact(64);
+    for (chunk, &word) in (&mut v64).zip(words) {
+        for (body, byte) in chunk.chunks_exact(8).zip(word.to_le_bytes()) {
+            add(body, byte);
+        }
+    }
+    // The last `D mod 64` dimensions: the final key word, whose last
+    // byte may cover fewer than 8 dimensions.
+    if let Some(&word) = words.get(v.len() / 64) {
+        for (body, byte) in v64.remainder().chunks(8).zip(word.to_le_bytes()) {
+            add(body, byte);
+        }
+    }
+    lanes.iter().sum()
+}
+
+/// `dir_fx · v` for a fixed-point direction.
+fn fixed_dot(fixed: &[i64], v: &DenseHv) -> i64 {
+    fixed
+        .iter()
+        .zip(v.as_slice())
+        .map(|(&w, &x)| w * i64::from(x))
+        .sum()
+}
+
+/// One whitened score, `(base·2^(2S) − projection·gain) / 2^(2S)`: exact
+/// in `i128`, then one rounding in the cast to `f64` (the division by a
+/// power of two is exact).
+fn whitened_score(base: i64, projection: i64, gain: i64) -> f64 {
+    const UNIT: f64 = (1u64 << (2 * WHITEN_BITS)) as f64;
+    let scaled =
+        (i128::from(base) << (2 * WHITEN_BITS)) - i128::from(projection) * i128::from(gain);
+    scaled as f64 / UNIT
+}
+
 /// A compressed HDC model: one (or a few) combined hypervectors plus the
 /// per-class keys and, when decorrelation is on, the stored common
 /// direction used to whiten queries.
@@ -286,9 +410,9 @@ pub struct CompressedModel {
     /// Group index per class label.
     group_of: Vec<usize>,
     combined: Vec<DenseHv>,
-    /// Unit-norm common direction removed by decorrelation (`None` when
+    /// Common direction removed by decorrelation (`None` when
     /// decorrelation is disabled); queries are whitened against it.
-    direction: Option<Vec<f64>>,
+    direction: Option<Direction>,
     dim: usize,
 }
 
@@ -329,7 +453,7 @@ impl CompressedModel {
             groups,
             group_of,
             combined,
-            direction,
+            direction: direction.map(Direction::new),
             dim,
         })
     }
@@ -378,33 +502,86 @@ impl CompressedModel {
         Ok((direction, prepared))
     }
 
-    /// Projects the stored common direction out of a query (no-op without
-    /// decorrelation). Returns the whitened query as `f64` values.
-    fn whiten(&self, query: &DenseHv) -> Vec<f64> {
-        let mut h: Vec<f64> = query.as_slice().iter().map(|&v| v as f64).collect();
-        if let Some(dir) = &self.direction {
-            let proj: f64 = h.iter().zip(dir).map(|(x, y)| x * y).sum();
-            for (a, &d) in h.iter_mut().zip(dir) {
-                *a -= proj * d;
-            }
-        }
-        h
+    /// The query's projection onto the fixed-point direction,
+    /// `H·dir_fx` (0 without decorrelation).
+    pub(crate) fn projection(&self, query: &DenseHv) -> i64 {
+        self.direction
+            .as_ref()
+            .map_or(0, |dir| fixed_dot(&dir.fixed, query))
     }
 
-    /// Like [`CompressedModel::whiten`] but rounded back to integers, for
-    /// model updates.
-    fn whiten_int(&self, query: &DenseHv) -> DenseHv {
-        DenseHv::from_vec(
-            self.whiten(query)
-                .iter()
-                .map(|&x| x.round() as i32)
-                .collect(),
-        )
+    /// `Σ_d P'_c[d]·w[d]·C[d]` for every class `c`: the shared products
+    /// `w ⊙ C` once per combined vector (the only multiplies), then
+    /// per-class sign-flipped accumulation driven by the packed key words
+    /// — exactly the Fig. 11 datapath.
+    fn keyed_sums<T: Copy + Into<i64>>(&self, weights: &[T]) -> Vec<i64> {
+        let mut sums = vec![0; self.n_classes()];
+        let mut v = vec![0i64; self.dim];
+        for (g, combined) in self.combined.iter().enumerate() {
+            for ((slot, &w), &c) in v.iter_mut().zip(weights).zip(combined.as_slice()) {
+                *slot = w.into() * i64::from(c);
+            }
+            for &label in &self.groups[g] {
+                sums[label] = signed_sum(&v, self.keys.key(label));
+            }
+        }
+        sums
+    }
+
+    /// The per-class gains `G_c` of the whitening correction — the base
+    /// scores of `dir_fx` — computed on first use after compression,
+    /// loading or an update.
+    fn gains<'a>(&'a self, dir: &'a Direction) -> &'a [i64] {
+        dir.gains.get_or_init(|| self.keyed_sums(&dir.fixed))
+    }
+
+    /// Final per-class scores from integer base scores `score_c(H)` and
+    /// the query's `projection`: the plain scores
+    /// without a direction, else `(base_c·2^(2S) − p·G_c) / 2^(2S)`
+    /// evaluated in `i128`. The dense path and the score-LUT both finish
+    /// through here, so their scores agree bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base.len() != self.n_classes()`.
+    pub(crate) fn finish_scores(&self, base: Vec<i64>, projection: i64) -> Vec<f64> {
+        assert_eq!(base.len(), self.n_classes(), "one base score per class");
+        // Mapping `i64 → f64` over the owned vector collects in place:
+        // finishing allocates nothing.
+        match &self.direction {
+            None => base.into_iter().map(|b| b as f64).collect(),
+            Some(dir) => {
+                let gains = self.gains(dir);
+                base.into_iter()
+                    .enumerate()
+                    .map(|(c, b)| whitened_score(b, projection, gains[c]))
+                    .collect()
+            }
+        }
+    }
+
+    /// The query with the common direction projected out, rounded to
+    /// nearest per dimension — the integer query retraining updates
+    /// apply (`H[d] − round(p·dir_fx[d] / 2^(2S))`). The query itself
+    /// without decorrelation.
+    fn whiten(&self, query: &DenseHv) -> DenseHv {
+        let Some(dir) = &self.direction else {
+            return query.clone();
+        };
+        let p = i128::from(self.projection(query));
+        let half = 1i128 << (2 * WHITEN_BITS - 1);
+        query
+            .as_slice()
+            .iter()
+            .zip(&dir.fixed)
+            .map(|(&h, &w)| h - ((p * i128::from(w) + half) >> (2 * WHITEN_BITS)) as i32)
+            .collect()
     }
 
     /// Scores every class against a query: `D` multiplications per combined
     /// vector (plus one `D`-wide projection when decorrelating), then
-    /// sign-flipped accumulation per class.
+    /// sign-flipped accumulation per class, finished by
+    /// [`CompressedModel::finish_scores`].
     ///
     /// # Errors
     ///
@@ -418,72 +595,8 @@ impl CompressedModel {
                 actual: query.dim(),
             });
         }
-        let mut scores = vec![0.0f64; self.n_classes()];
-        if self.direction.is_none() {
-            // Integer fast path (no whitening): exactly the Fig. 11
-            // datapath — shared products once, then per-class sign-flipped
-            // accumulation driven by the packed key words.
-            for (g, combined) in self.combined.iter().enumerate() {
-                let v: Vec<i64> = query
-                    .as_slice()
-                    .iter()
-                    .zip(combined.as_slice())
-                    .map(|(&hd, &c)| hd as i64 * c as i64)
-                    .collect();
-                for &label in &self.groups[g] {
-                    scores[label] = Self::signed_sum_int(&v, self.keys.key(label));
-                }
-            }
-        } else {
-            let h = self.whiten(query);
-            for (g, combined) in self.combined.iter().enumerate() {
-                // The shared product vector v = H ⊙ C (the only multiplies).
-                let v: Vec<f64> = h
-                    .iter()
-                    .zip(combined.as_slice())
-                    .map(|(&hd, &c)| hd * c as f64)
-                    .collect();
-                for &label in &self.groups[g] {
-                    scores[label] = Self::signed_sum_f64(&v, self.keys.key(label));
-                }
-            }
-        }
-        Ok(scores)
-    }
-
-    /// `Σ_d ±v[d]` with signs from the packed key words (bit 1 ⇔ −1),
-    /// computed as `Σv − 2·Σ_{negative dims} v` with a branchless masked
-    /// sum (one AND + ADD per element, fully vectorizable).
-    fn signed_sum_int(v: &[i64], key: &BipolarHv) -> f64 {
-        let total: i64 = v.iter().sum();
-        let mut negative: i64 = 0;
-        for (wi, &word) in key.words().iter().enumerate() {
-            let base = wi * 64;
-            let end = (base + 64).min(v.len());
-            let mut bits = word;
-            for &vd in &v[base..end] {
-                negative += vd & -((bits & 1) as i64);
-                bits >>= 1;
-            }
-        }
-        (total - 2 * negative) as f64
-    }
-
-    /// `Σ_d ±v[d]` for the whitened (f64) path, branchless via sign-bit
-    /// flips driven by the packed key word.
-    fn signed_sum_f64(v: &[f64], key: &BipolarHv) -> f64 {
-        let mut s = 0.0f64;
-        for (wi, &word) in key.words().iter().enumerate() {
-            let base = wi * 64;
-            let end = (base + 64).min(v.len());
-            let mut bits = word;
-            for &vd in &v[base..end] {
-                let sign = (bits & 1) << 63;
-                bits >>= 1;
-                s += f64::from_bits(vd.to_bits() ^ sign);
-            }
-        }
-        s
+        let base = self.keyed_sums(query.as_slice());
+        Ok(self.finish_scores(base, self.projection(query)))
     }
 
     /// Predicts the best-matching class.
@@ -506,16 +619,18 @@ impl CompressedModel {
     pub fn signal_noise(&self, model: &ClassModel, query: &DenseHv) -> Result<Vec<SignalNoise>> {
         let scores = self.scores(query)?;
         let (_, prepared) = Self::prepare_classes(model, &self.config)?;
-        let h = self.whiten(query);
+        let projection = self.projection(query);
         Ok(scores
             .iter()
             .zip(&prepared)
             .map(|(&score, class)| {
-                let signal: f64 = h
-                    .iter()
-                    .zip(class.as_slice())
-                    .map(|(&hd, &c)| hd * c as f64)
-                    .sum();
+                // The same integer whitening as the score, with the
+                // prepared class in place of the keyed combined vector.
+                let base = query.dot(class);
+                let signal = match &self.direction {
+                    None => base as f64,
+                    Some(dir) => whitened_score(base, projection, fixed_dot(&dir.fixed, class)),
+                };
                 SignalNoise {
                     signal,
                     noise: score - signal,
@@ -535,7 +650,8 @@ impl CompressedModel {
     /// on bad arguments.
     pub fn update(&mut self, correct: usize, wrong: usize, query: &DenseHv) -> Result<()> {
         self.check_update(correct, wrong, query)?;
-        let h = self.whiten_int(query);
+        let h = self.whiten(query);
+        self.clear_gains();
         let gc = self.group_of[correct];
         let gw = self.group_of[wrong];
         self.combined[gc].add_bound_scaled(self.keys.key(correct), &h, 1);
@@ -579,7 +695,8 @@ impl CompressedModel {
         if gc != gw {
             return self.update(correct, wrong, query);
         }
-        let h = self.whiten_int(query);
+        let h = self.whiten(query);
+        self.clear_gains();
         let kc = self.keys.key(correct).clone();
         let kw = self.keys.key(wrong).clone();
         let combined = &mut self.combined[gc];
@@ -597,6 +714,14 @@ impl CompressedModel {
             combined.as_mut_slice()[d] += delta;
         }
         Ok(())
+    }
+
+    /// Drops the whitening gains after the combined vectors change; the
+    /// next score recomputes them.
+    fn clear_gains(&mut self) {
+        if let Some(dir) = &mut self.direction {
+            dir.gains.take();
+        }
     }
 
     fn check_update(&self, correct: usize, wrong: usize, query: &DenseHv) -> Result<()> {
@@ -666,10 +791,15 @@ impl CompressedModel {
     }
 
     /// Number of common directions removed by decorrelation: 1, or 0
-    /// when `decorrelate=false` (the integer fast-path precondition) or
-    /// the class matrix is degenerate.
+    /// when `decorrelate=false` or the class matrix is degenerate.
     pub fn n_directions(&self) -> usize {
         usize::from(self.direction.is_some())
+    }
+
+    /// The fixed-point whitening direction `dir_fx` (`None` without
+    /// decorrelation): the weights of the score-LUT's projection column.
+    pub(crate) fn direction_fixed(&self) -> Option<&[i64]> {
+        self.direction.as_ref().map(|dir| dir.fixed.as_slice())
     }
 
     /// Model size in bytes under the paper's accounting: only the combined
@@ -733,8 +863,10 @@ impl CompressedModel {
             }
         }
         w32(&mut out, self.n_directions() as u32);
-        for &v in self.direction.iter().flatten() {
-            out.extend_from_slice(&v.to_le_bytes());
+        if let Some(dir) = &self.direction {
+            for &v in &dir.unit {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
         }
         Ok(out)
     }
@@ -883,7 +1015,7 @@ impl CompressedModel {
                         "whitening direction must be finite with unit norm",
                     ));
                 }
-                Some(dir)
+                Some(Direction::new(dir))
             }
             n => {
                 return Err(HdcError::invalid_dataset(format!(
@@ -1184,25 +1316,85 @@ mod tests {
     }
 
     #[test]
-    fn signed_sum_fast_paths_match_reference() {
+    fn signed_sum_matches_reference() {
         let mut rng = StdRng::seed_from_u64(30);
-        for dim in [64usize, 100, 2000] {
+        for dim in [1usize, 7, 64, 100, 2000] {
             let key = crate::encoder::PositionKeys::generate(1, dim, &mut rng);
             let key = key.key(0);
-            let vi: Vec<i64> = (0..dim).map(|_| rng.gen_range(-1000i64..1000)).collect();
-            let reference: i64 = vi
+            let v: Vec<i64> = (0..dim).map(|_| rng.gen_range(-1000i64..1000)).collect();
+            let reference: i64 = v
                 .iter()
                 .enumerate()
-                .map(|(d, &v)| if key.is_negative(d) { -v } else { v })
+                .map(|(d, &x)| if key.is_negative(d) { -x } else { x })
                 .sum();
-            assert_eq!(CompressedModel::signed_sum_int(&vi, key), reference as f64);
-            let vf: Vec<f64> = vi.iter().map(|&v| v as f64 * 0.5).collect();
-            let reference_f: f64 = vf
-                .iter()
-                .enumerate()
-                .map(|(d, &v)| if key.is_negative(d) { -v } else { v })
-                .sum();
-            assert!((CompressedModel::signed_sum_f64(&vf, key) - reference_f).abs() < 1e-9);
+            assert_eq!(signed_sum(&v, key), reference, "dim {dim}");
         }
+    }
+
+    #[test]
+    fn integer_whitening_matches_the_f64_projection() {
+        // The fixed-point correction reproduces the f64 whitened score to
+        // well within a unit, and the integer query update rounds the f64
+        // whitened query almost everywhere.
+        let model = correlated_model(6, 2000, 60, 8, 12);
+        let cm = CompressedModel::compress(&model, &CompressionConfig::new()).unwrap();
+        let dir = &cm.direction.as_ref().expect("decorrelated").unit;
+        let mut rng = StdRng::seed_from_u64(13);
+        for _ in 0..10 {
+            let query = DenseHv::from_vec((0..2000).map(|_| rng.gen_range(-60..=60)).collect());
+            let proj: f64 = query
+                .as_slice()
+                .iter()
+                .zip(dir)
+                .map(|(&h, &d)| f64::from(h) * d)
+                .sum();
+            let h: Vec<f64> = query
+                .as_slice()
+                .iter()
+                .zip(dir)
+                .map(|(&x, &d)| f64::from(x) - proj * d)
+                .collect();
+            let scores = cm.scores(&query).unwrap();
+            for (label, &score) in scores.iter().enumerate() {
+                let c = cm.combined(cm.group_of(label)).as_slice();
+                let key = cm.key(label);
+                let reference: f64 = (0..2000)
+                    .map(|d| {
+                        let v = h[d] * f64::from(c[d]);
+                        if key.is_negative(d) {
+                            -v
+                        } else {
+                            v
+                        }
+                    })
+                    .sum();
+                assert!(
+                    (score - reference).abs() < 1e-3 * reference.abs().max(1.0),
+                    "class {label}: {score} vs {reference}"
+                );
+            }
+            let whitened = cm.whiten(&query);
+            let differing = h
+                .iter()
+                .zip(whitened.as_slice())
+                .filter(|(&f, &i)| f.round() as i32 != i)
+                .count();
+            assert!(differing <= 2, "{differing} dimensions round differently");
+        }
+    }
+
+    #[test]
+    fn gains_follow_updates() {
+        // An update clears the cached gains; the next score recomputes
+        // them from the updated combined vectors, so a model updated in
+        // place scores like a fresh load of the same bytes.
+        let model = correlated_model(5, 600, 40, 6, 14);
+        let mut cm = CompressedModel::compress(&model, &CompressionConfig::new()).unwrap();
+        let query = model.class(3).clone();
+        let _ = cm.scores(&query).unwrap();
+        cm.update(3, 1, &query).unwrap();
+        cm.update_paper_shift(2, 4, &query).unwrap();
+        let reloaded = CompressedModel::from_bytes(&cm.to_bytes().unwrap()).unwrap();
+        assert_eq!(cm.scores(&query).unwrap(), reloaded.scores(&query).unwrap());
     }
 }

@@ -3,17 +3,21 @@
 //! through.
 //!
 //! * [`ScoreKernel::Dense`] — encode the query hypervector and score it
-//!   against the compressed model (Eq. 5). Works for every model,
-//!   including whitened (decorrelated) ones. The exact reference.
+//!   against the compressed model (Eq. 5). The exact reference.
 //! * [`ScoreKernel::Lut`] — the precomputed per-chunk partial-score tables
 //!   of [`crate::score_lut`]; bit-identical to dense, no hypervector on
 //!   the query path.
 //!
+//! Both kernels produce integer base scores and, for a decorrelated
+//! model, the query's integer projection onto the whitening direction,
+//! and both finish through `CompressedModel::finish_scores`: one
+//! whitening arithmetic, so every model is eligible for either.
+//!
 //! Which kernel a classifier builds is chosen by [`KernelSpec`]
 //! (`LookHdConfig::with_kernel`). [`KernelKind::Auto`] resolves
 //! `lut → dense`: it tries the score-LUT and silently falls back to the
-//! dense path when the model is ineligible (whitened, over budget, out of
-//! integer bound), counted as `kernel.fallback`.
+//! dense path when the tables are over budget or out of integer bound,
+//! counted as `kernel.fallback`.
 //!
 //! Kernels are stateless with respect to the encoder and model: every
 //! scoring call receives `(&LookupEncoder, &CompressedModel)` from the
@@ -35,7 +39,7 @@ use crate::score_lut::ScoreLut;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelKind {
     /// Resolve automatically: try the score-LUT, fall back to dense when
-    /// the model is ineligible.
+    /// its tables are over budget or out of integer bound.
     Auto,
     /// Always the dense compressed scoring path (the exact reference).
     #[default]
@@ -84,8 +88,9 @@ impl FromStr for KernelKind {
 pub struct KernelSpec {
     /// Which kernel to build (see [`KernelKind`]).
     pub kind: KernelKind,
-    /// Byte ceiling for precomputed score-LUT tables (`m·k·q^r` × 8 B);
-    /// ignored by the dense kernel.
+    /// Byte ceiling for precomputed score-LUT tables (`m·w·q^r` × 8 B for
+    /// `w` = `k` class columns plus one projection column per whitening
+    /// direction); ignored by the dense kernel.
     pub budget_bytes: usize,
 }
 
@@ -137,8 +142,7 @@ impl Default for KernelSpec {
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScoreKernel {
     /// Dense compressed scoring (Eq. 5): encode the query hypervector and
-    /// score it against the compressed model. Stateless; works for every
-    /// model, including whitened ones.
+    /// score it against the compressed model. Stateless.
     Dense,
     /// The precomputed score-LUT tables: address extraction plus `m`
     /// table gathers (see [`crate::score_lut`] for the exactness
@@ -169,7 +173,7 @@ impl ScoreKernel {
     ) -> Result<Vec<f64>> {
         match self {
             ScoreKernel::Dense => compressed.scores(&encoder.encode(features)?),
-            ScoreKernel::Lut(lut) => lut.scores(&encoder.addresses(features)?),
+            ScoreKernel::Lut(lut) => lut.scores(compressed, &encoder.addresses(features)?),
         }
     }
 
@@ -185,10 +189,7 @@ impl ScoreKernel {
         compressed: &CompressedModel,
         features: &[f64],
     ) -> Result<usize> {
-        match self {
-            ScoreKernel::Dense => Ok(argmax_margin(&self.scores(encoder, compressed, features)?).0),
-            ScoreKernel::Lut(lut) => lut.predict(&encoder.addresses(features)?),
-        }
+        Ok(argmax_margin(&self.scores(encoder, compressed, features)?).0)
     }
 
     /// Predicted label and top1−top2 score margin from one scoring pass:
@@ -216,16 +217,23 @@ impl ScoreKernel {
         }
     }
 
-    /// One-line human summary for `info` output.
-    pub fn describe(&self) -> String {
+    /// One-line human summary for `info` output, naming the score-LUT's
+    /// projection column when `compressed` is whitened.
+    pub fn describe(&self, compressed: &CompressedModel) -> String {
         match self {
             ScoreKernel::Dense => "dense compressed scoring (no precomputed state)".to_owned(),
-            ScoreKernel::Lut(lut) => format!(
-                "{} chunk tables x {} classes, {} B precomputed",
-                lut.n_chunks(),
-                lut.n_classes(),
-                lut.size_bytes()
-            ),
+            ScoreKernel::Lut(lut) => {
+                let projection = match compressed.n_directions() {
+                    0 => String::new(),
+                    n => format!(" + {n} projection column"),
+                };
+                format!(
+                    "{} chunk tables x {} classes{projection}, {} B precomputed",
+                    lut.n_chunks(),
+                    compressed.n_classes(),
+                    lut.size_bytes()
+                )
+            }
         }
     }
 }
@@ -251,8 +259,8 @@ pub fn build_kernel(
     match spec.kind {
         KernelKind::Dense => Ok(ScoreKernel::Dense),
         KernelKind::Lut => lut(),
-        // Ineligible (whitened / over budget / out of bound): the dense
-        // path serves identically, just slower.
+        // Over budget or out of bound: the dense path serves
+        // identically, just slower.
         KernelKind::Auto => lut().or_else(|_| {
             obs::counter("kernel.fallback", 1);
             Ok(ScoreKernel::Dense)
@@ -340,7 +348,7 @@ mod tests {
         ] {
             let kernel = build_kernel(&encoder, &compressed, &spec).unwrap();
             assert_eq!(kernel.name(), name, "spec {spec:?}");
-            assert!(!kernel.describe().is_empty());
+            assert!(!kernel.describe(&compressed).is_empty());
         }
         // Auto falls back to dense when the LUT cannot be built…
         let starved = KernelSpec::auto().with_budget_bytes(1);
@@ -356,7 +364,7 @@ mod tests {
     }
 
     #[test]
-    fn explicit_lut_rejects_whitened_models() {
+    fn whitened_models_build_a_lut_with_a_projection_column() {
         let mut rng = StdRng::seed_from_u64(3);
         let levels = LevelMemory::generate(64, 4, &mut rng).unwrap();
         let samples: Vec<f64> = (0..100).map(|i| i as f64 / 100.0).collect();
@@ -369,11 +377,16 @@ mod tests {
             .collect();
         let model = ClassModel::from_classes(classes).unwrap();
         let whitened = CompressedModel::compress(&model, &CompressionConfig::new()).unwrap();
-        assert!(whitened.n_directions() > 0);
-        assert!(build_kernel(&encoder, &whitened, &KernelSpec::lut()).is_err());
-        // Auto degrades to dense instead.
-        let auto = build_kernel(&encoder, &whitened, &KernelSpec::auto()).unwrap();
-        assert_eq!(auto, ScoreKernel::Dense);
+        assert_eq!(whitened.n_directions(), 1);
+        for spec in [KernelSpec::lut(), KernelSpec::auto()] {
+            let kernel = build_kernel(&encoder, &whitened, &spec).unwrap();
+            assert_eq!(kernel.name(), "lut", "spec {spec:?}");
+            assert!(
+                kernel.describe(&whitened).contains("+ 1 projection column"),
+                "{}",
+                kernel.describe(&whitened)
+            );
+        }
     }
 
     #[test]

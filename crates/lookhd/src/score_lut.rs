@@ -28,10 +28,18 @@
 //! final scores exactly representable as `f64` — the dense path's return
 //! type — so argmax and scores are identical, not merely close.
 //!
-//! The kernel is only valid *without* decorrelation: whitening projects
-//! queries through `f64` arithmetic whose rounding does not commute with
-//! the per-chunk decomposition. [`ScoreLut::build`] rejects whitened
-//! models and the classifier falls back to the dense path.
+//! ## Whitened models
+//!
+//! A decorrelated model scores `(score_c(H)·2^(2S) − p·G_c) / 2^(2S)`
+//! with the integer projection `p = H·dir_fx` (see [`crate::compress`]).
+//! `p` is linear in `H` too, so it splits per chunk exactly like the class
+//! scores: each chunk table carries one more column,
+//! `S_i[k][addr] = (dir_fx ⊙ P_i) · LUT_i[addr]`, built like a class
+//! column with weight `dir_fx` under `P_i` alone. The gathered class
+//! columns and projection go through `CompressedModel::finish_scores`, the
+//! function the dense path finishes through. The projection column is
+//! bounded like the class columns ([`check_projection_bound`]:
+//! `D · n · 2^S ≤ 2^52`, since `|dir_fx[d]| ≤ 2^S`).
 //!
 //! ## Build cost
 //!
@@ -46,7 +54,9 @@ use hdc::hv::BipolarHv;
 use hdc::{HdcError, Result};
 
 use crate::chunking::ChunkLayout;
-use crate::compress::{serial_u32, CompressedModel, MAX_SERIAL_CLASSES, MAX_SERIAL_FEATURES};
+use crate::compress::{
+    serial_u32, signed_sum, CompressedModel, MAX_SERIAL_CLASSES, MAX_SERIAL_FEATURES, WHITEN_BITS,
+};
 use crate::encoder::LookupEncoder;
 
 /// Ceiling on serialized/loaded score-LUT entries (2^27 ≈ 134M entries,
@@ -72,36 +82,60 @@ pub const MAX_EXACT_SCORE: i64 = 1 << 52;
 /// Returns [`HdcError::InvalidConfig`] when the bound is exceeded (or the
 /// bound computation itself overflows).
 pub fn check_exact_score_bound(dim: usize, max_abs_combined: i64, n_features: usize) -> Result<()> {
+    check_column_bound("D·max|C|·n", dim, max_abs_combined, n_features)
+}
+
+/// Rejects a whitened model whose projection column could exceed
+/// [`MAX_EXACT_SCORE`]: its weights `dir_fx` are bounded by `2^S`
+/// ([`WHITEN_BITS`]) for a unit direction, so the worst case is
+/// `D · 2^S · n` — `D·n ≤ 2^28` at `S = 24` (SPEECH: `2000·617 ≈ 2^20.2`).
+///
+/// # Errors
+///
+/// Returns [`HdcError::InvalidConfig`] when the bound is exceeded.
+pub fn check_projection_bound(dim: usize, n_features: usize) -> Result<()> {
+    check_column_bound("projection D·2^S·n", dim, 1 << WHITEN_BITS, n_features)
+}
+
+fn check_column_bound(
+    what: &str,
+    dim: usize,
+    max_abs_weight: i64,
+    n_features: usize,
+) -> Result<()> {
     let bound = (dim as i64)
-        .checked_mul(max_abs_combined)
+        .checked_mul(max_abs_weight)
         .and_then(|v| v.checked_mul(n_features as i64));
     match bound {
         Some(b) if b <= MAX_EXACT_SCORE => Ok(()),
         _ => Err(HdcError::invalid_config(
             "score_lut",
             format!(
-                "worst-case score D·max|C|·n = {dim}·{max_abs_combined}·{n_features} \
+                "worst-case {what} = {dim}·{max_abs_weight}·{n_features} \
                  exceeds the exact-integer bound 2^52"
             ),
         )),
     }
 }
 
-/// The precomputed per-chunk, per-class partial-score tables
-/// `S_i[c][addr] = (P'_c ⊙ C ⊙ P_i) · LUT_i[addr]`.
+/// The precomputed per-chunk partial-score tables: one column per class,
+/// `S_i[c][addr] = (P'_c ⊙ C ⊙ P_i) · LUT_i[addr]`, plus for a whitened
+/// model one projection column `S_i[k][addr] = (dir_fx ⊙ P_i) · LUT_i[addr]`.
 ///
 /// Storage is one flat `i64` vector, chunk-major then address-major then
-/// class-minor: the entry for `(chunk i, addr, class c)` lives at
-/// `offsets[i] + addr·k + c`, so one prediction gathers `m` contiguous
-/// `k`-length rows — cache-friendly and trivially vectorizable.
+/// column-minor: the entry for `(chunk i, addr, column c)` lives at
+/// `offsets[i] + addr·w + c` for `w` columns, so one prediction gathers
+/// `m` contiguous `w`-length rows — cache-friendly and trivially
+/// vectorizable.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScoreLut {
     /// Flat partial scores (see struct docs for the layout).
     entries: Vec<i64>,
     /// Entry offset of each chunk's table; length `m + 1`, so chunk `i`
-    /// spans `offsets[i]..offsets[i+1]` and holds `rows_i · k` entries.
+    /// spans `offsets[i]..offsets[i+1]` and holds `rows_i · w` entries.
     offsets: Vec<usize>,
-    n_classes: usize,
+    /// Columns per row: `k` classes plus the model's directions.
+    n_columns: usize,
 }
 
 impl ScoreLut {
@@ -110,9 +144,8 @@ impl ScoreLut {
     /// # Errors
     ///
     /// Returns [`HdcError::InvalidConfig`] when the model is ineligible —
-    /// a whitening direction present (decorrelation breaks integer
-    /// exactness), the table would exceed `budget_bytes` or
-    /// [`MAX_SERIAL_SCORE_ENTRIES`], or the worst-case score violates
+    /// the table would exceed `budget_bytes` or
+    /// [`MAX_SERIAL_SCORE_ENTRIES`], or a worst-case column sum violates
     /// [`MAX_EXACT_SCORE`] — and [`HdcError::DimensionMismatch`] when the
     /// encoder and compressed model disagree on `D`.
     /// [`build_kernel`](crate::score_kernel::build_kernel)'s Auto
@@ -123,13 +156,6 @@ impl ScoreLut {
         budget_bytes: usize,
     ) -> Result<Self> {
         let _span = obs::span("score_lut_build");
-        if compressed.n_directions() != 0 {
-            return Err(HdcError::invalid_config(
-                "score_lut",
-                "whitened (decorrelated) models score through f64 projections; \
-                 the integer score-LUT kernel requires decorrelate=false",
-            ));
-        }
         let levels = encoder.lut().levels();
         let dim = levels.dim();
         if dim != compressed.dim() {
@@ -140,7 +166,9 @@ impl ScoreLut {
         }
         let layout = *encoder.layout();
         let k = compressed.n_classes();
-        let total_entries = (k as u128).saturating_mul(layout.total_table_rows());
+        let direction = compressed.direction_fixed();
+        let w = k + compressed.n_directions();
+        let total_entries = (w as u128).saturating_mul(layout.total_table_rows());
         let cap = (budget_bytes / std::mem::size_of::<i64>()).min(MAX_SERIAL_SCORE_ENTRIES);
         if total_entries > cap as u128 {
             return Err(HdcError::invalid_config(
@@ -157,6 +185,9 @@ impl ScoreLut {
             .max()
             .unwrap_or(0);
         check_exact_score_bound(dim, max_abs, layout.n_features())?;
+        if direction.is_some() {
+            check_projection_bound(dim, layout.n_features())?;
+        }
 
         let m = layout.n_chunks();
         let q = layout.q();
@@ -176,25 +207,37 @@ impl ScoreLut {
             })
             .collect();
         // Per-chunk entry bound for the debug overflow check below.
-        let chunk_bound = (dim as i64) * max_abs * (r_max as i64);
+        let max_weight = if direction.is_some() {
+            max_abs.max(1 << WHITEN_BITS)
+        } else {
+            max_abs
+        };
+        let chunk_bound = (dim as i64) * max_weight * (r_max as i64);
 
         let mut entries = Vec::with_capacity(total_entries as usize);
         let mut offsets = Vec::with_capacity(m + 1);
         offsets.push(0usize);
         // T[c][j][lv] laid out flat at c·(r_max·q) + j·q + lv; rebuilt per
-        // chunk (only the first chunk_len·q slots per class are used).
-        let mut t = vec![0i64; k * r_max * q];
+        // chunk (only the first chunk_len·q slots per column are used).
+        let mut t = vec![0i64; w * r_max * q];
         for chunk in 0..m {
             let chunk_len = layout.chunk_len(chunk);
             let rows = layout.table_rows(chunk);
             let p_i = encoder.positions().key(chunk);
-            for c in 0..k {
-                let sign = compressed.key(c).bind(p_i);
-                let weights = &combined_i64[compressed.group_of(c)];
+            for c in 0..w {
+                // Class columns weigh `C` under `P'_c ⊙ P_i`; the
+                // projection column weighs `dir_fx` under `P_i` alone.
+                let (sign, weights) = match direction {
+                    Some(dir) if c == k => (p_i.clone(), dir),
+                    _ => (
+                        compressed.key(c).bind(p_i),
+                        combined_i64[compressed.group_of(c)].as_slice(),
+                    ),
+                };
                 let base = c * r_max * q;
                 for (j, rotated_row) in rotated.iter().enumerate().take(chunk_len) {
                     for (lv, rot) in rotated_row.iter().enumerate() {
-                        t[base + j * q + lv] = Self::masked_sum(weights, &sign.bind(rot));
+                        t[base + j * q + lv] = signed_sum(weights, &sign.bind(rot));
                     }
                 }
             }
@@ -204,7 +247,7 @@ impl ScoreLut {
             // least-significant (last) digit with carry.
             let mut digits = vec![0usize; chunk_len];
             for _addr in 0..rows {
-                for c in 0..k {
+                for c in 0..w {
                     let base = c * r_max * q;
                     let mut s = 0i64;
                     for (j, &dg) in digits.iter().enumerate() {
@@ -229,36 +272,19 @@ impl ScoreLut {
         Ok(Self {
             entries,
             offsets,
-            n_classes: k,
+            n_columns: w,
         })
     }
 
-    /// `Σ_d ±v[d]` with signs from the packed bipolar key (bit 1 ⇔ −1),
-    /// computed as `Σv − 2·Σ_{negative dims} v` — the same branchless
-    /// masked sum as the dense path's per-class accumulation.
-    fn masked_sum(v: &[i64], key: &BipolarHv) -> i64 {
-        let total: i64 = v.iter().sum();
-        let mut negative: i64 = 0;
-        for (wi, &word) in key.words().iter().enumerate() {
-            let base = wi * 64;
-            let end = (base + 64).min(v.len());
-            let mut bits = word;
-            for &vd in &v[base..end] {
-                negative += vd & -((bits & 1) as i64);
-                bits >>= 1;
-            }
-        }
-        total - 2 * negative
-    }
-
-    /// Per-class integer scores for pre-extracted chunk addresses: `m`
-    /// contiguous table gathers and `m·k` adds.
+    /// Per-column integer sums for pre-extracted chunk addresses: `m`
+    /// contiguous table gathers and `m·w` adds. The first `k` columns are
+    /// the base class scores, a last one the query's projection.
     ///
     /// # Errors
     ///
     /// Returns [`HdcError::InvalidDataset`] when the address count differs
     /// from `m` or an address exceeds its chunk's table.
-    pub fn scores_i64(&self, addrs: &[u64]) -> Result<Vec<i64>> {
+    pub fn gather(&self, addrs: &[u64]) -> Result<Vec<i64>> {
         let _span = obs::span("score_lut");
         obs::counter("kernel.lut.queries", 1);
         let m = self.n_chunks();
@@ -268,54 +294,46 @@ impl ScoreLut {
                 addrs.len()
             )));
         }
-        let k = self.n_classes;
-        let mut scores = vec![0i64; k];
+        let w = self.n_columns;
+        let mut sums = vec![0i64; w];
         for (i, &addr) in addrs.iter().enumerate() {
             let start = self.offsets[i];
-            let rows = (self.offsets[i + 1] - start) / k;
+            let rows = (self.offsets[i + 1] - start) / w;
             if addr as usize >= rows {
                 return Err(HdcError::invalid_dataset(format!(
                     "address {addr} out of range for chunk {i} ({rows} rows)"
                 )));
             }
-            let row = &self.entries[start + addr as usize * k..start + (addr as usize + 1) * k];
-            for (s, &v) in scores.iter_mut().zip(row) {
+            let row = &self.entries[start + addr as usize * w..start + (addr as usize + 1) * w];
+            for (s, &v) in sums.iter_mut().zip(row) {
                 *s += v;
             }
         }
         obs::counter("kernel.lut.table_reads", m as u64);
-        Ok(scores)
+        Ok(sums)
     }
 
-    /// Per-class scores as `f64` — exactly equal to the dense path's
-    /// output (the build-time [`MAX_EXACT_SCORE`] bound guarantees the
-    /// `i64 → f64` cast is lossless).
+    /// Per-class scores, finished by `CompressedModel::finish_scores` from
+    /// the gathered class columns and projection (the function the dense
+    /// path finishes through) — exactly equal to the dense path's output.
     ///
     /// # Errors
     ///
-    /// Same as [`ScoreLut::scores_i64`].
-    pub fn scores(&self, addrs: &[u64]) -> Result<Vec<f64>> {
-        Ok(self.scores_i64(addrs)?.iter().map(|&s| s as f64).collect())
-    }
-
-    /// Argmax over [`ScoreLut::scores_i64`] — first maximum wins, the same
-    /// strict-`>` rule as [`CompressedModel::predict`], so ties break
-    /// identically.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ScoreLut::scores_i64`].
-    pub fn predict(&self, addrs: &[u64]) -> Result<usize> {
-        let scores = self.scores_i64(addrs)?;
-        let mut best = 0;
-        let mut best_score = i64::MIN;
-        for (i, &s) in scores.iter().enumerate() {
-            if s > best_score {
-                best_score = s;
-                best = i;
-            }
+    /// Same as [`ScoreLut::gather`], plus [`HdcError::InvalidDataset`]
+    /// when the column count is not `compressed`'s `k + n_directions()`.
+    pub fn scores(&self, compressed: &CompressedModel, addrs: &[u64]) -> Result<Vec<f64>> {
+        let mut columns = self.gather(addrs)?;
+        let k = compressed.n_classes();
+        if columns.len() != k + compressed.n_directions() {
+            return Err(HdcError::invalid_dataset(format!(
+                "score-LUT has {} columns, the model needs {k} classes + {} direction(s)",
+                columns.len(),
+                compressed.n_directions()
+            )));
         }
-        Ok(best)
+        let projection = columns.get(k).copied().unwrap_or(0);
+        columns.truncate(k);
+        Ok(compressed.finish_scores(columns, projection))
     }
 
     /// Number of chunk tables `m`.
@@ -323,9 +341,10 @@ impl ScoreLut {
         self.offsets.len() - 1
     }
 
-    /// Number of classes `k` per table row.
-    pub fn n_classes(&self) -> usize {
-        self.n_classes
+    /// Number of columns per table row: `k` classes plus the model's
+    /// directions (one projection column for a whitened model).
+    pub fn n_columns(&self) -> usize {
+        self.n_columns
     }
 
     /// Table rows of chunk `i` (`q^len(i)`).
@@ -334,7 +353,7 @@ impl ScoreLut {
     ///
     /// Panics if `i >= self.n_chunks()`.
     pub fn rows(&self, i: usize) -> usize {
-        (self.offsets[i + 1] - self.offsets[i]) / self.n_classes
+        (self.offsets[i + 1] - self.offsets[i]) / self.n_columns
     }
 
     /// Bytes held by the precomputed tables.
@@ -343,9 +362,9 @@ impl ScoreLut {
     }
 
     /// Checks this kernel is consistent with the layout and compressed
-    /// model it will serve — chunk count, per-chunk row counts, class
-    /// count, and the no-whitening eligibility rule. Used after
-    /// deserialization, where the three sections arrive independently.
+    /// model it will serve — chunk count, per-chunk row counts, and the
+    /// column count `k + n_directions()`. Used after deserialization,
+    /// where the three sections arrive independently.
     ///
     /// # Errors
     ///
@@ -355,11 +374,6 @@ impl ScoreLut {
         layout: &ChunkLayout,
         compressed: &CompressedModel,
     ) -> Result<()> {
-        if compressed.n_directions() != 0 {
-            return Err(HdcError::invalid_dataset(
-                "score-LUT section present on a whitened (decorrelated) model",
-            ));
-        }
         if self.n_chunks() != layout.n_chunks() {
             return Err(HdcError::invalid_dataset(format!(
                 "score-LUT has {} chunk tables, layout expects {}",
@@ -367,11 +381,13 @@ impl ScoreLut {
                 layout.n_chunks()
             )));
         }
-        if self.n_classes != compressed.n_classes() {
+        let expected = compressed.n_classes() + compressed.n_directions();
+        if self.n_columns != expected {
             return Err(HdcError::invalid_dataset(format!(
-                "score-LUT has {} classes, compressed model has {}",
-                self.n_classes,
-                compressed.n_classes()
+                "score-LUT has {} columns, compressed model needs {} classes + {} direction(s)",
+                self.n_columns,
+                compressed.n_classes(),
+                compressed.n_directions()
             )));
         }
         for i in 0..self.n_chunks() {
@@ -386,7 +402,7 @@ impl ScoreLut {
         Ok(())
     }
 
-    /// Serializes the kernel (`SLT1` format): chunk count, class count,
+    /// Serializes the kernel (`SLT1` format): chunk count, column count,
     /// per-chunk row counts, then the flat `i64` entries.
     ///
     /// # Errors
@@ -403,7 +419,7 @@ impl ScoreLut {
         );
         w32(
             &mut out,
-            serial_u32("score-lut classes", self.n_classes, MAX_SERIAL_CLASSES)?,
+            serial_u32("score-lut columns", self.n_columns, MAX_SERIAL_CLASSES + 1)?,
         );
         for i in 0..self.n_chunks() {
             out.extend_from_slice(&(self.rows(i) as u64).to_le_bytes());
@@ -447,15 +463,16 @@ impl ScoreLut {
             ))
         };
         let m = u32v(&mut pos)? as usize;
-        let k = u32v(&mut pos)? as usize;
+        let w = u32v(&mut pos)? as usize;
         if m == 0 || m > MAX_SERIAL_FEATURES {
             return Err(HdcError::invalid_dataset(format!(
                 "score-LUT chunk count {m} outside 1..={MAX_SERIAL_FEATURES}"
             )));
         }
-        if k == 0 || k > MAX_SERIAL_CLASSES {
+        if w == 0 || w > MAX_SERIAL_CLASSES + 1 {
             return Err(HdcError::invalid_dataset(format!(
-                "score-LUT class count {k} outside 1..={MAX_SERIAL_CLASSES}"
+                "score-LUT column count {w} outside 1..={}",
+                MAX_SERIAL_CLASSES + 1
             )));
         }
         // Row counts: 8 bytes each, checked against the remaining stream
@@ -477,7 +494,7 @@ impl ScoreLut {
             }
             let chunk_entries = usize::try_from(rows)
                 .ok()
-                .and_then(|r| r.checked_mul(k))
+                .and_then(|r| r.checked_mul(w))
                 .and_then(|e| e.checked_add(total))
                 .filter(|&e| e <= MAX_SERIAL_SCORE_ENTRIES)
                 .ok_or_else(|| {
@@ -509,7 +526,7 @@ impl ScoreLut {
         Ok(Self {
             entries,
             offsets,
-            n_classes: k,
+            n_columns: w,
         })
     }
 }
@@ -517,6 +534,7 @@ impl ScoreLut {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hdc::classify::argmax_margin;
     use hdc::encoding::Encode;
     use hdc::hv::DenseHv;
     use hdc::levels::LevelMemory;
@@ -538,6 +556,21 @@ mod tests {
         group: usize,
         seed: u64,
     ) -> (LookupEncoder, CompressedModel) {
+        setup_with(n, r, q, dim, k, group, seed, false)
+    }
+
+    /// [`setup`] with decorrelation (and so query whitening) chosen.
+    #[allow(clippy::too_many_arguments)]
+    fn setup_with(
+        n: usize,
+        r: usize,
+        q: usize,
+        dim: usize,
+        k: usize,
+        group: usize,
+        seed: u64,
+        decorrelate: bool,
+    ) -> (LookupEncoder, CompressedModel) {
         let mut rng = StdRng::seed_from_u64(seed);
         let levels = LevelMemory::generate(dim, q, &mut rng).unwrap();
         let samples: Vec<f64> = (0..500).map(|i| i as f64 / 500.0).collect();
@@ -550,7 +583,7 @@ mod tests {
             .collect();
         let model = ClassModel::from_classes(classes).unwrap();
         let config = CompressionConfig::new()
-            .with_decorrelate(false)
+            .with_decorrelate(decorrelate)
             .with_max_classes_per_vector(group);
         let compressed = CompressedModel::compress(&model, &config).unwrap();
         (encoder, compressed)
@@ -560,31 +593,41 @@ mod tests {
         (0..n).map(|_| rng.gen_range(0.0..1.0)).collect()
     }
 
-    /// The core exactness contract: for random models (remainder chunks
-    /// and multi-group class packing included), the kernel's scores equal
-    /// the dense path's f64 scores exactly and the argmax is identical.
+    /// The core exactness contract: for random models (remainder chunks,
+    /// multi-group class packing and whitening included), the kernel's
+    /// scores equal the dense path's f64 scores exactly and the argmax is
+    /// identical.
     #[test]
     fn kernel_scores_match_dense_path_exactly() {
-        for (n, r, q, dim, k, group) in [
-            (10, 5, 4, 128, 3, 12),
-            (13, 5, 4, 200, 7, 3),  // remainder chunk + multiple groups
-            (23, 4, 2, 64, 26, 12), // many classes, 3 groups
-        ] {
-            let (encoder, compressed) = setup(n, r, q, dim, k, group, 42 + n as u64);
-            let lut = ScoreLut::build(&encoder, &compressed, usize::MAX).unwrap();
-            let mut rng = StdRng::seed_from_u64(7);
-            for _ in 0..25 {
-                let features = random_features(n, &mut rng);
-                let addrs = encoder.addresses(&features).unwrap();
-                let h = encoder.encode(&features).unwrap();
-                let dense = compressed.scores(&h).unwrap();
-                let fast = lut.scores(&addrs).unwrap();
-                assert_eq!(fast, dense, "scores diverged (n={n}, k={k})");
-                assert_eq!(
-                    lut.predict(&addrs).unwrap(),
-                    compressed.predict(&h).unwrap(),
-                    "argmax diverged (n={n}, k={k})"
-                );
+        for decorrelate in [false, true] {
+            for (n, r, q, dim, k, group) in [
+                (10, 5, 4, 128, 3, 12),
+                (13, 5, 4, 200, 7, 3),  // remainder chunk + multiple groups
+                (23, 4, 2, 64, 26, 12), // many classes, 3 groups
+            ] {
+                let (encoder, compressed) =
+                    setup_with(n, r, q, dim, k, group, 42 + n as u64, decorrelate);
+                assert_eq!(compressed.n_directions(), usize::from(decorrelate));
+                let lut = ScoreLut::build(&encoder, &compressed, usize::MAX).unwrap();
+                assert_eq!(lut.n_columns(), k + compressed.n_directions());
+                let mut rng = StdRng::seed_from_u64(7);
+                for _ in 0..25 {
+                    let features = random_features(n, &mut rng);
+                    let addrs = encoder.addresses(&features).unwrap();
+                    let h = encoder.encode(&features).unwrap();
+                    let dense = compressed.scores(&h).unwrap();
+                    let fast = lut.scores(&compressed, &addrs).unwrap();
+                    assert_eq!(fast, dense, "scores diverged (n={n}, k={k})");
+                    assert_eq!(
+                        argmax_margin(&fast).0,
+                        compressed.predict(&h).unwrap(),
+                        "argmax diverged (n={n}, k={k})"
+                    );
+                    if decorrelate {
+                        // The projection column gathers `H·dir_fx`.
+                        assert_eq!(lut.gather(&addrs).unwrap()[k], compressed.projection(&h));
+                    }
+                }
             }
         }
     }
@@ -598,8 +641,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let features = random_features(13, &mut rng);
         let addrs = encoder.addresses(&features).unwrap();
-        let ints = lut.scores_i64(&addrs).unwrap();
-        let floats = lut.scores(&addrs).unwrap();
+        let ints = lut.gather(&addrs).unwrap();
+        let floats = lut.scores(&compressed, &addrs).unwrap();
         let dense = compressed
             .scores(&encoder.encode(&features).unwrap())
             .unwrap();
@@ -611,22 +654,16 @@ mod tests {
     }
 
     #[test]
-    fn rejects_whitened_models() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let levels = LevelMemory::generate(64, 4, &mut rng).unwrap();
-        let samples: Vec<f64> = (0..100).map(|i| i as f64 / 100.0).collect();
-        let quantizer = Quantizer::fit(Quantization::Equalized, &samples, 4).unwrap();
-        let layout = ChunkLayout::new(10, 5, 4).unwrap();
-        let encoder =
-            LookupEncoder::new(layout, &levels, quantizer, TableMode::OnTheFly, 11).unwrap();
-        let classes = (0..3)
-            .map(|_| DenseHv::from_vec((0..64).map(|_| rng.gen_range(-20..=20)).collect()))
-            .collect();
-        let model = ClassModel::from_classes(classes).unwrap();
-        let whitened = CompressedModel::compress(&model, &CompressionConfig::new()).unwrap();
-        assert!(whitened.n_directions() > 0);
-        let err = ScoreLut::build(&encoder, &whitened, usize::MAX).unwrap_err();
-        assert!(err.to_string().contains("decorrelate"), "{err}");
+    fn projection_bound_is_pinned_at_its_edge() {
+        // D·2^24·n ≤ 2^52 ⇔ D·n ≤ 2^28: exactly at the bound is accepted,
+        // one feature or one dimension past is not.
+        assert!(check_projection_bound(1 << 10, 1 << 18).is_ok());
+        assert!(check_projection_bound(1 << 10, (1 << 18) + 1).is_err());
+        assert!(check_projection_bound((1 << 18) + 1, 1 << 10).is_err());
+        // SPEECH (D = 2000, n = 617) sits at 2^44.2.
+        assert!(check_projection_bound(2000, 617).is_ok());
+        let err = check_projection_bound(1 << 20, 1 << 20).unwrap_err();
+        assert!(err.to_string().contains("projection"), "{err}");
     }
 
     #[test]
@@ -676,9 +713,9 @@ mod tests {
     fn address_validation_errors_cleanly() {
         let (encoder, compressed) = setup(10, 5, 4, 64, 3, 12, 19);
         let lut = ScoreLut::build(&encoder, &compressed, usize::MAX).unwrap();
-        assert!(lut.scores_i64(&[0]).is_err()); // wrong count
-        assert!(lut.scores_i64(&[0, 1024]).is_err()); // addr ≥ rows
-        assert!(lut.scores_i64(&[0, 1023]).is_ok());
+        assert!(lut.gather(&[0]).is_err()); // wrong count
+        assert!(lut.gather(&[0, 1024]).is_err()); // addr ≥ rows
+        assert!(lut.gather(&[0, 1023]).is_ok());
     }
 
     #[test]
@@ -686,7 +723,7 @@ mod tests {
         let (encoder, compressed) = setup(13, 5, 2, 64, 4, 12, 23);
         let lut = ScoreLut::build(&encoder, &compressed, usize::MAX).unwrap();
         assert_eq!(lut.n_chunks(), 3);
-        assert_eq!(lut.n_classes(), 4);
+        assert_eq!(lut.n_columns(), 4);
         assert_eq!(lut.rows(0), 32);
         assert_eq!(lut.rows(2), 8); // remainder chunk: 3 features, 2^3
         assert_eq!(lut.size_bytes(), (32 + 32 + 8) * 4 * 8);
@@ -734,7 +771,7 @@ mod tests {
             let mut flipped = bytes.clone();
             flipped[i] ^= 0xFF;
             if let Ok(back) = ScoreLut::from_bytes(&flipped) {
-                let _ = back.scores_i64(&addrs);
+                let _ = back.gather(&addrs);
             }
         }
         let _ = compressed; // geometry partner kept alive for clarity
@@ -750,5 +787,17 @@ mod tests {
         assert!(lut.validate_against(encoder.layout(), &other_k).is_err());
         let wrong_rows = ChunkLayout::new(10, 5, 2).unwrap();
         assert!(lut.validate_against(&wrong_rows, &compressed).is_err());
+        // The column count must be k + directions, in both directions: a
+        // plain model's tables do not serve its whitened twin, and the
+        // reverse.
+        let (encoder, whitened) = setup_with(10, 5, 4, 64, 3, 12, 37, true);
+        let whitened_lut = ScoreLut::build(&encoder, &whitened, usize::MAX).unwrap();
+        whitened_lut
+            .validate_against(encoder.layout(), &whitened)
+            .unwrap();
+        assert!(lut.validate_against(encoder.layout(), &whitened).is_err());
+        assert!(whitened_lut
+            .validate_against(encoder.layout(), &compressed)
+            .is_err());
     }
 }

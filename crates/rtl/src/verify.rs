@@ -133,8 +133,9 @@ pub struct SearchVerification {
 /// against [`CompressedModel::scores`].
 ///
 /// Only valid for models compressed without decorrelation: the whitening
-/// projection is a floating-point front-end the integer datapath does not
-/// implement (the paper's hardware likewise stores plain integer models).
+/// correction (`p·G_c`, see [`lookhd::compress`]) is a second integer
+/// stage the modelled search unit does not implement (the paper's
+/// hardware likewise stores plain integer models).
 ///
 /// # Errors
 ///

@@ -87,7 +87,9 @@
 //! has answered its queue — the reactors close every connection as it
 //! becomes reapable (see the drain rule above) and exit, with a
 //! [`DRAIN_GRACE`] bound so a client that never reads its last bytes
-//! cannot wedge the join.
+//! cannot wedge the join. The trainer's own drain is bounded by the same
+//! grace: a refresh it pops more than [`DRAIN_GRACE`] after the trigger is
+//! answered `ShuttingDown` instead of materialized.
 //!
 //! [`ServeConfig::max_conns`]: crate::ServeConfig::max_conns
 //! [`OnlineConfig::queue_cap`]: crate::OnlineConfig::queue_cap
@@ -914,6 +916,7 @@ fn reject(mut stream: TcpStream, message: String) {
 #[cfg(test)]
 mod tests {
     use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
+    use std::sync::OnceLock;
 
     use super::*;
     use crate::client::Client;
@@ -950,6 +953,7 @@ mod tests {
             config: ServeConfig::new(),
             local_addr,
             shutdown: AtomicBool::new(false),
+            shutdown_at: OnceLock::new(),
             drained: AtomicBool::new(false),
             conn_count: AtomicUsize::new(0),
             next_token: AtomicU64::new(0),

@@ -43,7 +43,10 @@
 //! without online training, or when the trainer has drained its queue)
 //! the server is *drained*: the reactors deliver the trainer's last
 //! replies, flush the remaining outboxes (bounded by a grace period)
-//! and exit, and [`ServerHandle::join`] returns.
+//! and exit, and [`ServerHandle::join`] returns. The trainer still
+//! folds every queued feedback frame, but answers a refresh it pops more
+//! than the grace period after the trigger with `ShuttingDown` instead of
+//! materializing it, so the drain is bounded too.
 //!
 //! ## Tracing and telemetry
 //!
@@ -81,7 +84,7 @@ use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -91,7 +94,7 @@ use obs::trace::{self, Phase};
 
 use crate::conn::Conn;
 use crate::model::{ModelSlot, SharedClassifier, VersionedModel};
-use crate::reactor::{Reactor, ReactorQueue};
+use crate::reactor::{Reactor, ReactorQueue, DRAIN_GRACE};
 use crate::slo::{HealthState, SloConfig};
 use crate::wire::{ErrorCode, Response};
 
@@ -370,6 +373,10 @@ pub(crate) struct Inner {
     pub(crate) config: ServeConfig,
     pub(crate) local_addr: SocketAddr,
     pub(crate) shutdown: AtomicBool,
+    /// When the shutdown was triggered: a refresh the trainer pops more
+    /// than [`DRAIN_GRACE`] later is answered `ShuttingDown` instead of
+    /// materialized, so a full queue cannot hold the drain open.
+    pub(crate) shutdown_at: OnceLock<Instant>,
     /// Set once no thread but the reactors can produce another
     /// response — at shutdown without online training, or when the
     /// trainer has drained its queue: the reactors flush what remains
@@ -399,6 +406,7 @@ impl Inner {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
+        let _ = self.shutdown_at.set(Instant::now());
         // Health degrades before any reactor learns of the shutdown: a
         // load balancer probing /healthz sees `draining` while the last
         // responses are still being flushed.
@@ -412,6 +420,15 @@ impl Inner {
         for queue in &self.reactor_queues {
             queue.wake();
         }
+    }
+
+    /// True once the shutdown began more than [`DRAIN_GRACE`] ago: the
+    /// trainer stops materializing (refresh frames and automatic
+    /// refreshes) and only folds.
+    fn past_drain_grace(&self) -> bool {
+        self.shutdown_at
+            .get()
+            .is_some_and(|at| at.elapsed() > DRAIN_GRACE)
     }
 
     /// Marks the server drained (the trainer has answered its last
@@ -560,9 +577,10 @@ impl ServerHandle {
     /// Blocks until the server has shut down (via [`ServerHandle::shutdown`]
     /// or a remote shutdown frame) and every thread has exited: the
     /// trainer thread (when online training is on) once it has drained
-    /// its queue, and the reactors once they have flushed every
-    /// connection's remaining response bytes (bounded by a grace
-    /// period) and closed.
+    /// its queue — refreshes popped past the drain grace are refused, so
+    /// this is bounded by the grace plus one materialize — and the
+    /// reactors once they have flushed every connection's remaining
+    /// response bytes (bounded by the same grace) and closed.
     pub fn join(mut self) {
         if let Some(trainer) = self.trainer.take() {
             let _ = trainer.join();
@@ -696,6 +714,7 @@ fn start_impl<A: ToSocketAddrs>(
         config,
         local_addr,
         shutdown: AtomicBool::new(false),
+        shutdown_at: OnceLock::new(),
         drained: AtomicBool::new(false),
         conn_count: AtomicUsize::new(0),
         next_token: AtomicU64::new(0),
@@ -736,7 +755,10 @@ fn start_impl<A: ToSocketAddrs>(
 /// drift-gated automatic hot-swaps. Exits only once shutdown is
 /// triggered *and* its command queue is drained, so every accepted
 /// feedback/refresh frame has its answer handed over; then it marks the
-/// server drained.
+/// server drained. Past [`DRAIN_GRACE`] into a shutdown a queued refresh
+/// is answered `ShuttingDown` instead of materialized (a fold costs
+/// microseconds, a materialize a full compress and kernel build), so the
+/// drain takes at most the grace plus the materialize in progress.
 fn trainer_loop(inner: &Arc<Inner>, mut trainer: StreamingTrainer) {
     let online = inner
         .online
@@ -801,6 +823,19 @@ fn trainer_loop(inner: &Arc<Inner>, mut trainer: StreamingTrainer) {
                 reply,
                 id,
                 trace_id,
+            } if inner.past_drain_grace() => {
+                obs::counter("serve.responses.error", 1);
+                reply.send(Response::Error {
+                    id,
+                    trace_id,
+                    code: ErrorCode::ShuttingDown,
+                    message: "server is shutting down".into(),
+                });
+            }
+            TrainCmd::Refresh {
+                reply,
+                id,
+                trace_id,
             } => match swap_model(inner, online, &trainer) {
                 Ok(version) => {
                     obs::counter("serve.responses.ok", 1);
@@ -851,7 +886,7 @@ fn maybe_auto_refresh(
     folds_since_swap: u64,
 ) {
     let gate = online.config.auto_refresh_min_folds;
-    if gate == 0 || (folds_since_swap as usize) < gate {
+    if gate == 0 || (folds_since_swap as usize) < gate || inner.past_drain_grace() {
         return;
     }
     if online.drift_score() < online.config.drift_threshold {

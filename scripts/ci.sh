@@ -86,10 +86,11 @@ EOF
 
 echo "== smoke artifact byte pins"
 # Training is deterministic, so both smoke models have fixed bytes: the
-# --kernel auto artifact above (score-LUT section) and the default
-# config (decorrelated, dense). --threads and --metrics do not change
-# them. A mismatch means training, compression or the LKS1/LKC1 format
-# changed the model.
+# default config (decorrelated, dense) and the --kernel auto artifact
+# above, which is the same model followed by a score-LUT section whose
+# rows carry the whitening projection column. --threads and --metrics do
+# not change them. A mismatch means training, compression or the
+# LKS1/LKC1/SLT1 format changed the model.
 cargo run --release -q -p lookhd-cli -- train \
     --data "$smoke_dir/train.csv" --out "$smoke_dir/model_dense.lks" \
     --dim 512 --epochs 2
@@ -103,7 +104,7 @@ check_pin() {
     fi
 }
 check_pin "$smoke_dir/model.lks" \
-    ceb5ab11a9c9ee9cf40e0bee23e2c7c78b59c28d66ceffea4bbc9ac26d8f6ec7 \
+    8a8ac8a092ac24e55c076997b737582b6caeba3cd0916e37742a1427ddc52b38 \
     "train --dim 512 --epochs 2 --kernel auto"
 check_pin "$smoke_dir/model_dense.lks" \
     b060fbad80e3b9c6260593752bd6f0d390fbdc848ece201cef44cef04f53a20a \
@@ -383,6 +384,10 @@ for kernel in doc["kernels"]:
     for op in (f"{kernel}_predict_1_ns", f"{kernel}_predict_1_warm_ns",
                f"{kernel}_predict_batch_64_ns"):
         assert doc["results"][op]["p50"] > 0, (op, doc["results"].get(op))
+# The decorrelated (default) model behind the score-LUT, on the same
+# distinct queries.
+op = "lut_whitened_predict_1_ns"
+assert doc["results"][op]["p50"] > 0, (op, doc["results"].get(op))
 print("perf trajectory files OK")
 EOF
 

@@ -2,9 +2,10 @@
 //!
 //! [`ScoreKernel`](lookhd_paper::lookhd::ScoreKernel) is a two-variant
 //! enum (dense, score-LUT), so the kernels are directly comparable on the
-//! five Table-I application profiles: dense and score-LUT must agree
-//! *bit for bit* (scores and argmax), both must survive persistence
-//! unchanged, and a proptest checks rematerialization: score-LUT tables
+//! five Table-I application profiles, with decorrelation off and on: dense
+//! and score-LUT must agree *bit for bit* (scores and argmax), both must
+//! survive persistence unchanged, and a proptest checks rematerialization:
+//! score-LUT tables
 //! rebuilt from a round-tripped (seed-regenerated) model are bit-identical
 //! to the tables stored in the SLT1 section.
 
@@ -17,14 +18,14 @@ use proptest::prelude::*;
 
 const DIM: usize = 512;
 
-fn fit_dense(app: App, seed: u64) -> (LookHdClassifier, Vec<Vec<f64>>) {
+fn fit_dense(app: App, seed: u64, decorrelate: bool) -> (LookHdClassifier, Vec<Vec<f64>>) {
     let profile = app.profile();
     let data = profile.generate_small(seed);
     let config = LookHdConfig::new()
         .with_dim(DIM)
         .with_q(profile.paper_q_lookhd)
         .with_retrain_epochs(3)
-        .with_compression(CompressionConfig::new().with_decorrelate(false));
+        .with_compression(CompressionConfig::new().with_decorrelate(decorrelate));
     let clf = LookHdClassifier::fit(&config, &data.train.features, &data.train.labels)
         .expect("training failed");
     (clf, data.test.features)
@@ -32,8 +33,11 @@ fn fit_dense(app: App, seed: u64) -> (LookHdClassifier, Vec<Vec<f64>>) {
 
 #[test]
 fn dense_and_lut_agree_bit_for_bit_on_all_profiles() {
-    for app in App::ALL {
-        let (dense, queries) = fit_dense(app, 41);
+    for (app, decorrelate) in App::ALL
+        .into_iter()
+        .flat_map(|app| [(app, false), (app, true)])
+    {
+        let (dense, queries) = fit_dense(app, 41, decorrelate);
         // The same trained model behind a different kernel: `set_kernel`
         // swaps the scoring path without touching encoder or weights.
         let mut lut = dense.clone();
@@ -56,8 +60,11 @@ fn dense_and_lut_agree_bit_for_bit_on_all_profiles() {
 
 #[test]
 fn every_kernel_round_trips_through_persistence_on_a_profile() {
-    let (dense, queries) = fit_dense(App::Extra, 53);
-    for spec in [KernelSpec::dense(), KernelSpec::lut()] {
+    for (decorrelate, spec) in [false, true]
+        .into_iter()
+        .flat_map(|d| [(d, KernelSpec::dense()), (d, KernelSpec::lut())])
+    {
+        let (dense, queries) = fit_dense(App::Extra, 53, decorrelate);
         let mut clf = dense.clone();
         clf.set_kernel(&spec).expect("kernel build");
         let back =

@@ -49,14 +49,10 @@ fn dataset() -> (Vec<Vec<f64>>, Vec<usize>, Vec<Vec<f64>>) {
 /// depends on *how many* samples arrived together is off, leaving the
 /// counter pipeline that incremental observation reproduces exactly.
 fn normalized_config(kernel: KernelSpec) -> LookHdConfig {
-    // The integer score-LUT requires compression without decorrelation
-    // (the CLI's train path applies the same rule).
-    let decorrelate = kernel == KernelSpec::dense();
     LookHdConfig::new()
         .with_dim(256)
         .with_retrain_epochs(0)
         .with_validation_fraction(0.0)
-        .with_compression(CompressionConfig::new().with_decorrelate(decorrelate))
         .with_kernel(kernel)
 }
 

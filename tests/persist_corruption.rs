@@ -78,8 +78,9 @@ fn classifier_intact_round_trip_predicts_identically() {
 
 /// Like [`tiny_classifier`] but with the score-LUT kernel built, so the
 /// sweeps also cover the SLT1 section and its flag byte. Small q/r keep
-/// the tables (and thus the per-byte parse cost) tiny.
-fn tiny_lut_classifier() -> (LookHdClassifier, Vec<Vec<f64>>) {
+/// the tables (and thus the per-byte parse cost) tiny. A decorrelated
+/// model's tables carry one projection column after the class columns.
+fn tiny_lut_classifier(decorrelate: bool) -> (LookHdClassifier, Vec<Vec<f64>>) {
     let (_, features) = tiny_classifier();
     let labels: Vec<usize> = (0..features.len()).map(|i| i % 2).collect();
     let config = LookHdConfig::new()
@@ -87,57 +88,89 @@ fn tiny_lut_classifier() -> (LookHdClassifier, Vec<Vec<f64>>) {
         .with_q(2)
         .with_r(2)
         .with_retrain_epochs(1)
-        .with_compression(CompressionConfig::new().with_decorrelate(false))
+        .with_compression(CompressionConfig::new().with_decorrelate(decorrelate))
         .with_kernel(KernelSpec::auto());
     let clf = LookHdClassifier::fit(&config, &features, &labels).expect("training failed");
-    assert!(clf.score_lut().is_some(), "kernel should have been built");
+    let lut = clf.score_lut().expect("kernel should have been built");
+    assert_eq!(lut.n_columns(), 2 + usize::from(decorrelate));
     (clf, features)
 }
 
 #[test]
 fn lut_classifier_truncated_at_every_length_errors() {
-    let (clf, _) = tiny_lut_classifier();
-    let bytes = clf.to_bytes().expect("serialization failed");
-    for cut in 0..bytes.len() {
-        assert!(
-            LookHdClassifier::from_bytes(&bytes[..cut]).is_err(),
-            "lut truncation at {cut}/{} parsed successfully",
-            bytes.len()
-        );
+    for decorrelate in [false, true] {
+        let (clf, _) = tiny_lut_classifier(decorrelate);
+        let bytes = clf.to_bytes().expect("serialization failed");
+        for cut in 0..bytes.len() {
+            assert!(
+                LookHdClassifier::from_bytes(&bytes[..cut]).is_err(),
+                "lut truncation at {cut}/{} parsed successfully",
+                bytes.len()
+            );
+        }
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert!(LookHdClassifier::from_bytes(&longer).is_err());
     }
-    let mut longer = bytes.clone();
-    longer.push(0);
-    assert!(LookHdClassifier::from_bytes(&longer).is_err());
 }
 
 #[test]
 fn lut_classifier_survives_every_single_byte_flip() {
-    let (clf, features) = tiny_lut_classifier();
-    let bytes = clf.to_bytes().expect("serialization failed");
-    for i in 0..bytes.len() {
-        let mut bad = bytes.clone();
-        bad[i] ^= 0xFF;
-        if let Ok(back) = LookHdClassifier::from_bytes(&bad) {
-            let _ = back.predict(&features[0]);
+    for decorrelate in [false, true] {
+        let (clf, features) = tiny_lut_classifier(decorrelate);
+        let bytes = clf.to_bytes().expect("serialization failed");
+        for i in 0..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[i] ^= 0xFF;
+            if let Ok(back) = LookHdClassifier::from_bytes(&bad) {
+                let _ = back.predict(&features[0]);
+            }
         }
     }
 }
 
 #[test]
 fn lut_classifier_intact_round_trip_predicts_identically() {
-    let (clf, features) = tiny_lut_classifier();
-    let bytes = clf.to_bytes().expect("serialization failed");
-    let back = LookHdClassifier::from_bytes(&bytes).expect("reload failed");
-    assert!(back.score_lut().is_some(), "kernel lost in round trip");
-    for x in &features {
-        assert_eq!(
-            clf.predict(x).expect("predict failed"),
-            back.predict(x).expect("predict failed")
-        );
-        assert_eq!(
-            clf.scores(x).expect("scores failed"),
-            back.scores(x).expect("scores failed")
-        );
+    for decorrelate in [false, true] {
+        let (clf, features) = tiny_lut_classifier(decorrelate);
+        let bytes = clf.to_bytes().expect("serialization failed");
+        let back = LookHdClassifier::from_bytes(&bytes).expect("reload failed");
+        assert!(back.score_lut().is_some(), "kernel lost in round trip");
+        for x in &features {
+            assert_eq!(
+                clf.predict(x).expect("predict failed"),
+                back.predict(x).expect("predict failed")
+            );
+            assert_eq!(
+                clf.scores(x).expect("scores failed"),
+                back.scores(x).expect("scores failed")
+            );
+        }
+    }
+}
+
+/// An SLT1 section serves only the model whose `k + n_directions()` equals
+/// its column count. Splicing the tables of a plain model onto its
+/// decorrelated twin (same encoder geometry, one column fewer), or the
+/// reverse, is rejected at load.
+#[test]
+fn slt1_column_count_must_match_classes_plus_directions() {
+    let (plain, _) = tiny_lut_classifier(false);
+    let (whitened, _) = tiny_lut_classifier(true);
+    // `LKS1` ends with the kernel tag byte, the u32 section length and the
+    // SLT1 payload.
+    let split = |clf: &LookHdClassifier| {
+        let bytes = clf.to_bytes().expect("serialization failed");
+        let payload = clf.score_lut().expect("lut").to_bytes().expect("slt1");
+        let head = bytes.len() - payload.len() - 4;
+        (bytes[..head].to_vec(), bytes[head..].to_vec())
+    };
+    let (plain_head, plain_slt1) = split(&plain);
+    let (whitened_head, whitened_slt1) = split(&whitened);
+    for (head, section) in [(plain_head, whitened_slt1), (whitened_head, plain_slt1)] {
+        let spliced = [head, section].concat();
+        let err = LookHdClassifier::from_bytes(&spliced).expect_err("mismatched columns loaded");
+        assert!(err.to_string().contains("columns"), "{err}");
     }
 }
 

@@ -142,12 +142,10 @@ fn server_matches_direct_predictions_for_all_configs() {
 #[test]
 fn score_lut_kernel_serves_identically_to_dense_path() {
     let (xs, ys, queries) = dataset();
-    // The kernel requires decorrelation off; train the dense sibling with
-    // the same compression so both models are identical up to the kernel.
-    let base = LookHdConfig::new()
-        .with_dim(256)
-        .with_retrain_epochs(2)
-        .with_compression(lookhd_paper::lookhd::CompressionConfig::new().with_decorrelate(false));
+    // Train the dense sibling with the same (default, decorrelated)
+    // compression so both models are identical up to the kernel; the
+    // score-LUT carries the whitening projection as one more column.
+    let base = LookHdConfig::new().with_dim(256).with_retrain_epochs(2);
     let dense = LookHdClassifier::fit(&base, &xs, &ys).expect("dense training failed");
     let fast = LookHdClassifier::fit(
         &base

@@ -3,7 +3,8 @@
 //! that scores its frames, a full trainer queue answers `Overloaded`
 //! without holding the connection open, and graceful shutdown answers
 //! every request the server read — predicts and accepted trainer
-//! commands alike — before its threads exit.
+//! commands alike — before its threads exit, refusing refreshes queued
+//! past the drain grace so a long queue cannot hold the join open.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -355,4 +356,86 @@ fn graceful_shutdown_answers_accepted_trainer_commands() {
         "{} of {commands} trainer answers outstanding at shutdown",
         commands - answered_before_shutdown
     );
+}
+
+/// A shutdown's drain is bounded even behind a long queue of refreshes,
+/// each a full materialize: the trainer answers every refresh it pops
+/// more than the drain grace after the trigger with `ShuttingDown`
+/// instead of materializing it. Every refresh still gets exactly one
+/// answer, in order: consecutive `RefreshAck` versions, then
+/// `ShuttingDown`.
+#[test]
+fn shutdown_refuses_refreshes_queued_past_the_drain_grace() {
+    const REFRESHES: u64 = 64;
+    let (clf, features, label) = speech_model();
+    let handle = serve::start_online(
+        "127.0.0.1:0",
+        clf.clone(),
+        ServeConfig::new(),
+        OnlineConfig::new(),
+    )
+    .expect("bind failed");
+    let mut client = Client::connect(handle.addr()).expect("connect failed");
+    client
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    client
+        .send(&Request::Feedback {
+            id: 0,
+            trace_id: 0,
+            label: *label,
+            features: features.clone(),
+        })
+        .expect("send failed");
+    for id in 1..=REFRESHES {
+        client
+            .send(&Request::Refresh { id, trace_id: 0 })
+            .expect("send failed");
+    }
+    let ping = REFRESHES + 1;
+    client
+        .send(&Request::Ping { id: ping })
+        .expect("send failed");
+    let mut answers = HashMap::new();
+    loop {
+        let response = client.recv().expect("recv failed");
+        if response == (Response::Pong { id: ping }) {
+            break;
+        }
+        record(&mut answers, response);
+    }
+
+    let started = Instant::now();
+    handle.shutdown();
+    while answers.len() < REFRESHES as usize + 1 {
+        let response = client
+            .recv()
+            .expect("shutdown dropped an accepted trainer command");
+        record(&mut answers, response);
+    }
+    handle.join();
+    let drain = started.elapsed();
+
+    assert!(matches!(answers[&0], Response::FeedbackAck { id: 0, .. }));
+    let mut acked = 0;
+    for id in 1..=REFRESHES {
+        match &answers[&id] {
+            Response::RefreshAck { version, .. } if acked + 1 == id => {
+                assert_eq!(*version, id + 1, "refresh {id} swapped out of order");
+                acked = id;
+            }
+            Response::Error { code, .. } if *code == ErrorCode::ShuttingDown => {}
+            other => panic!("refresh {id} answered {other:?} after {acked} acks"),
+        }
+    }
+    assert!(
+        acked < REFRESHES,
+        "every refresh materialized: the drain never refused one"
+    );
+    let bound = DRAIN_GRACE + Duration::from_secs(2);
+    assert!(
+        drain < bound,
+        "join took {drain:?} after the shutdown (bound {bound:?}, {acked} refreshes acked)"
+    );
+    eprintln!("{acked} of {REFRESHES} refreshes materialized; join after {drain:?}");
 }
