@@ -25,7 +25,7 @@ pub enum Quantization {
 /// `0..q`.
 ///
 /// The quantizer stores `q - 1` sorted interior boundaries; value `x` maps
-/// to the number of boundaries strictly below it (values on a boundary go to
+/// to the number of boundaries at or below it (values on a boundary go to
 /// the upper level). Values outside the training range clamp to the extreme
 /// levels.
 ///
@@ -158,15 +158,15 @@ impl Quantizer {
             .collect())
     }
 
-    /// Maps a value to its level index in `0..q`.
+    /// Maps a value to its level index in `0..q`: the number of
+    /// boundaries `b ≤ x`, so a value on a boundary goes to the upper
+    /// level and a constant feature's collapsed boundaries stay stable.
+    #[inline]
     pub fn level(&self, x: f64) -> usize {
-        // Number of boundaries strictly below x == partition_point on b < x … we
-        // want values equal to a boundary to go up, i.e. count boundaries <= x?
-        // Convention: level(x) = #{b : b <= x}, clamped to q-1. This sends a
-        // boundary value to the upper bin and is stable for the degenerate
-        // constant-feature case.
-        let idx = self.boundaries.partition_point(|&b| b <= x);
-        idx.min(self.q - 1)
+        // A branchless count over the q − 1 boundaries. On ascending
+        // boundaries it equals `partition_point(|&b| b <= x)`, without
+        // that search's data-dependent branches; it is at most q − 1.
+        self.boundaries.iter().map(|&b| usize::from(b <= x)).sum()
     }
 
     /// Number of quantization levels `q`.

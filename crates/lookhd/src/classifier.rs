@@ -56,8 +56,8 @@ pub struct LookHdConfig {
     /// [`crate::score_kernel`]). [`crate::score_kernel::KernelKind::Auto`]
     /// tries the score-LUT and falls back to the dense path when its
     /// tables are over budget or out of integer bound (counted as
-    /// `kernel.fallback`); an explicit `lut` request makes that a fit
-    /// error instead.
+    /// `kernel.fallback{reason=budget|bound}`); an explicit `lut` request
+    /// makes that a fit error instead.
     pub kernel: KernelSpec,
     /// RNG seed (level memory, position keys).
     pub seed: u64,
@@ -494,9 +494,9 @@ impl LookHdClassifier {
     /// bit-identical values.
     ///
     /// When metrics are enabled, each call ticks `kernel.<name>.scores`.
-    /// The build-time counter `kernel.fallback` is different: it ticks
-    /// once per fit/load whose requested kernel fell back to dense under
-    /// Auto resolution.
+    /// The build-time counter `kernel.fallback{reason}` is different: it
+    /// ticks once per kernel build whose requested kernel fell back to
+    /// dense under Auto resolution, labelled `budget` or `bound`.
     ///
     /// # Errors
     ///

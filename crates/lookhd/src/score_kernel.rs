@@ -17,7 +17,7 @@
 //! (`LookHdConfig::with_kernel`). [`KernelKind::Auto`] resolves
 //! `lut → dense`: it tries the score-LUT and silently falls back to the
 //! dense path when the tables are over budget or out of integer bound,
-//! counted as `kernel.fallback`.
+//! counted as `kernel.fallback{reason=budget|bound}`.
 //!
 //! Kernels are stateless with respect to the encoder and model: every
 //! scoring call receives `(&LookupEncoder, &CompressedModel)` from the
@@ -241,30 +241,42 @@ impl ScoreKernel {
 /// Builds the kernel a [`KernelSpec`] asks for from a fitted encoder and
 /// compressed model.
 ///
-/// [`KernelKind::Auto`] resolves `lut → dense`: an ineligible score-LUT
-/// build falls back to [`ScoreKernel::Dense`] silently, ticking
-/// `kernel.fallback`. An explicit [`KernelKind::Lut`] propagates the
-/// build error instead.
+/// [`KernelKind::Auto`] resolves `lut → dense`: a model the score-LUT
+/// cannot serve falls back to [`ScoreKernel::Dense`] silently, ticking
+/// `kernel.fallback{reason=budget|bound}` with the reason
+/// [`ScoreLut::build`] returns
+/// ([`BuildError::fallback_reason`](crate::score_lut::BuildError::fallback_reason)).
+/// An explicit [`KernelKind::Lut`] propagates the build error instead.
 ///
 /// # Errors
 ///
 /// Returns the underlying [`ScoreLut::build`] error for an explicit
-/// [`KernelKind::Lut`] request the model cannot satisfy.
+/// [`KernelKind::Lut`] request the model cannot satisfy, and for an
+/// encoder and model that disagree on `D` under any kind but dense.
 pub fn build_kernel(
     encoder: &LookupEncoder,
     compressed: &CompressedModel,
     spec: &KernelSpec,
 ) -> Result<ScoreKernel> {
-    let lut = || ScoreLut::build(encoder, compressed, spec.budget_bytes).map(ScoreKernel::Lut);
+    let lut = || ScoreLut::build(encoder, compressed, spec.budget_bytes);
     match spec.kind {
         KernelKind::Dense => Ok(ScoreKernel::Dense),
-        KernelKind::Lut => lut(),
-        // Over budget or out of bound: the dense path serves
-        // identically, just slower.
-        KernelKind::Auto => lut().or_else(|_| {
-            obs::counter("kernel.fallback", 1);
-            Ok(ScoreKernel::Dense)
-        }),
+        KernelKind::Lut => Ok(ScoreKernel::Lut(lut()?)),
+        KernelKind::Auto => match lut() {
+            Ok(lut) => Ok(ScoreKernel::Lut(lut)),
+            // Over budget or out of bound: the dense path serves
+            // identically, just slower.
+            Err(err) => {
+                let Some(reason) = err.fallback_reason() else {
+                    return Err(err.into());
+                };
+                if obs::enabled() {
+                    let id = obs::intern_counter("kernel.fallback", &[("reason", reason)]);
+                    obs::counter_id(id, 1);
+                }
+                Ok(ScoreKernel::Dense)
+            }
+        },
     }
 }
 
@@ -350,10 +362,19 @@ mod tests {
             assert_eq!(kernel.name(), name, "spec {spec:?}");
             assert!(!kernel.describe(&compressed).is_empty());
         }
-        // Auto falls back to dense when the LUT cannot be built…
+        // Auto falls back to dense when the LUT cannot be built, counted
+        // under the reason `ScoreLut::build` returns…
         let starved = KernelSpec::auto().with_budget_bytes(1);
+        let budget = || obs::snapshot().counter_labeled("kernel.fallback", &[("reason", "budget")]);
+        // The registry is process-global: this test only switches it on
+        // and reads a counter that concurrent tests can only raise.
+        obs::set_enabled(true);
+        let before = budget();
         let kernel = build_kernel(&encoder, &compressed, &starved).unwrap();
         assert_eq!(kernel, ScoreKernel::Dense);
+        assert!(budget() > before);
+        let err = ScoreLut::build(&encoder, &compressed, 1).unwrap_err();
+        assert_eq!(err.fallback_reason(), Some("budget"));
         // …but an explicit request is a hard error.
         assert!(build_kernel(
             &encoder,

@@ -15,9 +15,12 @@
 //! `S_i[c][addr]` depends only on the trained model, so it is precomputed
 //! once at model-finalize time. Prediction is then address extraction
 //! (quantize + concatenated-codebook addressing, shared with the encoder)
-//! followed by `m` table reads and `m·k` integer adds — no hypervector is
-//! materialized on the query path. This applies the paper's
-//! arithmetic-to-memory substitution (§III, §V) to the scoring stage.
+//! followed by `m` table-row gathers and `m·k` integer adds — no
+//! hypervector is materialized on the query path. This applies the
+//! paper's arithmetic-to-memory substitution (§III, §V) to the scoring
+//! stage, and like the paper's hardware the query's cost is then memory
+//! access: [`ScoreLut`] explains how the gather keeps a fresh query's row
+//! loads overlapping.
 //!
 //! ## Exactness
 //!
@@ -49,6 +52,8 @@
 //! `T_i[c][j][lv] = (P'_c ⊙ P_i ⊙ ρ^j(L_lv)) · C`, each table entry is
 //! `S_i[c][addr] = Σ_j T_i[c][j][digit_j(addr)]` — only `m·k·r·q` masked
 //! dot products of length `D`, then `r` adds per entry.
+
+use std::fmt;
 
 use hdc::hv::BipolarHv;
 use hdc::{HdcError, Result};
@@ -118,15 +123,80 @@ fn check_column_bound(
     }
 }
 
+/// Why [`ScoreLut::build`] refused a model. `Budget` and `Bound` make
+/// the model ineligible for the score-LUT:
+/// [`build_kernel`](crate::score_kernel::build_kernel)'s Auto resolution
+/// then serves it from the dense path, counted as
+/// `kernel.fallback{reason=…}` under [`BuildError::fallback_reason`].
+/// Each variant carries the error an explicit `lut` request surfaces.
+#[derive(Debug, Clone, PartialEq)]
+pub enum BuildError {
+    /// The tables exceed the byte budget or [`MAX_SERIAL_SCORE_ENTRIES`].
+    Budget(HdcError),
+    /// A worst-case class or projection column sum exceeds
+    /// [`MAX_EXACT_SCORE`].
+    Bound(HdcError),
+    /// The encoder and compressed model disagree on `D`; no kernel can
+    /// serve that pair, so Auto does not fall back either.
+    Mismatch(HdcError),
+}
+
+impl BuildError {
+    /// The `reason` label of Auto's dense fallback (`"budget"` or
+    /// `"bound"`), `None` for [`BuildError::Mismatch`].
+    pub fn fallback_reason(&self) -> Option<&'static str> {
+        match self {
+            BuildError::Budget(_) => Some("budget"),
+            BuildError::Bound(_) => Some("bound"),
+            BuildError::Mismatch(_) => None,
+        }
+    }
+}
+
+impl From<BuildError> for HdcError {
+    fn from(err: BuildError) -> Self {
+        match err {
+            BuildError::Budget(e) | BuildError::Bound(e) | BuildError::Mismatch(e) => e,
+        }
+    }
+}
+
+impl fmt::Display for BuildError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BuildError::Budget(e) | BuildError::Bound(e) | BuildError::Mismatch(e) => e.fmt(f),
+        }
+    }
+}
+
+/// Widest accumulator group of [`ScoreLut::gather`]: 16 `i64` lanes fill
+/// eight SSE2 registers, half of x86-64's sixteen, so a group's sums
+/// never leave registers.
+const LANES: usize = 16;
+
 /// The precomputed per-chunk partial-score tables: one column per class,
 /// `S_i[c][addr] = (P'_c ⊙ C ⊙ P_i) · LUT_i[addr]`, plus for a whitened
 /// model one projection column `S_i[k][addr] = (dir_fx ⊙ P_i) · LUT_i[addr]`.
 ///
 /// Storage is one flat `i64` vector, chunk-major then address-major then
 /// column-minor: the entry for `(chunk i, addr, column c)` lives at
-/// `offsets[i] + addr·w + c` for `w` columns, so one prediction gathers
-/// `m` contiguous `w`-length rows — cache-friendly and trivially
-/// vectorizable.
+/// `offsets[i] + addr·w + c` for `w` columns, so one prediction reads one
+/// contiguous `w`-entry row from each of the `m` chunk tables.
+///
+/// A fresh query's rows are not in cache, so its cost is memory latency
+/// (SPEECH: 124 rows of 26 or 27 columns), and it is low only when the
+/// row loads overlap. [`ScoreLut::gather`] therefore sums the columns in
+/// groups of at most 16 lanes whose width is a const generic: SPEECH's
+/// 26 columns go 16 + 10, the whitened model's 27 go 16 + 11. A group's
+/// accumulators stay in registers across one pass over the `m` rows, so
+/// no row's adds wait on the previous row's stores and the loads start
+/// back to back; the second pass finds the rows already cached. Sums
+/// kept in a run-time-length buffer would put every add through memory,
+/// and 8-lane groups with a run-time tail, one 32-lane pass over a
+/// zero-padded table end or rows padded to a multiple of 4 lanes all
+/// measured slower with the caches cold. Narrower entries do not help
+/// either: `i32` tables ran as fast as `i64`, since the limit is latency
+/// per row, not bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScoreLut {
     /// Flat partial scores (see struct docs for the layout).
@@ -143,26 +213,24 @@ impl ScoreLut {
     ///
     /// # Errors
     ///
-    /// Returns [`HdcError::InvalidConfig`] when the model is ineligible —
-    /// the table would exceed `budget_bytes` or
-    /// [`MAX_SERIAL_SCORE_ENTRIES`], or a worst-case column sum violates
-    /// [`MAX_EXACT_SCORE`] — and [`HdcError::DimensionMismatch`] when the
-    /// encoder and compressed model disagree on `D`.
-    /// [`build_kernel`](crate::score_kernel::build_kernel)'s Auto
-    /// resolution treats these as "fall back to the dense path".
+    /// Returns [`BuildError::Budget`] when the table would exceed
+    /// `budget_bytes` or [`MAX_SERIAL_SCORE_ENTRIES`],
+    /// [`BuildError::Bound`] when a worst-case column sum violates
+    /// [`MAX_EXACT_SCORE`], and [`BuildError::Mismatch`] when the encoder
+    /// and compressed model disagree on `D`.
     pub fn build(
         encoder: &LookupEncoder,
         compressed: &CompressedModel,
         budget_bytes: usize,
-    ) -> Result<Self> {
+    ) -> std::result::Result<Self, BuildError> {
         let _span = obs::span("score_lut_build");
         let levels = encoder.lut().levels();
         let dim = levels.dim();
         if dim != compressed.dim() {
-            return Err(HdcError::DimensionMismatch {
+            return Err(BuildError::Mismatch(HdcError::DimensionMismatch {
                 expected: compressed.dim(),
                 actual: dim,
-            });
+            }));
         }
         let layout = *encoder.layout();
         let k = compressed.n_classes();
@@ -171,22 +239,22 @@ impl ScoreLut {
         let total_entries = (w as u128).saturating_mul(layout.total_table_rows());
         let cap = (budget_bytes / std::mem::size_of::<i64>()).min(MAX_SERIAL_SCORE_ENTRIES);
         if total_entries > cap as u128 {
-            return Err(HdcError::invalid_config(
+            return Err(BuildError::Budget(HdcError::invalid_config(
                 "score_lut",
                 format!(
                     "table needs {total_entries} entries ({} bytes) > cap {cap} \
                      ({budget_bytes}-byte budget)",
                     total_entries.saturating_mul(8)
                 ),
-            ));
+            )));
         }
         let max_abs = (0..compressed.n_vectors())
             .map(|g| compressed.combined(g).max_abs() as i64)
             .max()
             .unwrap_or(0);
-        check_exact_score_bound(dim, max_abs, layout.n_features())?;
+        check_exact_score_bound(dim, max_abs, layout.n_features()).map_err(BuildError::Bound)?;
         if direction.is_some() {
-            check_projection_bound(dim, layout.n_features())?;
+            check_projection_bound(dim, layout.n_features()).map_err(BuildError::Bound)?;
         }
 
         let m = layout.n_chunks();
@@ -276,9 +344,13 @@ impl ScoreLut {
         })
     }
 
-    /// Per-column integer sums for pre-extracted chunk addresses: `m`
-    /// contiguous table gathers and `m·w` adds. The first `k` columns are
-    /// the base class scores, a last one the query's projection.
+    /// Per-column integer sums for pre-extracted chunk addresses: `m` row
+    /// gathers and `m·w` adds. The first `k` columns are the base class
+    /// scores, a last one the query's projection.
+    ///
+    /// Every address is range-checked first. The columns are then summed
+    /// in groups of at most 16 lanes, one pass over the `m` addressed
+    /// rows per group (see the struct docs for why).
     ///
     /// # Errors
     ///
@@ -295,22 +367,58 @@ impl ScoreLut {
             )));
         }
         let w = self.n_columns;
-        let mut sums = vec![0i64; w];
-        for (i, &addr) in addrs.iter().enumerate() {
-            let start = self.offsets[i];
-            let rows = (self.offsets[i + 1] - start) / w;
-            if addr as usize >= rows {
+        for (i, (&addr, span)) in addrs.iter().zip(self.offsets.windows(2)).enumerate() {
+            // Row `addr` ends at entry `(addr + 1)·w` of its chunk; checked,
+            // so a hostile address errors instead of wrapping into range.
+            let end = usize::try_from(addr)
+                .ok()
+                .and_then(|a| a.checked_add(1))
+                .and_then(|a| a.checked_mul(w));
+            if end.is_none_or(|end| end > span[1] - span[0]) {
                 return Err(HdcError::invalid_dataset(format!(
-                    "address {addr} out of range for chunk {i} ({rows} rows)"
+                    "address {addr} out of range for chunk {i} ({} rows)",
+                    self.rows(i)
                 )));
             }
-            let row = &self.entries[start + addr as usize * w..start + (addr as usize + 1) * w];
-            for (s, &v) in sums.iter_mut().zip(row) {
-                *s += v;
-            }
         }
+        let mut sums = vec![0i64; w];
+        let (full, tail) = sums.split_at_mut(w - w % LANES);
+        for (group, out) in full.chunks_exact_mut(LANES).enumerate() {
+            out.copy_from_slice(&self.gather_lanes::<LANES>(addrs, group * LANES));
+        }
+        let col = full.len();
+        // The tail group's width is a const generic too, so its
+        // accumulators stay in registers like a full group's.
+        macro_rules! gather_tail {
+            ($($lanes:literal)*) => {
+                match tail.len() {
+                    0 => {}
+                    $($lanes => tail.copy_from_slice(&self.gather_lanes::<$lanes>(addrs, col)),)*
+                    _ => unreachable!("the tail group is narrower than LANES"),
+                }
+            };
+        }
+        gather_tail!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15);
         obs::counter("kernel.lut.table_reads", m as u64);
         Ok(sums)
+    }
+
+    /// Sums columns `col..col + L` over the rows `addrs` select: one pass
+    /// over the `m` rows into `L` accumulators the compiler keeps in
+    /// registers. [`ScoreLut::gather`] has range-checked every address.
+    fn gather_lanes<const L: usize>(&self, addrs: &[u64], col: usize) -> [i64; L] {
+        let w = self.n_columns;
+        let mut acc = [0i64; L];
+        for (&start, &addr) in self.offsets.iter().zip(addrs) {
+            let at = start + addr as usize * w + col;
+            let row: &[i64; L] = self.entries[at..at + L]
+                .try_into()
+                .expect("a range of L entries");
+            for (a, &v) in acc.iter_mut().zip(row) {
+                *a += v;
+            }
+        }
+        acc
     }
 
     /// Per-class scores, finished by `CompressedModel::finish_scores` from
@@ -545,6 +653,7 @@ mod tests {
 
     use crate::compress::CompressionConfig;
     use crate::lut::TableMode;
+    use crate::score_kernel::{build_kernel, KernelSpec, ScoreKernel};
 
     /// A fitted encoder + compressed model pair over random classes.
     fn setup(
@@ -596,7 +705,10 @@ mod tests {
     /// The core exactness contract: for random models (remainder chunks,
     /// multi-group class packing and whitening included), the kernel's
     /// scores equal the dense path's f64 scores exactly and the argmax is
-    /// identical.
+    /// identical. The class counts also pin every split of the `w = k` or
+    /// `k + 1` columns into 16-lane gather groups: one partial group,
+    /// exactly one full group, a full group plus a tail, and two full
+    /// groups plus a tail.
     #[test]
     fn kernel_scores_match_dense_path_exactly() {
         for decorrelate in [false, true] {
@@ -604,6 +716,11 @@ mod tests {
                 (10, 5, 4, 128, 3, 12),
                 (13, 5, 4, 200, 7, 3),  // remainder chunk + multiple groups
                 (23, 4, 2, 64, 26, 12), // many classes, 3 groups
+                (11, 4, 3, 64, 2, 12),  // w = 2 | 3: one partial group
+                (11, 4, 3, 64, 15, 12), // w = 15 | 16: partial, one full group
+                (11, 4, 3, 64, 16, 12), // w = 16 | 17: one full, full + tail
+                (11, 4, 3, 64, 17, 12), // w = 17 | 18: a full group + a tail
+                (11, 4, 3, 64, 33, 12), // w = 33 | 34: two full groups + a tail
             ] {
                 let (encoder, compressed) =
                     setup_with(n, r, q, dim, k, group, 42 + n as u64, decorrelate);
@@ -672,6 +789,7 @@ mod tests {
         // 2 chunks × 1024 rows × 3 classes × 8 B = 49 KiB > 1 KiB budget.
         let err = ScoreLut::build(&encoder, &compressed, 1024).unwrap_err();
         assert!(err.to_string().contains("budget"), "{err}");
+        assert_eq!(err.fallback_reason(), Some("budget"));
         // An explicit `lut` request surfaces this error as is; only
         // `build_kernel`'s Auto arm falls back, so the text must not
         // claim a fallback.
@@ -707,6 +825,10 @@ mod tests {
         let compressed = CompressedModel::compress(&model, &config).unwrap();
         let err = ScoreLut::build(&encoder, &compressed, usize::MAX).unwrap_err();
         assert!(err.to_string().contains("2^52"), "{err}");
+        // Auto serves this model densely, counted under reason `bound`.
+        assert_eq!(err.fallback_reason(), Some("bound"));
+        let kernel = build_kernel(&encoder, &compressed, &KernelSpec::auto()).unwrap();
+        assert_eq!(kernel, ScoreKernel::Dense);
     }
 
     #[test]
@@ -716,6 +838,15 @@ mod tests {
         assert!(lut.gather(&[0]).is_err()); // wrong count
         assert!(lut.gather(&[0, 1024]).is_err()); // addr ≥ rows
         assert!(lut.gather(&[0, 1023]).is_ok());
+        // (addr + 1)·w overflows: an error, not a panic or a wrapped index.
+        assert!(lut.gather(&[0, u64::MAX]).is_err());
+        assert!(lut.gather(&[u64::MAX / 2, 0]).is_err());
+        // The remainder chunk (3 features, 4^3 rows) ends at address 63.
+        let (encoder, compressed) = setup(13, 5, 4, 64, 3, 12, 19);
+        let lut = ScoreLut::build(&encoder, &compressed, usize::MAX).unwrap();
+        assert_eq!(lut.rows(2), 64);
+        assert!(lut.gather(&[1023, 1023, 63]).is_ok());
+        assert!(lut.gather(&[1023, 1023, 64]).is_err());
     }
 
     #[test]

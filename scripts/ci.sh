@@ -44,6 +44,7 @@ cargo test -q --test serve_robustness
 
 echo "== quantizer degenerate-input regressions"
 cargo test -q -p hdc quantize
+cargo test -q --test prop_quantize
 
 echo "== CLI metrics smoke test"
 smoke_dir="$(mktemp -d)"

@@ -4,6 +4,10 @@ use lookhd_paper::hdc::quantize::{Quantization, Quantizer};
 use lookhd_paper::lookhd::chunking::ChunkLayout;
 use proptest::prelude::*;
 
+/// Values a level must place exactly: both zeros, subnormals and the f64
+/// extremes.
+const SPECIAL: [f64; 8] = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e308, -1e308];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -26,6 +30,41 @@ proptest! {
             prop_assert!(levels.iter().all(|&l| l < q));
         }
         values.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    }
+
+    /// The branchless `level` (a count of boundaries `b ≤ x`) equals the
+    /// binary search it replaced, kept here as the oracle, for q in
+    /// 2..=16. Half the fitted values are special, so equalized fits
+    /// collapse boundaries onto repeats; the explicit boundary sets repeat
+    /// values too. Probes hit every boundary exactly, both zeros,
+    /// subnormals and ±1e308.
+    #[test]
+    fn level_equals_partition_point(
+        picks in proptest::collection::vec(0usize..16, 1..200),
+        spread in proptest::collection::vec(-1e3f64..1e3, 1..50),
+        q in 2usize..17,
+    ) {
+        let values: Vec<f64> = picks
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| SPECIAL.get(p).copied().unwrap_or(spread[i % spread.len()]))
+            .collect();
+        let mut explicit: Vec<f64> = values.iter().copied().take(q - 1).collect();
+        explicit.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let quantizers = [
+            Quantizer::fit(Quantization::Linear, &values, q).unwrap(),
+            Quantizer::fit(Quantization::Equalized, &values, q).unwrap(),
+            Quantizer::from_boundaries(Quantization::Equalized, explicit).unwrap(),
+        ];
+        for quantizer in &quantizers {
+            let q = quantizer.levels();
+            let boundaries = quantizer.boundaries();
+            let probes = boundaries.iter().chain(&SPECIAL).chain(&spread).chain(&values);
+            for &x in probes {
+                let oracle = boundaries.partition_point(|&b| b <= x).min(q - 1);
+                prop_assert_eq!(quantizer.level(x), oracle, "x = {:e}, boundaries {:?}", x, boundaries);
+            }
+        }
     }
 
     /// Equalized occupancy is balanced: no level gets more than ~2x its
