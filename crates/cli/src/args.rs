@@ -230,9 +230,9 @@ mod tests {
             a.check(&[], &["linear"]),
             Err(ArgError::Unknown("data".into()))
         );
-        let trailing = parse(&["train", "--threads"]).unwrap();
+        let trailing = parse(&["train", "--seed"]).unwrap();
         assert!(matches!(
-            trailing.check(&["threads"], &[]),
+            trailing.check(&["seed"], &[]),
             Err(ArgError::BadValue { .. })
         ));
     }

@@ -3,10 +3,10 @@
 //!
 //! ```text
 //! lookhd train    --data train.csv --out model.lks [--dim 2000 --q 4 --r 5
-//!                 --epochs 10 --linear --group 12 --seed 42 --threads 4
+//!                 --epochs 10 --linear --group 12 --seed 42
 //!                 --kernel auto|dense|lut --kernel-budget BYTES]
-//! lookhd evaluate --model model.lks --data test.csv [--threads 4]
-//! lookhd predict  --model model.lks --data queries.csv [--threads 4]
+//! lookhd evaluate --model model.lks --data test.csv
+//! lookhd predict  --model model.lks --data queries.csv
 //! lookhd info     --model model.lks [--kernel KIND]
 //! lookhd inspect  --data data.csv
 //! lookhd estimate --model model.lks [--samples 1000]
@@ -20,11 +20,6 @@
 //! CSV rows are `feature,…,feature,label` (labels in the final column;
 //! `predict` takes label-free rows). An optional header line is skipped.
 //! A flag a subcommand does not read is an error, not a silent no-op.
-//!
-//! `--threads` shards training and batch inference across OS threads
-//! (`0` = all cores). Results are bit-identical for every thread count;
-//! only wall-clock time changes. `serve` has no `--threads`: each of its
-//! `--reactors` event-loop threads scores the requests it reads.
 //!
 //! `--metrics out.json` (valid on every subcommand) enables the
 //! observability registry for the run and writes one JSON document of
@@ -65,7 +60,6 @@ use hdc::quantize::Quantization;
 use hdc::{Classifier, FitClassifier};
 use lookhd::{CompressionConfig, KernelKind, KernelSpec, LookHdClassifier, LookHdConfig};
 use lookhd_datasets::csv;
-use lookhd_engine::EngineConfig;
 use lookhd_hwsim::fpga::FpgaPhase;
 use lookhd_hwsim::{CpuModel, FpgaModel, WorkloadShape};
 
@@ -93,13 +87,13 @@ fn out(line: impl std::fmt::Display) {
 fn flags_read_by(subcommand: &str) -> Option<(&'static str, &'static str)> {
     Some(match subcommand {
         "train" => (
-            "data out dim q r epochs group seed threads kernel kernel-budget",
+            "data out dim q r epochs group seed kernel kernel-budget",
             "linear",
         ),
-        "evaluate" | "predict" => ("model data threads", ""),
-        "info" => ("model threads kernel kernel-budget", ""),
+        "evaluate" | "predict" => ("model data", ""),
+        "info" => ("model kernel kernel-budget", ""),
         "inspect" => ("data", ""),
-        "estimate" => ("model threads samples", ""),
+        "estimate" => ("model samples", ""),
         "serve" => (
             "model addr reactors max-conns queue-cap admin-addr metrics-interval \
              slo-p99-ms slo-error-rate kernel kernel-budget refresh-after drift-threshold",
@@ -163,10 +157,10 @@ fn run(raw: Vec<String>) -> Result<(), String> {
 
 const USAGE: &str = "usage:
   lookhd train    --data train.csv --out model.lks [--dim N --q N --r N
-                  --epochs N --linear --group N --seed N --threads N
+                  --epochs N --linear --group N --seed N
                   --kernel auto|dense|lut --kernel-budget BYTES]
-  lookhd evaluate --model model.lks --data test.csv [--threads N]
-  lookhd predict  --model model.lks --data queries.csv [--threads N]
+  lookhd evaluate --model model.lks --data test.csv
+  lookhd predict  --model model.lks --data queries.csv
   lookhd info     --model model.lks [--kernel KIND]
   lookhd inspect  --data data.csv
   lookhd estimate --model model.lks [--samples N]
@@ -177,8 +171,6 @@ const USAGE: &str = "usage:
                   --drift-threshold F]
 
 A flag a subcommand does not read is an error.
---threads shards work across OS threads (0 = all cores) without changing
-any result bit.
 --kernel selects the scoring kernel: auto (score-LUT with dense fallback),
 dense (exact reference), lut (exact precomputed tables; --kernel-budget
 caps their bytes). On train it is built and persisted with the model;
@@ -213,16 +205,7 @@ observed class distributions to diverge by at least F (half L1, 0..1).";
 fn load_classifier(args: &Args) -> Result<LookHdClassifier, String> {
     let path = args.require("model").map_err(|e| e.to_string())?;
     let bytes = fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let mut clf =
-        LookHdClassifier::from_bytes(&bytes).map_err(|e| format!("loading {path}: {e}"))?;
-    clf.set_engine(engine_config(args)?);
-    Ok(clf)
-}
-
-/// The engine configuration from `--threads` (default: serial).
-fn engine_config(args: &Args) -> Result<EngineConfig, String> {
-    let threads = args.get_or("threads", 1usize).map_err(|e| e.to_string())?;
-    Ok(EngineConfig::new().with_threads(threads))
+    LookHdClassifier::from_bytes(&bytes).map_err(|e| format!("loading {path}: {e}"))
 }
 
 /// Kernel selection from `--kernel {auto,dense,lut}` plus the
@@ -274,7 +257,6 @@ fn train(args: &Args) -> Result<(), String> {
         .with_retrain_epochs(epochs)
         .with_compression(compression)
         .with_seed(seed)
-        .with_engine(engine_config(args)?)
         .with_kernel(kernel.unwrap_or_default());
     if args.switch("linear") {
         config = config.with_quantization(Quantization::Linear);

@@ -368,6 +368,31 @@ fn unknown_flags_are_rejected_by_name() {
     assert!(stderr.contains("--bogus-flag"), "stderr: {stderr}");
     assert!(!model.exists(), "a rejected command must not train");
 
+    // No subcommand reads --threads: training and batch inference run on
+    // the calling thread. Both fail at the flag check, before training or
+    // loading the (absent) model.
+    let data = train.to_str().unwrap();
+    let path = model.to_str().unwrap();
+    for args in [
+        ["train", "--data", data, "--out", path, "--threads", "2"],
+        [
+            "evaluate",
+            "--model",
+            path,
+            "--data",
+            data,
+            "--threads",
+            "2",
+        ],
+    ] {
+        let out = bin().args(args).output().expect("run --threads");
+        assert!(!out.status.success(), "{} accepted --threads", args[0]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--threads"), "stderr: {stderr}");
+        assert!(!stderr.contains("reading"), "stderr: {stderr}");
+        assert!(!model.exists(), "a rejected command must not train");
+    }
+
     // `serve` does not read --threads (each reactor scores the requests
     // it reads), so it fails before binding.
     let out = bin()
@@ -476,9 +501,8 @@ fn metrics_flag_writes_stage_spans() {
     let text = fs::read_to_string(&metrics).expect("metrics file must be written");
     assert_looks_like_metrics_json(&text);
     // The training pipeline's stages must all appear as named spans with
-    // real durations. Span *paths* vary with nesting (worker threads
-    // record at the root), so match names and rely on snapshot ordering
-    // only for the version header.
+    // real durations. Span *paths* vary with nesting, so match names and
+    // rely on snapshot ordering only for the version header.
     for stage in ["encode", "counter_train", "compress", "predict"] {
         assert!(
             text.contains(stage),

@@ -10,14 +10,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::classify::{Classifier, FitClassifier};
-use crate::encoding::{encode_batch_with, Encode, PermutationEncoder};
+use crate::encoding::{Encode, PermutationEncoder};
 use crate::error::{HdcError, Result};
 use crate::hv::DenseHv;
 use crate::levels::LevelMemory;
 use crate::model::ClassModel;
 use crate::quantize::{Quantization, Quantizer};
-use crate::train::{initial_fit_with, retrain, TrainReport};
-use lookhd_engine::{Engine, EngineConfig, EngineStats};
+use crate::train::{initial_fit, retrain, TrainReport};
 
 /// Hyperparameters of the baseline HDC classifier.
 ///
@@ -35,10 +34,6 @@ pub struct HdcConfig {
     pub retrain_epochs: usize,
     /// RNG seed for reproducible level/position hypervectors.
     pub seed: u64,
-    /// Execution engine settings for training and batch inference.
-    /// Outputs are identical for every thread count (see
-    /// [`lookhd_engine`]'s determinism contract).
-    pub engine: EngineConfig,
 }
 
 impl HdcConfig {
@@ -51,7 +46,6 @@ impl HdcConfig {
             quantization: Quantization::Linear,
             retrain_epochs: 10,
             seed: 0x10_0c_4d,
-            engine: EngineConfig::default(),
         }
     }
 
@@ -82,18 +76,6 @@ impl HdcConfig {
     /// Sets the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the execution engine configuration.
-    pub fn with_engine(mut self, engine: EngineConfig) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Convenience: sets only the engine thread count (`0` = auto).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.engine = self.engine.with_threads(threads);
         self
     }
 }
@@ -131,8 +113,6 @@ pub struct HdcClassifier {
     encoder: PermutationEncoder,
     model: ClassModel,
     report: TrainReport,
-    engine: Engine,
-    fit_stats: EngineStats,
 }
 
 impl HdcClassifier {
@@ -142,7 +122,7 @@ impl HdcClassifier {
         config: &HdcConfig,
         features: &[Vec<f64>],
         labels: &[usize],
-    ) -> Result<(PermutationEncoder, Vec<DenseHv>, usize, Engine)> {
+    ) -> Result<(PermutationEncoder, Vec<DenseHv>, usize)> {
         if features.is_empty() {
             return Err(HdcError::invalid_dataset("cannot train on zero samples"));
         }
@@ -163,45 +143,8 @@ impl HdcClassifier {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let levels = LevelMemory::generate(config.dim, config.q, &mut rng)?;
         let encoder = PermutationEncoder::new(levels, quantizer, n_features)?;
-        let engine = Engine::new(config.engine);
-        let (encoded, _) = encode_batch_with(&engine, &encoder, features)?;
-        Ok((encoder, encoded, n_classes, engine))
-    }
-
-    /// Predicts a batch and returns the labels together with the engine's
-    /// run statistics (per-shard timings, merge time, throughput).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first prediction error in sample order.
-    pub fn predict_batch_stats(&self, features: &[Vec<f64>]) -> Result<(Vec<usize>, EngineStats)> {
-        let (preds, stats) = self.engine.map_reduce(
-            features.len(),
-            |range| {
-                features[range]
-                    .iter()
-                    .map(|f| self.predict(f))
-                    .collect::<Result<Vec<usize>>>()
-            },
-            |shards| {
-                let mut out = Vec::with_capacity(features.len());
-                for shard in shards {
-                    out.extend(shard?);
-                }
-                Ok::<Vec<usize>, HdcError>(out)
-            },
-        );
-        Ok((preds?, stats))
-    }
-
-    /// Engine statistics of the initial bundling phase of training.
-    pub fn fit_stats(&self) -> &EngineStats {
-        &self.fit_stats
-    }
-
-    /// The execution engine this classifier runs batch inference on.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
+        let encoded = encoder.encode_batch(features)?;
+        Ok((encoder, encoded, n_classes))
     }
 
     /// The trained class model.
@@ -239,10 +182,6 @@ impl Classifier for HdcClassifier {
         self.model.predict(&h)
     }
 
-    fn predict_batch(&self, features: &[Vec<f64>]) -> Result<Vec<usize>> {
-        Ok(self.predict_batch_stats(features)?.0)
-    }
-
     fn class_scores(&self, features: &[f64]) -> Result<Option<Vec<f64>>> {
         let h = self.encoder.encode(features)?;
         self.model.scores(&h).map(Some)
@@ -254,25 +193,19 @@ impl FitClassifier for HdcClassifier {
 
     /// Trains a classifier on `features`/`labels` with the given config.
     ///
-    /// The initial bundling phase is sharded across the configured
-    /// engine's threads; retraining is inherently sequential and runs
-    /// serially. Results are identical for every thread count.
-    ///
     /// # Errors
     ///
     /// Returns [`HdcError::InvalidDataset`] for an empty or ragged dataset
     /// and [`HdcError::InvalidConfig`] for invalid hyperparameters.
     fn fit(config: &HdcConfig, features: &[Vec<f64>], labels: &[usize]) -> Result<Self> {
-        let (encoder, encoded, n_classes, engine) = Self::prepare(config, features, labels)?;
-        let (mut model, fit_stats) = initial_fit_with(&engine, &encoded, labels, n_classes)?;
+        let (encoder, encoded, n_classes) = Self::prepare(config, features, labels)?;
+        let mut model = initial_fit(&encoded, labels, n_classes)?;
         let report = retrain(&mut model, &encoded, labels, config.retrain_epochs)?;
         model.refresh_norms();
         Ok(Self {
             encoder,
             model,
             report,
-            engine,
-            fit_stats,
         })
     }
 }
@@ -311,7 +244,6 @@ mod tests {
         let acc = clf.evaluate(&xs, &ys).unwrap();
         assert!(acc > 0.9, "train accuracy too low: {acc}");
         assert_eq!(clf.num_classes(), 3);
-        assert_eq!(clf.fit_stats().items, xs.len());
     }
 
     #[test]
@@ -341,41 +273,13 @@ mod tests {
             .with_q(4)
             .with_quantization(Quantization::Equalized)
             .with_retrain_epochs(3)
-            .with_seed(7)
-            .with_engine(EngineConfig::new().with_shard_size(64))
-            .with_threads(2);
+            .with_seed(7);
         assert_eq!(c.dim, 1000);
         assert_eq!(c.q, 4);
         assert_eq!(c.quantization, Quantization::Equalized);
         assert_eq!(c.retrain_epochs, 3);
         assert_eq!(c.seed, 7);
-        assert_eq!(
-            c.engine,
-            EngineConfig::new().with_shard_size(64).with_threads(2)
-        );
         assert_eq!(HdcConfig::default(), HdcConfig::new());
-    }
-
-    #[test]
-    fn threaded_training_and_inference_match_serial() {
-        let (xs, ys) = blobs(20, 11);
-        let base = HdcConfig::new().with_dim(256).with_q(4);
-        let serial = HdcClassifier::fit(&base, &xs, &ys).unwrap();
-        let serial_preds = serial.predict_batch(&xs).unwrap();
-        for threads in [2, 3, 8] {
-            let cfg = base
-                .clone()
-                .with_engine(EngineConfig::new().with_threads(threads).with_shard_size(7));
-            let clf = HdcClassifier::fit(&cfg, &xs, &ys).unwrap();
-            assert_eq!(
-                clf.predict_batch(&xs).unwrap(),
-                serial_preds,
-                "threads={threads}"
-            );
-            for (a, b) in clf.model().classes().iter().zip(serial.model().classes()) {
-                assert_eq!(a, b, "threads={threads}");
-            }
-        }
     }
 
     #[test]

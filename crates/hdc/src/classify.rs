@@ -32,8 +32,7 @@ use crate::metrics::accuracy;
 /// Object-safe inference interface of a trained classifier.
 ///
 /// Implementations must be deterministic: the same query yields the same
-/// label on every call, whatever execution configuration (thread count)
-/// the implementation uses internally.
+/// label on every call.
 pub trait Classifier {
     /// Number of classes the model distinguishes.
     fn num_classes(&self) -> usize;
@@ -45,11 +44,8 @@ pub trait Classifier {
     /// Returns an error for a wrong-arity feature vector.
     fn predict(&self, features: &[f64]) -> Result<usize>;
 
-    /// Predicts labels for a batch of feature vectors.
-    ///
-    /// The default implementation maps [`Classifier::predict`] serially;
-    /// implementations may override it with a parallel path as long as
-    /// outputs stay identical.
+    /// Predicts labels for a batch of feature vectors by mapping
+    /// [`Classifier::predict`] over it in order.
     ///
     /// # Errors
     ///

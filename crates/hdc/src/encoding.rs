@@ -16,7 +16,6 @@ use crate::error::{HdcError, Result};
 use crate::hv::DenseHv;
 use crate::levels::LevelMemory;
 use crate::quantize::{FeatureQuantizers, Quantizer};
-use lookhd_engine::{Engine, EngineStats};
 
 /// Maps a raw feature vector to a dense query/encoding hypervector.
 ///
@@ -37,48 +36,17 @@ pub trait Encode {
     /// [`Encode::n_features`].
     fn encode(&self, features: &[f64]) -> Result<DenseHv>;
 
-    /// Encodes a batch of feature vectors.
+    /// Encodes a batch of feature vectors, in order, under one
+    /// `encode_batch` span that also ticks `encode_batch.samples`.
     ///
     /// # Errors
     ///
     /// Propagates the first encoding error.
     fn encode_batch(&self, features: &[Vec<f64>]) -> Result<Vec<DenseHv>> {
+        let _span = obs::span("encode_batch");
+        obs::counter("encode_batch.samples", features.len() as u64);
         features.iter().map(|f| self.encode(f)).collect()
     }
-}
-
-/// Encodes a batch through an engine, sharding the rows across worker
-/// threads. Encoding is per-sample deterministic and results are
-/// concatenated in shard order, so the output equals
-/// [`Encode::encode_batch`] for every thread count.
-///
-/// # Errors
-///
-/// Propagates the first encoding error in sample order.
-pub fn encode_batch_with<E: Encode + Sync>(
-    engine: &Engine,
-    encoder: &E,
-    features: &[Vec<f64>],
-) -> Result<(Vec<DenseHv>, EngineStats)> {
-    let _span = obs::span("encode_batch");
-    obs::counter("encode_batch.samples", features.len() as u64);
-    let (encoded, stats) = engine.map_reduce(
-        features.len(),
-        |range| {
-            features[range]
-                .iter()
-                .map(|f| encoder.encode(f))
-                .collect::<Result<Vec<DenseHv>>>()
-        },
-        |shards| {
-            let mut out = Vec::with_capacity(features.len());
-            for shard in shards {
-                out.extend(shard?);
-            }
-            Ok::<Vec<DenseHv>, HdcError>(out)
-        },
-    );
-    Ok((encoded?, stats))
 }
 
 /// The baseline permutation ("record-based") encoder of §II-A.

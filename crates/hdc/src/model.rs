@@ -211,37 +211,6 @@ impl ClassModel {
         Ok(())
     }
 
-    /// Element-wise adds every class hypervector of `other` into this
-    /// model (`C_i += C'_i`), the merge step of sharded training. Integer
-    /// addition is associative and commutative, so merging per-shard
-    /// partial models in shard order is bit-identical to serial
-    /// accumulation. Norms are refreshed lazily: call
-    /// [`ClassModel::refresh_norms`] after the final merge.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::InvalidDataset`] if the class counts differ and
-    /// [`HdcError::DimensionMismatch`] if the dimensions differ.
-    pub fn merge_add(&mut self, other: &Self) -> Result<()> {
-        if other.n_classes() != self.n_classes() {
-            return Err(HdcError::invalid_dataset(format!(
-                "cannot merge a {}-class model into a {}-class model",
-                other.n_classes(),
-                self.n_classes()
-            )));
-        }
-        if other.dim() != self.dim() {
-            return Err(HdcError::DimensionMismatch {
-                expected: self.dim(),
-                actual: other.dim(),
-            });
-        }
-        for (c, oc) in self.classes.iter_mut().zip(&other.classes) {
-            c.add_assign_hv(oc);
-        }
-        Ok(())
-    }
-
     /// Recomputes the cached class norms after in-place updates.
     pub fn refresh_norms(&mut self) {
         for (n, c) in self.norms.iter_mut().zip(&self.classes) {

@@ -135,7 +135,15 @@ impl Quantizer {
             return Ok(vec![min; q - 1]);
         }
         let width = (max - min) / q as f64;
-        Ok((1..q).map(|i| min + width * i as f64).collect())
+        if width.is_finite() {
+            return Ok((1..q).map(|i| min + width * i as f64).collect());
+        }
+        // The range itself overflows f64 (e.g. ±1e308): interpolate from
+        // the scaled endpoints, which stay finite and ascending.
+        let (lo, hi) = (min / q as f64, max / q as f64);
+        Ok((1..q)
+            .map(|i| lo * (q - i) as f64 + hi * i as f64)
+            .collect())
     }
 
     fn equalized_boundaries(values: &[f64], q: usize) -> Result<Vec<f64>> {
@@ -339,6 +347,17 @@ mod tests {
         let seen: std::collections::BTreeSet<usize> =
             uniform(100).iter().map(|&x| q.level(x)).collect();
         assert_eq!(seen.len(), 8, "all 8 levels should be hit: {seen:?}");
+        // A range wider than f64::MAX still gets finite, ascending
+        // boundaries that spread the values over every level.
+        let wide: Vec<f64> = (0..40).map(|i| (i as f64 / 19.5 - 1.0) * 1e308).collect();
+        assert!((wide[39] - wide[0]).is_infinite());
+        let q = Quantizer::fit(Quantization::Linear, &wide, 4).unwrap();
+        let b = q.boundaries();
+        assert!(b.iter().all(|x| x.is_finite()), "{b:?}");
+        assert!(b.windows(2).all(|w| w[0] < w[1]), "{b:?}");
+        assert_eq!(q.level(-1e308), 0);
+        assert_eq!(q.level(1e308), 3);
+        assert_eq!(q.occupancy(&wide).iter().filter(|&&n| n > 0).count(), 4);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 use crate::error::{HdcError, Result};
 use crate::hv::DenseHv;
 use crate::model::ClassModel;
-use lookhd_engine::{Engine, EngineStats};
 
 /// Per-epoch statistics produced by [`retrain`].
 #[derive(Debug, Clone, PartialEq)]
@@ -82,55 +81,6 @@ pub fn initial_fit(encoded: &[DenseHv], labels: &[usize], n_classes: usize) -> R
     }
     model.refresh_norms();
     Ok(model)
-}
-
-/// Sharded variant of [`initial_fit`]: each engine worker bundles a
-/// private partial model over its shard of samples, and the partials are
-/// element-wise added in shard order. Because bundling is integer
-/// addition (associative and commutative), the result is **bit-identical**
-/// to [`initial_fit`] for every thread count.
-///
-/// # Errors
-///
-/// Same conditions as [`initial_fit`].
-pub fn initial_fit_with(
-    engine: &Engine,
-    encoded: &[DenseHv],
-    labels: &[usize],
-    n_classes: usize,
-) -> Result<(ClassModel, EngineStats)> {
-    let _span = obs::span("bundle_train");
-    if encoded.is_empty() {
-        return Err(HdcError::invalid_dataset("cannot train on zero samples"));
-    }
-    if encoded.len() != labels.len() {
-        return Err(HdcError::invalid_dataset(format!(
-            "{} samples but {} labels",
-            encoded.len(),
-            labels.len()
-        )));
-    }
-    let dim = encoded[0].dim();
-    let (merged, stats) = engine.map_reduce(
-        encoded.len(),
-        |range| {
-            let mut partial = ClassModel::zeros(n_classes, dim)?;
-            for i in range {
-                partial.add(labels[i], &encoded[i])?;
-            }
-            Ok::<ClassModel, HdcError>(partial)
-        },
-        |partials| {
-            let mut iter = partials.into_iter();
-            let mut model = iter.next().expect("non-empty input implies >= 1 shard")?;
-            for partial in iter {
-                model.merge_add(&partial?)?;
-            }
-            model.refresh_norms();
-            Ok::<ClassModel, HdcError>(model)
-        },
-    );
-    Ok((merged?, stats))
 }
 
 /// Runs up to `max_epochs` of perceptron-style retraining, stopping early

@@ -4,14 +4,13 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use hdc::encoding::{encode_batch_with, Encode};
+use hdc::encoding::Encode;
 use hdc::hv::DenseHv;
 use hdc::levels::LevelMemory;
 use hdc::model::ClassModel;
 use hdc::quantize::{Quantization, Quantizer};
 use hdc::train::TrainReport;
 use hdc::{Classifier, FitClassifier, HdcError, Result};
-use lookhd_engine::{Engine, EngineConfig, EngineStats};
 
 use crate::chunking::ChunkLayout;
 use crate::compress::{CompressedModel, CompressionConfig};
@@ -61,10 +60,6 @@ pub struct LookHdConfig {
     pub kernel: KernelSpec,
     /// RNG seed (level memory, position keys).
     pub seed: u64,
-    /// Execution engine for the counter-training and batch-inference
-    /// phases. The default is serial; any thread count produces
-    /// bit-identical models and predictions.
-    pub engine: EngineConfig,
 }
 
 impl LookHdConfig {
@@ -81,7 +76,6 @@ impl LookHdConfig {
             validation_fraction: 0.15,
             kernel: KernelSpec::dense(),
             seed: 0x10_0c_4d,
-            engine: EngineConfig::new(),
         }
     }
 
@@ -139,18 +133,6 @@ impl LookHdConfig {
         self.seed = seed;
         self
     }
-
-    /// Sets the execution-engine configuration.
-    pub fn with_engine(mut self, engine: EngineConfig) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Sets the engine thread count (`0` = all available cores).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.engine = self.engine.with_threads(threads);
-        self
-    }
 }
 
 impl Default for LookHdConfig {
@@ -192,8 +174,6 @@ pub struct LookHdClassifier {
     report: TrainReport,
     /// The RNG seed levels/positions were generated from (for persistence).
     seed: u64,
-    engine: Engine,
-    fit_stats: EngineStats,
 }
 
 impl LookHdClassifier {
@@ -207,11 +187,9 @@ impl LookHdClassifier {
         }
         let encoder = Self::build_encoder(config, features)?;
         let n_classes = labels.iter().max().map_or(0, |m| m + 1);
-        let engine = Engine::new(config.engine);
-        // Counter-based training (encoding-free per sample), sharded over
-        // the engine's threads with bit-identical counter merges.
-        let (mut model, fit_stats) =
-            CounterTrainer::fit_with(&engine, &encoder, features, labels, n_classes)?;
+        // Counter-based training: encoding-free per sample, one counter
+        // set over the whole training set.
+        let mut model = CounterTrainer::fit(&encoder, features, labels, n_classes)?;
         model.refresh_norms();
 
         // Validation split for compression tuning and retraining stop
@@ -225,7 +203,7 @@ impl LookHdClassifier {
 
         let needs_encodes = config.retrain_epochs > 0 || use_validation;
         let encoded = if needs_encodes {
-            encode_batch_with(&engine, &encoder, features)?.0
+            encoder.encode_batch(features)?
         } else {
             Vec::new()
         };
@@ -319,8 +297,6 @@ impl LookHdClassifier {
             kernel,
             report,
             seed: config.seed,
-            engine,
-            fit_stats,
         })
     }
 
@@ -342,8 +318,6 @@ impl LookHdClassifier {
             kernel,
             report: TrainReport::default(),
             seed,
-            engine: Engine::serial(),
-            fit_stats: EngineStats::default(),
         }
     }
 
@@ -383,69 +357,16 @@ impl LookHdClassifier {
         self.model.predict(&h)
     }
 
-    /// Predicts a batch with the compressed model, sharded across the
-    /// engine's threads, and returns the engine statistics alongside the
-    /// predictions. Results are identical for every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first prediction error.
-    pub fn predict_batch_stats(&self, features: &[Vec<f64>]) -> Result<(Vec<usize>, EngineStats)> {
-        self.batch_with(features, |f| self.predict(f))
-    }
-
-    /// Predicts a batch with the *uncompressed* model, sharded across the
-    /// engine's threads.
+    /// Predicts a batch with the *uncompressed* model.
     ///
     /// # Errors
     ///
     /// Propagates the first prediction error.
     pub fn predict_batch_uncompressed(&self, features: &[Vec<f64>]) -> Result<Vec<usize>> {
-        Ok(self
-            .batch_with(features, |f| self.predict_uncompressed(f))?
-            .0)
-    }
-
-    /// Runs `per_query` over `features` partitioned into engine shards,
-    /// concatenating shard results in shard order.
-    fn batch_with<T, F>(&self, features: &[Vec<f64>], per_query: F) -> Result<(Vec<T>, EngineStats)>
-    where
-        T: Send,
-        F: Fn(&[f64]) -> Result<T> + Sync,
-    {
-        let (preds, stats) = self.engine.map_reduce(
-            features.len(),
-            |range| {
-                features[range]
-                    .iter()
-                    .map(|f| per_query(f))
-                    .collect::<Result<Vec<T>>>()
-            },
-            |shards| {
-                let mut out = Vec::with_capacity(features.len());
-                for shard in shards {
-                    out.extend(shard?);
-                }
-                Ok::<Vec<T>, HdcError>(out)
-            },
-        );
-        Ok((preds?, stats))
-    }
-
-    /// Engine statistics of the counter-training phase.
-    pub fn fit_stats(&self) -> &EngineStats {
-        &self.fit_stats
-    }
-
-    /// The execution engine batch inference runs on.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
-    /// Replaces the execution engine (e.g. after [`LookHdClassifier::from_bytes`],
-    /// which restores a serial engine).
-    pub fn set_engine(&mut self, config: EngineConfig) {
-        self.engine = Engine::new(config);
+        features
+            .iter()
+            .map(|f| self.predict_uncompressed(f))
+            .collect()
     }
 
     /// The lookup encoder.
@@ -748,10 +669,6 @@ impl LookHdClassifier {
             kernel,
             report: TrainReport::default(),
             seed,
-            // The engine is an execution detail, not part of the model;
-            // deserialized classifiers start serial (see `set_engine`).
-            engine: Engine::serial(),
-            fit_stats: EngineStats::default(),
         })
     }
 }
@@ -769,10 +686,6 @@ impl Classifier for LookHdClassifier {
         let _span = obs::span("predict");
         self.kernel
             .predict(&self.encoder, &self.compressed, features)
-    }
-
-    fn predict_batch(&self, features: &[Vec<f64>]) -> Result<Vec<usize>> {
-        Ok(self.predict_batch_stats(features)?.0)
     }
 
     /// One scoring pass through the active kernel's
@@ -800,11 +713,6 @@ impl FitClassifier for LookHdClassifier {
     type Config = LookHdConfig;
 
     /// Trains the full pipeline on `features`/`labels`.
-    ///
-    /// The counter-training and batch-encoding phases are sharded across
-    /// the configured engine's threads; compression and retraining are
-    /// inherently sequential and run serially. The trained model is
-    /// bit-identical for every thread count.
     ///
     /// # Errors
     ///
@@ -923,9 +831,7 @@ mod tests {
             .with_compression(CompressionConfig::new().with_seed(5))
             .with_retrain_epochs(2)
             .with_kernel(KernelSpec::lut().with_budget_bytes(4096))
-            .with_seed(77)
-            .with_engine(EngineConfig::new().with_shard_size(64))
-            .with_threads(4);
+            .with_seed(77);
         assert_eq!(c.dim, 4000);
         assert_eq!(c.q, 8);
         assert_eq!(c.r, 3);
@@ -933,34 +839,7 @@ mod tests {
         assert_eq!(c.retrain_epochs, 2);
         assert_eq!(c.kernel, KernelSpec::lut().with_budget_bytes(4096));
         assert_eq!(c.seed, 77);
-        assert_eq!(c.engine.threads, 4);
-        assert_eq!(c.engine.shard_size, 64);
         assert_eq!(LookHdConfig::default(), LookHdConfig::new());
-    }
-
-    #[test]
-    fn threaded_fit_and_inference_match_serial() {
-        let (xs, ys) = blobs(12, 3, 17, 0.08, 9);
-        let base = LookHdConfig::new().with_dim(512).with_retrain_epochs(3);
-        let serial = LookHdClassifier::fit(&base, &xs, &ys).unwrap();
-        let serial_preds = serial.predict_batch(&xs).unwrap();
-        for threads in [2usize, 3, 8] {
-            let config = base
-                .clone()
-                .with_engine(EngineConfig::new().with_threads(threads).with_shard_size(7));
-            let clf = LookHdClassifier::fit(&config, &xs, &ys).unwrap();
-            assert_eq!(
-                clf.predict_batch(&xs).unwrap(),
-                serial_preds,
-                "{threads} threads diverged from serial"
-            );
-            assert_eq!(
-                clf.predict_batch_uncompressed(&xs).unwrap(),
-                serial.predict_batch_uncompressed(&xs).unwrap(),
-                "{threads}-thread uncompressed path diverged"
-            );
-            assert_eq!(clf.model().classes(), serial.model().classes());
-        }
     }
 
     #[test]
@@ -990,14 +869,6 @@ mod tests {
             for x in &xs {
                 assert_eq!(fast.scores(x).unwrap(), dense.scores(x).unwrap());
             }
-            // Sharded batches dispatch through the kernel per query, so any
-            // thread count stays bit-identical too.
-            let mut threaded = fast.clone();
-            threaded.set_engine(EngineConfig::new().with_threads(3).with_shard_size(7));
-            assert_eq!(
-                threaded.predict_batch(&xs).unwrap(),
-                dense.predict_batch(&xs).unwrap()
-            );
         }
     }
 
@@ -1047,6 +918,22 @@ mod tests {
                 .unwrap();
         let back = LookHdClassifier::from_bytes(&dense.to_bytes().unwrap()).unwrap();
         assert!(back.score_lut().is_none());
+        // A ±1e308 feature spans more than f64::MAX; its linear boundaries
+        // stay finite and ascending, so the artifact reloads.
+        let (mut xs, ys) = blobs(11, 2, 20, 0.08, 25);
+        for (i, x) in xs.iter_mut().enumerate() {
+            x[0] = if i % 2 == 0 { 1e308 } else { -1e308 };
+        }
+        let linear = config.with_quantization(Quantization::Linear).with_q(4);
+        let wide = LookHdClassifier::fit(&linear, &xs, &ys).unwrap();
+        let b = wide.encoder().quantizer().boundaries();
+        assert!(b.iter().all(|x| x.is_finite()), "{b:?}");
+        assert!(b.windows(2).all(|w| w[0] < w[1]), "{b:?}");
+        let back = LookHdClassifier::from_bytes(&wide.to_bytes().unwrap()).unwrap();
+        assert_eq!(
+            back.predict_batch(&xs).unwrap(),
+            wide.predict_batch(&xs).unwrap()
+        );
     }
 
     #[test]

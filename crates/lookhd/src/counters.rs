@@ -12,9 +12,10 @@
 //! This factorization is exactly equal to bundling every encoded sample —
 //! a property pinned by tests in [`crate::trainer`].
 //!
-//! Counters for a chunk are stored densely (a `q^r` array, like the FPGA
-//! register file) while small, and as a hash map when the address space is
-//! too large to materialize (the software-sweep regime).
+//! Counters are stored densely (a `q^r` array per class and chunk, like
+//! the FPGA register file) while the whole set is small, and as hash maps
+//! when its address space is too large to materialize (the software-sweep
+//! regime). Both stores hold the same integers.
 
 use std::collections::HashMap;
 
@@ -22,8 +23,11 @@ use hdc::{HdcError, Result};
 
 use crate::chunking::ChunkLayout;
 
-/// Row-count threshold above which a chunk's counters are stored sparsely.
-pub const DENSE_COUNTER_LIMIT_ROWS: usize = 1 << 20;
+/// Cap on the dense cells of one counter set, `k · Σ_chunks q^len(chunk)`
+/// (2^24 `u32` cells = 64 MiB). Every Table-I profile at its paper `q`
+/// and `r = 5` stays under it (SPEECH: 26 · 125,968 ≈ 3.3 M cells);
+/// a larger set is stored sparsely.
+pub const DENSE_COUNTER_LIMIT_CELLS: usize = 1 << 24;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum CounterStore {
@@ -32,8 +36,8 @@ enum CounterStore {
 }
 
 impl CounterStore {
-    fn new(rows: usize) -> Self {
-        if rows <= DENSE_COUNTER_LIMIT_ROWS {
+    fn new(rows: usize, dense: bool) -> Self {
+        if dense {
             Self::Dense(vec![0; rows])
         } else {
             Self::Sparse(HashMap::new())
@@ -85,8 +89,9 @@ impl CounterStore {
                     *a.entry(addr).or_insert(0) += count;
                 }
             }
-            // Same layout ⇒ same storage flavour; mixed merges cannot occur.
-            _ => unreachable!("counter stores of one layout share a storage flavour"),
+            // Same layout and class count ⇒ same storage flavour; mixed
+            // merges cannot occur.
+            _ => unreachable!("counter stores of one shape share a storage flavour"),
         }
     }
 }
@@ -104,7 +109,9 @@ pub struct ChunkCounters {
 }
 
 impl ChunkCounters {
-    /// Creates zeroed counters for `n_classes` classes over `layout`.
+    /// Creates zeroed counters for `n_classes` classes over `layout`,
+    /// dense when the whole set fits [`DENSE_COUNTER_LIMIT_CELLS`] and
+    /// sparse otherwise.
     ///
     /// # Errors
     ///
@@ -113,10 +120,12 @@ impl ChunkCounters {
         if n_classes == 0 {
             return Err(HdcError::invalid_config("k", "need at least one class"));
         }
+        let cells = layout.total_table_rows().saturating_mul(n_classes as u128);
+        let dense = cells <= DENSE_COUNTER_LIMIT_CELLS as u128;
         let stores = (0..n_classes)
             .map(|_| {
                 (0..layout.n_chunks())
-                    .map(|c| CounterStore::new(layout.table_rows(c)))
+                    .map(|c| CounterStore::new(layout.table_rows(c), dense))
                     .collect()
             })
             .collect();
@@ -261,6 +270,14 @@ mod tests {
         assert_eq!(chunk1, vec![(7, 1), (8, 1)]);
     }
 
+    fn sparse_stores(c: &ChunkCounters) -> usize {
+        c.stores
+            .iter()
+            .flatten()
+            .filter(|s| matches!(s, CounterStore::Sparse(_)))
+            .count()
+    }
+
     #[test]
     fn sparse_store_used_for_huge_address_spaces() {
         // q=8, r=10 → 8^10 ≈ 1.07e9 rows per chunk: must not allocate that.
@@ -270,6 +287,30 @@ mod tests {
         assert_eq!(c.count(0, 0, 123_456_789), 1);
         assert_eq!(c.count(0, 0, 42), 0);
         assert_eq!(c.samples_seen(0), 1);
+        assert_eq!(sparse_stores(&c), 2);
+        // SPEECH at q = 16, r = 5: every full chunk has exactly 2^20 rows,
+        // and 26 classes × 124 chunks of them would be ~13 GB dense.
+        let speech = ChunkLayout::new(617, 5, 16).unwrap();
+        let mut c = ChunkCounters::new(speech, 26).unwrap();
+        let addrs: Vec<u64> = (0..speech.n_chunks())
+            .map(|chunk| speech.table_rows(chunk) as u64 - 1)
+            .collect();
+        c.observe(25, &addrs).unwrap();
+        assert_eq!(c.count(25, 0, (1 << 20) - 1), 1);
+        assert_eq!(c.count(25, 123, 255), 1);
+        assert_eq!(c.count(0, 0, (1 << 20) - 1), 0);
+        assert_eq!(c.samples_seen(25), 1);
+        assert_eq!(sparse_stores(&c), 26 * 124);
+    }
+
+    #[test]
+    fn table_one_profiles_keep_dense_counters_at_their_paper_q() {
+        for app in lookhd_datasets::apps::App::ALL {
+            let p = app.profile();
+            let layout = ChunkLayout::new(p.n_features, 5, p.paper_q_lookhd).unwrap();
+            let c = ChunkCounters::new(layout, p.n_classes).unwrap();
+            assert_eq!(sparse_stores(&c), 0, "{}", p.name);
+        }
     }
 
     #[test]

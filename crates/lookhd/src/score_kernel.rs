@@ -137,8 +137,8 @@ impl Default for KernelSpec {
 
 /// The scoring kernel a classifier predicts and scores through. Both
 /// variants are exact: the score-LUT returns scores bit-identical to the
-/// dense path. Batch variants stay on the classifier, which shards
-/// per-query calls across the `lookhd-engine` threads.
+/// dense path. Batches are the classifier's: it maps the per-query
+/// calls in order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScoreKernel {
     /// Dense compressed scoring (Eq. 5): encode the query hypervector and

@@ -4,7 +4,6 @@
 use hdc::hv::DenseHv;
 use hdc::model::ClassModel;
 use hdc::{HdcError, Result};
-use lookhd_engine::{Engine, EngineStats};
 
 use crate::counters::ChunkCounters;
 use crate::encoder::LookupEncoder;
@@ -69,21 +68,6 @@ impl CounterTrainer {
     ///
     /// Returns [`HdcError::InvalidDataset`] if no samples were observed.
     pub fn finalize(&self, encoder: &LookupEncoder) -> Result<ClassModel> {
-        Ok(self.finalize_with(&Engine::serial(), encoder)?.0)
-    }
-
-    /// [`CounterTrainer::finalize`] with class materialization sharded
-    /// across the engine's threads. Classes are independent, so the result
-    /// is identical for every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::InvalidDataset`] if no samples were observed.
-    pub fn finalize_with(
-        &self,
-        engine: &Engine,
-        encoder: &LookupEncoder,
-    ) -> Result<(ClassModel, EngineStats)> {
         let _span = obs::span("materialize");
         let total: u64 = (0..self.counters.n_classes())
             .map(|c| self.counters.samples_seen(c))
@@ -94,16 +78,10 @@ impl CounterTrainer {
             ));
         }
         let dim = encoder.lut().levels().dim();
-        let (classes, stats) = engine.map_reduce(
-            self.counters.n_classes(),
-            |class_range| {
-                class_range
-                    .map(|class| self.materialize_class(encoder, class, dim))
-                    .collect::<Vec<DenseHv>>()
-            },
-            |shards| shards.into_iter().flatten().collect::<Vec<DenseHv>>(),
-        );
-        Ok((ClassModel::from_classes(classes)?, stats))
+        let classes = (0..self.counters.n_classes())
+            .map(|class| self.materialize_class(encoder, class, dim))
+            .collect();
+        ClassModel::from_classes(classes)
     }
 
     /// Materializes one class hypervector from its counters (Fig. 6 steps
@@ -154,59 +132,6 @@ impl CounterTrainer {
             trainer.observe(encoder, f, y)?;
         }
         trainer.finalize(encoder)
-    }
-
-    /// Sharded variant of [`CounterTrainer::fit`]: each engine worker
-    /// accumulates a **private** counter set over its shard of samples;
-    /// the per-shard counters are element-wise added in shard order and
-    /// materialized once. Counter addition is associative and commutative,
-    /// so the trained model is **bit-identical** to the serial
-    /// [`CounterTrainer::fit`] for every thread count.
-    ///
-    /// Returned stats cover the counting phase; materialization is also
-    /// sharded (over classes) via [`CounterTrainer::finalize_with`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CounterTrainer::fit`].
-    pub fn fit_with(
-        engine: &Engine,
-        encoder: &LookupEncoder,
-        features: &[Vec<f64>],
-        labels: &[usize],
-        n_classes: usize,
-    ) -> Result<(ClassModel, EngineStats)> {
-        let _span = obs::span("counter_train");
-        if features.is_empty() {
-            return Err(HdcError::invalid_dataset("cannot train on zero samples"));
-        }
-        if features.len() != labels.len() {
-            return Err(HdcError::invalid_dataset(format!(
-                "{} samples but {} labels",
-                features.len(),
-                labels.len()
-            )));
-        }
-        let (trainer, count_stats) = engine.map_reduce(
-            features.len(),
-            |range| {
-                let mut shard = Self::new(encoder, n_classes)?;
-                for i in range {
-                    shard.observe(encoder, &features[i], labels[i])?;
-                }
-                Ok::<Self, HdcError>(shard)
-            },
-            |shards| {
-                let mut iter = shards.into_iter();
-                let mut merged = iter.next().expect("non-empty input implies >= 1 shard")?;
-                for shard in iter {
-                    merged.counters.merge(&shard?.counters)?;
-                }
-                Ok::<Self, HdcError>(merged)
-            },
-        );
-        let (model, _) = trainer?.finalize_with(engine, encoder)?;
-        Ok((model, count_stats))
     }
 
     /// Read access to the counter state (for the hardware cost models).
@@ -294,29 +219,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_fit_is_bit_identical_to_serial() {
-        use lookhd_engine::EngineConfig;
-        let enc = encoder(13, 5, 4, 256, 21);
-        let (xs, ys) = random_dataset(13, 50, 3, 22);
-        let serial = CounterTrainer::fit(&enc, &xs, &ys, 3).unwrap();
-        // 50 % 7 != 0 exercises the remainder shard.
-        for threads in [1, 2, 3, 8] {
-            let engine = Engine::new(EngineConfig::new().with_threads(threads).with_shard_size(7));
-            let (model, stats) = CounterTrainer::fit_with(&engine, &enc, &xs, &ys, 3).unwrap();
-            for c in 0..3 {
-                assert_eq!(
-                    model.class(c),
-                    serial.class(c),
-                    "threads={threads} class={c}"
-                );
-            }
-            assert_eq!(stats.items, 50);
-            assert_eq!(stats.shards.len(), 8);
-        }
-    }
-
-    #[test]
-    fn finalize_without_observations_errors() {
+    fn finalize_errors_without_observations() {
         let enc = encoder(10, 5, 2, 64, 7);
         let t = CounterTrainer::new(&enc, 2).unwrap();
         assert!(t.finalize(&enc).is_err());

@@ -5,7 +5,6 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use hdc::{Classifier, FitClassifier, HdcError, Result};
-use lookhd_engine::{Engine, EngineConfig, EngineStats};
 
 use crate::layer::{softmax, softmax_ce_grad, Dense};
 
@@ -21,10 +20,6 @@ pub struct MlpConfig {
     pub epochs: usize,
     /// RNG seed (init + shuffling).
     pub seed: u64,
-    /// Execution engine for batch inference. SGD training is inherently
-    /// sequential (each step depends on the previous weights) and always
-    /// runs serially, so `threads` only affects `predict_batch`.
-    pub engine: EngineConfig,
 }
 
 impl MlpConfig {
@@ -35,7 +30,6 @@ impl MlpConfig {
             learning_rate: 0.01,
             epochs: 20,
             seed: 0x41_1F,
-            engine: EngineConfig::new(),
         }
     }
 
@@ -60,18 +54,6 @@ impl MlpConfig {
     /// Sets the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the execution-engine configuration.
-    pub fn with_engine(mut self, engine: EngineConfig) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Sets the engine thread count (`0` = all available cores).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.engine = self.engine.with_threads(threads);
         self
     }
 }
@@ -107,7 +89,6 @@ impl Default for MlpConfig {
 #[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<Dense>,
-    engine: Engine,
 }
 
 impl Mlp {
@@ -147,10 +128,7 @@ impl Mlp {
             width = h;
         }
         layers.push(Dense::new(width, n_out, false, &mut rng));
-        let mut mlp = Self {
-            layers,
-            engine: Engine::new(config.engine),
-        };
+        let mut mlp = Self { layers };
         let mut order: Vec<usize> = (0..features.len()).collect();
         for _ in 0..config.epochs {
             order.shuffle(&mut rng);
@@ -196,38 +174,6 @@ impl Mlp {
         Ok(softmax(&h))
     }
 
-    /// Predicts a batch, sharded across the engine's threads, returning
-    /// the engine statistics alongside the predictions. Results are
-    /// identical for every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first prediction error.
-    pub fn predict_batch_stats(&self, features: &[Vec<f64>]) -> Result<(Vec<usize>, EngineStats)> {
-        let (preds, stats) = self.engine.map_reduce(
-            features.len(),
-            |range| {
-                features[range]
-                    .iter()
-                    .map(|f| self.predict(f))
-                    .collect::<Result<Vec<usize>>>()
-            },
-            |shards| {
-                let mut out = Vec::with_capacity(features.len());
-                for shard in shards {
-                    out.extend(shard?);
-                }
-                Ok::<Vec<usize>, HdcError>(out)
-            },
-        );
-        Ok((preds?, stats))
-    }
-
-    /// The execution engine batch inference runs on.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
     /// Total trainable parameters.
     pub fn n_params(&self) -> usize {
         self.layers.iter().map(Dense::n_params).sum()
@@ -255,10 +201,6 @@ impl Classifier for Mlp {
             }
         }
         Ok(best)
-    }
-
-    fn predict_batch(&self, features: &[Vec<f64>]) -> Result<Vec<usize>> {
-        Ok(self.predict_batch_stats(features)?.0)
     }
 
     fn class_scores(&self, features: &[f64]) -> Result<Option<Vec<f64>>> {
@@ -341,30 +283,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_predict_batch_matches_serial() {
-        let (xs, ys) = blobs(8, 3, 15, 6);
-        let serial = Mlp::fit(
-            &MlpConfig::new().with_hidden(vec![16]).with_epochs(5),
-            &xs,
-            &ys,
-        )
-        .unwrap();
-        let serial_preds = serial.predict_batch(&xs).unwrap();
-        for threads in [2usize, 3, 8] {
-            let config = MlpConfig::new()
-                .with_hidden(vec![16])
-                .with_epochs(5)
-                .with_engine(EngineConfig::new().with_threads(threads).with_shard_size(7));
-            let mlp = Mlp::fit(&config, &xs, &ys).unwrap();
-            assert_eq!(
-                mlp.predict_batch(&xs).unwrap(),
-                serial_preds,
-                "{threads} threads diverged from serial"
-            );
-        }
-    }
-
-    #[test]
     fn probabilities_are_a_distribution() {
         let (xs, ys) = blobs(4, 3, 5, 4);
         let mlp = Mlp::fit(
@@ -431,15 +349,11 @@ mod tests {
             .with_hidden(vec![64])
             .with_learning_rate(0.5)
             .with_epochs(3)
-            .with_seed(9)
-            .with_engine(EngineConfig::new().with_shard_size(32))
-            .with_threads(2);
+            .with_seed(9);
         assert_eq!(c.hidden, vec![64]);
         assert_eq!(c.learning_rate, 0.5);
         assert_eq!(c.epochs, 3);
         assert_eq!(c.seed, 9);
-        assert_eq!(c.engine.threads, 2);
-        assert_eq!(c.engine.shard_size, 32);
         assert_eq!(MlpConfig::default(), MlpConfig::new());
     }
 }

@@ -16,8 +16,8 @@
 //!   window ring, and tail exemplars.
 //! * **Counters** — monotonic `u64` counters ([`counter`]).
 //! * **Raw durations** — [`record`] files a duration under an explicit
-//!   path, ignoring the thread's span stack; the execution engine uses it
-//!   to fold per-shard timings into the same registry. [`record_traced`]
+//!   path, ignoring the thread's span stack, for callers that time work
+//!   themselves (the serve reactors' stage timings). [`record_traced`]
 //!   additionally tags the observation with a trace id so tail-bucket
 //!   hits surface as exemplars.
 //! * **Dimensions** — [`intern_counter`]/[`intern_span`] accept a small
@@ -42,11 +42,9 @@
 //! names through a thread-local cache, so they too are allocation-free
 //! in steady state; pre-interned ids skip even that.
 //!
-//! Worker threads spawned by `lookhd-engine` start with an empty span
-//! stack, so per-sample spans executed on workers record under their own
-//! root (e.g. `encode`) rather than under the dispatching span (e.g.
-//! `fit/encode_batch/encode`). Consumers should therefore match stage
-//! names by path *segment*, not by exact path (see
+//! A span's path depends on what encloses it: `encode` records as
+//! `fit/encode_batch/encode` inside a fit and as `encode` on its own.
+//! Consumers match stage names by path *segment*, not by exact path (see
 //! [`Snapshot::total_for`]).
 //!
 //! ## Windows
@@ -882,8 +880,7 @@ impl Snapshot {
     /// `fit/encode_batch/encode` but neither `fit/encode_batch` nor a
     /// nested child of an `encode` span. This is the stage-attribution
     /// query: it folds the same logical stage recorded at different
-    /// nesting depths (serial vs worker-thread execution) into one number
-    /// without double-counting parents.
+    /// nesting depths into one number without double-counting parents.
     pub fn total_for(&self, name: &str) -> Duration {
         self.spans
             .iter()

@@ -46,6 +46,9 @@ echo "== quantizer degenerate-input regressions"
 cargo test -q -p hdc quantize
 cargo test -q --test prop_quantize
 
+echo "== training-counter store (dense/sparse sizing, merges)"
+cargo test -q -p lookhd counters
+
 echo "== CLI metrics smoke test"
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
@@ -89,8 +92,8 @@ echo "== smoke artifact byte pins"
 # Training is deterministic, so both smoke models have fixed bytes: the
 # default config (decorrelated, dense) and the --kernel auto artifact
 # above, which is the same model followed by a score-LUT section whose
-# rows carry the whitening projection column. --threads and --metrics do
-# not change them. A mismatch means training, compression or the
+# rows carry the whitening projection column. --metrics does not change
+# them. A mismatch means training, compression or the
 # LKS1/LKC1/SLT1 format changed the model.
 cargo run --release -q -p lookhd-cli -- train \
     --data "$smoke_dir/train.csv" --out "$smoke_dir/model_dense.lks" \

@@ -14,9 +14,10 @@
 //! * [`rtl`] — fixed-point datapath emulation and width verification;
 //! * [`obs`] — std-only timing spans / counters behind the CLI's
 //!   `--metrics` flag;
-//! * [`serve`] — the batched TCP inference service behind `lookhd serve`
-//!   (hardened wire protocol, micro-batching queue, backpressure,
-//!   deadlines, graceful shutdown).
+//! * [`serve`] — the TCP inference service behind `lookhd serve`
+//!   (hardened wire protocol, epoll reactors that score each request on
+//!   the thread that reads it, online training with model hot-swap,
+//!   graceful shutdown).
 //!
 //! See `examples/quickstart.rs` for a five-minute tour, DESIGN.md for the
 //! system inventory and per-experiment index, and EXPERIMENTS.md for
@@ -46,24 +47,19 @@
 pub use hdc;
 pub use lookhd;
 
-/// The deterministic sharded execution engine behind `--threads`.
-pub use lookhd_engine as engine;
-
 /// The std-only observability layer behind `--metrics` (timing spans,
 /// counters, latency histograms).
 pub use obs;
 
-/// One-stop imports: the classifier traits, the three model families,
-/// their configs, and the execution-engine types.
+/// One-stop imports: the classifier traits and the three model families
+/// with their configs.
 ///
 /// ```
 /// use lookhd_paper::prelude::*;
 ///
 /// let xs = vec![vec![0.1; 4], vec![0.9; 4]];
 /// let ys = vec![0, 1];
-/// let config = HdcConfig::new().with_dim(256).with_engine(
-///     EngineConfig::new().with_threads(2),
-/// );
+/// let config = HdcConfig::new().with_dim(256);
 /// let clf = HdcClassifier::fit(&config, &xs, &ys)?;
 /// assert_eq!(clf.num_classes(), 2);
 /// # Ok::<(), HdcError>(())
@@ -72,11 +68,10 @@ pub mod prelude {
     pub use hdc::classifier::{HdcClassifier, HdcConfig};
     pub use hdc::{Classifier, FitClassifier, HdcError, Result};
     pub use lookhd::{LookHdClassifier, LookHdConfig};
-    pub use lookhd_engine::{Engine, EngineConfig, EngineStats};
     pub use lookhd_mlp::{Mlp, MlpConfig};
 }
 
-/// The batched TCP inference service (`lookhd serve` + `loadgen`).
+/// The TCP inference service (`lookhd serve` + `loadgen`).
 pub use lookhd_serve as serve;
 
 /// Synthetic stand-ins for the paper's five evaluation datasets.

@@ -5,6 +5,7 @@ use lookhd_paper::datasets::apps::App;
 use lookhd_paper::hdc::classifier::{HdcClassifier, HdcConfig};
 use lookhd_paper::hdc::{Classifier, FitClassifier};
 use lookhd_paper::lookhd::{LookHdClassifier, LookHdConfig};
+use lookhd_paper::mlp::{Mlp, MlpConfig};
 
 const DIM: usize = 768;
 
@@ -163,5 +164,64 @@ fn compressed_model_is_smaller_for_every_app() {
             "{}",
             profile.name
         );
+    }
+}
+
+type Split = (Vec<Vec<f64>>, Vec<usize>, Vec<Vec<f64>>, Vec<usize>);
+
+/// The PHYSICAL profile's small train/test split.
+fn dataset() -> Split {
+    let data = App::Physical.profile().generate_small(97);
+    (
+        data.train.features,
+        data.train.labels,
+        data.test.features,
+        data.test.labels,
+    )
+}
+
+/// All three model families construct and run through `dyn Classifier`.
+#[test]
+fn all_classifiers_work_through_trait_objects() {
+    let (xs, ys, txs, tys) = dataset();
+    let n_classes = ys.iter().max().unwrap() + 1;
+    let models: Vec<Box<dyn Classifier>> = vec![
+        Box::new(
+            HdcClassifier::fit(
+                &HdcConfig::new().with_dim(256).with_retrain_epochs(1),
+                &xs,
+                &ys,
+            )
+            .unwrap(),
+        ),
+        Box::new(
+            LookHdClassifier::fit(
+                &LookHdConfig::new().with_dim(256).with_retrain_epochs(1),
+                &xs,
+                &ys,
+            )
+            .unwrap(),
+        ),
+        Box::new(
+            Mlp::fit(
+                &MlpConfig::new().with_hidden(vec![32]).with_epochs(10),
+                &xs,
+                &ys,
+            )
+            .unwrap(),
+        ),
+    ];
+    for model in &models {
+        assert_eq!(model.num_classes(), n_classes);
+        let preds = model.predict_batch(&txs).unwrap();
+        assert_eq!(preds.len(), txs.len());
+        assert!(preds.iter().all(|&p| p < n_classes));
+        let acc = model.evaluate(&txs, &tys).unwrap();
+        assert!(
+            acc > 1.0 / n_classes as f64,
+            "trait-object path should beat chance, got {acc}"
+        );
+        // Single-query path agrees with the batch path.
+        assert_eq!(model.predict(&txs[0]).unwrap(), preds[0]);
     }
 }
