@@ -4,9 +4,12 @@
 //! accumulations of bipolar hypervectors (Eq. 1 of the paper). [`DenseHv`]
 //! is a `D`-dimensional vector of `i32` counters with the fused operations
 //! the encoders and trainers need: add a (rotated / bound / scaled) bipolar
-//! hypervector without materializing intermediates.
+//! hypervector without materializing intermediates. [`bind_accumulate`]
+//! is the one `P ⊙ H` kernel behind them, generic over the source element
+//! and the accumulator [`Lane`] width.
 
 use std::fmt;
+use std::ops::{Add, BitXor, Mul, Neg};
 
 use super::BipolarHv;
 
@@ -154,29 +157,14 @@ impl DenseHv {
         }
     }
 
-    /// `self += w · (key ⊙ other)` — fused bind-scale-accumulate used by the
-    /// LookHD chunk aggregation, counter materialization and model
-    /// compression (`P ⊙ H` terms).
-    ///
-    /// Multiply-free for `w = ±1`, like the paper's negation blocks: the
-    /// sign of each dimension comes from its packed key byte through a
-    /// static byte → lane-mask table, and `key[d]·v = (v ^ m) − m` with
-    /// `m ∈ {0, −1}`.
+    /// `self += w · (key ⊙ other)` over `i32` lanes: [`bind_accumulate`]
+    /// for model compression and compressed retraining.
     ///
     /// # Panics
     ///
     /// Panics if the dimensions differ.
     pub fn add_bound_scaled(&mut self, key: &BipolarHv, other: &Self, w: i32) {
-        assert_eq!(self.dim(), key.dim(), "bind requires equal dimensions");
-        assert_eq!(self.dim(), other.dim(), "bind requires equal dimensions");
-        let (acc, words, src) = (&mut self.values[..], key.words(), &other.values[..]);
-        // One monomorphized loop per case: an opaque `w` keeps a multiply
-        // in the common unit-weight loops.
-        match w {
-            1 => bind_accumulate(acc, words, src, |s| s),
-            -1 => bind_accumulate(acc, words, src, |s| -s),
-            _ => bind_accumulate(acc, words, src, |s| w * s),
-        }
+        bind_accumulate(&mut self.values, key, &other.values, w);
     }
 
     /// Returns `key ⊙ self` (element-wise sign flips; no multiplier needed
@@ -279,23 +267,102 @@ impl DenseHv {
     }
 }
 
-/// `SIGN_MASKS[b][j]` is `−1` when bit `j` of key byte `b` is set (the
-/// dimension holds `−1`) and `0` otherwise: the lane masks of eight
-/// packed key dimensions. 8 KiB of static data.
-static SIGN_MASKS: [[i32; 8]; 256] = sign_masks();
+/// An accumulator lane of [`bind_accumulate`]: `i32` for class and
+/// encoded hypervectors, `i16` for the encoder's partial sums of byte-wide
+/// chunk-table rows.
+pub trait Lane:
+    Copy
+    + PartialEq
+    + From<i8>
+    + Add<Output = Self>
+    + Neg<Output = Self>
+    + Mul<Output = Self>
+    + BitXor<Output = Self>
+{
+    /// `SIGN_MASKS[b][j]` is `−1` when bit `j` of key byte `b` is set (the
+    /// dimension holds `−1`) and `0` otherwise: the lane masks of eight
+    /// packed key dimensions.
+    ///
+    /// A `const`, not a `static`: a generic kernel is compiled in the
+    /// crate that instantiates it, where a `static` of this crate is an
+    /// opaque external symbol and the lane loop stayed scalar (~6× slower
+    /// at D = 2000); a `const` becomes a local read-only table there.
+    const SIGN_MASKS: [[Self; 8]; 256];
 
-const fn sign_masks() -> [[i32; 8]; 256] {
-    let mut table = [[0; 8]; 256];
-    let mut byte = 0;
-    while byte < 256 {
-        let mut lane = 0;
-        while lane < 8 {
-            table[byte][lane] = -((byte >> lane) as i32 & 1);
-            lane += 1;
+    /// Subtraction that wraps on overflow.
+    fn wrapping_sub(self, rhs: Self) -> Self;
+}
+
+macro_rules! lane {
+    ($t:ty) => {
+        impl Lane for $t {
+            const SIGN_MASKS: [[$t; 8]; 256] = {
+                let mut table = [[0; 8]; 256];
+                let mut byte = 0;
+                while byte < 256 {
+                    let mut lane = 0;
+                    while lane < 8 {
+                        table[byte][lane] = -((byte >> lane) as $t & 1);
+                        lane += 1;
+                    }
+                    byte += 1;
+                }
+                table
+            };
+
+            #[inline]
+            fn wrapping_sub(self, rhs: Self) -> Self {
+                <$t>::wrapping_sub(self, rhs)
+            }
         }
-        byte += 1;
+    };
+}
+
+lane!(i16);
+lane!(i32);
+
+/// `acc[d] += w · key[d] · src[d]` for every dimension `d`: the fused
+/// bind-scale-accumulate behind every `P ⊙ H` term (lookup encode,
+/// counter materialization, model compression and compressed retraining).
+///
+/// Multiply-free for `w = ±1`, like the paper's negation blocks: the sign
+/// of each dimension comes from its packed key byte through a
+/// byte → lane-mask table, and `key[d]·v = (v ^ m) − m` with
+/// `m ∈ {0, −1}`. Each source element widens into its lane first, so a
+/// byte-wide table row (`S = i8`) sums into `i16` or `i32` lanes.
+///
+/// # Examples
+///
+/// ```
+/// use hdc::hv::{bind_accumulate, BipolarHv};
+///
+/// let key = BipolarHv::from_values(&[1, -1, 1, -1]);
+/// let mut acc = [10i16; 4];
+/// bind_accumulate(&mut acc, &key, &[3i8, 3, -48, 48], 2);
+/// assert_eq!(acc, [16, 4, -86, -86]);
+/// ```
+///
+/// # Panics
+///
+/// Panics if `acc`, `key` and `src` differ in dimension.
+pub fn bind_accumulate<S: Copy, L: Lane + From<S>>(
+    acc: &mut [L],
+    key: &BipolarHv,
+    src: &[S],
+    w: L,
+) {
+    assert_eq!(acc.len(), key.dim(), "bind requires equal dimensions");
+    assert_eq!(src.len(), key.dim(), "bind requires equal dimensions");
+    let (words, one) = (key.words(), L::from(1i8));
+    // One monomorphized loop per case: an opaque `w` keeps a multiply in
+    // the common unit-weight loops.
+    if w == one {
+        bind_lanes(acc, words, src, |s| s);
+    } else if w == -one {
+        bind_lanes(acc, words, src, |s| -s);
+    } else {
+        bind_lanes(acc, words, src, |s| w * s);
     }
-    table
 }
 
 /// `acc[d] += scale(key[d] · src[d])` over packed key `words`: one key
@@ -307,11 +374,16 @@ const fn sign_masks() -> [[i32; 8]; 256] {
 /// alias, which the vectorizer needs and cannot see through the `Vec`s
 /// of an inlined caller.
 #[inline(never)]
-fn bind_accumulate(acc: &mut [i32], words: &[u64], src: &[i32], scale: impl Fn(i32) -> i32) {
-    let lanes = |acc: &mut [i32], src: &[i32], byte: u8| {
-        let masks = &SIGN_MASKS[usize::from(byte)];
-        for ((a, &v), &m) in acc.iter_mut().zip(src).zip(masks) {
-            *a += scale((v ^ m).wrapping_sub(m));
+fn bind_lanes<S: Copy, L: Lane + From<S>>(
+    acc: &mut [L],
+    words: &[u64],
+    src: &[S],
+    scale: impl Fn(L) -> L,
+) {
+    let table = &L::SIGN_MASKS;
+    let lanes = |acc: &mut [L], src: &[S], byte: u8| {
+        for ((a, &v), &m) in acc.iter_mut().zip(src).zip(&table[usize::from(byte)]) {
+            *a = *a + scale((L::from(v) ^ m).wrapping_sub(m));
         }
     };
     let mut acc64 = acc.chunks_exact_mut(64);

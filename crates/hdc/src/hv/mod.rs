@@ -4,4 +4,4 @@ mod bipolar;
 mod dense;
 
 pub use bipolar::BipolarHv;
-pub use dense::DenseHv;
+pub use dense::{bind_accumulate, DenseHv, Lane};

@@ -145,9 +145,7 @@ impl LookupEncoder {
 
     /// Quantizes a feature vector into per-chunk table addresses — the
     /// codebook-concatenation step (Fig. 6 steps A–C). This is all the
-    /// per-sample work counter-based training performs. Each chunk's
-    /// levels fold straight into its base-`q` address (the
-    /// [`ChunkLayout::address`] digit order), with no per-chunk buffer.
+    /// per-sample work counter-based training performs.
     ///
     /// # Errors
     ///
@@ -155,6 +153,16 @@ impl LookupEncoder {
     /// a non-finite feature (NaN or ±inf has no quantization level),
     /// naming the first offending feature index.
     pub fn addresses(&self, features: &[f64]) -> Result<Vec<u64>> {
+        Ok(self.chunk_addresses(features)?.collect())
+    }
+
+    /// Validates `features`, then yields each chunk's address: its levels
+    /// fold straight into the base-`q` address (the
+    /// [`ChunkLayout::address`] digit order), with no per-chunk buffer.
+    fn chunk_addresses<'a>(
+        &'a self,
+        features: &'a [f64],
+    ) -> Result<impl Iterator<Item = u64> + 'a> {
         let layout = self.lut.layout();
         if features.len() != layout.n_features() {
             return Err(HdcError::invalid_dataset(format!(
@@ -170,25 +178,11 @@ impl LookupEncoder {
             )));
         }
         let q = layout.q() as u64;
-        Ok(features
-            .chunks(layout.r())
-            .map(|chunk| {
-                chunk
-                    .iter()
-                    .fold(0, |addr, &x| addr * q + self.quantizer.level(x) as u64)
-            })
-            .collect())
-    }
-
-    /// Aggregates pre-computed chunk addresses into the encoded hypervector
-    /// (Eq. 3). Exposed separately so the counter trainer can reuse it.
-    pub fn aggregate(&self, addrs: &[u64]) -> DenseHv {
-        let mut acc = DenseHv::zeros(self.dim());
-        for (c, &addr) in addrs.iter().enumerate() {
-            self.lut
-                .accumulate_row(c, addr, self.positions.key(c), 1, &mut acc);
-        }
-        acc
+        Ok(features.chunks(layout.r()).map(move |chunk| {
+            chunk
+                .iter()
+                .fold(0, |addr, &x| addr * q + self.quantizer.level(x) as u64)
+        }))
     }
 
     /// The chunk layout.
@@ -221,11 +215,28 @@ impl Encode for LookupEncoder {
         self.lut.layout().n_features()
     }
 
+    /// Eq. 3, one chunk at a time: each address is folded and its row
+    /// bound into `i16` lanes as soon as it is known. A row entry is at
+    /// most `r` in magnitude, so the lanes hold the sum of `⌊i16::MAX / r⌋`
+    /// rows exactly (682 at the widest layout, `r = 48`); they are widened
+    /// into the `i32` result every that many chunks and at the end.
     fn encode(&self, features: &[f64]) -> Result<DenseHv> {
         let _span = obs::span("encode");
         obs::counter("encode.samples", 1);
-        let addrs = self.addresses(features)?;
-        Ok(self.aggregate(&addrs))
+        let addrs = self.chunk_addresses(features)?;
+        let (m, flush_every) = (self.positions.len(), i16::MAX as usize / self.layout().r());
+        let mut acc = DenseHv::zeros(self.dim());
+        let mut lanes = vec![0i16; self.dim()];
+        for (c, addr) in addrs.enumerate() {
+            self.lut
+                .accumulate_row(c, addr, self.positions.key(c), 1, &mut lanes);
+            if (c + 1) % flush_every == 0 || c + 1 == m {
+                for (a, l) in acc.as_mut_slice().iter_mut().zip(&mut lanes) {
+                    *a += i32::from(std::mem::take(l));
+                }
+            }
+        }
+        Ok(acc)
     }
 }
 
@@ -235,31 +246,51 @@ mod tests {
     use hdc::quantize::Quantization;
 
     fn encoder(n: usize, r: usize, q: usize, dim: usize, seed: u64) -> LookupEncoder {
+        encoder_in(TableMode::Materialized, n, r, q, dim, seed)
+    }
+
+    fn encoder_in(
+        mode: TableMode,
+        n: usize,
+        r: usize,
+        q: usize,
+        dim: usize,
+        seed: u64,
+    ) -> LookupEncoder {
         let mut rng = StdRng::seed_from_u64(seed);
         let levels = LevelMemory::generate(dim, q, &mut rng).unwrap();
         let samples: Vec<f64> = (0..1000).map(|i| i as f64 / 1000.0).collect();
         let quantizer = Quantizer::fit(Quantization::Equalized, &samples, q).unwrap();
         let layout = ChunkLayout::new(n, r, q).unwrap();
-        LookupEncoder::new(layout, &levels, quantizer, TableMode::Materialized, seed).unwrap()
+        LookupEncoder::new(layout, &levels, quantizer, mode, seed).unwrap()
     }
 
+    /// Also on the widest layout `ChunkLayout` admits (`r = 48`, `q = 2`):
+    /// its 683 chunks are one more than the `i16` lanes hold between two
+    /// flushes, so the lanes are widened mid-encode.
     #[test]
     fn encode_matches_manual_equation_three() {
-        let enc = encoder(10, 5, 4, 128, 1);
-        let features: Vec<f64> = (0..10).map(|i| i as f64 / 10.0).collect();
-        let h = enc.encode(&features).unwrap();
-        // Manual: per chunk, Eq. 2 then bind with P_c and sum.
-        let mut manual = DenseHv::zeros(128);
-        for c in 0..2 {
-            let mut chunk_hv = DenseHv::zeros(128);
-            for (j, &f) in features[c * 5..(c + 1) * 5].iter().enumerate() {
-                let lv = enc.quantizer().level(f);
-                chunk_hv.add_rotated_bipolar(enc.lut().levels().level(lv), j);
+        for (mode, r, q, m, dim) in [
+            (TableMode::Materialized, 5, 4, 2, 128),
+            (TableMode::OnTheFly, 48, 2, 683, 16),
+        ] {
+            let n = r * m;
+            let enc = encoder_in(mode, n, r, q, dim, 1);
+            let features: Vec<f64> = (0..n).map(|i| (i * 7 % n) as f64 / n as f64).collect();
+            let h = enc.encode(&features).unwrap();
+            // Manual: per chunk, Eq. 2 then bind with P_c and sum.
+            let mut manual = DenseHv::zeros(dim);
+            for c in 0..m {
+                let mut chunk_hv = DenseHv::zeros(dim);
+                for (j, &f) in features[c * r..(c + 1) * r].iter().enumerate() {
+                    let lv = enc.quantizer().level(f);
+                    chunk_hv.add_rotated_bipolar(enc.lut().levels().level(lv), j);
+                }
+                let bound = chunk_hv.bound(enc.positions().key(c));
+                manual.add_assign_hv(&bound);
             }
-            let bound = chunk_hv.bound(enc.positions().key(c));
-            manual.add_assign_hv(&bound);
+            assert_eq!(h, manual, "r={r} q={q} {mode:?}");
         }
-        assert_eq!(h, manual);
     }
 
     #[test]

@@ -5,10 +5,18 @@
 //! `H(addr) = Σ_{j=0..r} ρ^j( L_{digit_j(addr)} )`. LookHD pre-computes all
 //! of them so encoding becomes one memory access.
 //!
+//! Every entry is a sum of at most `r` bipolar values, and a layout's `r`
+//! is at most [`ChunkLayout::MAX_ADDRESS_BITS`] = 48 (each feature spends
+//! at least one address bit), so every entry fits an `i8`. A table is
+//! stored at that width, one byte per entry, and callers sum rows into
+//! wider lanes through [`ChunkLut::accumulate_row`]: the encoder in `i16`
+//! lanes, counter finalize in `i32`.
+//!
 //! Two storage modes with *identical* results:
 //!
 //! * [`TableMode::Materialized`] — the table is actually built, as in the
-//!   FPGA BRAM implementation. Only feasible while `q^r · D` fits memory.
+//!   FPGA BRAM implementation. Only feasible while `q^r · D` bytes fit
+//!   memory.
 //! * [`TableMode::OnTheFly`] — rows are synthesized from the level memory
 //!   on each access. This lets accuracy sweeps explore `q`/`r` corners whose
 //!   tables would not fit (the hardware-feasibility question is modelled
@@ -17,11 +25,15 @@
 //! [`ChunkLut::auto`] picks `Materialized` when the full table fits in a
 //! caller-supplied byte budget.
 
-use hdc::hv::DenseHv;
+use hdc::hv::{bind_accumulate, BipolarHv, DenseHv, Lane};
 use hdc::levels::LevelMemory;
 use hdc::{HdcError, Result};
 
 use crate::chunking::ChunkLayout;
+
+// An entry sums at most `r ≤ MAX_ADDRESS_BITS` values of ±1 (`q ≥ 2`
+// spends at least one address bit per feature), so it fits an `i8`.
+const _: () = assert!(ChunkLayout::MAX_ADDRESS_BITS <= i8::MAX as u32);
 
 /// Storage strategy for the chunk tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -33,7 +45,7 @@ pub enum TableMode {
 }
 
 /// The pre-stored (or lazily synthesized) encoded chunk hypervectors for
-/// every chunk of a [`ChunkLayout`].
+/// every chunk of a [`ChunkLayout`], one `i8` per entry.
 ///
 /// # Examples
 ///
@@ -48,8 +60,10 @@ pub enum TableMode {
 /// let levels = LevelMemory::generate(256, 4, &mut rng)?;
 /// let layout = ChunkLayout::new(10, 5, 4)?;
 /// let lut = ChunkLut::new(layout, &levels, TableMode::Materialized)?;
+/// assert_eq!(lut.materialized_bytes(), 4usize.pow(5) * 256);
 /// let row = lut.row(0, 7);
 /// assert_eq!(row.dim(), 256);
+/// assert!(row.max_abs() <= 5);
 /// # Ok::<(), hdc::HdcError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -57,10 +71,10 @@ pub struct ChunkLut {
     layout: ChunkLayout,
     levels: LevelMemory,
     mode: TableMode,
-    /// `tables[t]` holds the rows for distinct chunk *shapes*: index 0 is
-    /// the full-`r` table shared by all full chunks, index 1 (if present)
-    /// the partial-final-chunk table.
-    tables: Vec<Vec<DenseHv>>,
+    /// One flat row-major `rows × D` table per distinct chunk *shape*:
+    /// index 0 is the full-`r` table shared by all full chunks, index 1
+    /// (if present) the partial-final-chunk table. Empty in `OnTheFly` mode.
+    tables: Vec<Vec<i8>>,
 }
 
 impl ChunkLut {
@@ -99,12 +113,16 @@ impl ChunkLut {
                     ),
                 ));
             }
-            lut.materialize();
+            lut.tables = lut
+                .shape_lens()
+                .into_iter()
+                .map(|len| lut.build_table(len))
+                .collect();
         }
         Ok(lut)
     }
 
-    /// Hard cap on materialized table size (512 MiB of `i32` elements).
+    /// Hard cap on materialized table size (512 MiB of `i8` entries).
     pub const MATERIALIZE_HARD_LIMIT_BYTES: usize = 512 << 20;
 
     /// Builds the structure, materializing only when the table fits in
@@ -129,60 +147,51 @@ impl ChunkLut {
         Self::new(layout, levels, mode)
     }
 
-    /// Bytes a fully materialized table would occupy (`i32` per element).
+    /// Bytes a fully materialized table occupies (one `i8` per entry).
     pub fn materialized_bytes(&self) -> usize {
         let d = self.levels.dim();
-        self.shape_rows()
-            .iter()
-            .map(|&rows| rows * d * std::mem::size_of::<i32>())
+        self.shape_lens()
+            .into_iter()
+            .map(|len| self.layout.q().pow(len as u32) * d)
             .sum()
     }
 
-    /// Row counts per distinct chunk shape (full table, plus partial-final
-    /// table when `r ∤ n`).
-    fn shape_rows(&self) -> Vec<usize> {
-        let mut shapes = vec![self.layout.table_rows(0)];
-        let last = self.layout.n_chunks() - 1;
-        if self.layout.chunk_len(last) != self.layout.chunk_len(0) {
-            shapes.push(self.layout.table_rows(last));
+    /// Chunk length per distinct chunk shape: the full table, plus the
+    /// partial-final table when `r ∤ n`.
+    fn shape_lens(&self) -> Vec<usize> {
+        let full = self.layout.chunk_len(0);
+        let last = self.layout.chunk_len(self.layout.n_chunks() - 1);
+        if last == full {
+            vec![full]
+        } else {
+            vec![full, last]
         }
-        shapes
     }
 
-    fn materialize(&mut self) {
-        let mut tables = Vec::new();
-        let full_len = self.layout.chunk_len(0);
-        tables.push(self.build_table(full_len));
-        let last = self.layout.n_chunks() - 1;
-        let last_len = self.layout.chunk_len(last);
-        if last_len != full_len {
-            tables.push(self.build_table(last_len));
+    fn build_table(&self, chunk_len: usize) -> Vec<i8> {
+        let d = self.levels.dim();
+        let mut table = vec![0; self.layout.q().pow(chunk_len as u32) * d];
+        for (addr, row) in table.chunks_exact_mut(d).enumerate() {
+            self.synthesize(chunk_len, addr as u64, row);
         }
-        self.tables = tables;
+        table
     }
 
-    fn build_table(&self, chunk_len: usize) -> Vec<DenseHv> {
-        let rows = self.layout.q().pow(chunk_len as u32);
-        (0..rows as u64)
-            .map(|addr| self.synthesize(chunk_len, addr))
-            .collect()
-    }
-
-    /// Computes row `addr` for a chunk of `chunk_len` features directly
-    /// from the level memory (Eq. 2).
-    fn synthesize(&self, chunk_len: usize, addr: u64) -> DenseHv {
+    /// Writes row `addr` for a chunk of `chunk_len` features, computed
+    /// directly from the level memory (Eq. 2), into `row`.
+    fn synthesize(&self, chunk_len: usize, addr: u64, row: &mut [i8]) {
         let q = self.layout.q() as u64;
-        let mut digits = vec![0usize; chunk_len];
+        let mut acc = DenseHv::zeros(self.levels.dim());
         let mut a = addr;
-        for d in digits.iter_mut().rev() {
-            *d = (a % q) as usize;
+        // Least significant digit first: the chunk's last feature, rotated
+        // by `chunk_len − 1`.
+        for rot in (0..chunk_len).rev() {
+            acc.add_rotated_bipolar(self.levels.level((a % q) as usize), rot);
             a /= q;
         }
-        let mut acc = DenseHv::zeros(self.levels.dim());
-        for (j, &lv) in digits.iter().enumerate() {
-            acc.add_rotated_bipolar(self.levels.level(lv), j);
+        for (entry, &v) in row.iter_mut().zip(acc.as_slice()) {
+            *entry = v as i8; // |v| ≤ chunk_len ≤ r: exact
         }
-        acc
     }
 
     fn table_index(&self, chunk: usize) -> usize {
@@ -193,50 +202,57 @@ impl ChunkLut {
         }
     }
 
-    /// The encoded chunk hypervector for `addr` in chunk `chunk`.
-    ///
-    /// In `Materialized` mode this is a cheap clone of the stored row; in
-    /// `OnTheFly` mode the row is synthesized (identical values).
+    /// Calls `f` on row `addr` of chunk `chunk`: the stored row in
+    /// `Materialized` mode, a freshly synthesized one `OnTheFly`.
+    fn with_row<T>(&self, chunk: usize, addr: u64, f: impl FnOnce(&[i8]) -> T) -> T {
+        assert!(
+            addr < self.layout.table_rows(chunk) as u64,
+            "address {addr} out of range for chunk {chunk}"
+        );
+        let d = self.levels.dim();
+        match self.mode {
+            TableMode::Materialized => {
+                let start = addr as usize * d;
+                f(&self.tables[self.table_index(chunk)][start..start + d])
+            }
+            TableMode::OnTheFly => {
+                let mut row = vec![0; d];
+                self.synthesize(self.layout.chunk_len(chunk), addr, &mut row);
+                f(&row)
+            }
+        }
+    }
+
+    /// The encoded chunk hypervector for `addr` in chunk `chunk`, widened
+    /// to `i32` (identical values in both modes).
     ///
     /// # Panics
     ///
     /// Panics if `chunk` or `addr` is out of range.
     pub fn row(&self, chunk: usize, addr: u64) -> DenseHv {
-        assert!(
-            addr < self.layout.table_rows(chunk) as u64,
-            "address {addr} out of range for chunk {chunk}"
-        );
-        match self.mode {
-            TableMode::Materialized => self.tables[self.table_index(chunk)][addr as usize].clone(),
-            TableMode::OnTheFly => self.synthesize(self.layout.chunk_len(chunk), addr),
-        }
+        self.with_row(chunk, addr, |row| {
+            row.iter().copied().map(i32::from).collect()
+        })
     }
 
-    /// Accumulates `w · row(chunk, addr) ⊙ key` into `acc` without cloning
-    /// the row in `Materialized` mode — the hot path shared by the encoder
-    /// and the counter-training finalize step.
+    /// Accumulates `w · key ⊙ row(chunk, addr)` into `lanes` without
+    /// copying the row in `Materialized` mode — the hot path shared by the
+    /// encoder (`i16` lanes) and the counter-training finalize step (`i32`
+    /// lanes). The caller keeps the sum within its lane width: each entry
+    /// is at most `r` in magnitude.
     ///
     /// # Panics
     ///
     /// Panics if `chunk`/`addr` are out of range or dimensions disagree.
-    pub fn accumulate_row(
+    pub fn accumulate_row<L: Lane>(
         &self,
         chunk: usize,
         addr: u64,
-        key: &hdc::hv::BipolarHv,
-        w: i32,
-        acc: &mut DenseHv,
+        key: &BipolarHv,
+        w: L,
+        lanes: &mut [L],
     ) {
-        match self.mode {
-            TableMode::Materialized => {
-                let row = &self.tables[self.table_index(chunk)][addr as usize];
-                acc.add_bound_scaled(key, row, w);
-            }
-            TableMode::OnTheFly => {
-                let row = self.row(chunk, addr);
-                acc.add_bound_scaled(key, &row, w);
-            }
-        }
+        self.with_row(chunk, addr, |row| bind_accumulate(lanes, key, row, w));
     }
 
     /// The chunk layout this table serves.
@@ -258,7 +274,6 @@ impl ChunkLut {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdc::hv::BipolarHv;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -318,10 +333,13 @@ mod tests {
         for mode in [TableMode::Materialized, TableMode::OnTheFly] {
             let lut = ChunkLut::new(layout, &levels, mode).unwrap();
             let mut acc = DenseHv::zeros(64);
-            lut.accumulate_row(1, 9, &key, 3, &mut acc);
+            lut.accumulate_row(1, 9, &key, 3, acc.as_mut_slice());
             let mut manual = DenseHv::zeros(64);
             manual.add_bound_scaled(&key, &lut.row(1, 9), 3);
             assert_eq!(acc, manual);
+            let mut narrow = [0i16; 64];
+            lut.accumulate_row(1, 9, &key, 3, &mut narrow);
+            assert_eq!(&narrow.map(i32::from)[..], manual.as_slice());
         }
     }
 
@@ -353,7 +371,7 @@ mod tests {
     fn materialized_bytes_counts_both_shapes() {
         let (layout, levels) = setup(7, 3, 2, 16);
         let lut = ChunkLut::new(layout, &levels, TableMode::OnTheFly).unwrap();
-        // shapes: 2^3 = 8 rows + 2^1 = 2 rows, 16 dims × 4 bytes each
-        assert_eq!(lut.materialized_bytes(), (8 + 2) * 16 * 4);
+        // shapes: 2^3 = 8 rows + 2^1 = 2 rows, 16 dims × 1 byte each
+        assert_eq!(lut.materialized_bytes(), (8 + 2) * 16);
     }
 }

@@ -90,14 +90,10 @@ impl CounterTrainer {
         let mut acc = DenseHv::zeros(dim);
         for chunk in 0..self.counters.layout().n_chunks() {
             let key = encoder.positions().key(chunk);
-            // Collect first: accumulate_row borrows the LUT immutably and
-            // the iterator borrows the counters; both are disjoint from
-            // `acc`, so this is purely to keep lifetimes simple.
-            let entries: Vec<(u64, u32)> = self.counters.nonzero(class, chunk).collect();
-            for (addr, count) in entries {
+            for (addr, count) in self.counters.nonzero(class, chunk) {
                 encoder
                     .lut()
-                    .accumulate_row(chunk, addr, key, count as i32, &mut acc);
+                    .accumulate_row(chunk, addr, key, count as i32, acc.as_mut_slice());
             }
         }
         acc

@@ -27,8 +27,9 @@ cargo test -q --test serve_corruption
 echo "== encoder table-mode parity + Eq. 3 oracle (proptest differential)"
 cargo test -q --test prop_encoder_parity
 
-echo "== bind-accumulate oracle (proptest)"
+echo "== bind-accumulate oracle (proptest: i32 and i8 sources, i16 and i32 lanes; Eq. 3 across an i16 flush)"
 cargo test -q --test prop_hypervectors bind_accumulate_matches_definition
+cargo test -q -p lookhd encode_matches_manual_equation_three
 
 echo "== scoring-kernel differential suites + serve matrix"
 cargo test -q -p lookhd score_lut

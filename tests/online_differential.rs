@@ -12,7 +12,7 @@
 //! deterministic given the encoder and seed. These tests pin that
 //! argument at three layers: the raw chunk counters (`PartialEq`), the
 //! persisted `LKS1` artifact bytes (encoder + model + compressed
-//! weights + kernel tables, engine/report state excluded by design),
+//! weights + kernel tables; the retraining report is not persisted),
 //! and wire-level predictions.
 
 use lookhd_paper::hdc::{Classifier, FitClassifier};

@@ -1,6 +1,6 @@
 //! Property-based tests of the hypervector algebra (proptest).
 
-use lookhd_paper::hdc::hv::{BipolarHv, DenseHv};
+use lookhd_paper::hdc::hv::{bind_accumulate, BipolarHv, DenseHv};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -78,7 +78,10 @@ proptest! {
     /// The multiply-free bind-accumulate equals its per-element definition
     /// `acc[d] + w·key[d]·v[d]`: every D in 1..300 (tails short of a
     /// multiple of 8 or 64) plus D = 2000, for unit weights, zero, and the
-    /// small counts counter materialization passes.
+    /// small counts counter materialization passes. Three source/lane
+    /// pairs: `i32` rows into `i32` lanes (compression, retraining), and
+    /// byte-wide chunk-table rows (entries in −48..=48) into `i16` lanes
+    /// (encode) and `i32` lanes (counter finalize).
     #[test]
     fn bind_accumulate_matches_definition(
         dim in 1usize..300,
@@ -93,6 +96,7 @@ proptest! {
                 DenseHv::from_vec((0..dim).map(|_| rng.gen_range(-500..500)).collect())
             };
             let (start, v) = (random_hv(), random_hv());
+            let bytes: Vec<i8> = (0..dim).map(|_| rng.gen_range(-48..=48)).collect();
             for w in [1, -1, 0, count, -count] {
                 let mut acc = start.clone();
                 acc.add_bound_scaled(&key, &v, w);
@@ -100,6 +104,17 @@ proptest! {
                     .map(|d| start.get(d) + w * key.value(d) * v.get(d))
                     .collect();
                 prop_assert_eq!(acc.as_slice(), &expected[..], "dim={} w={}", dim, w);
+
+                let expected: Vec<i32> = (0..dim)
+                    .map(|d| start.get(d) + w * key.value(d) * i32::from(bytes[d]))
+                    .collect();
+                let mut wide = start.clone();
+                bind_accumulate(wide.as_mut_slice(), &key, &bytes, w);
+                prop_assert_eq!(wide.as_slice(), &expected[..], "i8→i32 dim={} w={}", dim, w);
+                let mut narrow: Vec<i16> = start.as_slice().iter().map(|&x| x as i16).collect();
+                bind_accumulate(&mut narrow, &key, &bytes, w as i16);
+                let narrow: Vec<i32> = narrow.into_iter().map(i32::from).collect();
+                prop_assert_eq!(&narrow[..], &expected[..], "i8→i16 dim={} w={}", dim, w);
             }
         }
     }

@@ -2,8 +2,8 @@
 //! response from `lookhd-serve` must be **bit-identical** to a direct
 //! single-threaded `Classifier::predict` call on the same deserialized
 //! model, regardless of reactor count, thread interleaving, or
-//! pipelining depth. This extends the engine determinism contract of
-//! `tests/engine_equivalence.rs` across the wire.
+//! pipelining depth: the served ≡ direct-predict contract, across the
+//! wire.
 
 use std::sync::Arc;
 use std::time::Duration;
