@@ -2,8 +2,10 @@
 //! encoding (the wall-clock evidence behind the Fig. 13/14 encoding story).
 //!
 //! SPEECH geometry: n = 617 features, D = 2000, q = 4, r = 5 → m = 124
-//! chunks. The lookup encoder replaces 617 rotated D-wide adds with 124
-//! table fetches + keyed accumulation.
+//! chunks. The lookup encoder replaces 617 rotated D-wide adds with a bit
+//! count: each feature contributes the packed pair `P_c ⊕ ρ^j(L_lv)`, and
+//! bit-sliced carry-save counters sum the 617 pairs over the 20 rotated
+//! level vectors and 124 position keys.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -4,12 +4,13 @@
 //! accumulations of bipolar hypervectors (Eq. 1 of the paper). [`DenseHv`]
 //! is a `D`-dimensional vector of `i32` counters with the fused operations
 //! the encoders and trainers need: add a (rotated / bound / scaled) bipolar
-//! hypervector without materializing intermediates. [`bind_accumulate`]
-//! is the one `P ⊙ H` kernel behind them, generic over the source element
-//! and the accumulator [`Lane`] width.
+//! hypervector without materializing intermediates. Two kernels sum bound
+//! terms into `i32` lanes: [`bind_accumulate`] is the one `P ⊙ H` kernel
+//! for an integer `H`, generic over the source element, and
+//! [`sum_bound_pairs`] is the one sum of bound *bipolar* pairs, which
+//! counts bits instead of adding lanes.
 
 use std::fmt;
-use std::ops::{Add, BitXor, Mul, Neg};
 
 use super::BipolarHv;
 
@@ -100,18 +101,6 @@ impl DenseHv {
         assert_eq!(self.dim(), other.dim(), "sub requires equal dimensions");
         for (a, b) in self.values.iter_mut().zip(&other.values) {
             *a -= b;
-        }
-    }
-
-    /// `self += w · other` element-wise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions differ.
-    pub fn add_scaled_hv(&mut self, other: &Self, w: i32) {
-        assert_eq!(self.dim(), other.dim(), "add requires equal dimensions");
-        for (a, b) in self.values.iter_mut().zip(&other.values) {
-            *a += w * b;
         }
     }
 
@@ -267,69 +256,50 @@ impl DenseHv {
     }
 }
 
-/// An accumulator lane of [`bind_accumulate`]: `i32` for class and
-/// encoded hypervectors, `i16` for the encoder's partial sums of byte-wide
-/// chunk-table rows.
-pub trait Lane:
-    Copy
-    + PartialEq
-    + From<i8>
-    + Add<Output = Self>
-    + Neg<Output = Self>
-    + Mul<Output = Self>
-    + BitXor<Output = Self>
-{
-    /// `SIGN_MASKS[b][j]` is `−1` when bit `j` of key byte `b` is set (the
-    /// dimension holds `−1`) and `0` otherwise: the lane masks of eight
-    /// packed key dimensions.
-    ///
-    /// A `const`, not a `static`: a generic kernel is compiled in the
-    /// crate that instantiates it, where a `static` of this crate is an
-    /// opaque external symbol and the lane loop stayed scalar (~6× slower
-    /// at D = 2000); a `const` becomes a local read-only table there.
-    const SIGN_MASKS: [[Self; 8]; 256];
-
-    /// Subtraction that wraps on overflow.
-    fn wrapping_sub(self, rhs: Self) -> Self;
-}
-
-macro_rules! lane {
-    ($t:ty) => {
-        impl Lane for $t {
-            const SIGN_MASKS: [[$t; 8]; 256] = {
-                let mut table = [[0; 8]; 256];
-                let mut byte = 0;
-                while byte < 256 {
-                    let mut lane = 0;
-                    while lane < 8 {
-                        table[byte][lane] = -((byte >> lane) as $t & 1);
-                        lane += 1;
-                    }
-                    byte += 1;
-                }
-                table
-            };
-
-            #[inline]
-            fn wrapping_sub(self, rhs: Self) -> Self {
-                <$t>::wrapping_sub(self, rhs)
+/// The lane masks of eight packed key dimensions as a table expression:
+/// entry `[b][j]` is `−1` when bit `j` of byte `b` is set (the dimension
+/// holds `−1`) and `0` otherwise.
+macro_rules! lane_masks {
+    ($t:ty) => {{
+        let mut table = [[0; 8]; 256];
+        let mut byte = 0;
+        while byte < 256 {
+            let mut lane = 0;
+            while lane < 8 {
+                table[byte][lane] = -((byte >> lane) as $t & 1);
+                lane += 1;
             }
+            byte += 1;
         }
-    };
+        table
+    }};
 }
 
-lane!(i16);
-lane!(i32);
+/// The lane masks of [`bind_accumulate`].
+///
+/// A `const`, not a `static`: [`bind_accumulate`] is generic over its
+/// source element, so it is compiled in the crate that instantiates it,
+/// where a `static` of this crate is an opaque external symbol and the
+/// lane loop stayed scalar (~6× slower at D = 2000); a `const` becomes a
+/// local read-only table there. [`sum_bound_pairs`] is generic over its
+/// pair iterator, so [`BIT_MASKS`] is a `const` for the same reason.
+const SIGN_MASKS: [[i32; 8]; 256] = lane_masks!(i32);
+
+/// The lane masks of [`sum_bound_pairs`]'s count planes, in `i16` lanes:
+/// eight dimensions' bits of one plane byte.
+const BIT_MASKS: [[i16; 8]; 256] = lane_masks!(i16);
 
 /// `acc[d] += w · key[d] · src[d]` for every dimension `d`: the fused
-/// bind-scale-accumulate behind every `P ⊙ H` term (lookup encode,
-/// counter materialization, model compression and compressed retraining).
+/// bind-scale-accumulate behind every `P ⊙ H` term with an integer `H`
+/// (counter materialization, model compression and compressed
+/// retraining).
 ///
 /// Multiply-free for `w = ±1`, like the paper's negation blocks: the sign
 /// of each dimension comes from its packed key byte through a
 /// byte → lane-mask table, and `key[d]·v = (v ^ m) − m` with
-/// `m ∈ {0, −1}`. Each source element widens into its lane first, so a
-/// byte-wide table row (`S = i8`) sums into `i16` or `i32` lanes.
+/// `m ∈ {0, −1}`. Each source element widens to `i32` first, so a
+/// byte-wide chunk-table row (`S = i8`) sums into the same lanes as an
+/// `i32` hypervector.
 ///
 /// # Examples
 ///
@@ -337,7 +307,7 @@ lane!(i32);
 /// use hdc::hv::{bind_accumulate, BipolarHv};
 ///
 /// let key = BipolarHv::from_values(&[1, -1, 1, -1]);
-/// let mut acc = [10i16; 4];
+/// let mut acc = [10; 4];
 /// bind_accumulate(&mut acc, &key, &[3i8, 3, -48, 48], 2);
 /// assert_eq!(acc, [16, 4, -86, -86]);
 /// ```
@@ -345,23 +315,19 @@ lane!(i32);
 /// # Panics
 ///
 /// Panics if `acc`, `key` and `src` differ in dimension.
-pub fn bind_accumulate<S: Copy, L: Lane + From<S>>(
-    acc: &mut [L],
-    key: &BipolarHv,
-    src: &[S],
-    w: L,
-) {
+pub fn bind_accumulate<S: Copy>(acc: &mut [i32], key: &BipolarHv, src: &[S], w: i32)
+where
+    i32: From<S>,
+{
     assert_eq!(acc.len(), key.dim(), "bind requires equal dimensions");
     assert_eq!(src.len(), key.dim(), "bind requires equal dimensions");
-    let (words, one) = (key.words(), L::from(1i8));
+    let words = key.words();
     // One monomorphized loop per case: an opaque `w` keeps a multiply in
     // the common unit-weight loops.
-    if w == one {
-        bind_lanes(acc, words, src, |s| s);
-    } else if w == -one {
-        bind_lanes(acc, words, src, |s| -s);
-    } else {
-        bind_lanes(acc, words, src, |s| w * s);
+    match w {
+        1 => bind_lanes(acc, words, src, |s| s),
+        -1 => bind_lanes(acc, words, src, |s| -s),
+        _ => bind_lanes(acc, words, src, |s| w * s),
     }
 }
 
@@ -374,16 +340,14 @@ pub fn bind_accumulate<S: Copy, L: Lane + From<S>>(
 /// alias, which the vectorizer needs and cannot see through the `Vec`s
 /// of an inlined caller.
 #[inline(never)]
-fn bind_lanes<S: Copy, L: Lane + From<S>>(
-    acc: &mut [L],
-    words: &[u64],
-    src: &[S],
-    scale: impl Fn(L) -> L,
-) {
-    let table = &L::SIGN_MASKS;
-    let lanes = |acc: &mut [L], src: &[S], byte: u8| {
+fn bind_lanes<S: Copy>(acc: &mut [i32], words: &[u64], src: &[S], scale: impl Fn(i32) -> i32)
+where
+    i32: From<S>,
+{
+    let table = &SIGN_MASKS;
+    let lanes = |acc: &mut [i32], src: &[S], byte: u8| {
         for ((a, &v), &m) in acc.iter_mut().zip(src).zip(&table[usize::from(byte)]) {
-            *a = *a + scale((L::from(v) ^ m).wrapping_sub(m));
+            *a += scale((i32::from(v) ^ m).wrapping_sub(m));
         }
     };
     let mut acc64 = acc.chunks_exact_mut(64);
@@ -403,6 +367,179 @@ fn bind_lanes<S: Copy, L: Lane + From<S>>(
             .zip(src64.remainder().chunks(8));
         for ((a, v), byte) in bodies.zip(word.to_le_bytes()) {
             lanes(a, v, byte);
+        }
+    }
+}
+
+/// Key words per block of [`sum_bound_pairs`]: 256 dimensions, so that
+/// a block's four carry-save registers of `[u64; 4]` fit the vector
+/// registers of the default x86-64 target.
+const BLOCK_WORDS: usize = 4;
+
+/// Count planes of [`sum_bound_pairs`]: bit `p` of every count, for
+/// counts below `2^30`, so that `2·N` and `n − 2·N` fit `i32`.
+const COUNT_PLANES: usize = 30;
+
+/// `acc[d] += Σ_i (a_i ⊙ b_i)[d]` over bipolar pairs `(a_i, b_i)`: the
+/// one sum of bound bipolar pairs, behind the lookup encode (Eq. 3 as
+/// `Σ_i P_{c(i)} ⊙ ρ^{j(i)}(L_{lv(i)})`, one pair per feature).
+///
+/// A product is `±1`, and with `bit 1 ⇔ −1` its bits are `a ⊕ b`, so
+/// the sum over `n` pairs is `n − 2·N[d]`, where `N[d]` counts the
+/// products holding `−1` at `d`. The count is bit-sliced over the packed
+/// words (Harley–Seal carry-save adders): per block of four words, the
+/// products pass through a carry-save tree 16 at a time, its ones, twos,
+/// fours and eights held in registers and each group's sixteens rippled
+/// into the higher count planes; the last `n mod 16` ripple in one at a
+/// time. The planes widen into the lanes eight dimensions at a time
+/// through a byte → lane-mask table, the count's low 15 bits in `i16`
+/// lanes and any higher ones in `i32`. It reads only the pairs' packed
+/// words, one bit per dimension and pair, and does no multiply or
+/// `D`-wide add per pair. `pairs` is walked once per block, so it must
+/// be cheap to clone.
+///
+/// # Examples
+///
+/// ```
+/// use hdc::hv::{sum_bound_pairs, BipolarHv};
+///
+/// let p = BipolarHv::from_values(&[1, -1, 1, -1]);
+/// let l = BipolarHv::from_values(&[1, 1, -1, -1]);
+/// let mut acc = [10; 4];
+/// sum_bound_pairs(&mut acc, [(&p, &l), (&p, &p)].into_iter());
+/// assert_eq!(acc, [12, 10, 10, 12]);
+/// ```
+///
+/// # Panics
+///
+/// Panics if `acc` is empty, if a pair's dimension differs from `acc`'s,
+/// or if there are `2^30` pairs or more.
+pub fn sum_bound_pairs<'a, I>(acc: &mut [i32], pairs: I)
+where
+    I: Iterator<Item = (&'a BipolarHv, &'a BipolarHv)> + Clone,
+{
+    assert!(!acc.is_empty(), "hypervector dimension must be positive");
+    let n_words = acc.len().div_ceil(64);
+    let full = n_words - n_words % BLOCK_WORDS;
+    for w0 in (0..full).step_by(BLOCK_WORDS) {
+        count_block::<BLOCK_WORDS, _>(acc, w0, pairs.clone());
+    }
+    // A partial last block, at its own width: no padded copy of a key.
+    match n_words - full {
+        0 => {}
+        1 => count_block::<1, _>(acc, full, pairs),
+        2 => count_block::<2, _>(acc, full, pairs),
+        3 => count_block::<3, _>(acc, full, pairs),
+        _ => unreachable!("a block holds {BLOCK_WORDS} words"),
+    }
+}
+
+/// [`sum_bound_pairs`] over the `W` words from word `w0`, i.e. the
+/// dimensions `64·w0 .. min(64·(w0 + W), D)`.
+#[inline(never)]
+fn count_block<'a, const W: usize, I>(acc: &mut [i32], w0: usize, mut pairs: I)
+where
+    I: Iterator<Item = (&'a BipolarHv, &'a BipolarHv)>,
+{
+    let dim = acc.len();
+    // `planes[p][k]` holds bit `p` of the counts of word `w0 + k`'s 64
+    // dimensions. While full groups come in, planes 0..4 live in `ones`,
+    // `twos`, `fours` and `eights`.
+    let mut planes = [[0u64; W]; COUNT_PLANES];
+    let [mut ones, mut twos, mut fours, mut eights] = [[0u64; W]; 4];
+    let mut group = [[0u64; W]; 16];
+    let mut n = 0;
+    loop {
+        let mut len = 0;
+        for (x, (a, b)) in group.iter_mut().zip(&mut pairs) {
+            // Every block walks the same pairs: checking the first is enough.
+            if w0 == 0 {
+                assert!(
+                    a.dim() == dim && b.dim() == dim,
+                    "bind requires equal dimensions"
+                );
+            }
+            let (a, b) = (&a.words()[w0..w0 + W], &b.words()[w0..w0 + W]);
+            for k in 0..W {
+                x[k] = a[k] ^ b[k];
+            }
+            len += 1;
+        }
+        n += len;
+        if len < 16 {
+            planes[..4].copy_from_slice(&[ones, twos, fours, eights]);
+            for &x in &group[..len] {
+                ripple(&mut planes, x);
+            }
+            break;
+        }
+        let mut eights_in = [[0; W]; 2];
+        for (e, g) in eights_in.iter_mut().zip(group.chunks_exact(8)) {
+            let mut fours_in = [[0; W]; 2];
+            for (f, g) in fours_in.iter_mut().zip(g.chunks_exact(4)) {
+                let (twos_a, s) = csa(ones, g[0], g[1]);
+                let (twos_b, s) = csa(s, g[2], g[3]);
+                ones = s;
+                (*f, twos) = csa(twos, twos_a, twos_b);
+            }
+            (*e, fours) = csa(fours, fours_in[0], fours_in[1]);
+        }
+        let sixteens;
+        (sixteens, eights) = csa(eights, eights_in[0], eights_in[1]);
+        ripple(&mut planes[4..], sixteens);
+    }
+    assert!(n < 1 << COUNT_PLANES, "{n} bound pairs overflow the count");
+    let n = n as i32;
+    let n_planes = (i32::BITS - n.leading_zeros()) as usize;
+    let masks = &BIT_MASKS;
+    for (k, dims) in acc[64 * w0..].chunks_mut(64).take(W).enumerate() {
+        for (b, lanes) in dims.chunks_mut(8).enumerate() {
+            let mask = |plane: &[u64; W]| &masks[usize::from((plane[k] >> (8 * b)) as u8)];
+            // The count's low 15 bits fit `i16`, twice the lanes per
+            // vector; planes 15 and up exist only for n ≥ 2^15.
+            let mut low = [0i16; 8];
+            for (p, plane) in planes[..n_planes.min(15)].iter().enumerate() {
+                for (c, &m) in low.iter_mut().zip(mask(plane)) {
+                    *c |= m & (1 << p);
+                }
+            }
+            let mut count = low.map(i32::from);
+            for (p, plane) in planes[..n_planes].iter().enumerate().skip(15) {
+                for (c, &m) in count.iter_mut().zip(mask(plane)) {
+                    *c |= i32::from(m) & (1 << p);
+                }
+            }
+            for (a, c) in lanes.iter_mut().zip(count) {
+                *a += n - 2 * c;
+            }
+        }
+    }
+}
+
+/// Carry-save adder over bit-sliced words: `a + b + c = sum + 2·carry`
+/// in every bit. Returns `(carry, sum)`.
+#[inline(always)]
+fn csa<const W: usize>(a: [u64; W], b: [u64; W], c: [u64; W]) -> ([u64; W], [u64; W]) {
+    let (mut carry, mut sum) = ([0; W], [0; W]);
+    for k in 0..W {
+        let u = a[k] ^ b[k];
+        carry[k] = (a[k] & b[k]) | (u & c[k]);
+        sum[k] = u ^ c[k];
+    }
+    (carry, sum)
+}
+
+/// Adds the bit-sliced `carry` to the count whose bit `p` is `planes[p]`.
+#[inline(always)]
+fn ripple<const W: usize>(planes: &mut [[u64; W]], mut carry: [u64; W]) {
+    for plane in planes {
+        if carry == [0; W] {
+            return;
+        }
+        for k in 0..W {
+            let c = plane[k] & carry[k];
+            plane[k] ^= carry[k];
+            carry[k] = c;
         }
     }
 }
@@ -532,16 +669,6 @@ mod tests {
     fn sign_thresholds_at_zero() {
         let v = DenseHv::from_vec(vec![5, -3, 0, -1]);
         assert_eq!(v.sign().to_values(), vec![1, -1, 1, -1]);
-    }
-
-    #[test]
-    fn add_scaled_hv_accumulates_counters() {
-        // Counter-based training multiplies counter values into pre-stored
-        // hypervectors (§III-D step E); this is that kernel.
-        let lut_row = DenseHv::from_vec(vec![1, -1, 2, 0]);
-        let mut acc = DenseHv::zeros(4);
-        acc.add_scaled_hv(&lut_row, 5);
-        assert_eq!(acc.as_slice(), &[5, -5, 10, 0]);
     }
 
     #[test]

@@ -3,16 +3,24 @@
 //! Encoding a feature vector proceeds in three steps:
 //!
 //! 1. quantize each feature to a `⌈log2 q⌉`-bit codebook;
-//! 2. concatenate the codebooks of each chunk into a direct address and
-//!    fetch the pre-stored chunk hypervector `H_i`;
+//! 2. concatenate the codebooks of each chunk into a direct address of
+//!    the pre-stored chunk hypervector `H_i = Σ_j ρ^j(L_{lv_j})` (Eq. 2);
 //! 3. aggregate the chunks with random bipolar *position* hypervectors:
 //!    `H = P_1 ⊙ H_1 + P_2 ⊙ H_2 + … + P_m ⊙ H_m`.
+//!
+//! On the FPGA step 2 is one BRAM access per chunk. On a CPU a fresh
+//! query's rows miss cache, so [`LookupEncoder::encode`] computes the
+//! same integers from the terms of Eq. 3 instead: each feature adds the
+//! bipolar pair `P_c ⊙ ρ^j(L_lv)`, and the `r·q` rotated level vectors
+//! and the `m` position keys are small enough to stay cached. The chunk
+//! addresses (step 2) are what the score-LUT kernel and counter training
+//! read; the chunk table itself serves counter finalize.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use hdc::encoding::Encode;
-use hdc::hv::{BipolarHv, DenseHv};
+use hdc::hv::{sum_bound_pairs, BipolarHv, DenseHv};
 use hdc::levels::LevelMemory;
 use hdc::quantize::Quantizer;
 use hdc::{HdcError, Result};
@@ -72,7 +80,8 @@ impl PositionKeys {
     }
 }
 
-/// The LookHD encoder: quantize → address → lookup → keyed aggregation.
+/// The LookHD encoder: quantize → address → keyed aggregation of the
+/// chunk hypervectors (Eq. 3).
 ///
 /// Implements the same [`Encode`] trait as the baseline
 /// [`hdc::encoding::PermutationEncoder`], so trainers and classifiers can
@@ -105,11 +114,15 @@ pub struct LookupEncoder {
     lut: ChunkLut,
     quantizer: Quantizer,
     positions: PositionKeys,
+    /// `ρ^j(L_lv)` at `j·q + lv`, for every position `j < r` in a chunk
+    /// and level `lv < q`.
+    rotated: Vec<BipolarHv>,
 }
 
 impl LookupEncoder {
     /// Builds the encoder. `seed` determines the position hypervectors
-    /// (the level memory carries its own randomness).
+    /// (the level memory carries its own randomness). The rotated level
+    /// vectors `ρ^j(L_lv)` are derived from `levels` here, once.
     ///
     /// # Errors
     ///
@@ -136,10 +149,14 @@ impl LookupEncoder {
         let lut = ChunkLut::new(layout, levels, mode)?;
         let mut rng = StdRng::seed_from_u64(seed);
         let positions = PositionKeys::generate(layout.n_chunks(), levels.dim(), &mut rng);
+        let rotated = (0..layout.r())
+            .flat_map(|j| levels.iter().map(move |level| level.rotated(j)))
+            .collect();
         Ok(Self {
             lut,
             quantizer,
             positions,
+            rotated,
         })
     }
 
@@ -163,20 +180,8 @@ impl LookupEncoder {
         &'a self,
         features: &'a [f64],
     ) -> Result<impl Iterator<Item = u64> + 'a> {
+        self.check(features)?;
         let layout = self.lut.layout();
-        if features.len() != layout.n_features() {
-            return Err(HdcError::invalid_dataset(format!(
-                "expected {} features, got {}",
-                layout.n_features(),
-                features.len()
-            )));
-        }
-        if let Some(i) = features.iter().position(|x| !x.is_finite()) {
-            return Err(HdcError::invalid_dataset(format!(
-                "feature {i} is not finite ({})",
-                features[i]
-            )));
-        }
         let q = layout.q() as u64;
         Ok(features.chunks(layout.r()).map(move |chunk| {
             chunk
@@ -185,12 +190,32 @@ impl LookupEncoder {
         }))
     }
 
+    /// Refuses a feature vector of the wrong arity or with a non-finite
+    /// feature, naming the first offending index.
+    fn check(&self, features: &[f64]) -> Result<()> {
+        let layout = self.lut.layout();
+        if features.len() != layout.n_features() {
+            return Err(HdcError::invalid_dataset(format!(
+                "expected {} features, got {}",
+                layout.n_features(),
+                features.len()
+            )));
+        }
+        match features.iter().position(|x| !x.is_finite()) {
+            Some(i) => Err(HdcError::invalid_dataset(format!(
+                "feature {i} is not finite ({})",
+                features[i]
+            ))),
+            None => Ok(()),
+        }
+    }
+
     /// The chunk layout.
     pub fn layout(&self) -> &ChunkLayout {
         self.lut.layout()
     }
 
-    /// The lookup table.
+    /// The chunk table: what counter finalize reads. Encoding does not.
     pub fn lut(&self) -> &ChunkLut {
         &self.lut
     }
@@ -204,6 +229,17 @@ impl LookupEncoder {
     pub fn positions(&self) -> &PositionKeys {
         &self.positions
     }
+
+    /// The level vectors rotated to position `j` of a chunk:
+    /// `ρ^j(L_lv)` at index `lv`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j >= r`.
+    pub fn rotated_levels(&self, j: usize) -> &[BipolarHv] {
+        let q = self.layout().q();
+        &self.rotated[j * q..(j + 1) * q]
+    }
 }
 
 impl Encode for LookupEncoder {
@@ -215,28 +251,67 @@ impl Encode for LookupEncoder {
         self.lut.layout().n_features()
     }
 
-    /// Eq. 3, one chunk at a time: each address is folded and its row
-    /// bound into `i16` lanes as soon as it is known. A row entry is at
-    /// most `r` in magnitude, so the lanes hold the sum of `⌊i16::MAX / r⌋`
-    /// rows exactly (682 at the widest layout, `r = 48`); they are widened
-    /// into the `i32` result every that many chunks and at the end.
+    /// Eq. 3 from bits: feature `i`, at position `j` of chunk `c`, adds
+    /// the bipolar pair `P_c ⊙ ρ^j(L_lv)`, and [`sum_bound_pairs`] sums
+    /// the `n` pairs by counting their `−1` bits. That is the row sum
+    /// `Σ_c P_c ⊙ LUT_c[addr_c]` bit for bit, since every row is
+    /// `Σ_j ρ^j(L_lv)`, but it reads the `r·q` rotated levels and the `m`
+    /// keys (SPEECH: 5 KB and 31 KB) instead of `m` table rows (248 KB),
+    /// which a fresh query finds out of cache. The levels are quantized
+    /// once into a buffer of `n` indices, since the count walks them once
+    /// per 256 dimensions.
     fn encode(&self, features: &[f64]) -> Result<DenseHv> {
         let _span = obs::span("encode");
         obs::counter("encode.samples", 1);
-        let addrs = self.chunk_addresses(features)?;
-        let (m, flush_every) = (self.positions.len(), i16::MAX as usize / self.layout().r());
+        self.check(features)?;
+        // A level is below `q`, and a level memory holds `q` vectors of
+        // `D ≥ q` bits, so `q` is far below `2^32`.
+        let levels: Vec<u32> = features
+            .iter()
+            .map(|&x| self.quantizer.level(x) as u32)
+            .collect();
+        let pairs = FeaturePairs {
+            levels: levels.iter(),
+            keys: self.positions.keys[1..].iter(),
+            key: self.positions.key(0),
+            rotated: &self.rotated,
+            q: self.layout().q(),
+            at: 0,
+        };
         let mut acc = DenseHv::zeros(self.dim());
-        let mut lanes = vec![0i16; self.dim()];
-        for (c, addr) in addrs.enumerate() {
-            self.lut
-                .accumulate_row(c, addr, self.positions.key(c), 1, &mut lanes);
-            if (c + 1) % flush_every == 0 || c + 1 == m {
-                for (a, l) in acc.as_mut_slice().iter_mut().zip(&mut lanes) {
-                    *a += i32::from(std::mem::take(l));
-                }
-            }
-        }
+        sum_bound_pairs(acc.as_mut_slice(), pairs);
         Ok(acc)
+    }
+}
+
+/// The bipolar pairs `(P_c, ρ^j(L_lv))` of a quantized feature vector in
+/// feature order: feature `c·r + j` at level `lv` binds
+/// `rotated[j·q + lv]` under key `P_c`.
+#[derive(Clone)]
+struct FeaturePairs<'a> {
+    levels: std::slice::Iter<'a, u32>,
+    /// The keys of the chunks after the current one.
+    keys: std::slice::Iter<'a, BipolarHv>,
+    key: &'a BipolarHv,
+    rotated: &'a [BipolarHv],
+    q: usize,
+    /// `j·q` for the position `j` of the next feature in its chunk.
+    at: usize,
+}
+
+impl<'a> Iterator for FeaturePairs<'a> {
+    type Item = (&'a BipolarHv, &'a BipolarHv);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        let &lv = self.levels.next()?;
+        if self.at == self.rotated.len() {
+            self.key = self.keys.next()?;
+            self.at = 0;
+        }
+        let pair = (self.key, &self.rotated[self.at + lv as usize]);
+        self.at += self.q;
+        Some(pair)
     }
 }
 
@@ -265,31 +340,45 @@ mod tests {
         LookupEncoder::new(layout, &levels, quantizer, mode, seed).unwrap()
     }
 
-    /// Also on the widest layout `ChunkLayout` admits (`r = 48`, `q = 2`):
-    /// its 683 chunks are one more than the `i16` lanes hold between two
-    /// flushes, so the lanes are widened mid-encode.
+    /// Eq. 3 written out from the level vectors, on shapes that cross the
+    /// count's boundaries: n = 15/16/17 (one carry-save group of 16),
+    /// 255/256/257 and 1023/1024/1025 (count-plane widths); D = 2 (one
+    /// partial word), 63/64/65, 129, 320 (a partial second block) and
+    /// 2000; and the widest layout `ChunkLayout` admits (`r = 48`,
+    /// `q = 2`), whose 683 chunks hold 32,784 features (16 count planes)
+    /// and whose 2,000 chunks hold 96,000, with counts past `2^15` at
+    /// D = 2 (the count's `i32` planes).
     #[test]
     fn encode_matches_manual_equation_three() {
-        for (mode, r, q, m, dim) in [
-            (TableMode::Materialized, 5, 4, 2, 128),
-            (TableMode::OnTheFly, 48, 2, 683, 16),
+        for (mode, n, r, q, dim) in [
+            (TableMode::Materialized, 10, 5, 4, 128),
+            (TableMode::OnTheFly, 32_784, 48, 2, 16),
+            (TableMode::OnTheFly, 96_000, 48, 2, 2),
+            (TableMode::Materialized, 15, 5, 2, 2),
+            (TableMode::Materialized, 16, 5, 4, 63),
+            (TableMode::OnTheFly, 17, 5, 4, 64),
+            (TableMode::Materialized, 255, 5, 4, 65),
+            (TableMode::OnTheFly, 256, 4, 4, 320),
+            (TableMode::Materialized, 257, 5, 4, 2000),
+            (TableMode::OnTheFly, 1023, 5, 4, 129),
+            (TableMode::Materialized, 1024, 5, 4, 320),
+            (TableMode::OnTheFly, 1025, 5, 4, 65),
         ] {
-            let n = r * m;
             let enc = encoder_in(mode, n, r, q, dim, 1);
             let features: Vec<f64> = (0..n).map(|i| (i * 7 % n) as f64 / n as f64).collect();
             let h = enc.encode(&features).unwrap();
             // Manual: per chunk, Eq. 2 then bind with P_c and sum.
             let mut manual = DenseHv::zeros(dim);
-            for c in 0..m {
+            for (c, chunk) in features.chunks(r).enumerate() {
                 let mut chunk_hv = DenseHv::zeros(dim);
-                for (j, &f) in features[c * r..(c + 1) * r].iter().enumerate() {
+                for (j, &f) in chunk.iter().enumerate() {
                     let lv = enc.quantizer().level(f);
                     chunk_hv.add_rotated_bipolar(enc.lut().levels().level(lv), j);
                 }
                 let bound = chunk_hv.bound(enc.positions().key(c));
                 manual.add_assign_hv(&bound);
             }
-            assert_eq!(h, manual, "r={r} q={q} {mode:?}");
+            assert_eq!(h, manual, "n={n} r={r} q={q} D={dim} {mode:?}");
         }
     }
 

@@ -3,14 +3,17 @@
 //! For a chunk of `r` features with `q` levels there are `q^r` possible
 //! encoded chunk hypervectors
 //! `H(addr) = Σ_{j=0..r} ρ^j( L_{digit_j(addr)} )`. LookHD pre-computes all
-//! of them so encoding becomes one memory access.
+//! of them so that encoding becomes one memory access per chunk on the
+//! FPGA. On a CPU a fresh query's rows miss cache, so the encoder sums
+//! the same terms from the packed level and key bits instead
+//! ([`crate::encoder::LookupEncoder::encode`]); the table serves counter
+//! finalize, which weighs each row by its count.
 //!
 //! Every entry is a sum of at most `r` bipolar values, and a layout's `r`
 //! is at most [`ChunkLayout::MAX_ADDRESS_BITS`] = 48 (each feature spends
 //! at least one address bit), so every entry fits an `i8`. A table is
-//! stored at that width, one byte per entry, and callers sum rows into
-//! wider lanes through [`ChunkLut::accumulate_row`]: the encoder in `i16`
-//! lanes, counter finalize in `i32`.
+//! stored at that width, one byte per entry, and counter finalize sums
+//! rows into `i32` lanes through [`ChunkLut::accumulate_row`].
 //!
 //! Two storage modes with *identical* results:
 //!
@@ -25,7 +28,7 @@
 //! [`ChunkLut::auto`] picks `Materialized` when the full table fits in a
 //! caller-supplied byte budget.
 
-use hdc::hv::{bind_accumulate, BipolarHv, DenseHv, Lane};
+use hdc::hv::{bind_accumulate, BipolarHv, DenseHv};
 use hdc::levels::LevelMemory;
 use hdc::{HdcError, Result};
 
@@ -236,21 +239,19 @@ impl ChunkLut {
     }
 
     /// Accumulates `w · key ⊙ row(chunk, addr)` into `lanes` without
-    /// copying the row in `Materialized` mode — the hot path shared by the
-    /// encoder (`i16` lanes) and the counter-training finalize step (`i32`
-    /// lanes). The caller keeps the sum within its lane width: each entry
-    /// is at most `r` in magnitude.
+    /// copying the row in `Materialized` mode — the counter-training
+    /// finalize step, with `w` the row's count.
     ///
     /// # Panics
     ///
     /// Panics if `chunk`/`addr` are out of range or dimensions disagree.
-    pub fn accumulate_row<L: Lane>(
+    pub fn accumulate_row(
         &self,
         chunk: usize,
         addr: u64,
         key: &BipolarHv,
-        w: L,
-        lanes: &mut [L],
+        w: i32,
+        lanes: &mut [i32],
     ) {
         self.with_row(chunk, addr, |row| bind_accumulate(lanes, key, row, w));
     }
@@ -337,9 +338,6 @@ mod tests {
             let mut manual = DenseHv::zeros(64);
             manual.add_bound_scaled(&key, &lut.row(1, 9), 3);
             assert_eq!(acc, manual);
-            let mut narrow = [0i16; 64];
-            lut.accumulate_row(1, 9, &key, 3, &mut narrow);
-            assert_eq!(&narrow.map(i32::from)[..], manual.as_slice());
         }
     }
 

@@ -55,7 +55,6 @@
 
 use std::fmt;
 
-use hdc::hv::BipolarHv;
 use hdc::{HdcError, Result};
 
 use crate::chunking::ChunkLayout;
@@ -224,8 +223,7 @@ impl ScoreLut {
         budget_bytes: usize,
     ) -> std::result::Result<Self, BuildError> {
         let _span = obs::span("score_lut_build");
-        let levels = encoder.lut().levels();
-        let dim = levels.dim();
+        let dim = encoder.lut().levels().dim();
         if dim != compressed.dim() {
             return Err(BuildError::Mismatch(HdcError::DimensionMismatch {
                 expected: compressed.dim(),
@@ -260,10 +258,6 @@ impl ScoreLut {
         let m = layout.n_chunks();
         let q = layout.q();
         let r_max = layout.chunk_len(0);
-        // Rotated level hypervectors ρ^j(L_lv), shared by every chunk.
-        let rotated: Vec<Vec<BipolarHv>> = (0..r_max)
-            .map(|j| (0..q).map(|lv| levels.level(lv).rotated(j)).collect())
-            .collect();
         let combined_i64: Vec<Vec<i64>> = (0..compressed.n_vectors())
             .map(|g| {
                 compressed
@@ -303,8 +297,9 @@ impl ScoreLut {
                     ),
                 };
                 let base = c * r_max * q;
-                for (j, rotated_row) in rotated.iter().enumerate().take(chunk_len) {
-                    for (lv, rot) in rotated_row.iter().enumerate() {
+                for j in 0..chunk_len {
+                    // The encoder's rotated levels ρ^j(L_lv).
+                    for (lv, rot) in encoder.rotated_levels(j).iter().enumerate() {
                         t[base + j * q + lv] = signed_sum(weights, &sign.bind(rot));
                     }
                 }

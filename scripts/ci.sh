@@ -27,7 +27,7 @@ cargo test -q --test serve_corruption
 echo "== encoder table-mode parity + Eq. 3 oracle (proptest differential)"
 cargo test -q --test prop_encoder_parity
 
-echo "== bind-accumulate oracle (proptest: i32 and i8 sources, i16 and i32 lanes; Eq. 3 across an i16 flush)"
+echo "== bind-accumulate oracle (proptest: i32 and i8 sources into i32 lanes) + Eq. 3 oracle of the bit-count encode (carry-save group, count-plane and word-block boundaries; counts past 2^15)"
 cargo test -q --test prop_hypervectors bind_accumulate_matches_definition
 cargo test -q -p lookhd encode_matches_manual_equation_three
 

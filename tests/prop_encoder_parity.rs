@@ -27,14 +27,14 @@ proptest! {
     /// hypervector, bit for bit, across random layouts and queries.
     #[test]
     fn table_modes_encode_identically(
-        n in 1usize..24,
+        n in 1usize..1100,
         r in 1usize..8,
         q in 2usize..5,
-        dim in 64usize..320,
+        dim in 4usize..320,
         seed in 0u64..1_000,
         quant_linear in proptest::any::<bool>(),
         queries in proptest::collection::vec(
-            proptest::collection::vec(-2.0f64..2.0, 24), 1..8),
+            proptest::collection::vec(-2.0f64..2.0, 1100), 1..8),
     ) {
         let r = r.min(n);
         let layout = ChunkLayout::new(n, r, q).unwrap();
@@ -120,7 +120,7 @@ proptest! {
     /// the paper's `r = 5` and a small `D`, in both table modes.
     #[test]
     fn encode_matches_equation_three_on_app_profiles(
-        dim in 16usize..160,
+        dim in 4usize..600,
         seed in 0u64..1_000,
     ) {
         for app in App::ALL {
