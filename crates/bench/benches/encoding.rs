@@ -15,7 +15,6 @@ use hdc::levels::LevelMemory;
 use hdc::quantize::{Quantization, Quantizer};
 use lookhd::chunking::ChunkLayout;
 use lookhd::encoder::LookupEncoder;
-use lookhd::lut::TableMode;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -31,8 +30,7 @@ fn setup() -> (PermutationEncoder, LookupEncoder, Vec<f64>) {
     let quantizer = Quantizer::fit(Quantization::Equalized, &samples, Q).unwrap();
     let baseline = PermutationEncoder::new(levels.clone(), quantizer.clone(), N).unwrap();
     let layout = ChunkLayout::new(N, R, Q).unwrap();
-    let lookup =
-        LookupEncoder::new(layout, &levels, quantizer, TableMode::Materialized, 7).unwrap();
+    let lookup = LookupEncoder::new(layout, &levels, quantizer, 7).unwrap();
     let features: Vec<f64> = (0..N).map(|_| rng.gen_range(0.0..1.0)).collect();
     (baseline, lookup, features)
 }

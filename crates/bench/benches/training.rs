@@ -12,7 +12,6 @@ use hdc::levels::LevelMemory;
 use hdc::quantize::{Quantization, Quantizer};
 use lookhd::chunking::ChunkLayout;
 use lookhd::encoder::LookupEncoder;
-use lookhd::lut::TableMode;
 use lookhd::trainer::CounterTrainer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -30,8 +29,7 @@ fn setup() -> (LookupEncoder, Vec<Vec<f64>>, Vec<usize>) {
     let samples: Vec<f64> = (0..1000).map(|i| i as f64 / 1000.0).collect();
     let quantizer = Quantizer::fit(Quantization::Equalized, &samples, Q).unwrap();
     let layout = ChunkLayout::new(N, R, Q).unwrap();
-    let encoder =
-        LookupEncoder::new(layout, &levels, quantizer, TableMode::Materialized, 9).unwrap();
+    let encoder = LookupEncoder::new(layout, &levels, quantizer, 9).unwrap();
     let xs: Vec<Vec<f64>> = (0..SAMPLES)
         .map(|_| (0..N).map(|_| rng.gen_range(0.0..1.0)).collect())
         .collect();

@@ -13,7 +13,6 @@ use hdc::levels::LevelMemory;
 use hdc::quantize::{Quantization, Quantizer};
 use lookhd::chunking::ChunkLayout;
 use lookhd::encoder::LookupEncoder;
-use lookhd::lut::TableMode;
 use lookhd::trainer::CounterTrainer;
 use lookhd::{CompressedModel, CompressionConfig};
 use lookhd_bench::table::Table;
@@ -46,8 +45,8 @@ fn main() {
         let quantizer = Quantizer::fit(Quantization::Equalized, &data.train_values(), q)
             .expect("quantizer fit failed");
         let layout = ChunkLayout::new(profile.n_features, r, q).expect("layout failed");
-        let encoder = LookupEncoder::new(layout, &levels, quantizer, TableMode::Materialized, 77)
-            .expect("encoder build failed");
+        let encoder =
+            LookupEncoder::new(layout, &levels, quantizer, 77).expect("encoder build failed");
 
         let train_report = verify_training_datapath(
             &encoder,

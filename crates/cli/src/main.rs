@@ -356,10 +356,6 @@ fn info(args: &Args) -> Result<(), String> {
         layout.n_chunks()
     ));
     out(format!(
-        "  table mode:          {:?}",
-        clf.encoder().lut().mode()
-    ));
-    out(format!(
         "  model size:          {} B compressed ({} vectors) / {} B uncompressed",
         clf.compressed().size_bytes(),
         clf.compressed().n_vectors(),

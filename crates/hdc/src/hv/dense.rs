@@ -3,11 +3,11 @@
 //! Encodings and class models in (non-binary) HDC are integer-valued
 //! accumulations of bipolar hypervectors (Eq. 1 of the paper). [`DenseHv`]
 //! is a `D`-dimensional vector of `i32` counters with the fused operations
-//! the encoders and trainers need: add a (rotated / bound / scaled) bipolar
-//! hypervector without materializing intermediates. Two kernels sum bound
-//! terms into `i32` lanes: [`bind_accumulate`] is the one `P ⊙ H` kernel
-//! for an integer `H`, generic over the source element, and
-//! [`sum_bound_pairs`] is the one sum of bound *bipolar* pairs, which
+//! the encoders and trainers need: add a (rotated / bound) bipolar or
+//! integer hypervector without materializing intermediates. Two kernels
+//! sum bound terms into `i32` lanes: [`DenseHv::add_bound`] /
+//! [`DenseHv::sub_bound`] add or subtract `P ⊙ H` for an integer `H`,
+//! and [`sum_bound_pairs`] is the one sum of bound *bipolar* pairs, which
 //! counts bits instead of adding lanes.
 
 use std::fmt;
@@ -146,14 +146,38 @@ impl DenseHv {
         }
     }
 
-    /// `self += w · (key ⊙ other)` over `i32` lanes: [`bind_accumulate`]
-    /// for model compression and compressed retraining.
+    /// `self += key ⊙ other`, multiply-free like the paper's negation
+    /// blocks: model compression and the correct class of a retraining
+    /// update.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use hdc::hv::{BipolarHv, DenseHv};
+    ///
+    /// let key = BipolarHv::from_values(&[1, -1, 1, -1]);
+    /// let mut acc = DenseHv::from_vec(vec![10; 4]);
+    /// acc.add_bound(&key, &DenseHv::from_vec(vec![3, 3, -48, 48]));
+    /// assert_eq!(acc.as_slice(), &[13, 7, -38, -38]);
+    /// acc.sub_bound(&key, &DenseHv::from_vec(vec![3, 3, -48, 48]));
+    /// assert_eq!(acc.as_slice(), &[10; 4]);
+    /// ```
     ///
     /// # Panics
     ///
     /// Panics if the dimensions differ.
-    pub fn add_bound_scaled(&mut self, key: &BipolarHv, other: &Self, w: i32) {
-        bind_accumulate(&mut self.values, key, &other.values, w);
+    pub fn add_bound(&mut self, key: &BipolarHv, other: &Self) {
+        bind_lanes(&mut self.values, key, &other.values, |v| v);
+    }
+
+    /// `self -= key ⊙ other`, multiply-free: the wrong class of a
+    /// retraining update.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dimensions differ.
+    pub fn sub_bound(&mut self, key: &BipolarHv, other: &Self) {
+        bind_lanes(&mut self.values, key, &other.values, |v| -v);
     }
 
     /// Returns `key ⊙ self` (element-wise sign flips; no multiplier needed
@@ -275,79 +299,47 @@ macro_rules! lane_masks {
     }};
 }
 
-/// The lane masks of [`bind_accumulate`].
-///
-/// A `const`, not a `static`: [`bind_accumulate`] is generic over its
-/// source element, so it is compiled in the crate that instantiates it,
-/// where a `static` of this crate is an opaque external symbol and the
-/// lane loop stayed scalar (~6× slower at D = 2000); a `const` becomes a
-/// local read-only table there. [`sum_bound_pairs`] is generic over its
-/// pair iterator, so [`BIT_MASKS`] is a `const` for the same reason.
+/// The lane masks of [`bind_lanes`].
 const SIGN_MASKS: [[i32; 8]; 256] = lane_masks!(i32);
 
 /// The lane masks of [`sum_bound_pairs`]'s count planes, in `i16` lanes:
 /// eight dimensions' bits of one plane byte.
+///
+/// A `const`, not a `static`: [`sum_bound_pairs`] is generic over its
+/// pair iterator, so it is compiled in the crate that instantiates it,
+/// where a `static` of this crate is an opaque external symbol; a
+/// generic lane loop over such a `static` was measured to stay scalar
+/// (~6× slower at D = 2000). A `const` becomes a local read-only table
+/// there.
 const BIT_MASKS: [[i16; 8]; 256] = lane_masks!(i16);
 
-/// `acc[d] += w · key[d] · src[d]` for every dimension `d`: the fused
-/// bind-scale-accumulate behind every `P ⊙ H` term with an integer `H`
-/// (counter materialization, model compression and compressed
-/// retraining).
+/// `acc[d] += sign(key[d] · src[d])` for every dimension `d`, with `sign`
+/// the identity or negation: the bind-accumulate behind every `P ⊙ H`
+/// term with an integer `H` (model compression and compressed
+/// retraining), one monomorphized loop per sign.
 ///
-/// Multiply-free for `w = ±1`, like the paper's negation blocks: the sign
-/// of each dimension comes from its packed key byte through a
-/// byte → lane-mask table, and `key[d]·v = (v ^ m) − m` with
-/// `m ∈ {0, −1}`. Each source element widens to `i32` first, so a
-/// byte-wide chunk-table row (`S = i8`) sums into the same lanes as an
-/// `i32` hypervector.
-///
-/// # Examples
-///
-/// ```
-/// use hdc::hv::{bind_accumulate, BipolarHv};
-///
-/// let key = BipolarHv::from_values(&[1, -1, 1, -1]);
-/// let mut acc = [10; 4];
-/// bind_accumulate(&mut acc, &key, &[3i8, 3, -48, 48], 2);
-/// assert_eq!(acc, [16, 4, -86, -86]);
-/// ```
-///
-/// # Panics
-///
-/// Panics if `acc`, `key` and `src` differ in dimension.
-pub fn bind_accumulate<S: Copy>(acc: &mut [i32], key: &BipolarHv, src: &[S], w: i32)
-where
-    i32: From<S>,
-{
-    assert_eq!(acc.len(), key.dim(), "bind requires equal dimensions");
-    assert_eq!(src.len(), key.dim(), "bind requires equal dimensions");
-    let words = key.words();
-    // One monomorphized loop per case: an opaque `w` keeps a multiply in
-    // the common unit-weight loops.
-    match w {
-        1 => bind_lanes(acc, words, src, |s| s),
-        -1 => bind_lanes(acc, words, src, |s| -s),
-        _ => bind_lanes(acc, words, src, |s| w * s),
-    }
-}
-
-/// `acc[d] += scale(key[d] · src[d])` over packed key `words`: one key
-/// word per 64 dimensions, one key byte per 8. `(v ^ m) − m` is `v` for
-/// `m = 0` and `−v` for `m = −1` in two's complement, so the result
-/// equals the multiply form bit for bit, wrapping included.
+/// Multiply-free, like the paper's negation blocks: one key word per 64
+/// dimensions, one key byte per 8, and each byte indexes a table of eight
+/// lane masks `m ∈ {0, −1}`. `(v ^ m) − m` is `v` for `m = 0` and `−v`
+/// for `m = −1` in two's complement, so the result equals the multiply
+/// form `key[d]·v` bit for bit, wrapping included.
 ///
 /// Kept out of line: as parameters, `acc` and `src` are known not to
 /// alias, which the vectorizer needs and cannot see through the `Vec`s
 /// of an inlined caller.
+///
+/// # Panics
+///
+/// Panics if `acc`, `key` and `src` differ in dimension.
 #[inline(never)]
-fn bind_lanes<S: Copy>(acc: &mut [i32], words: &[u64], src: &[S], scale: impl Fn(i32) -> i32)
-where
-    i32: From<S>,
-{
+fn bind_lanes(acc: &mut [i32], key: &BipolarHv, src: &[i32], sign: impl Fn(i32) -> i32) {
+    assert_eq!(acc.len(), key.dim(), "bind requires equal dimensions");
+    assert_eq!(src.len(), key.dim(), "bind requires equal dimensions");
+    let words = key.words();
     let table = &SIGN_MASKS;
-    let lanes = |acc: &mut [i32], src: &[S], byte: u8| {
+    let lanes = |acc: &mut [i32], src: &[i32], byte: u8| {
         for ((a, &v), &m) in acc.iter_mut().zip(src).zip(&table[usize::from(byte)]) {
-            *a += scale((i32::from(v) ^ m).wrapping_sub(m));
+            *a += sign((v ^ m).wrapping_sub(m));
         }
     };
     let mut acc64 = acc.chunks_exact_mut(64);
@@ -382,7 +374,8 @@ const COUNT_PLANES: usize = 30;
 
 /// `acc[d] += Σ_i (a_i ⊙ b_i)[d]` over bipolar pairs `(a_i, b_i)`: the
 /// one sum of bound bipolar pairs, behind the lookup encode (Eq. 3 as
-/// `Σ_i P_{c(i)} ⊙ ρ^{j(i)}(L_{lv(i)})`, one pair per feature).
+/// `Σ_i P_{c(i)} ⊙ ρ^{j(i)}(L_{lv(i)})`, one pair per feature) and counter
+/// finalize (the same pairs per bit of the per-feature level counts).
 ///
 /// A product is `±1`, and with `bit 1 ⇔ −1` its bits are `a ⊕ b`, so
 /// the sum over `n` pairs is `n − 2·N[d]`, where `N[d]` counts the
@@ -631,14 +624,19 @@ mod tests {
     }
 
     #[test]
-    fn add_bound_scaled_matches_manual() {
+    fn add_and_sub_bound_match_manual() {
         let mut rng = StdRng::seed_from_u64(4);
         let key = BipolarHv::random(30, &mut rng);
         let v = DenseHv::from_vec((0..30).collect());
         let mut acc = DenseHv::from_vec(vec![7; 30]);
-        acc.add_bound_scaled(&key, &v, 3);
+        acc.add_bound(&key, &v);
         for i in 0..30 {
-            assert_eq!(acc.get(i), 7 + 3 * key.value(i) * v.get(i));
+            assert_eq!(acc.get(i), 7 + key.value(i) * v.get(i));
+        }
+        acc.sub_bound(&key, &v);
+        acc.sub_bound(&key, &v);
+        for i in 0..30 {
+            assert_eq!(acc.get(i), 7 - key.value(i) * v.get(i));
         }
     }
 

@@ -4,4 +4,4 @@ mod bipolar;
 mod dense;
 
 pub use bipolar::BipolarHv;
-pub use dense::{bind_accumulate, sum_bound_pairs, DenseHv};
+pub use dense::{sum_bound_pairs, DenseHv};

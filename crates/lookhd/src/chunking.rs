@@ -33,8 +33,8 @@ pub struct ChunkLayout {
 }
 
 impl ChunkLayout {
-    /// Maximum `r·log2(q)` address width we accept; beyond this even the
-    /// sparse (on-the-fly) machinery would overflow a `u64` address.
+    /// Maximum `r·⌈log2 q⌉` address width we accept, well inside the
+    /// `u64` chunk addresses the score-LUT and the counter files read.
     pub const MAX_ADDRESS_BITS: u32 = 48;
 
     /// Creates a layout for `n_features` features, chunk size `r`, and `q`

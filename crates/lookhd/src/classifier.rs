@@ -342,9 +342,7 @@ impl LookHdClassifier {
         let quantizer = Quantizer::fit(config.quantization, &all_values, config.q)?;
         let mut rng = StdRng::seed_from_u64(config.seed);
         let levels = LevelMemory::generate(config.dim, config.q, &mut rng)?;
-        // Materialize the tables up to 64 MiB, otherwise compute on the fly.
-        let probe = crate::lut::ChunkLut::auto(layout, &levels, 64 << 20)?;
-        LookupEncoder::new(layout, &levels, quantizer, probe.mode(), config.seed)
+        LookupEncoder::new(layout, &levels, quantizer, config.seed)
     }
 
     /// Predicts using the *uncompressed* model (ablation / exact reference).
@@ -464,13 +462,10 @@ impl LookHdClassifier {
         out.extend_from_slice(CLASSIFIER_MAGIC);
         let w32 = |out: &mut Vec<u8>, v: u32| out.extend_from_slice(&v.to_le_bytes());
         let layout = self.encoder.layout();
-        let dim = self.encoder.lut().levels().dim();
+        let dim = self.encoder.dim();
         check_regen("q", layout.q(), dim)?;
         check_regen("n_chunks", layout.n_chunks(), dim)?;
-        w32(
-            &mut out,
-            serial_u32("dim", self.encoder.lut().levels().dim(), MAX_SERIAL_DIM)?,
-        );
+        w32(&mut out, serial_u32("dim", dim, MAX_SERIAL_DIM)?);
         w32(&mut out, serial_u32("q", layout.q(), MAX_SERIAL_DIM)?);
         w32(&mut out, serial_u32("r", layout.r(), MAX_SERIAL_FEATURES)?);
         w32(
@@ -483,10 +478,8 @@ impl LookHdClassifier {
         });
         // Retired level-scheme byte: levels always use random flips (0).
         out.push(0);
-        out.push(match self.encoder.lut().mode() {
-            crate::lut::TableMode::Materialized => 0,
-            crate::lut::TableMode::OnTheFly => 1,
-        });
+        // Retired table-mode byte: there is no chunk table to store (0).
+        out.push(0);
         out.extend_from_slice(&self.seed.to_le_bytes());
         let boundaries = self.encoder.quantizer().boundaries();
         w32(
@@ -604,11 +597,15 @@ impl LookHdClassifier {
                  always use random flips (tag 0)"
             )));
         }
-        let table_mode = match take(&mut pos, 1)?[0] {
-            0 => crate::lut::TableMode::Materialized,
-            1 => crate::lut::TableMode::OnTheFly,
-            _ => return Err(bad("unknown table-mode tag")),
-        };
+        // Older writers stored 1 when the chunk table passed 64 MiB; both
+        // of its modes encoded identically, so either value loads.
+        let table_mode = take(&mut pos, 1)?[0];
+        if table_mode > 1 {
+            return Err(HdcError::invalid_dataset(format!(
+                "table_mode tag {table_mode} is retired: no chunk table is \
+                 stored (tag 0, or 1 from older writers)"
+            )));
+        }
         let seed = u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("len checked"));
         let n_boundaries = u32v(&mut pos)? as usize;
         // Each boundary is 8 bytes, so a header claiming more boundaries
@@ -661,7 +658,7 @@ impl LookHdClassifier {
         }
         let mut rng = StdRng::seed_from_u64(seed);
         let levels = LevelMemory::generate(dim, q, &mut rng)?;
-        let encoder = LookupEncoder::new(layout, &levels, quantizer, table_mode, seed)?;
+        let encoder = LookupEncoder::new(layout, &levels, quantizer, seed)?;
         Ok(Self {
             encoder,
             model,

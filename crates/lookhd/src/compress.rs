@@ -445,7 +445,7 @@ impl CompressedModel {
         }
         let mut combined = vec![DenseHv::zeros(dim); n_groups];
         for (label, class) in prepared.iter().enumerate() {
-            combined[group_of[label]].add_bound_scaled(keys.key(label), class, 1);
+            combined[group_of[label]].add_bound(keys.key(label), class);
         }
         Ok(Self {
             config: config.clone(),
@@ -654,8 +654,8 @@ impl CompressedModel {
         self.clear_gains();
         let gc = self.group_of[correct];
         let gw = self.group_of[wrong];
-        self.combined[gc].add_bound_scaled(self.keys.key(correct), &h, 1);
-        self.combined[gw].add_bound_scaled(self.keys.key(wrong), &h, -1);
+        self.combined[gc].add_bound(self.keys.key(correct), &h);
+        self.combined[gw].sub_bound(self.keys.key(wrong), &h);
         Ok(())
     }
 

@@ -8,13 +8,14 @@
 //! 3. aggregate the chunks with random bipolar *position* hypervectors:
 //!    `H = P_1 ⊙ H_1 + P_2 ⊙ H_2 + … + P_m ⊙ H_m`.
 //!
-//! On the FPGA step 2 is one BRAM access per chunk. On a CPU a fresh
-//! query's rows miss cache, so [`LookupEncoder::encode`] computes the
-//! same integers from the terms of Eq. 3 instead: each feature adds the
-//! bipolar pair `P_c ⊙ ρ^j(L_lv)`, and the `r·q` rotated level vectors
-//! and the `m` position keys are small enough to stay cached. The chunk
-//! addresses (step 2) are what the score-LUT kernel and counter training
-//! read; the chunk table itself serves counter finalize.
+//! On the FPGA step 2 is one BRAM access per chunk. On a CPU no chunk
+//! table is stored: every row is `Σ_j ρ^j(L_lv)`, so
+//! [`LookupEncoder::encode`] computes the same integers from the terms of
+//! Eq. 3, each feature adding the bipolar pair `P_c ⊙ ρ^j(L_lv)`, and the
+//! `r·q` rotated level vectors and the `m` position keys are small enough
+//! to stay cached. Counter finalize sums the same pairs weighted by
+//! per-feature level counts ([`crate::trainer`]). The chunk addresses
+//! (step 2) are what the score-LUT kernel reads.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -26,7 +27,6 @@ use hdc::quantize::Quantizer;
 use hdc::{HdcError, Result};
 
 use crate::chunking::ChunkLayout;
-use crate::lut::{ChunkLut, TableMode};
 
 /// The set of `m` random bipolar position hypervectors `P_1..P_m` that
 /// preserve chunk order during aggregation (Eq. 3).
@@ -95,7 +95,6 @@ impl PositionKeys {
 /// use hdc::quantize::{Quantization, Quantizer};
 /// use lookhd::chunking::ChunkLayout;
 /// use lookhd::encoder::LookupEncoder;
-/// use lookhd::lut::TableMode;
 /// use rand::rngs::StdRng;
 /// use rand::SeedableRng;
 ///
@@ -104,14 +103,14 @@ impl PositionKeys {
 /// let samples: Vec<f64> = (0..100).map(|i| i as f64 / 100.0).collect();
 /// let quantizer = Quantizer::fit(Quantization::Equalized, &samples, 4)?;
 /// let layout = ChunkLayout::new(10, 5, 4)?;
-/// let enc = LookupEncoder::new(layout, &levels, quantizer, TableMode::Materialized, 7)?;
+/// let enc = LookupEncoder::new(layout, &levels, quantizer, 7)?;
 /// let h = enc.encode(&[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95])?;
 /// assert_eq!(h.dim(), 256);
 /// # Ok::<(), hdc::HdcError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct LookupEncoder {
-    lut: ChunkLut,
+    layout: ChunkLayout,
     quantizer: Quantizer,
     positions: PositionKeys,
     /// `ρ^j(L_lv)` at `j·q + lv`, for every position `j < r` in a chunk
@@ -122,38 +121,37 @@ pub struct LookupEncoder {
 impl LookupEncoder {
     /// Builds the encoder. `seed` determines the position hypervectors
     /// (the level memory carries its own randomness). The rotated level
-    /// vectors `ρ^j(L_lv)` are derived from `levels` here, once.
+    /// vectors `ρ^j(L_lv)` are derived from `levels` here, once; the
+    /// level memory itself is not kept.
     ///
     /// # Errors
     ///
-    /// Returns [`HdcError::InvalidConfig`] when the quantizer's `q` differs
-    /// from the layout's, or when the lookup table cannot be built in the
-    /// requested mode.
+    /// Returns [`HdcError::InvalidConfig`] when the quantizer's or the
+    /// level memory's `q` differs from the layout's.
     pub fn new(
         layout: ChunkLayout,
         levels: &LevelMemory,
         quantizer: Quantizer,
-        mode: TableMode,
         seed: u64,
     ) -> Result<Self> {
-        if quantizer.levels() != layout.q() {
-            return Err(HdcError::invalid_config(
-                "q",
-                format!(
-                    "quantizer has {} levels but layout expects q={}",
-                    quantizer.levels(),
-                    layout.q()
-                ),
-            ));
+        for (what, q) in [
+            ("quantizer", quantizer.levels()),
+            ("level memory", levels.levels()),
+        ] {
+            if q != layout.q() {
+                return Err(HdcError::invalid_config(
+                    "q",
+                    format!("{what} has {q} levels but layout expects q={}", layout.q()),
+                ));
+            }
         }
-        let lut = ChunkLut::new(layout, levels, mode)?;
         let mut rng = StdRng::seed_from_u64(seed);
         let positions = PositionKeys::generate(layout.n_chunks(), levels.dim(), &mut rng);
         let rotated = (0..layout.r())
             .flat_map(|j| levels.iter().map(move |level| level.rotated(j)))
             .collect();
         Ok(Self {
-            lut,
+            layout,
             quantizer,
             positions,
             rotated,
@@ -181,23 +179,31 @@ impl LookupEncoder {
         features: &'a [f64],
     ) -> Result<impl Iterator<Item = u64> + 'a> {
         self.check(features)?;
-        let layout = self.lut.layout();
-        let q = layout.q() as u64;
-        Ok(features.chunks(layout.r()).map(move |chunk| {
+        let q = self.layout.q() as u64;
+        Ok(features.chunks(self.layout.r()).map(move |chunk| {
             chunk
                 .iter()
                 .fold(0, |addr, &x| addr * q + self.quantizer.level(x) as u64)
         }))
     }
 
+    /// Validates `features`, then yields each feature's quantization
+    /// level in feature order — what counter training counts.
+    pub(crate) fn feature_levels<'a>(
+        &'a self,
+        features: &'a [f64],
+    ) -> Result<impl Iterator<Item = usize> + 'a> {
+        self.check(features)?;
+        Ok(features.iter().map(|&x| self.quantizer.level(x)))
+    }
+
     /// Refuses a feature vector of the wrong arity or with a non-finite
     /// feature, naming the first offending index.
     fn check(&self, features: &[f64]) -> Result<()> {
-        let layout = self.lut.layout();
-        if features.len() != layout.n_features() {
+        if features.len() != self.layout.n_features() {
             return Err(HdcError::invalid_dataset(format!(
                 "expected {} features, got {}",
-                layout.n_features(),
+                self.layout.n_features(),
                 features.len()
             )));
         }
@@ -212,12 +218,7 @@ impl LookupEncoder {
 
     /// The chunk layout.
     pub fn layout(&self) -> &ChunkLayout {
-        self.lut.layout()
-    }
-
-    /// The chunk table: what counter finalize reads. Encoding does not.
-    pub fn lut(&self) -> &ChunkLut {
-        &self.lut
+        &self.layout
     }
 
     /// The fitted quantizer.
@@ -237,29 +238,50 @@ impl LookupEncoder {
     ///
     /// Panics if `j >= r`.
     pub fn rotated_levels(&self, j: usize) -> &[BipolarHv] {
-        let q = self.layout().q();
+        let q = self.layout.q();
         &self.rotated[j * q..(j + 1) * q]
+    }
+
+    /// The bipolar pairs `(P_c, ρ^j(L_lv))` of the `(feature, level)`
+    /// cells whose count has bit `bit` set, in feature order. `counts`
+    /// holds one class's counts: feature `i = c·r + j` at level `lv` in
+    /// cell `i·q + lv`, so a chunk's `r·q` cells line up with the rotated
+    /// levels. Counter finalize sums them once per bit of the counts.
+    pub(crate) fn count_plane_pairs<'a>(
+        &'a self,
+        counts: &'a [u32],
+        bit: u32,
+    ) -> impl Iterator<Item = (&'a BipolarHv, &'a BipolarHv)> + 'a {
+        counts
+            .chunks(self.rotated.len())
+            .zip(&self.positions.keys)
+            .flat_map(move |(cells, key)| {
+                cells
+                    .iter()
+                    .zip(&self.rotated)
+                    .filter(move |&(&count, _)| (count >> bit) & 1 == 1)
+                    .map(move |(_, level)| (key, level))
+            })
     }
 }
 
 impl Encode for LookupEncoder {
     fn dim(&self) -> usize {
-        self.lut.levels().dim()
+        self.positions.key(0).dim()
     }
 
     fn n_features(&self) -> usize {
-        self.lut.layout().n_features()
+        self.layout.n_features()
     }
 
     /// Eq. 3 from bits: feature `i`, at position `j` of chunk `c`, adds
     /// the bipolar pair `P_c ⊙ ρ^j(L_lv)`, and [`sum_bound_pairs`] sums
     /// the `n` pairs by counting their `−1` bits. That is the row sum
     /// `Σ_c P_c ⊙ LUT_c[addr_c]` bit for bit, since every row is
-    /// `Σ_j ρ^j(L_lv)`, but it reads the `r·q` rotated levels and the `m`
-    /// keys (SPEECH: 5 KB and 31 KB) instead of `m` table rows (248 KB),
-    /// which a fresh query finds out of cache. The levels are quantized
-    /// once into a buffer of `n` indices, since the count walks them once
-    /// per 256 dimensions.
+    /// `Σ_j ρ^j(L_lv)`, but it reads only the `r·q` rotated levels and
+    /// the `m` keys (SPEECH: 5 KB and 31 KB), which stay cached between
+    /// queries. The levels are quantized once into a buffer of `n`
+    /// indices, since the count walks them once per 256 dimensions.
     fn encode(&self, features: &[f64]) -> Result<DenseHv> {
         let _span = obs::span("encode");
         obs::counter("encode.samples", 1);
@@ -275,7 +297,7 @@ impl Encode for LookupEncoder {
             keys: self.positions.keys[1..].iter(),
             key: self.positions.key(0),
             rotated: &self.rotated,
-            q: self.layout().q(),
+            q: self.layout.q(),
             at: 0,
         };
         let mut acc = DenseHv::zeros(self.dim());
@@ -321,23 +343,24 @@ mod tests {
     use hdc::quantize::Quantization;
 
     fn encoder(n: usize, r: usize, q: usize, dim: usize, seed: u64) -> LookupEncoder {
-        encoder_in(TableMode::Materialized, n, r, q, dim, seed)
+        encoder_with_levels(n, r, q, dim, seed).0
     }
 
-    fn encoder_in(
-        mode: TableMode,
+    /// The encoder and the level memory it was built from.
+    fn encoder_with_levels(
         n: usize,
         r: usize,
         q: usize,
         dim: usize,
         seed: u64,
-    ) -> LookupEncoder {
+    ) -> (LookupEncoder, LevelMemory) {
         let mut rng = StdRng::seed_from_u64(seed);
         let levels = LevelMemory::generate(dim, q, &mut rng).unwrap();
         let samples: Vec<f64> = (0..1000).map(|i| i as f64 / 1000.0).collect();
         let quantizer = Quantizer::fit(Quantization::Equalized, &samples, q).unwrap();
         let layout = ChunkLayout::new(n, r, q).unwrap();
-        LookupEncoder::new(layout, &levels, quantizer, mode, seed).unwrap()
+        let enc = LookupEncoder::new(layout, &levels, quantizer, seed).unwrap();
+        (enc, levels)
     }
 
     /// Eq. 3 written out from the level vectors, on shapes that cross the
@@ -350,21 +373,21 @@ mod tests {
     /// D = 2 (the count's `i32` planes).
     #[test]
     fn encode_matches_manual_equation_three() {
-        for (mode, n, r, q, dim) in [
-            (TableMode::Materialized, 10, 5, 4, 128),
-            (TableMode::OnTheFly, 32_784, 48, 2, 16),
-            (TableMode::OnTheFly, 96_000, 48, 2, 2),
-            (TableMode::Materialized, 15, 5, 2, 2),
-            (TableMode::Materialized, 16, 5, 4, 63),
-            (TableMode::OnTheFly, 17, 5, 4, 64),
-            (TableMode::Materialized, 255, 5, 4, 65),
-            (TableMode::OnTheFly, 256, 4, 4, 320),
-            (TableMode::Materialized, 257, 5, 4, 2000),
-            (TableMode::OnTheFly, 1023, 5, 4, 129),
-            (TableMode::Materialized, 1024, 5, 4, 320),
-            (TableMode::OnTheFly, 1025, 5, 4, 65),
+        for (n, r, q, dim) in [
+            (10, 5, 4, 128),
+            (32_784, 48, 2, 16),
+            (96_000, 48, 2, 2),
+            (15, 5, 2, 2),
+            (16, 5, 4, 63),
+            (17, 5, 4, 64),
+            (255, 5, 4, 65),
+            (256, 4, 4, 320),
+            (257, 5, 4, 2000),
+            (1023, 5, 4, 129),
+            (1024, 5, 4, 320),
+            (1025, 5, 4, 65),
         ] {
-            let enc = encoder_in(mode, n, r, q, dim, 1);
+            let (enc, levels) = encoder_with_levels(n, r, q, dim, 1);
             let features: Vec<f64> = (0..n).map(|i| (i * 7 % n) as f64 / n as f64).collect();
             let h = enc.encode(&features).unwrap();
             // Manual: per chunk, Eq. 2 then bind with P_c and sum.
@@ -373,33 +396,13 @@ mod tests {
                 let mut chunk_hv = DenseHv::zeros(dim);
                 for (j, &f) in chunk.iter().enumerate() {
                     let lv = enc.quantizer().level(f);
-                    chunk_hv.add_rotated_bipolar(enc.lut().levels().level(lv), j);
+                    chunk_hv.add_rotated_bipolar(levels.level(lv), j);
                 }
                 let bound = chunk_hv.bound(enc.positions().key(c));
                 manual.add_assign_hv(&bound);
             }
-            assert_eq!(h, manual, "n={n} r={r} q={q} D={dim} {mode:?}");
+            assert_eq!(h, manual, "n={n} r={r} q={q} D={dim}");
         }
-    }
-
-    #[test]
-    fn lookup_mode_does_not_change_encoding() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let levels = LevelMemory::generate(128, 4, &mut rng).unwrap();
-        let samples: Vec<f64> = (0..100).map(|i| i as f64 / 100.0).collect();
-        let quantizer = Quantizer::fit(Quantization::Equalized, &samples, 4).unwrap();
-        let layout = ChunkLayout::new(13, 5, 4).unwrap();
-        let a = LookupEncoder::new(
-            layout,
-            &levels,
-            quantizer.clone(),
-            TableMode::Materialized,
-            9,
-        )
-        .unwrap();
-        let b = LookupEncoder::new(layout, &levels, quantizer, TableMode::OnTheFly, 9).unwrap();
-        let f: Vec<f64> = (0..13).map(|i| i as f64 / 13.0).collect();
-        assert_eq!(a.encode(&f).unwrap(), b.encode(&f).unwrap());
     }
 
     #[test]
@@ -456,13 +459,21 @@ mod tests {
         }
     }
 
+    /// The quantizer and the level memory must both hold the layout's `q`
+    /// levels.
     #[test]
     fn quantizer_level_mismatch_rejected() {
         let mut rng = StdRng::seed_from_u64(7);
         let levels = LevelMemory::generate(64, 4, &mut rng).unwrap();
+        let q4 = Quantizer::fit(Quantization::Linear, &[0.0, 1.0], 4).unwrap();
         let q8 = Quantizer::fit(Quantization::Linear, &[0.0, 1.0], 8).unwrap();
         let layout = ChunkLayout::new(10, 5, 4).unwrap();
-        assert!(LookupEncoder::new(layout, &levels, q8, TableMode::OnTheFly, 0).is_err());
+        let err = LookupEncoder::new(layout, &levels, q8.clone(), 0).unwrap_err();
+        assert!(err.to_string().contains("quantizer"), "{err}");
+        let layout8 = ChunkLayout::new(10, 5, 8).unwrap();
+        let err = LookupEncoder::new(layout8, &levels, q8, 0).unwrap_err();
+        assert!(err.to_string().contains("level memory"), "{err}");
+        assert!(LookupEncoder::new(layout, &levels, q4, 0).is_ok());
     }
 
     #[test]

@@ -5,13 +5,13 @@
 //!
 //! * [`chunking`] — feature splitting and concatenated-codebook addressing
 //!   (§III-A, §III-C);
-//! * [`lut`] — pre-stored encoded chunk hypervectors with materialized
-//!   (BRAM-style) and on-the-fly storage modes (§III-C);
 //! * [`encoder`] — the lookup encoder with random position-key aggregation
-//!   (Eq. 3);
-//! * [`counters`] / [`trainer`] — counter-based training that is bit-exact
-//!   with encode-and-bundle but does no per-sample hypervector arithmetic
-//!   (§III-D);
+//!   (Eq. 3), computed from the rotated level vectors instead of a stored
+//!   chunk table (§III-C);
+//! * [`trainer`] — counter-based training that is bit-exact with
+//!   encode-and-bundle but does no per-sample hypervector arithmetic: it
+//!   counts per-feature quantization levels, the marginals of the paper's
+//!   per-address counters (§III-D);
 //! * [`compress`] — model compression into a single hypervector via random
 //!   `P'` keys, with decorrelation and Eq. 5 signal/noise analysis (§IV);
 //! * [`online`] — OnlineHD-style single-pass novelty-scaled training
@@ -61,9 +61,7 @@ pub mod analysis;
 pub mod chunking;
 pub mod classifier;
 pub mod compress;
-pub mod counters;
 pub mod encoder;
-pub mod lut;
 pub mod online;
 pub mod retrain;
 pub mod score_kernel;

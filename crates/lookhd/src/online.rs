@@ -23,7 +23,6 @@ use hdc::{HdcError, Result};
 
 use crate::classifier::{LookHdClassifier, LookHdConfig};
 use crate::compress::CompressedModel;
-use crate::counters::ChunkCounters;
 use crate::encoder::LookupEncoder;
 use crate::score_kernel::{build_kernel, KernelSpec, ScoreKernel};
 use crate::trainer::CounterTrainer;
@@ -289,15 +288,15 @@ impl StreamingTrainer {
 
     /// Total examples folded so far.
     pub fn observed(&self) -> u64 {
-        (0..self.counters().n_classes())
-            .map(|c| self.counters().samples_seen(c))
+        (0..self.trainer.n_classes())
+            .map(|c| self.trainer.samples_seen(c))
             .sum()
     }
 
     /// Examples folded for one class.
     pub fn observed_for(&self, class: usize) -> u64 {
-        if class < self.counters().n_classes() {
-            self.counters().samples_seen(class)
+        if class < self.trainer.n_classes() {
+            self.trainer.samples_seen(class)
         } else {
             0
         }
@@ -305,12 +304,12 @@ impl StreamingTrainer {
 
     /// Number of classes the trainer folds into.
     pub fn n_classes(&self) -> usize {
-        self.counters().n_classes()
+        self.trainer.n_classes()
     }
 
     /// The live counters (compared exactly by the differential tests).
-    pub fn counters(&self) -> &ChunkCounters {
-        self.trainer.counters()
+    pub fn counters(&self) -> &CounterTrainer {
+        &self.trainer
     }
 
     /// The normalized configuration versions are materialized under.
@@ -362,7 +361,6 @@ mod tests {
 
     use crate::chunking::ChunkLayout;
     use crate::encoder::LookupEncoder;
-    use crate::lut::TableMode;
     use crate::trainer::CounterTrainer;
 
     fn encoder(n: usize, q: usize, dim: usize, seed: u64) -> LookupEncoder {
@@ -371,7 +369,7 @@ mod tests {
         let samples: Vec<f64> = (0..1000).map(|i| i as f64 / 1000.0).collect();
         let quantizer = Quantizer::fit(Quantization::Equalized, &samples, q).unwrap();
         let layout = ChunkLayout::new(n, 5, q).unwrap();
-        LookupEncoder::new(layout, &levels, quantizer, TableMode::Materialized, seed).unwrap()
+        LookupEncoder::new(layout, &levels, quantizer, seed).unwrap()
     }
 
     /// Hard overlapping dataset: two prototype vectors with heavy noise.

@@ -292,7 +292,6 @@ mod tests {
 
     use crate::chunking::ChunkLayout;
     use crate::compress::CompressionConfig;
-    use crate::lut::TableMode;
 
     /// A fitted encoder + compressed model pair over random classes (same
     /// harness as the score-LUT tests).
@@ -310,8 +309,7 @@ mod tests {
         let samples: Vec<f64> = (0..500).map(|i| i as f64 / 500.0).collect();
         let quantizer = Quantizer::fit(Quantization::Equalized, &samples, q).unwrap();
         let layout = ChunkLayout::new(n, r, q).unwrap();
-        let encoder =
-            LookupEncoder::new(layout, &levels, quantizer, TableMode::Materialized, seed).unwrap();
+        let encoder = LookupEncoder::new(layout, &levels, quantizer, seed).unwrap();
         let classes = (0..k)
             .map(|_| DenseHv::from_vec((0..dim).map(|_| rng.gen_range(-30..=30)).collect()))
             .collect();
@@ -391,8 +389,7 @@ mod tests {
         let samples: Vec<f64> = (0..100).map(|i| i as f64 / 100.0).collect();
         let quantizer = Quantizer::fit(Quantization::Equalized, &samples, 4).unwrap();
         let layout = ChunkLayout::new(10, 5, 4).unwrap();
-        let encoder =
-            LookupEncoder::new(layout, &levels, quantizer, TableMode::OnTheFly, 3).unwrap();
+        let encoder = LookupEncoder::new(layout, &levels, quantizer, 3).unwrap();
         let classes = (0..3)
             .map(|_| DenseHv::from_vec((0..64).map(|_| rng.gen_range(-20..=20)).collect()))
             .collect();

@@ -55,6 +55,7 @@
 
 use std::fmt;
 
+use hdc::encoding::Encode;
 use hdc::{HdcError, Result};
 
 use crate::chunking::ChunkLayout;
@@ -223,7 +224,7 @@ impl ScoreLut {
         budget_bytes: usize,
     ) -> std::result::Result<Self, BuildError> {
         let _span = obs::span("score_lut_build");
-        let dim = encoder.lut().levels().dim();
+        let dim = encoder.dim();
         if dim != compressed.dim() {
             return Err(BuildError::Mismatch(HdcError::DimensionMismatch {
                 expected: compressed.dim(),
@@ -647,7 +648,6 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     use crate::compress::CompressionConfig;
-    use crate::lut::TableMode;
     use crate::score_kernel::{build_kernel, KernelSpec, ScoreKernel};
 
     /// A fitted encoder + compressed model pair over random classes.
@@ -680,8 +680,7 @@ mod tests {
         let samples: Vec<f64> = (0..500).map(|i| i as f64 / 500.0).collect();
         let quantizer = Quantizer::fit(Quantization::Equalized, &samples, q).unwrap();
         let layout = ChunkLayout::new(n, r, q).unwrap();
-        let encoder =
-            LookupEncoder::new(layout, &levels, quantizer, TableMode::Materialized, seed).unwrap();
+        let encoder = LookupEncoder::new(layout, &levels, quantizer, seed).unwrap();
         let classes = (0..k)
             .map(|_| DenseHv::from_vec((0..dim).map(|_| rng.gen_range(-30..=30)).collect()))
             .collect();
@@ -812,8 +811,7 @@ mod tests {
         let levels = LevelMemory::generate(dim, 2, &mut rng).unwrap();
         let quantizer = Quantizer::fit(Quantization::Linear, &[0.0, 1.0], 2).unwrap();
         let layout = ChunkLayout::new(n, 8, 2).unwrap();
-        let encoder =
-            LookupEncoder::new(layout, &levels, quantizer, TableMode::OnTheFly, 17).unwrap();
+        let encoder = LookupEncoder::new(layout, &levels, quantizer, 17).unwrap();
         let classes = vec![DenseHv::from_vec(vec![1 << 26; dim]), DenseHv::zeros(dim)];
         let model = ClassModel::from_classes(classes).unwrap();
         let config = CompressionConfig::new().with_decorrelate(false);

@@ -43,6 +43,11 @@ pub const MAX_EMULATED_ROWS: usize = 1 << 20;
 /// accumulation + position-key negation) and compares the resulting class
 /// hypervectors against [`CounterTrainer::fit`].
 ///
+/// This is the per-address oracle of the software's counter training,
+/// which counts per-feature levels instead: the emulation keeps the
+/// paper's one counter per chunk-table row and builds each row it reads
+/// from the rotated level vectors (Eq. 2).
+///
 /// # Errors
 ///
 /// Returns [`HdcError::InvalidConfig`] when a chunk table exceeds
@@ -96,7 +101,7 @@ pub fn verify_training_datapath(
                 if count == 0 {
                     continue;
                 }
-                let row = encoder.lut().row(chunk, addr as u64);
+                let row = chunk_row(encoder, chunk, addr as u64);
                 for dim in 0..d {
                     acc.accumulate(dim, count, row.get(dim) as i64, key.is_negative(dim));
                 }
@@ -117,6 +122,19 @@ pub fn verify_training_datapath(
         }
     }
     Ok(report)
+}
+
+/// Row `addr` of chunk `chunk`'s table, `Σ_j ρ^j(L_{lv_j})` (Eq. 2),
+/// from the encoder's rotated level vectors: the BRAM row the Fig. 10
+/// datapath reads. The address packs the chunk's levels base `q`, its
+/// first feature most significant (`ChunkLayout::address`).
+fn chunk_row(encoder: &LookupEncoder, chunk: usize, addr: u64) -> DenseHv {
+    let levels = encoder.layout().levels_of_address(chunk, addr);
+    let mut row = DenseHv::zeros(encoder.positions().key(chunk).dim());
+    for (j, lv) in levels.into_iter().enumerate() {
+        row.add_bipolar(&encoder.rotated_levels(j)[lv]);
+    }
+    row
 }
 
 /// Result of a search-datapath verification.
@@ -207,7 +225,6 @@ mod tests {
     use hdc::levels::LevelMemory;
     use hdc::quantize::{Quantization, Quantizer};
     use lookhd::chunking::ChunkLayout;
-    use lookhd::lut::TableMode;
     use lookhd::CompressionConfig;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -226,8 +243,7 @@ mod tests {
         let values: Vec<f64> = (0..100).map(|i| i as f64 / 100.0).collect();
         let quantizer = Quantizer::fit(Quantization::Equalized, &values, q).unwrap();
         let layout = ChunkLayout::new(n, r, q).unwrap();
-        let encoder =
-            LookupEncoder::new(layout, &levels, quantizer, TableMode::Materialized, seed).unwrap();
+        let encoder = LookupEncoder::new(layout, &levels, quantizer, seed).unwrap();
         let xs: Vec<Vec<f64>> = (0..samples)
             .map(|_| (0..n).map(|_| rng.gen_range(0.0..1.0)).collect())
             .collect();
@@ -235,13 +251,17 @@ mod tests {
         (encoder, xs, ys)
     }
 
+    /// Bit-exact at the planned widths, also with a partial final chunk
+    /// at q = 4 (n = 13, r = 5: chunks of 5, 5 and 3 features).
     #[test]
     fn training_datapath_is_bit_exact_at_planned_widths() {
-        let (encoder, xs, ys) = setup(12, 2, 3, 128, 30, 3, 1);
-        let plan = WidthPlan::derive(3, 12, 128, 10, 1 << 10);
-        let report = verify_training_datapath(&encoder, &xs, &ys, 3, &plan).unwrap();
-        assert!(report.is_bit_exact(), "{report:?}");
-        assert_eq!(report.checked, 3 * 128);
+        for (n, q, r, seed) in [(12, 2, 3, 1), (13, 4, 5, 7)] {
+            let (encoder, xs, ys) = setup(n, q, r, 128, 30, 3, seed);
+            let plan = WidthPlan::derive(r, n, 128, 10, 1 << 10);
+            let report = verify_training_datapath(&encoder, &xs, &ys, 3, &plan).unwrap();
+            assert!(report.is_bit_exact(), "n={n} q={q} r={r}: {report:?}");
+            assert_eq!(report.checked, 3 * 128);
+        }
     }
 
     #[test]
@@ -310,14 +330,13 @@ mod tests {
     #[test]
     fn oversized_tables_are_rejected() {
         // 8^8 = 16.7M rows per chunk: over the emulation cap (the software
-        // side handles it via the on-the-fly table mode).
+        // trainer counts per-feature levels, so it has no such cap).
         let mut rng = StdRng::seed_from_u64(6);
         let levels = LevelMemory::generate(32, 8, &mut rng).unwrap();
         let values: Vec<f64> = (0..100).map(|i| i as f64 / 100.0).collect();
         let quantizer = Quantizer::fit(Quantization::Equalized, &values, 8).unwrap();
         let layout = ChunkLayout::new(24, 8, 8).unwrap();
-        let encoder =
-            LookupEncoder::new(layout, &levels, quantizer, TableMode::OnTheFly, 6).unwrap();
+        let encoder = LookupEncoder::new(layout, &levels, quantizer, 6).unwrap();
         let xs: Vec<Vec<f64>> = (0..4)
             .map(|_| (0..24).map(|_| rng.gen_range(0.0..1.0)).collect())
             .collect();

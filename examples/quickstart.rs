@@ -49,10 +49,9 @@ fn main() -> Result<(), HdcError> {
         classifier.model().size_bytes(),
     );
     println!(
-        "lookup tables: {} chunks of r = {} features, mode {:?}",
+        "lookup encoder: {} chunks of r = {} features",
         classifier.encoder().layout().n_chunks(),
         classifier.encoder().layout().r(),
-        classifier.encoder().lut().mode(),
     );
     Ok(())
 }

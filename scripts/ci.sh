@@ -24,10 +24,10 @@ cargo test -q --test persist_corruption
 echo "== wire protocol corruption sweep"
 cargo test -q --test serve_corruption
 
-echo "== encoder table-mode parity + Eq. 3 oracle (proptest differential)"
+echo "== encoder address packing + Eq. 3 oracle with rows from Eq. 2 (proptest)"
 cargo test -q --test prop_encoder_parity
 
-echo "== bind-accumulate oracle (proptest: i32 and i8 sources into i32 lanes) + Eq. 3 oracle of the bit-count encode (carry-save group, count-plane and word-block boundaries; counts past 2^15)"
+echo "== add_bound/sub_bound oracle (proptest: both signs into i32 lanes) + Eq. 3 oracle of the bit-count encode (carry-save group, count-plane and word-block boundaries; counts past 2^15)"
 cargo test -q --test prop_hypervectors bind_accumulate_matches_definition
 cargo test -q -p lookhd encode_matches_manual_equation_three
 
@@ -47,8 +47,9 @@ echo "== quantizer degenerate-input regressions"
 cargo test -q -p hdc quantize
 cargo test -q --test prop_quantize
 
-echo "== training-counter store (dense/sparse sizing, merges)"
-cargo test -q -p lookhd counters
+echo "== counter training from level counts (bit-plane finalize, merges, validation) + per-address oracle (Fig. 10 counter-file emulation)"
+cargo test -q -p lookhd trainer
+cargo test -q -p lookhd-rtl training_datapath
 
 echo "== CLI metrics smoke test"
 smoke_dir="$(mktemp -d)"

@@ -7,7 +7,6 @@ use lookhd_paper::hdc::quantize::{Quantization, Quantizer};
 use lookhd_paper::hdc::train::initial_fit;
 use lookhd_paper::lookhd::chunking::ChunkLayout;
 use lookhd_paper::lookhd::encoder::LookupEncoder;
-use lookhd_paper::lookhd::lut::TableMode;
 use lookhd_paper::lookhd::trainer::CounterTrainer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,8 +22,7 @@ fn counter_training_equals_bundling_on_app_data() {
     let quantizer = Quantizer::fit(Quantization::Equalized, &data.train_values(), 2)
         .expect("quantizer fit failed");
     let layout = ChunkLayout::new(profile.n_features, 5, 2).expect("layout failed");
-    let encoder = LookupEncoder::new(layout, &levels, quantizer, TableMode::Materialized, 7)
-        .expect("encoder build failed");
+    let encoder = LookupEncoder::new(layout, &levels, quantizer, 7).expect("encoder build failed");
 
     let counter_model = CounterTrainer::fit(
         &encoder,
@@ -49,35 +47,6 @@ fn counter_training_equals_bundling_on_app_data() {
     }
 }
 
-/// Materialized and on-the-fly lookup tables encode identically across a
-/// whole dataset (including the partial final chunk: 52 = 10·5 + 2).
-#[test]
-fn table_modes_agree_across_dataset() {
-    let profile = App::Physical.profile();
-    let data = profile.generate_small(22);
-    let mut rng = StdRng::seed_from_u64(8);
-    let levels = LevelMemory::generate(256, 4, &mut rng).expect("level generation failed");
-    let quantizer = Quantizer::fit(Quantization::Equalized, &data.train_values(), 4)
-        .expect("quantizer fit failed");
-    let layout = ChunkLayout::new(profile.n_features, 5, 4).expect("layout failed");
-    let a = LookupEncoder::new(
-        layout,
-        &levels,
-        quantizer.clone(),
-        TableMode::Materialized,
-        9,
-    )
-    .expect("encoder build failed");
-    let b = LookupEncoder::new(layout, &levels, quantizer, TableMode::OnTheFly, 9)
-        .expect("encoder build failed");
-    for x in data.train.features.iter().take(40) {
-        assert_eq!(
-            a.encode(x).expect("encode failed"),
-            b.encode(x).expect("encode failed")
-        );
-    }
-}
-
 /// The lookup encoder with the maximum supported chunk size (bounded by
 /// the 48-bit address width) degenerates toward one chunk; with r = 1
 /// every feature is its own chunk. Both must remain valid encoders
@@ -93,8 +62,7 @@ fn chunk_size_extremes_are_valid() {
         let quantizer = Quantizer::fit(Quantization::Equalized, &data.train_values(), 2)
             .expect("quantizer fit failed");
         let layout = ChunkLayout::new(profile.n_features, r, 2).expect("layout failed");
-        let enc = LookupEncoder::new(layout, &levels, quantizer, TableMode::OnTheFly, 11)
-            .expect("encoder build failed");
+        let enc = LookupEncoder::new(layout, &levels, quantizer, 11).expect("encoder build failed");
         let h = enc.encode(&data.train.features[0]).expect("encode failed");
         assert_eq!(h.dim(), 128);
         assert!(h.max_abs() as usize <= profile.n_features);

@@ -199,12 +199,14 @@ fn retired_kernel_tag_2_is_rejected_at_load() {
 
 /// LKC1 and LKS1 keep the bytes of retired configuration fields: writers
 /// emit `decorrelate_rounds = 1`, scale tag 0 (average-norm) with value 0,
-/// at most one whitening direction, and level-scheme tag 0. A stream
-/// carrying any other value is rejected at load with an error naming the
-/// field, instead of loading under a pipeline that no longer exists.
+/// at most one whitening direction, level-scheme tag 0 and table-mode tag
+/// 0. A stream carrying any other value is rejected at load with an error
+/// naming the field, instead of loading under a pipeline that no longer
+/// exists — except table-mode tag 1, which older writers emitted for a
+/// model that encodes the same, and which loads as that model.
 #[test]
 fn retired_config_values_are_rejected_at_load() {
-    let (clf, _) = tiny_classifier();
+    let (clf, features) = tiny_classifier();
     let compressed = clf.compressed();
     assert_eq!(compressed.n_directions(), 1, "default config decorrelates");
     let lkc1 = compressed.to_bytes().expect("serialization failed");
@@ -231,12 +233,33 @@ fn retired_config_values_are_rejected_at_load() {
     two.extend_from_slice(&lkc1[dir_at..]);
     rejects(&two, "n_directions");
     // LKS1 header: magic, dim, q, r, n_features (u32 each), quantization
-    // tag at 20, level-scheme tag at 21.
-    let mut lks1 = clf.to_bytes().expect("serialization failed");
-    assert_eq!(lks1[21], 0);
-    lks1[21] = 1;
-    let err = LookHdClassifier::from_bytes(&lks1).expect_err("level-scheme tag 1 loaded");
+    // tag at 20, level-scheme tag at 21, table-mode tag at 22.
+    let lks1 = clf.to_bytes().expect("serialization failed");
+    let mut level_scheme = lks1.clone();
+    assert_eq!(level_scheme[21], 0);
+    level_scheme[21] = 1;
+    let err = LookHdClassifier::from_bytes(&level_scheme).expect_err("level-scheme tag 1 loaded");
     assert!(err.to_string().contains("level_scheme"), "{err}");
+    // The table-mode byte is written 0. Older writers stored 1 for a
+    // chunk table past 64 MiB, and both modes encoded identically, so 1
+    // loads the same model; any other value is refused.
+    assert_eq!(lks1[22], 0);
+    let mut older = lks1.clone();
+    older[22] = 1;
+    let back = LookHdClassifier::from_bytes(&older).expect("table-mode tag 1 refused");
+    assert_eq!(
+        back.to_bytes().expect("serialization failed"),
+        lks1,
+        "a tag-1 artifact must load the same model and write tag 0"
+    );
+    for x in &features {
+        assert_eq!(back.predict(x).unwrap(), clf.predict(x).unwrap());
+        assert_eq!(back.scores(x).unwrap(), clf.scores(x).unwrap());
+    }
+    let mut unknown = lks1.clone();
+    unknown[22] = 2;
+    let err = LookHdClassifier::from_bytes(&unknown).expect_err("table-mode tag 2 loaded");
+    assert!(err.to_string().contains("table_mode"), "{err}");
 }
 
 /// A whitening direction entry that is NaN, ±inf or huge is rejected at

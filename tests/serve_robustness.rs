@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use lookhd_paper::datasets::apps::App;
 use lookhd_paper::hdc::{Classifier, FitClassifier, HdcError, Result as HdcResult};
-use lookhd_paper::lookhd::{LookHdClassifier, LookHdConfig};
+use lookhd_paper::lookhd::{LookHdClassifier, LookHdConfig, StreamingTrainer};
 use lookhd_paper::obs;
 use lookhd_paper::serve::{
     self, Client, ErrorCode, OnlineConfig, Request, Response, ServeConfig, WireError,
@@ -364,15 +364,33 @@ fn graceful_shutdown_answers_accepted_trainer_commands() {
 /// instead of materializing it. Every refresh still gets exactly one
 /// answer, in order: consecutive `RefreshAck` versions, then
 /// `ShuttingDown`.
+///
+/// The queue is sized from a measured materialize of this model after one
+/// fold (the fastest of three), so that it outlasts the drain grace three
+/// times over on any build profile and host speed.
 #[test]
 fn shutdown_refuses_refreshes_queued_past_the_drain_grace() {
-    const REFRESHES: u64 = 64;
     let (clf, features, label) = speech_model();
+    let mut trainer = StreamingTrainer::from_classifier(clf).expect("trainer failed");
+    trainer
+        .observe(features, *label as usize)
+        .expect("observe failed");
+    let materialize = (0..3)
+        .map(|_| {
+            let started = Instant::now();
+            trainer.materialize().expect("materialize failed");
+            started.elapsed()
+        })
+        .min()
+        .expect("three timings");
+    let refreshes = (3 * DRAIN_GRACE.as_nanos() / materialize.as_nanos().max(1)) as u64 + 1;
+    // The feedback and every refresh wait in the trainer queue together.
+    let queue_cap = usize::try_from(refreshes + 1).expect("queue fits usize");
     let handle = serve::start_online(
         "127.0.0.1:0",
         clf.clone(),
         ServeConfig::new(),
-        OnlineConfig::new(),
+        OnlineConfig::new().with_queue_cap(queue_cap),
     )
     .expect("bind failed");
     let mut client = Client::connect(handle.addr()).expect("connect failed");
@@ -387,12 +405,12 @@ fn shutdown_refuses_refreshes_queued_past_the_drain_grace() {
             features: features.clone(),
         })
         .expect("send failed");
-    for id in 1..=REFRESHES {
+    for id in 1..=refreshes {
         client
             .send(&Request::Refresh { id, trace_id: 0 })
             .expect("send failed");
     }
-    let ping = REFRESHES + 1;
+    let ping = refreshes + 1;
     client
         .send(&Request::Ping { id: ping })
         .expect("send failed");
@@ -407,7 +425,7 @@ fn shutdown_refuses_refreshes_queued_past_the_drain_grace() {
 
     let started = Instant::now();
     handle.shutdown();
-    while answers.len() < REFRESHES as usize + 1 {
+    while answers.len() < refreshes as usize + 1 {
         let response = client
             .recv()
             .expect("shutdown dropped an accepted trainer command");
@@ -418,7 +436,7 @@ fn shutdown_refuses_refreshes_queued_past_the_drain_grace() {
 
     assert!(matches!(answers[&0], Response::FeedbackAck { id: 0, .. }));
     let mut acked = 0;
-    for id in 1..=REFRESHES {
+    for id in 1..=refreshes {
         match &answers[&id] {
             Response::RefreshAck { version, .. } if acked + 1 == id => {
                 assert_eq!(*version, id + 1, "refresh {id} swapped out of order");
@@ -429,7 +447,7 @@ fn shutdown_refuses_refreshes_queued_past_the_drain_grace() {
         }
     }
     assert!(
-        acked < REFRESHES,
+        acked < refreshes,
         "every refresh materialized: the drain never refused one"
     );
     let bound = DRAIN_GRACE + Duration::from_secs(2);
@@ -437,5 +455,7 @@ fn shutdown_refuses_refreshes_queued_past_the_drain_grace() {
         drain < bound,
         "join took {drain:?} after the shutdown (bound {bound:?}, {acked} refreshes acked)"
     );
-    eprintln!("{acked} of {REFRESHES} refreshes materialized; join after {drain:?}");
+    eprintln!(
+        "{acked} of {refreshes} refreshes materialized ({materialize:?} each); join after {drain:?}"
+    );
 }
