@@ -4,7 +4,7 @@
 //! ```text
 //! lookhd train    --data train.csv --out model.lks [--dim 2000 --q 4 --r 5
 //!                 --epochs 10 --linear --group 12 --seed 42
-//!                 --kernel auto|dense|lut --kernel-budget BYTES]
+//!                 --kernel auto|dense|lut]
 //! lookhd evaluate --model model.lks --data test.csv
 //! lookhd predict  --model model.lks --data queries.csv
 //! lookhd info     --model model.lks [--kernel KIND]
@@ -40,14 +40,15 @@
 //! killed server still leaves a recent snapshot behind.
 //!
 //! `--kernel {auto,dense,lut}` selects the scoring kernel. On `train` it
-//! is built at fit time and persisted with the model; on `info` and
-//! `serve` it rebuilds the kernel of the loaded `LKS1` artifact without
-//! retraining (`serve`, like every subcommand that reads a model, loads
-//! `LKS1` classifiers only). `auto` tries the score-LUT and falls back
-//! to dense when its tables are over budget or out of integer bound;
-//! `lut` (exact precomputed tables; `--kernel-budget` caps their bytes)
-//! is a hard request that fails when the model cannot satisfy it. Every
-//! kind trains the same decorrelated model.
+//! is built at fit time and the artifact records which kernel serves;
+//! loading rebuilds the score-LUT's tables from the model, so they are
+//! never stored. On `info` and `serve` it rebuilds the kernel of the
+//! loaded `LKS1` artifact without retraining (`serve`, like every
+//! subcommand that reads a model, loads `LKS1` classifiers only). `auto`
+//! tries the score-LUT and falls back to dense when its tables are over
+//! the 64 MiB budget or out of integer bound; `lut` (exact precomputed
+//! tables) is a hard request that fails when the model cannot satisfy
+//! it. Every kind trains the same decorrelated model.
 
 mod args;
 
@@ -58,7 +59,7 @@ use std::process::ExitCode;
 use args::Args;
 use hdc::quantize::Quantization;
 use hdc::{Classifier, FitClassifier};
-use lookhd::{CompressionConfig, KernelKind, KernelSpec, LookHdClassifier, LookHdConfig};
+use lookhd::{CompressionConfig, KernelSpec, LookHdClassifier, LookHdConfig};
 use lookhd_datasets::csv;
 use lookhd_hwsim::fpga::FpgaPhase;
 use lookhd_hwsim::{CpuModel, FpgaModel, WorkloadShape};
@@ -86,17 +87,14 @@ fn out(line: impl std::fmt::Display) {
 /// no-op. `--metrics FILE` is valid everywhere.
 fn flags_read_by(subcommand: &str) -> Option<(&'static str, &'static str)> {
     Some(match subcommand {
-        "train" => (
-            "data out dim q r epochs group seed kernel kernel-budget",
-            "linear",
-        ),
+        "train" => ("data out dim q r epochs group seed kernel", "linear"),
         "evaluate" | "predict" => ("model data", ""),
-        "info" => ("model kernel kernel-budget", ""),
+        "info" => ("model kernel", ""),
         "inspect" => ("data", ""),
         "estimate" => ("model samples", ""),
         "serve" => (
             "model addr reactors max-conns queue-cap admin-addr metrics-interval \
-             slo-p99-ms slo-error-rate kernel kernel-budget refresh-after drift-threshold",
+             slo-p99-ms slo-error-rate kernel refresh-after drift-threshold",
             "online",
         ),
         _ => return None,
@@ -158,7 +156,7 @@ fn run(raw: Vec<String>) -> Result<(), String> {
 const USAGE: &str = "usage:
   lookhd train    --data train.csv --out model.lks [--dim N --q N --r N
                   --epochs N --linear --group N --seed N
-                  --kernel auto|dense|lut --kernel-budget BYTES]
+                  --kernel auto|dense|lut]
   lookhd evaluate --model model.lks --data test.csv
   lookhd predict  --model model.lks --data queries.csv
   lookhd info     --model model.lks [--kernel KIND]
@@ -172,10 +170,10 @@ const USAGE: &str = "usage:
 
 A flag a subcommand does not read is an error.
 --kernel selects the scoring kernel: auto (score-LUT with dense fallback),
-dense (exact reference), lut (exact precomputed tables; --kernel-budget
-caps their bytes). On train it is built and persisted with the model;
-on info/serve it rebuilds the kernel of a loaded LKS1 artifact without
-retraining.
+dense (exact reference), lut (exact precomputed tables, at most 64 MiB).
+On train it is built and the artifact records it (loading rebuilds the
+tables); on info/serve it rebuilds the kernel of a loaded LKS1 artifact
+without retraining.
 --reactors N (serve) sets the event-loop thread count: each reactor reads,
 scores and answers the requests of its own connections; --max-conns N
 caps concurrently open connections (excess connects get one Overloaded
@@ -208,21 +206,12 @@ fn load_classifier(args: &Args) -> Result<LookHdClassifier, String> {
     LookHdClassifier::from_bytes(&bytes).map_err(|e| format!("loading {path}: {e}"))
 }
 
-/// Kernel selection from `--kernel {auto,dense,lut}` plus the
-/// `--kernel-budget BYTES` knob. `None` means the flag family was
-/// absent.
+/// Kernel selection from `--kernel {auto,dense,lut}`; `None` when the
+/// flag is absent.
 fn kernel_spec(args: &Args) -> Result<Option<KernelSpec>, String> {
-    let kind = match args.get("kernel") {
-        Some(raw) => Some(raw.parse::<KernelKind>().map_err(|e| e.to_string())?),
-        None => None,
-    };
-    let Some(kind) = kind else {
-        return Ok(None);
-    };
-    let budget = args
-        .get_or("kernel-budget", KernelSpec::DEFAULT_BUDGET_BYTES)
-        .map_err(|e| e.to_string())?;
-    Ok(Some(KernelSpec::new(kind).with_budget_bytes(budget)))
+    args.get("kernel")
+        .map(|raw| raw.parse::<KernelSpec>().map_err(|e| e.to_string()))
+        .transpose()
 }
 
 /// One human-readable line describing a classifier's active kernel
@@ -283,7 +272,7 @@ fn train(args: &Args) -> Result<(), String> {
     ));
     if let Some(requested) = kernel {
         let active = clf.kernel();
-        if requested.kind == KernelKind::Auto && active.name() == "dense" {
+        if requested == KernelSpec::Auto && active.name() == "dense" {
             out("kernel: auto fell back to the dense path (tables over budget or out of bound)");
         } else {
             out(format!("kernel: {}", kernel_line(&clf)));

@@ -369,8 +369,9 @@ fn unknown_flags_are_rejected_by_name() {
     assert!(!model.exists(), "a rejected command must not train");
 
     // No subcommand reads --threads: training and batch inference run on
-    // the calling thread. Both fail at the flag check, before training or
-    // loading the (absent) model.
+    // the calling thread. Nor --kernel-budget: the score-LUT's tables
+    // have one fixed 64 MiB cap. Each fails at the flag check, before
+    // training or loading the (absent) model.
     let data = train.to_str().unwrap();
     let path = model.to_str().unwrap();
     for args in [
@@ -384,11 +385,21 @@ fn unknown_flags_are_rejected_by_name() {
             "--threads",
             "2",
         ],
+        [
+            "train",
+            "--data",
+            data,
+            "--out",
+            path,
+            "--kernel-budget",
+            "1",
+        ],
     ] {
-        let out = bin().args(args).output().expect("run --threads");
-        assert!(!out.status.success(), "{} accepted --threads", args[0]);
+        let flag = args[5];
+        let out = bin().args(args).output().expect("run an unread flag");
+        assert!(!out.status.success(), "{} accepted {flag}", args[0]);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("--threads"), "stderr: {stderr}");
+        assert!(stderr.contains(flag), "stderr: {stderr}");
         assert!(!stderr.contains("reading"), "stderr: {stderr}");
         assert!(!model.exists(), "a rejected command must not train");
     }

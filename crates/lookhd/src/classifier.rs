@@ -21,10 +21,12 @@ use crate::score_lut::ScoreLut;
 use crate::trainer::CounterTrainer;
 
 const CLASSIFIER_MAGIC: &[u8; 4] = b"LKS1";
-/// LKS1 kernel-section tag: no kernel payload (dense scoring path).
+/// LKS1 kernel-section tag: the dense scoring path, no section follows.
 const KERNEL_SECTION_NONE: u8 = 0;
-/// LKS1 kernel-section tag: an SLT1 score-LUT section follows.
-const KERNEL_SECTION_SLT1: u8 = 1;
+/// LKS1 kernel-section tag: the score-LUT serves. A length-prefixed
+/// section follows; writers leave it empty, older writers stored the
+/// tables there, and readers skip it and rebuild the tables.
+const KERNEL_SECTION_LUT: u8 = 1;
 
 /// Hyperparameters of the full LookHD pipeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,9 +54,9 @@ pub struct LookHdConfig {
     /// validation-guided fitting and keep the fixed ⌈k/12⌉ grouping.
     pub validation_fraction: f64,
     /// Which scoring kernel to build at fit time (see
-    /// [`crate::score_kernel`]). [`crate::score_kernel::KernelKind::Auto`]
-    /// tries the score-LUT and falls back to the dense path when its
-    /// tables are over budget or out of integer bound (counted as
+    /// [`crate::score_kernel`]). [`KernelSpec::Auto`] tries the score-LUT
+    /// and falls back to the dense path when its tables are over budget
+    /// or out of integer bound (counted as
     /// `kernel.fallback{reason=budget|bound}`); an explicit `lut` request
     /// makes that a fit error instead.
     pub kernel: KernelSpec,
@@ -168,8 +170,8 @@ pub struct LookHdClassifier {
     compressed: CompressedModel,
     /// The scoring kernel every predict/scores call dispatches through
     /// (see [`crate::score_kernel`]). Built after retraining — precomputed
-    /// kernels bake in the final combined vectors — and persisted with the
-    /// classifier when the kernel carries state.
+    /// kernels bake in the final combined vectors — and rebuilt at load:
+    /// an artifact records only which kernel serves.
     kernel: ScoreKernel,
     report: TrainReport,
     /// The RNG seed levels/positions were generated from (for persistence).
@@ -444,10 +446,12 @@ impl LookHdClassifier {
     }
 
     /// Serializes the trained classifier (`LKS1` format): hyperparameters,
-    /// the fitted quantizer boundaries, the uncompressed model, and the
-    /// compressed model. Level and position hypervectors are *not* stored;
-    /// they regenerate deterministically from the seed, which keeps the
-    /// artifact close to the paper's deployable model size.
+    /// the fitted quantizer boundaries, the uncompressed model, the
+    /// compressed model and which kernel serves. Level and position
+    /// hypervectors are *not* stored; they regenerate deterministically
+    /// from the seed, which keeps the artifact close to the paper's
+    /// deployable model size. Neither are the score-LUT's tables, which
+    /// are derived from the rest.
     ///
     /// # Errors
     ///
@@ -506,36 +510,39 @@ impl LookHdClassifier {
             )?,
         );
         out.extend_from_slice(&compressed_bytes);
-        // The kernel-section tag byte is mandatory (0 = none/dense,
-        // 1 = SLT1) so every truncation of the stream stays detectable.
+        // The kernel-section tag byte is mandatory (0 = dense, 1 = LUT)
+        // so every truncation of the stream stays detectable. The LUT's
+        // section is written empty: load rebuilds the tables.
         match &self.kernel {
             ScoreKernel::Dense => out.push(KERNEL_SECTION_NONE),
-            ScoreKernel::Lut(lut) => {
-                let payload = lut.to_bytes()?;
-                out.push(KERNEL_SECTION_SLT1);
-                w32(
-                    &mut out,
-                    serial_u32("kernel section length", payload.len(), u32::MAX as usize)?,
-                );
-                out.extend_from_slice(&payload);
+            ScoreKernel::Lut(_) => {
+                out.push(KERNEL_SECTION_LUT);
+                w32(&mut out, 0);
             }
         }
         Ok(out)
     }
 
     /// Deserializes a classifier written by [`LookHdClassifier::to_bytes`],
-    /// regenerating level and position hypervectors from the stored seed.
+    /// regenerating level and position hypervectors from the stored seed
+    /// and, for tag 1, rebuilding the score-LUT with
+    /// `build_kernel(.., &KernelSpec::Auto)`, the call fit makes. Bytes an
+    /// older writer stored in the tag-1 section are skipped. A model the
+    /// score-LUT can no longer serve loads on the dense path, counted as
+    /// a `kernel.fallback`.
     ///
     /// Length headers are validated against the remaining stream length
     /// and the [`crate::compress::MAX_SERIAL_DIM`] cap before any
     /// allocation, so corrupt or hostile headers produce an error rather
-    /// than a multi-GB allocation; trailing bytes after the compressed
-    /// section are rejected with the offending byte offset.
+    /// than a multi-GB allocation; trailing bytes after the kernel
+    /// section are rejected with the offending byte offset. The header
+    /// `dim` must match both embedded models, and the two models' class
+    /// counts must agree.
     ///
     /// # Errors
     ///
     /// Returns [`HdcError::InvalidDataset`] for a malformed, truncated, or
-    /// over-long stream.
+    /// over-long stream or disagreeing sections.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         let bad = |m: &str| HdcError::invalid_dataset(m.to_owned());
         let mut pos = 0usize;
@@ -627,11 +634,30 @@ impl LookHdClassifier {
             .map_err(|e| bad(&format!("embedded model: {e}")))?;
         let compressed_len = u32v(&mut pos)? as usize;
         let compressed = CompressedModel::from_bytes(take(&mut pos, compressed_len)?)?;
-        let kernel = match take(&mut pos, 1)?[0] {
-            KERNEL_SECTION_NONE => ScoreKernel::Dense,
-            KERNEL_SECTION_SLT1 => {
-                let kernel_len = u32v(&mut pos)? as usize;
-                ScoreKernel::Lut(ScoreLut::from_bytes(take(&mut pos, kernel_len)?)?)
+        for (section, section_dim) in [
+            ("model", model.dim()),
+            ("compressed model", compressed.dim()),
+        ] {
+            if section_dim != dim {
+                return Err(HdcError::invalid_dataset(format!(
+                    "header dim {dim} disagrees with the embedded {section}'s dim {section_dim}"
+                )));
+            }
+        }
+        if model.n_classes() != compressed.n_classes() {
+            return Err(HdcError::invalid_dataset(format!(
+                "embedded model n_classes {} disagrees with the compressed model's {}",
+                model.n_classes(),
+                compressed.n_classes()
+            )));
+        }
+        let spec = match take(&mut pos, 1)?[0] {
+            KERNEL_SECTION_NONE => KernelSpec::Dense,
+            KERNEL_SECTION_LUT => {
+                // Older writers stored the tables here: skip them.
+                let section_len = u32v(&mut pos)? as usize;
+                take(&mut pos, section_len)?;
+                KernelSpec::Auto
             }
             other => {
                 return Err(HdcError::invalid_dataset(format!(
@@ -651,14 +677,10 @@ impl LookHdClassifier {
             return Err(bad("quantizer boundaries disagree with q"));
         }
         let layout = ChunkLayout::new(n_features, r, q)?;
-        // The score-LUT arrived as an independent section; make sure its
-        // geometry agrees with the layout and model it will serve.
-        if let ScoreKernel::Lut(lut) = &kernel {
-            lut.validate_against(&layout, &compressed)?;
-        }
         let mut rng = StdRng::seed_from_u64(seed);
         let levels = LevelMemory::generate(dim, q, &mut rng)?;
         let encoder = LookupEncoder::new(layout, &levels, quantizer, seed)?;
+        let kernel = build_kernel(&encoder, &compressed, &spec)?;
         Ok(Self {
             encoder,
             model,
@@ -827,14 +849,14 @@ mod tests {
             .with_quantization(Quantization::Linear)
             .with_compression(CompressionConfig::new().with_seed(5))
             .with_retrain_epochs(2)
-            .with_kernel(KernelSpec::lut().with_budget_bytes(4096))
+            .with_kernel(KernelSpec::lut())
             .with_seed(77);
         assert_eq!(c.dim, 4000);
         assert_eq!(c.q, 8);
         assert_eq!(c.r, 3);
         assert_eq!(c.quantization, Quantization::Linear);
         assert_eq!(c.retrain_epochs, 2);
-        assert_eq!(c.kernel, KernelSpec::lut().with_budget_bytes(4096));
+        assert_eq!(c.kernel, KernelSpec::lut());
         assert_eq!(c.seed, 77);
         assert_eq!(LookHdConfig::default(), LookHdConfig::new());
     }
@@ -871,25 +893,34 @@ mod tests {
 
     #[test]
     fn score_lut_falls_back_when_ineligible() {
-        let (xs, ys) = blobs(10, 3, 15, 0.08, 22);
-        // A one-byte budget can never hold the tables.
+        // Three chunks of 16^5 rows × 3 classes need 72 MiB of tables,
+        // over `MAX_TABLE_BYTES`.
+        let (xs, ys) = blobs(15, 3, 15, 0.08, 22);
         let starved = LookHdConfig::new()
             .with_dim(256)
+            .with_q(16)
             .with_retrain_epochs(0)
             .with_compression(CompressionConfig::new().with_decorrelate(false))
-            .with_kernel(KernelSpec::auto().with_budget_bytes(1));
+            .with_kernel(KernelSpec::auto());
         let clf = LookHdClassifier::fit(&starved, &xs, &ys).unwrap();
         assert!(clf.score_lut().is_none());
         assert!(clf.predict(&xs[0]).is_ok());
+        // Load resolves a LUT-tagged artifact the same way: kernel tag 1
+        // and an empty section in place of tag 0 load this model dense.
+        let mut bytes = clf.to_bytes().unwrap();
+        *bytes.last_mut().unwrap() = KERNEL_SECTION_LUT;
+        bytes.extend_from_slice(&[0; 4]);
+        let back = LookHdClassifier::from_bytes(&bytes).unwrap();
+        assert_eq!(back.kernel(), &ScoreKernel::Dense);
+        assert_eq!(
+            back.predict_batch(&xs).unwrap(),
+            clf.predict_batch(&xs).unwrap()
+        );
         // Explicit (non-Auto) requests fail the fit instead.
-        assert!(LookHdClassifier::fit(
-            &starved
-                .clone()
-                .with_kernel(KernelSpec::lut().with_budget_bytes(1)),
-            &xs,
-            &ys
-        )
-        .is_err());
+        assert!(
+            LookHdClassifier::fit(&starved.clone().with_kernel(KernelSpec::lut()), &xs, &ys)
+                .is_err()
+        );
     }
 
     #[test]
@@ -952,13 +983,15 @@ mod tests {
             switched.predict_batch(&xs).unwrap(),
             back.predict_batch(&xs).unwrap()
         );
-        // A rebuild the model cannot satisfy keeps the previous kernel.
-        assert!(switched
-            .set_kernel(&KernelSpec::lut().with_budget_bytes(1))
-            .is_err());
-        assert_eq!(switched.kernel().name(), "lut");
         switched.set_kernel(&KernelSpec::dense()).unwrap();
         assert_eq!(switched.kernel(), &ScoreKernel::Dense);
+        // A rebuild the model cannot satisfy keeps the previous kernel:
+        // at q = 16 the 72 MiB of tables are over `MAX_TABLE_BYTES`.
+        let (xs, ys) = blobs(15, 3, 15, 0.08, 24);
+        let mut wide = LookHdClassifier::fit(&config.with_q(16), &xs, &ys).unwrap();
+        assert!(wide.set_kernel(&KernelSpec::lut()).is_err());
+        assert_eq!(wide.kernel(), &ScoreKernel::Dense);
+        assert!(wide.predict(&xs[0]).is_ok());
     }
 
     #[test]

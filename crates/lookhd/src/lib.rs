@@ -72,5 +72,5 @@ pub mod trainer;
 pub use classifier::{LookHdClassifier, LookHdConfig};
 pub use compress::{CompressedModel, CompressionConfig};
 pub use online::StreamingTrainer;
-pub use score_kernel::{build_kernel, KernelKind, KernelSpec, ScoreKernel};
+pub use score_kernel::{build_kernel, KernelSpec, ScoreKernel};
 pub use score_lut::ScoreLut;

@@ -253,10 +253,7 @@ impl StreamingTrainer {
     pub fn from_classifier(clf: &LookHdClassifier) -> Result<Self> {
         let kernel = match clf.kernel() {
             ScoreKernel::Dense => KernelSpec::dense(),
-            // Streaming never changes the table geometry, so the served
-            // tables' own size is a budget every refresh fits — the
-            // default budget would reject a LUT built under a larger one.
-            ScoreKernel::Lut(lut) => KernelSpec::lut().with_budget_bytes(lut.size_bytes()),
+            ScoreKernel::Lut(_) => KernelSpec::lut(),
         };
         let config = LookHdConfig::new()
             .with_compression(clf.compressed().compression_config().clone())

@@ -14,15 +14,16 @@
 //! whitening arithmetic, so every model is eligible for either.
 //!
 //! Which kernel a classifier builds is chosen by [`KernelSpec`]
-//! (`LookHdConfig::with_kernel`). [`KernelKind::Auto`] resolves
+//! (`LookHdConfig::with_kernel`). [`KernelSpec::Auto`] resolves
 //! `lut → dense`: it tries the score-LUT and silently falls back to the
 //! dense path when the tables are over budget or out of integer bound,
 //! counted as `kernel.fallback{reason=budget|bound}`.
 //!
 //! Kernels are stateless with respect to the encoder and model: every
 //! scoring call receives `(&LookupEncoder, &CompressedModel)` from the
-//! classifier, and the score-LUT's tables are the only kernel-owned
-//! state.
+//! classifier. The score-LUT's tables are the only kernel-owned state,
+//! and they are derived: a pure function of the encoder and compressed
+//! model, rebuilt at load rather than persisted.
 
 use std::fmt;
 use std::str::FromStr;
@@ -35,103 +36,65 @@ use crate::compress::CompressedModel;
 use crate::encoder::LookupEncoder;
 use crate::score_lut::ScoreLut;
 
-/// Which scoring kernel the classifier should build at fit time.
+/// Which scoring kernel a classifier builds (at fit time, on
+/// [`set_kernel`](crate::classifier::LookHdClassifier::set_kernel) and on
+/// every online refresh).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelKind {
+pub enum KernelSpec {
     /// Resolve automatically: try the score-LUT, fall back to dense when
-    /// its tables are over budget or out of integer bound.
+    /// its tables are over [`MAX_TABLE_BYTES`](crate::score_lut::MAX_TABLE_BYTES),
+    /// over the build-work bound or out of integer bound.
     Auto,
     /// Always the dense compressed scoring path (the exact reference).
     #[default]
     Dense,
     /// The precomputed score-LUT tables ([`crate::score_lut`]); an
-    /// ineligible model is a hard error (use [`KernelKind::Auto`] for
+    /// ineligible model is a hard error (use [`KernelSpec::Auto`] for
     /// silent fallback).
     Lut,
 }
 
-impl KernelKind {
-    /// The stable lower-case name used by the CLI and telemetry.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            KernelKind::Auto => "auto",
-            KernelKind::Dense => "dense",
-            KernelKind::Lut => "lut",
-        }
+impl KernelSpec {
+    /// Auto resolution (`lut → dense` fallback).
+    pub fn auto() -> Self {
+        Self::Auto
+    }
+
+    /// The dense scoring path.
+    pub fn dense() -> Self {
+        Self::Dense
+    }
+
+    /// The score-LUT kernel (hard error when ineligible).
+    pub fn lut() -> Self {
+        Self::Lut
     }
 }
 
-impl fmt::Display for KernelKind {
+/// The lower-case name the CLI parses.
+impl fmt::Display for KernelSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
+        f.write_str(match self {
+            KernelSpec::Auto => "auto",
+            KernelSpec::Dense => "dense",
+            KernelSpec::Lut => "lut",
+        })
     }
 }
 
-impl FromStr for KernelKind {
+impl FromStr for KernelSpec {
     type Err = HdcError;
 
     fn from_str(s: &str) -> Result<Self> {
         match s {
-            "auto" => Ok(KernelKind::Auto),
-            "dense" => Ok(KernelKind::Dense),
-            "lut" => Ok(KernelKind::Lut),
+            "auto" => Ok(KernelSpec::Auto),
+            "dense" => Ok(KernelSpec::Dense),
+            "lut" => Ok(KernelSpec::Lut),
             other => Err(HdcError::invalid_config(
                 "kernel",
                 format!("unknown kernel '{other}' (expected auto, dense, or lut)"),
             )),
         }
-    }
-}
-
-/// Full kernel selection: the kind plus the score-LUT table budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KernelSpec {
-    /// Which kernel to build (see [`KernelKind`]).
-    pub kind: KernelKind,
-    /// Byte ceiling for precomputed score-LUT tables (`m·w·q^r` × 8 B for
-    /// `w` = `k` class columns plus one projection column per whitening
-    /// direction); ignored by the dense kernel.
-    pub budget_bytes: usize,
-}
-
-impl KernelSpec {
-    /// Default score-LUT table budget (64 MiB — holds the Table I SPEECH
-    /// shape, `124·26·4^5` entries ≈ 26 MiB, with room).
-    pub const DEFAULT_BUDGET_BYTES: usize = 64 << 20;
-
-    /// A spec of the given kind with the default budget.
-    pub fn new(kind: KernelKind) -> Self {
-        Self {
-            kind,
-            budget_bytes: Self::DEFAULT_BUDGET_BYTES,
-        }
-    }
-
-    /// Auto resolution (`lut → dense` fallback) under the default budget.
-    pub fn auto() -> Self {
-        Self::new(KernelKind::Auto)
-    }
-
-    /// The dense scoring path.
-    pub fn dense() -> Self {
-        Self::new(KernelKind::Dense)
-    }
-
-    /// The score-LUT kernel (hard error when ineligible).
-    pub fn lut() -> Self {
-        Self::new(KernelKind::Lut)
-    }
-
-    /// Sets the score-LUT table byte budget.
-    pub fn with_budget_bytes(mut self, budget_bytes: usize) -> Self {
-        self.budget_bytes = budget_bytes;
-        self
-    }
-}
-
-impl Default for KernelSpec {
-    fn default() -> Self {
-        Self::dense()
     }
 }
 
@@ -241,28 +204,28 @@ impl ScoreKernel {
 /// Builds the kernel a [`KernelSpec`] asks for from a fitted encoder and
 /// compressed model.
 ///
-/// [`KernelKind::Auto`] resolves `lut → dense`: a model the score-LUT
+/// [`KernelSpec::Auto`] resolves `lut → dense`: a model the score-LUT
 /// cannot serve falls back to [`ScoreKernel::Dense`] silently, ticking
 /// `kernel.fallback{reason=budget|bound}` with the reason
 /// [`ScoreLut::build`] returns
 /// ([`BuildError::fallback_reason`](crate::score_lut::BuildError::fallback_reason)).
-/// An explicit [`KernelKind::Lut`] propagates the build error instead.
+/// An explicit [`KernelSpec::Lut`] propagates the build error instead.
 ///
 /// # Errors
 ///
 /// Returns the underlying [`ScoreLut::build`] error for an explicit
-/// [`KernelKind::Lut`] request the model cannot satisfy, and for an
-/// encoder and model that disagree on `D` under any kind but dense.
+/// [`KernelSpec::Lut`] request the model cannot satisfy, and for an
+/// encoder and model that disagree on `D` under any spec but dense.
 pub fn build_kernel(
     encoder: &LookupEncoder,
     compressed: &CompressedModel,
     spec: &KernelSpec,
 ) -> Result<ScoreKernel> {
-    let lut = || ScoreLut::build(encoder, compressed, spec.budget_bytes);
-    match spec.kind {
-        KernelKind::Dense => Ok(ScoreKernel::Dense),
-        KernelKind::Lut => Ok(ScoreKernel::Lut(lut()?)),
-        KernelKind::Auto => match lut() {
+    let lut = || ScoreLut::build(encoder, compressed);
+    match spec {
+        KernelSpec::Dense => Ok(ScoreKernel::Dense),
+        KernelSpec::Lut => Ok(ScoreKernel::Lut(lut()?)),
+        KernelSpec::Auto => match lut() {
             Ok(lut) => Ok(ScoreKernel::Lut(lut)),
             // Over budget or out of bound: the dense path serves
             // identically, just slower.
@@ -326,25 +289,18 @@ mod tests {
     }
 
     #[test]
-    fn kernel_kind_parses_and_displays() {
+    fn kernel_spec_parses_and_displays() {
         for (s, k) in [
-            ("auto", KernelKind::Auto),
-            ("dense", KernelKind::Dense),
-            ("lut", KernelKind::Lut),
+            ("auto", KernelSpec::auto()),
+            ("dense", KernelSpec::dense()),
+            ("lut", KernelSpec::lut()),
         ] {
-            assert_eq!(s.parse::<KernelKind>().unwrap(), k);
+            assert_eq!(s.parse::<KernelSpec>().unwrap(), k);
             assert_eq!(k.to_string(), s);
         }
-        assert!("LUT".parse::<KernelKind>().is_err());
-        assert!("binary".parse::<KernelKind>().is_err());
-        assert!("".parse::<KernelKind>().is_err());
-    }
-
-    #[test]
-    fn spec_builders_chain() {
-        let spec = KernelSpec::lut().with_budget_bytes(99);
-        assert_eq!(spec.kind, KernelKind::Lut);
-        assert_eq!(spec.budget_bytes, 99);
+        assert!("LUT".parse::<KernelSpec>().is_err());
+        assert!("binary".parse::<KernelSpec>().is_err());
+        assert!("".parse::<KernelSpec>().is_err());
         assert_eq!(KernelSpec::default(), KernelSpec::dense());
     }
 
@@ -361,25 +317,21 @@ mod tests {
             assert!(!kernel.describe(&compressed).is_empty());
         }
         // Auto falls back to dense when the LUT cannot be built, counted
-        // under the reason `ScoreLut::build` returns…
-        let starved = KernelSpec::auto().with_budget_bytes(1);
+        // under the reason `ScoreLut::build` returns: three chunks of
+        // 16^5 rows × 3 classes need 72 MiB, over `MAX_TABLE_BYTES`…
+        let (encoder, compressed) = setup(15, 5, 16, 64, 3, 12, 1);
         let budget = || obs::snapshot().counter_labeled("kernel.fallback", &[("reason", "budget")]);
         // The registry is process-global: this test only switches it on
         // and reads a counter that concurrent tests can only raise.
         obs::set_enabled(true);
         let before = budget();
-        let kernel = build_kernel(&encoder, &compressed, &starved).unwrap();
+        let kernel = build_kernel(&encoder, &compressed, &KernelSpec::auto()).unwrap();
         assert_eq!(kernel, ScoreKernel::Dense);
         assert!(budget() > before);
-        let err = ScoreLut::build(&encoder, &compressed, 1).unwrap_err();
+        let err = ScoreLut::build(&encoder, &compressed).unwrap_err();
         assert_eq!(err.fallback_reason(), Some("budget"));
         // …but an explicit request is a hard error.
-        assert!(build_kernel(
-            &encoder,
-            &compressed,
-            &KernelSpec::lut().with_budget_bytes(1)
-        )
-        .is_err());
+        assert!(build_kernel(&encoder, &compressed, &KernelSpec::lut()).is_err());
     }
 
     #[test]

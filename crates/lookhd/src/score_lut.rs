@@ -49,25 +49,44 @@
 //! The naive build (synthesize all `q^r` rows, bind, dot) costs
 //! `O(m·k·q^r·D)`. Instead we use the row structure
 //! `LUT(addr) = Σ_j ρ^j(L_{digit_j})`: with
-//! `T_i[c][j][lv] = (P'_c ⊙ P_i ⊙ ρ^j(L_lv)) · C`, each table entry is
-//! `S_i[c][addr] = Σ_j T_i[c][j][digit_j(addr)]` — only `m·k·r·q` masked
-//! dot products of length `D`, then `r` adds per entry.
+//! `T_i[j][lv][c] = (P'_c ⊙ P_i ⊙ ρ^j(L_lv)) · C`, each table entry is
+//! `S_i[c][addr] = Σ_j T_i[j][digit_j(addr)][c]` — only `w·n·q` masked
+//! dot products of length `D` (at most [`MAX_BUILD_TERMS`] terms). The
+//! rows are then filled a digit at a time: row `a·q + lv` of the first
+//! `j + 1` digits is row `a` of the first `j` digits plus `T_i[j][lv]`,
+//! about `q/(q−1)` row adds per row instead of `r`.
+//!
+//! ## Derived state
+//!
+//! The tables are a pure function of the encoder, which regenerates from
+//! the seed, and the compressed model, so they are never persisted: an
+//! `LKS1` artifact records only that the score-LUT serves, and loading
+//! rebuilds the tables through the
+//! [`build_kernel`](crate::score_kernel::build_kernel) call fit makes.
+//! Every loaded score-LUT therefore scores exactly like its own dense
+//! path.
 
 use std::fmt;
 
 use hdc::encoding::Encode;
 use hdc::{HdcError, Result};
 
-use crate::chunking::ChunkLayout;
-use crate::compress::{
-    serial_u32, signed_sum, CompressedModel, MAX_SERIAL_CLASSES, MAX_SERIAL_FEATURES, WHITEN_BITS,
-};
+use crate::compress::{signed_sum, CompressedModel, WHITEN_BITS};
 use crate::encoder::LookupEncoder;
 
-/// Ceiling on serialized/loaded score-LUT entries (2^27 ≈ 134M entries,
-/// 1 GiB of `i64`) — same role as [`crate::compress::MAX_REGEN_ELEMENTS`]:
-/// a corrupt header must not request a multi-GB allocation.
-pub const MAX_SERIAL_SCORE_ENTRIES: usize = 1 << 27;
+/// Ceiling on the score-LUT's table bytes: 64 MiB holds the Table I
+/// SPEECH shape (`124·26·4^5` entries, 26 MB) with room. A larger table
+/// makes [`ScoreLut::build`] return [`BuildError::Budget`].
+pub const MAX_TABLE_BYTES: usize = 64 << 20;
+
+/// Ceiling on the terms a build sums: the digit tables `T` are `w·n·q`
+/// signed sums of `D` terms. [`MAX_TABLE_BYTES`] bounds `w·n·q` below
+/// `2^23` (`q^len ≥ len·q`) but not its product with `D`, which `LKS1`
+/// allows up to `2^20`. `2^32` terms take about 0.85 s at the ~5·10^9
+/// terms/s measured on SPEECH, which needs `2^27.0` at `D = 2000` and
+/// `2^29.3` at `D = 10,000`. A larger build returns
+/// [`BuildError::Budget`].
+pub const MAX_BUILD_TERMS: u128 = 1 << 32;
 
 /// Largest score magnitude the kernel accepts: `2^52`, chosen so every
 /// partial sum fits `i64` with headroom *and* round-trips `i64 → f64`
@@ -123,6 +142,29 @@ fn check_column_bound(
     }
 }
 
+/// Rejects a build whose digit tables need more than [`MAX_BUILD_TERMS`]
+/// terms (`w·n·q` signed sums of `D` terms), as [`BuildError::Budget`].
+fn check_build_terms(
+    w: usize,
+    n_features: usize,
+    q: usize,
+    dim: usize,
+) -> std::result::Result<(), BuildError> {
+    let terms = [w, n_features, q, dim]
+        .iter()
+        .fold(1u128, |acc, &x| acc.saturating_mul(x as u128));
+    if terms > MAX_BUILD_TERMS {
+        return Err(BuildError::Budget(HdcError::invalid_config(
+            "score_lut",
+            format!(
+                "table build needs {w}·{n_features}·{q}·{dim} = {terms} terms, \
+                 over the 2^32-term budget"
+            ),
+        )));
+    }
+    Ok(())
+}
+
 /// Why [`ScoreLut::build`] refused a model. `Budget` and `Bound` make
 /// the model ineligible for the score-LUT:
 /// [`build_kernel`](crate::score_kernel::build_kernel)'s Auto resolution
@@ -131,7 +173,8 @@ fn check_column_bound(
 /// Each variant carries the error an explicit `lut` request surfaces.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BuildError {
-    /// The tables exceed the byte budget or [`MAX_SERIAL_SCORE_ENTRIES`].
+    /// The tables exceed [`MAX_TABLE_BYTES`] or their build
+    /// [`MAX_BUILD_TERMS`].
     Budget(HdcError),
     /// A worst-case class or projection column sum exceeds
     /// [`MAX_EXACT_SCORE`].
@@ -213,15 +256,14 @@ impl ScoreLut {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError::Budget`] when the table would exceed
-    /// `budget_bytes` or [`MAX_SERIAL_SCORE_ENTRIES`],
+    /// Returns [`BuildError::Budget`] when the tables would exceed
+    /// [`MAX_TABLE_BYTES`] or their build [`MAX_BUILD_TERMS`],
     /// [`BuildError::Bound`] when a worst-case column sum violates
     /// [`MAX_EXACT_SCORE`], and [`BuildError::Mismatch`] when the encoder
     /// and compressed model disagree on `D`.
     pub fn build(
         encoder: &LookupEncoder,
         compressed: &CompressedModel,
-        budget_bytes: usize,
     ) -> std::result::Result<Self, BuildError> {
         let _span = obs::span("score_lut_build");
         let dim = encoder.dim();
@@ -236,17 +278,17 @@ impl ScoreLut {
         let direction = compressed.direction_fixed();
         let w = k + compressed.n_directions();
         let total_entries = (w as u128).saturating_mul(layout.total_table_rows());
-        let cap = (budget_bytes / std::mem::size_of::<i64>()).min(MAX_SERIAL_SCORE_ENTRIES);
-        if total_entries > cap as u128 {
+        if total_entries.saturating_mul(8) > MAX_TABLE_BYTES as u128 {
             return Err(BuildError::Budget(HdcError::invalid_config(
                 "score_lut",
                 format!(
-                    "table needs {total_entries} entries ({} bytes) > cap {cap} \
-                     ({budget_bytes}-byte budget)",
+                    "table needs {total_entries} entries ({} bytes), over the \
+                     {MAX_TABLE_BYTES}-byte budget",
                     total_entries.saturating_mul(8)
                 ),
             )));
         }
+        check_build_terms(w, layout.n_features(), layout.q(), dim)?;
         let max_abs = (0..compressed.n_vectors())
             .map(|g| compressed.combined(g).max_abs() as i64)
             .max()
@@ -280,12 +322,12 @@ impl ScoreLut {
         let mut entries = Vec::with_capacity(total_entries as usize);
         let mut offsets = Vec::with_capacity(m + 1);
         offsets.push(0usize);
-        // T[c][j][lv] laid out flat at c·(r_max·q) + j·q + lv; rebuilt per
-        // chunk (only the first chunk_len·q slots per column are used).
-        let mut t = vec![0i64; w * r_max * q];
+        // T[j][lv] is a row of w columns, laid out flat at (j·q + lv)·w;
+        // rebuilt per chunk (only the first chunk_len·q rows are used).
+        let mut t = vec![0i64; r_max * q * w];
+        let mut old_row = vec![0i64; w];
         for chunk in 0..m {
             let chunk_len = layout.chunk_len(chunk);
-            let rows = layout.table_rows(chunk);
             let p_i = encoder.positions().key(chunk);
             for c in 0..w {
                 // Class columns weigh `C` under `P'_c ⊙ P_i`; the
@@ -297,40 +339,42 @@ impl ScoreLut {
                         combined_i64[compressed.group_of(c)].as_slice(),
                     ),
                 };
-                let base = c * r_max * q;
                 for j in 0..chunk_len {
                     // The encoder's rotated levels ρ^j(L_lv).
                     for (lv, rot) in encoder.rotated_levels(j).iter().enumerate() {
-                        t[base + j * q + lv] = signed_sum(weights, &sign.bind(rot));
+                        t[(j * q + lv) * w + c] = signed_sum(weights, &sign.bind(rot));
                     }
                 }
             }
-            // Walk addresses 0..rows with a base-q odometer over the digit
-            // vector (most-significant digit first, matching
-            // `ChunkLayout::address`): the next address increments the
-            // least-significant (last) digit with carry.
-            let mut digits = vec![0usize; chunk_len];
-            for _addr in 0..rows {
-                for c in 0..w {
-                    let base = c * r_max * q;
-                    let mut s = 0i64;
-                    for (j, &dg) in digits.iter().enumerate() {
-                        s += t[base + j * q + dg];
+            // Fill the chunk's rows a digit at a time, most-significant
+            // first like `ChunkLayout::address`: row `a·q + lv` of the
+            // first `j + 1` digits is row `a` of the first `j` plus
+            // `T[j][lv]`. Rows `a·q..a·q + q` all lie at or past row `a`,
+            // so walking `a` from the back reads every row of the shorter
+            // prefix before a longer one overwrites it. The one row of no
+            // digits is all zeros.
+            let start = entries.len();
+            entries.resize(start + layout.table_rows(chunk) * w, 0);
+            let table = &mut entries[start..];
+            let mut rows = 1;
+            for j in 0..chunk_len {
+                for a in (0..rows).rev() {
+                    old_row.copy_from_slice(&table[a * w..(a + 1) * w]);
+                    for lv in 0..q {
+                        let dst = (a * q + lv) * w;
+                        let t_row = &t[(j * q + lv) * w..(j * q + lv + 1) * w];
+                        for ((e, &o), &d) in table[dst..dst + w].iter_mut().zip(&old_row).zip(t_row)
+                        {
+                            *e = o + d;
+                        }
                     }
-                    debug_assert!(
-                        s.abs() <= chunk_bound,
-                        "chunk {chunk} partial score {s} exceeds bound {chunk_bound}"
-                    );
-                    entries.push(s);
                 }
-                for d in digits.iter_mut().rev() {
-                    *d += 1;
-                    if *d < q {
-                        break;
-                    }
-                    *d = 0;
-                }
+                rows *= q;
             }
+            debug_assert!(
+                table.iter().all(|s| s.abs() <= chunk_bound),
+                "chunk {chunk} has a partial score over the bound {chunk_bound}"
+            );
             offsets.push(entries.len());
         }
         Ok(Self {
@@ -464,175 +508,6 @@ impl ScoreLut {
     pub fn size_bytes(&self) -> usize {
         self.entries.len() * std::mem::size_of::<i64>()
     }
-
-    /// Checks this kernel is consistent with the layout and compressed
-    /// model it will serve — chunk count, per-chunk row counts, and the
-    /// column count `k + n_directions()`. Used after deserialization,
-    /// where the three sections arrive independently.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::InvalidDataset`] on any disagreement.
-    pub fn validate_against(
-        &self,
-        layout: &ChunkLayout,
-        compressed: &CompressedModel,
-    ) -> Result<()> {
-        if self.n_chunks() != layout.n_chunks() {
-            return Err(HdcError::invalid_dataset(format!(
-                "score-LUT has {} chunk tables, layout expects {}",
-                self.n_chunks(),
-                layout.n_chunks()
-            )));
-        }
-        let expected = compressed.n_classes() + compressed.n_directions();
-        if self.n_columns != expected {
-            return Err(HdcError::invalid_dataset(format!(
-                "score-LUT has {} columns, compressed model needs {} classes + {} direction(s)",
-                self.n_columns,
-                compressed.n_classes(),
-                compressed.n_directions()
-            )));
-        }
-        for i in 0..self.n_chunks() {
-            if self.rows(i) != layout.table_rows(i) {
-                return Err(HdcError::invalid_dataset(format!(
-                    "score-LUT chunk {i} has {} rows, layout expects {}",
-                    self.rows(i),
-                    layout.table_rows(i)
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Serializes the kernel (`SLT1` format): chunk count, column count,
-    /// per-chunk row counts, then the flat `i64` entries.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::InvalidConfig`] when a count exceeds the format
-    /// caps (cannot happen for a kernel built by [`ScoreLut::build`]).
-    pub fn to_bytes(&self) -> Result<Vec<u8>> {
-        let mut out = Vec::new();
-        out.extend_from_slice(b"SLT1");
-        let w32 = |out: &mut Vec<u8>, v: u32| out.extend_from_slice(&v.to_le_bytes());
-        w32(
-            &mut out,
-            serial_u32("score-lut chunks", self.n_chunks(), MAX_SERIAL_FEATURES)?,
-        );
-        w32(
-            &mut out,
-            serial_u32("score-lut columns", self.n_columns, MAX_SERIAL_CLASSES + 1)?,
-        );
-        for i in 0..self.n_chunks() {
-            out.extend_from_slice(&(self.rows(i) as u64).to_le_bytes());
-        }
-        for &e in &self.entries {
-            out.extend_from_slice(&e.to_le_bytes());
-        }
-        Ok(out)
-    }
-
-    /// Deserializes a kernel written by [`ScoreLut::to_bytes`].
-    ///
-    /// Headers are validated against the remaining stream length and the
-    /// [`MAX_SERIAL_SCORE_ENTRIES`] / [`crate::compress::MAX_SERIAL_CLASSES`]
-    /// / [`crate::compress::MAX_SERIAL_FEATURES`] caps *before* any
-    /// allocation, so a corrupt artifact errors instead of requesting a
-    /// multi-GB buffer; trailing bytes are rejected with the offset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::InvalidDataset`] for a malformed, truncated, or
-    /// over-long stream.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
-            if *pos + n > bytes.len() {
-                return Err(HdcError::invalid_dataset("truncated score-LUT stream"));
-            }
-            let out = &bytes[*pos..*pos + n];
-            *pos += n;
-            Ok(out)
-        };
-        if take(&mut pos, 4)? != b"SLT1" {
-            return Err(HdcError::invalid_dataset(
-                "bad magic: not an SLT1 score-LUT",
-            ));
-        }
-        let u32v = |pos: &mut usize| -> Result<u32> {
-            Ok(u32::from_le_bytes(
-                take(pos, 4)?.try_into().expect("len checked"),
-            ))
-        };
-        let m = u32v(&mut pos)? as usize;
-        let w = u32v(&mut pos)? as usize;
-        if m == 0 || m > MAX_SERIAL_FEATURES {
-            return Err(HdcError::invalid_dataset(format!(
-                "score-LUT chunk count {m} outside 1..={MAX_SERIAL_FEATURES}"
-            )));
-        }
-        if w == 0 || w > MAX_SERIAL_CLASSES + 1 {
-            return Err(HdcError::invalid_dataset(format!(
-                "score-LUT column count {w} outside 1..={}",
-                MAX_SERIAL_CLASSES + 1
-            )));
-        }
-        // Row counts: 8 bytes each, checked against the remaining stream
-        // before the loop allocates anything.
-        if m.saturating_mul(8) > bytes.len() - pos {
-            return Err(HdcError::invalid_dataset(
-                "score-LUT stream too short for chunk row counts",
-            ));
-        }
-        let mut offsets = Vec::with_capacity(m + 1);
-        offsets.push(0usize);
-        let mut total = 0usize;
-        for i in 0..m {
-            let rows = u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("len checked"));
-            if rows == 0 {
-                return Err(HdcError::invalid_dataset(format!(
-                    "score-LUT chunk {i} claims zero rows"
-                )));
-            }
-            let chunk_entries = usize::try_from(rows)
-                .ok()
-                .and_then(|r| r.checked_mul(w))
-                .and_then(|e| e.checked_add(total))
-                .filter(|&e| e <= MAX_SERIAL_SCORE_ENTRIES)
-                .ok_or_else(|| {
-                    HdcError::invalid_dataset(format!(
-                        "score-LUT chunk {i} pushes the entry count past the \
-                         {MAX_SERIAL_SCORE_ENTRIES}-entry limit"
-                    ))
-                })?;
-            total = chunk_entries;
-            offsets.push(total);
-        }
-        if total.saturating_mul(8) > bytes.len() - pos {
-            return Err(HdcError::invalid_dataset(
-                "score-LUT stream too short for its entries",
-            ));
-        }
-        let mut entries = Vec::with_capacity(total);
-        for _ in 0..total {
-            entries.push(i64::from_le_bytes(
-                take(&mut pos, 8)?.try_into().expect("len checked"),
-            ));
-        }
-        if pos != bytes.len() {
-            return Err(HdcError::invalid_dataset(format!(
-                "{} trailing byte(s) after score-LUT (offset {pos})",
-                bytes.len() - pos
-            )));
-        }
-        Ok(Self {
-            entries,
-            offsets,
-            n_columns: w,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -647,6 +522,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    use crate::chunking::ChunkLayout;
     use crate::compress::CompressionConfig;
     use crate::score_kernel::{build_kernel, KernelSpec, ScoreKernel};
 
@@ -719,7 +595,7 @@ mod tests {
                 let (encoder, compressed) =
                     setup_with(n, r, q, dim, k, group, 42 + n as u64, decorrelate);
                 assert_eq!(compressed.n_directions(), usize::from(decorrelate));
-                let lut = ScoreLut::build(&encoder, &compressed, usize::MAX).unwrap();
+                let lut = ScoreLut::build(&encoder, &compressed).unwrap();
                 assert_eq!(lut.n_columns(), k + compressed.n_directions());
                 let mut rng = StdRng::seed_from_u64(7);
                 for _ in 0..25 {
@@ -748,7 +624,7 @@ mod tests {
     #[test]
     fn kernel_scores_are_exact_integers() {
         let (encoder, compressed) = setup(13, 5, 4, 200, 5, 12, 5);
-        let lut = ScoreLut::build(&encoder, &compressed, usize::MAX).unwrap();
+        let lut = ScoreLut::build(&encoder, &compressed).unwrap();
         let mut rng = StdRng::seed_from_u64(9);
         let features = random_features(13, &mut rng);
         let addrs = encoder.addresses(&features).unwrap();
@@ -779,16 +655,90 @@ mod tests {
 
     #[test]
     fn rejects_budget_overflow() {
-        let (encoder, compressed) = setup(10, 5, 4, 64, 3, 12, 13);
-        // 2 chunks × 1024 rows × 3 classes × 8 B = 49 KiB > 1 KiB budget.
-        let err = ScoreLut::build(&encoder, &compressed, 1024).unwrap_err();
+        // 3 chunks × 16^5 rows × 3 classes × 8 B = 72 MiB > 64 MiB.
+        let (encoder, compressed) = setup(15, 5, 16, 64, 3, 12, 13);
+        let err = ScoreLut::build(&encoder, &compressed).unwrap_err();
         assert!(err.to_string().contains("budget"), "{err}");
         assert_eq!(err.fallback_reason(), Some("budget"));
         // An explicit `lut` request surfaces this error as is; only
         // `build_kernel`'s Auto arm falls back, so the text must not
         // claim a fallback.
         assert!(!err.to_string().contains("falling back"), "{err}");
-        assert!(ScoreLut::build(&encoder, &compressed, 64 << 10).is_ok());
+        // One feature fewer drops a chunk to 16^4 rows: 48.2 MiB fits.
+        let (encoder, compressed) = setup(14, 5, 16, 64, 3, 12, 13);
+        assert!(ScoreLut::build(&encoder, &compressed).is_ok());
+    }
+
+    #[test]
+    fn build_work_bound_is_pinned_at_its_edge() {
+        // w·n·q·D ≤ 2^32: exactly at the bound is accepted, one dimension
+        // or one feature past is not, and the refusal is a budget one.
+        assert!(check_build_terms(1, 1 << 10, 4, 1 << 20).is_ok());
+        for (w, n) in [(1, 1 << 10), (4, 1 << 8)] {
+            let past = check_build_terms(w, n, 4, (1 << 20) + 1).unwrap_err();
+            assert_eq!(past.fallback_reason(), Some("budget"));
+            assert!(past.to_string().contains("terms"), "{past}");
+        }
+        assert!(check_build_terms(1, (1 << 10) + 1, 4, 1 << 20).is_err());
+        // SPEECH (n = 617, q = 4, k = 26 plus a projection column) needs
+        // 2^27.0 terms at D = 2000 and 2^29.3 at D = 10,000.
+        assert!(check_build_terms(27, 617, 4, 2000).is_ok());
+        assert!(check_build_terms(27, 617, 4, 10_000).is_ok());
+        // Products past u128 saturate instead of wrapping into range.
+        assert!(check_build_terms(usize::MAX, usize::MAX, usize::MAX, 2).is_err());
+    }
+
+    /// The digit-at-a-time fill against the definition, on every row of
+    /// small layouts (remainder chunks and whitening included):
+    /// `S_i[c][addr] = (P'_c ⊙ C ⊙ P_i) · Σ_j ρ^j(L_{digit_j(addr)})`,
+    /// and `dir_fx` under `P_i` alone for the projection column.
+    #[test]
+    fn every_table_row_matches_its_definition() {
+        for decorrelate in [false, true] {
+            for (n, r, q, k) in [(7, 3, 3, 4), (5, 5, 2, 2), (9, 4, 4, 3)] {
+                let (encoder, compressed) = setup_with(n, r, q, 96, k, 2, 61, decorrelate);
+                let lut = ScoreLut::build(&encoder, &compressed).unwrap();
+                let w = lut.n_columns();
+                let layout = encoder.layout();
+                let sign = |neg: bool| if neg { -1i64 } else { 1 };
+                for chunk in 0..layout.n_chunks() {
+                    let len = layout.chunk_len(chunk);
+                    let p_i = encoder.positions().key(chunk);
+                    for addr in 0..lut.rows(chunk) {
+                        // Digits most-significant first, as addressed.
+                        let digits: Vec<usize> = (0..len)
+                            .map(|j| addr / q.pow((len - 1 - j) as u32) % q)
+                            .collect();
+                        let row: Vec<i64> = (0..96)
+                            .map(|d| {
+                                (0..len)
+                                    .map(|j| {
+                                        sign(encoder.rotated_levels(j)[digits[j]].is_negative(d))
+                                    })
+                                    .sum()
+                            })
+                            .collect();
+                        let at = lut.offsets[chunk] + addr * w;
+                        for (c, &got) in lut.entries[at..at + w].iter().enumerate() {
+                            let want: i64 = (0..96)
+                                .map(|d| {
+                                    let weight = match compressed.direction_fixed() {
+                                        Some(dir) if c == k => dir[d],
+                                        _ => {
+                                            let group = compressed.combined(compressed.group_of(c));
+                                            sign(compressed.key(c).is_negative(d))
+                                                * i64::from(group.as_slice()[d])
+                                        }
+                                    };
+                                    sign(p_i.is_negative(d)) * weight * row[d]
+                                })
+                                .sum();
+                            assert_eq!(got, want, "chunk {chunk} addr {addr} column {c}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -816,7 +766,7 @@ mod tests {
         let model = ClassModel::from_classes(classes).unwrap();
         let config = CompressionConfig::new().with_decorrelate(false);
         let compressed = CompressedModel::compress(&model, &config).unwrap();
-        let err = ScoreLut::build(&encoder, &compressed, usize::MAX).unwrap_err();
+        let err = ScoreLut::build(&encoder, &compressed).unwrap_err();
         assert!(err.to_string().contains("2^52"), "{err}");
         // Auto serves this model densely, counted under reason `bound`.
         assert_eq!(err.fallback_reason(), Some("bound"));
@@ -827,7 +777,7 @@ mod tests {
     #[test]
     fn address_validation_errors_cleanly() {
         let (encoder, compressed) = setup(10, 5, 4, 64, 3, 12, 19);
-        let lut = ScoreLut::build(&encoder, &compressed, usize::MAX).unwrap();
+        let lut = ScoreLut::build(&encoder, &compressed).unwrap();
         assert!(lut.gather(&[0]).is_err()); // wrong count
         assert!(lut.gather(&[0, 1024]).is_err()); // addr ≥ rows
         assert!(lut.gather(&[0, 1023]).is_ok());
@@ -836,7 +786,7 @@ mod tests {
         assert!(lut.gather(&[u64::MAX / 2, 0]).is_err());
         // The remainder chunk (3 features, 4^3 rows) ends at address 63.
         let (encoder, compressed) = setup(13, 5, 4, 64, 3, 12, 19);
-        let lut = ScoreLut::build(&encoder, &compressed, usize::MAX).unwrap();
+        let lut = ScoreLut::build(&encoder, &compressed).unwrap();
         assert_eq!(lut.rows(2), 64);
         assert!(lut.gather(&[1023, 1023, 63]).is_ok());
         assert!(lut.gather(&[1023, 1023, 64]).is_err());
@@ -845,83 +795,11 @@ mod tests {
     #[test]
     fn accessors_report_geometry() {
         let (encoder, compressed) = setup(13, 5, 2, 64, 4, 12, 23);
-        let lut = ScoreLut::build(&encoder, &compressed, usize::MAX).unwrap();
+        let lut = ScoreLut::build(&encoder, &compressed).unwrap();
         assert_eq!(lut.n_chunks(), 3);
         assert_eq!(lut.n_columns(), 4);
         assert_eq!(lut.rows(0), 32);
         assert_eq!(lut.rows(2), 8); // remainder chunk: 3 features, 2^3
         assert_eq!(lut.size_bytes(), (32 + 32 + 8) * 4 * 8);
-        lut.validate_against(encoder.layout(), &compressed).unwrap();
-    }
-
-    #[test]
-    fn round_trips_through_bytes() {
-        let (encoder, compressed) = setup(13, 5, 4, 128, 5, 3, 29);
-        let lut = ScoreLut::build(&encoder, &compressed, usize::MAX).unwrap();
-        let bytes = lut.to_bytes().unwrap();
-        let back = ScoreLut::from_bytes(&bytes).unwrap();
-        assert_eq!(back, lut);
-        back.validate_against(encoder.layout(), &compressed)
-            .unwrap();
-    }
-
-    #[test]
-    fn from_bytes_rejects_corruption() {
-        let (encoder, compressed) = setup(10, 5, 2, 64, 3, 12, 31);
-        let lut = ScoreLut::build(&encoder, &compressed, usize::MAX).unwrap();
-        let bytes = lut.to_bytes().unwrap();
-        // Every truncation errors; trailing bytes error.
-        for cut in 0..bytes.len() {
-            assert!(
-                ScoreLut::from_bytes(&bytes[..cut]).is_err(),
-                "truncation at {cut} parsed"
-            );
-        }
-        let mut longer = bytes.clone();
-        longer.push(0);
-        assert!(ScoreLut::from_bytes(&longer).is_err());
-        // Bad magic.
-        let mut bad = bytes.clone();
-        bad[0] = b'X';
-        assert!(ScoreLut::from_bytes(&bad).is_err());
-        // A row-count header lying about a huge table must be rejected
-        // before allocation (chunk count at offset 4, rows at offset 12).
-        let mut lying = bytes.clone();
-        lying[12..20].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(ScoreLut::from_bytes(&lying).is_err());
-        // Byte flips never panic; survivors must stay usable.
-        let addrs = encoder.addresses(&[0.5; 10]).unwrap();
-        for i in 0..bytes.len() {
-            let mut flipped = bytes.clone();
-            flipped[i] ^= 0xFF;
-            if let Ok(back) = ScoreLut::from_bytes(&flipped) {
-                let _ = back.gather(&addrs);
-            }
-        }
-        let _ = compressed; // geometry partner kept alive for clarity
-    }
-
-    #[test]
-    fn validate_against_catches_mismatches() {
-        let (encoder, compressed) = setup(10, 5, 4, 64, 3, 12, 37);
-        let lut = ScoreLut::build(&encoder, &compressed, usize::MAX).unwrap();
-        let other_layout = ChunkLayout::new(15, 5, 4).unwrap();
-        assert!(lut.validate_against(&other_layout, &compressed).is_err());
-        let (_, other_k) = setup(10, 5, 4, 64, 5, 12, 37);
-        assert!(lut.validate_against(encoder.layout(), &other_k).is_err());
-        let wrong_rows = ChunkLayout::new(10, 5, 2).unwrap();
-        assert!(lut.validate_against(&wrong_rows, &compressed).is_err());
-        // The column count must be k + directions, in both directions: a
-        // plain model's tables do not serve its whitened twin, and the
-        // reverse.
-        let (encoder, whitened) = setup_with(10, 5, 4, 64, 3, 12, 37, true);
-        let whitened_lut = ScoreLut::build(&encoder, &whitened, usize::MAX).unwrap();
-        whitened_lut
-            .validate_against(encoder.layout(), &whitened)
-            .unwrap();
-        assert!(lut.validate_against(encoder.layout(), &whitened).is_err());
-        assert!(whitened_lut
-            .validate_against(encoder.layout(), &compressed)
-            .is_err());
     }
 }

@@ -4,11 +4,11 @@
 //! The server loads `LKS1` artifacts ([`lookhd::LookHdClassifier`]:
 //! quantizer, lookup encoder and compressed model). Requests carry raw
 //! feature vectors, and the server encodes and classifies them exactly
-//! like `lookhd predict`. When the artifact carries an SLT1 score-LUT
-//! section the classifier scores through it, and the server reports
-//! the active kernel in the admin snapshot (`kernel.active.<name>`);
-//! the score-LUT is bit-identical to the dense path, so only latency
-//! changes. The server speaks to the model through the object-safe
+//! like `lookhd predict`. When the artifact names the score-LUT kernel,
+//! loading rebuilds its tables from the model and the classifier scores
+//! through them, and the server reports the active kernel in the admin
+//! snapshot (`kernel.active.<name>`); the score-LUT is bit-identical to
+//! the dense path, so only latency changes. The server speaks to the model through the object-safe
 //! [`Classifier`] trait, which also lets tests substitute a fake.
 
 use std::sync::{Arc, Mutex};

@@ -93,10 +93,11 @@ EOF
 echo "== smoke artifact byte pins"
 # Training is deterministic, so both smoke models have fixed bytes: the
 # default config (decorrelated, dense) and the --kernel auto artifact
-# above, which is the same model followed by a score-LUT section whose
-# rows carry the whitening projection column. --metrics does not change
-# them. A mismatch means training, compression or the
-# LKS1/LKC1/SLT1 format changed the model.
+# above, which is the same model with kernel tag 1 (the score-LUT, whose
+# tables load rebuilds from the model) in place of tag 0, followed by
+# an empty u32-length section. --metrics does not change them. A
+# mismatch means training, compression or the LKS1/LKC1 format changed
+# the model.
 cargo run --release -q -p lookhd-cli -- train \
     --data "$smoke_dir/train.csv" --out "$smoke_dir/model_dense.lks" \
     --dim 512 --epochs 2
@@ -110,11 +111,21 @@ check_pin() {
     fi
 }
 check_pin "$smoke_dir/model.lks" \
-    8a8ac8a092ac24e55c076997b737582b6caeba3cd0916e37742a1427ddc52b38 \
+    9947cad5db388890a68e9cc9179ca6d7d1e1680c6df1fc608401d4577b638398 \
     "train --dim 512 --epochs 2 --kernel auto"
 check_pin "$smoke_dir/model_dense.lks" \
     b060fbad80e3b9c6260593752bd6f0d390fbdc848ece201cef44cef04f53a20a \
     "train --dim 512 --epochs 2"
+# The two artifacts differ only in the kernel section: the LUT one is
+# the dense one with its last byte (tag 0) set to 1, then 00 00 00 00.
+python3 - "$smoke_dir/model.lks" "$smoke_dir/model_dense.lks" << 'EOF'
+import sys
+lut = open(sys.argv[1], "rb").read()
+dense = open(sys.argv[2], "rb").read()
+assert dense[-1] == 0, "dense artifacts end in kernel tag 0"
+assert lut == dense[:-1] + bytes([1, 0, 0, 0, 0]), "LUT artifact is not the dense one with tag 1 and an empty section"
+print(f"kernel section OK: {len(lut)} B LUT artifact = {len(dense)} B dense + 4")
+EOF
 
 echo "== kernel CLI smoke test"
 # The --kernel auto artifact above carries the score-LUT ...

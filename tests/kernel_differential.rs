@@ -5,9 +5,8 @@
 //! five Table-I application profiles, with decorrelation off and on: dense
 //! and score-LUT must agree *bit for bit* (scores and argmax), both must
 //! survive persistence unchanged, and a proptest checks rematerialization:
-//! score-LUT tables
-//! rebuilt from a round-tripped (seed-regenerated) model are bit-identical
-//! to the tables stored in the SLT1 section.
+//! load rebuilds fit's score-LUT from the round-tripped (seed-regenerated)
+//! model, and building it again reproduces those tables bit for bit.
 
 use lookhd_paper::datasets::apps::App;
 use lookhd_paper::hdc::{Classifier, FitClassifier};
@@ -85,10 +84,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Rematerialization: level and position hypervectors are never
-    /// persisted, they regenerate from the seed. Rebuilding the score-LUT
-    /// from the *round-tripped* classifier's regenerated encoder and
-    /// compressed model must reproduce the stored SLT1 tables bit for
-    /// bit.
+    /// persisted, they regenerate from the seed, and load rebuilds fit's
+    /// score-LUT from them and the compressed model. Building the tables
+    /// again from the *round-tripped* classifier's regenerated encoder
+    /// and compressed model must reproduce the loaded tables bit for bit.
     #[test]
     fn rematerialized_lut_tables_are_bit_identical(
         seed in 0u64..1000,

@@ -12,13 +12,12 @@
 //! deterministic given the encoder and seed. These tests pin that
 //! argument at three layers: the raw chunk counters (`PartialEq`), the
 //! persisted `LKS1` artifact bytes (encoder + model + compressed
-//! weights + kernel tables; the retraining report is not persisted),
-//! and wire-level predictions.
+//! weights + kernel tag; the score-LUT tables are rebuilt from those at
+//! load, and the retraining report is not persisted), and wire-level
+//! predictions.
 
 use lookhd_paper::hdc::{Classifier, FitClassifier};
-use lookhd_paper::lookhd::{
-    CompressionConfig, KernelSpec, LookHdClassifier, LookHdConfig, StreamingTrainer,
-};
+use lookhd_paper::lookhd::{KernelSpec, LookHdClassifier, LookHdConfig, StreamingTrainer};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -137,56 +136,6 @@ fn shuffled_order_and_sharded_merge_are_bit_identical_across_worker_counts() {
             reference_bytes,
             "{workers}-way sharded artifact diverged from batch fit",
         );
-    }
-}
-
-/// A server whose score-LUT was built under a larger `--kernel-budget`
-/// than the 64 MiB default keeps refreshing: the streaming trainer takes
-/// its budget from the served tables, whose geometry streaming never
-/// changes. `n = r = 10`, `q = 4`, `k = 9` gives one chunk of `4^10` rows
-/// × 9 classes = 9437184 entries (72 MiB), just over the default.
-#[test]
-fn refresh_rebuilds_a_lut_larger_than_the_default_budget() {
-    let (xs, ys): (Vec<Vec<f64>>, Vec<usize>) = (0..90)
-        .map(|i| {
-            let class = i % 9;
-            let jitter = (i / 9) as f64 * 0.004;
-            let row = (0..10)
-                .map(|f| (0.1 * class as f64 + 0.03 * f as f64 + jitter).fract())
-                .collect();
-            (row, class)
-        })
-        .unzip();
-    let config = LookHdConfig::new()
-        .with_dim(64)
-        .with_q(4)
-        .with_r(10)
-        .with_retrain_epochs(0)
-        .with_validation_fraction(0.0)
-        .with_compression(CompressionConfig::new().with_decorrelate(false))
-        .with_kernel(KernelSpec::lut().with_budget_bytes(128 << 20));
-    let reference = LookHdClassifier::fit(&config, &xs, &ys).expect("batch fit failed");
-    assert!(
-        reference.kernel().size_bytes() > KernelSpec::DEFAULT_BUDGET_BYTES,
-        "fixture LUT ({} B) must exceed the default budget",
-        reference.kernel().size_bytes()
-    );
-
-    let mut trainer = StreamingTrainer::from_classifier(&reference).expect("trainer failed");
-    for (x, &y) in xs.iter().zip(&ys) {
-        trainer.observe(x, y).expect("observe failed");
-    }
-    let streamed = trainer
-        .materialize()
-        .expect("refreshing an over-default LUT failed");
-    // Compared in memory: serializing two 72 MiB tables would double the
-    // test's footprint for no extra coverage.
-    assert!(
-        streamed.kernel() == reference.kernel(),
-        "streamed score-LUT diverged from batch fit"
-    );
-    for x in &xs {
-        assert_eq!(streamed.predict(x).unwrap(), reference.predict(x).unwrap());
     }
 }
 

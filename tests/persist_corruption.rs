@@ -77,9 +77,10 @@ fn classifier_intact_round_trip_predicts_identically() {
 }
 
 /// Like [`tiny_classifier`] but with the score-LUT kernel built, so the
-/// sweeps also cover the SLT1 section and its flag byte. Small q/r keep
-/// the tables (and thus the per-byte parse cost) tiny. A decorrelated
-/// model's tables carry one projection column after the class columns.
+/// sweeps also cover its kernel tag and the (empty) section after it.
+/// Small q/r keep the tables, which every successful load rebuilds,
+/// tiny. A decorrelated model's tables carry one projection column after
+/// the class columns.
 fn tiny_lut_classifier(decorrelate: bool) -> (LookHdClassifier, Vec<Vec<f64>>) {
     let (_, features) = tiny_classifier();
     let labels: Vec<usize> = (0..features.len()).map(|i| i % 2).collect();
@@ -149,32 +150,120 @@ fn lut_classifier_intact_round_trip_predicts_identically() {
     }
 }
 
-/// An SLT1 section serves only the model whose `k + n_directions()` equals
-/// its column count. Splicing the tables of a plain model onto its
-/// decorrelated twin (same encoder geometry, one column fewer), or the
-/// reverse, is rejected at load.
+/// LUT ≡ dense holds for every artifact that loads: a LUT artifact's
+/// tables are rebuilt from the encoder and compressed model it carries,
+/// so whatever single byte is flipped, a classifier that loads scores
+/// every row exactly like the dense path of the same loaded model (or
+/// fails on both). A header `dim` that disagrees with the embedded
+/// models is refused at load instead of serving tables built for
+/// another encoder.
 #[test]
-fn slt1_column_count_must_match_classes_plus_directions() {
-    let (plain, _) = tiny_lut_classifier(false);
-    let (whitened, _) = tiny_lut_classifier(true);
-    // `LKS1` ends with the kernel tag byte, the u32 section length and the
-    // SLT1 payload.
-    let split = |clf: &LookHdClassifier| {
+fn every_loadable_byte_flip_of_a_lut_artifact_keeps_lut_equal_to_dense() {
+    for decorrelate in [false, true] {
+        let (clf, features) = tiny_lut_classifier(decorrelate);
         let bytes = clf.to_bytes().expect("serialization failed");
-        let payload = clf.score_lut().expect("lut").to_bytes().expect("slt1");
-        let head = bytes.len() - payload.len() - 4;
-        (bytes[..head].to_vec(), bytes[head..].to_vec())
-    };
-    let (plain_head, plain_slt1) = split(&plain);
-    let (whitened_head, whitened_slt1) = split(&whitened);
-    for (head, section) in [(plain_head, whitened_slt1), (whitened_head, plain_slt1)] {
-        let spliced = [head, section].concat();
-        let err = LookHdClassifier::from_bytes(&spliced).expect_err("mismatched columns loaded");
-        assert!(err.to_string().contains("columns"), "{err}");
+        let mut loaded = 0;
+        for i in 0..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[i] ^= 0xFF;
+            let Ok(back) = LookHdClassifier::from_bytes(&bad) else {
+                continue;
+            };
+            loaded += 1;
+            let mut dense = back.clone();
+            dense
+                .set_kernel(&KernelSpec::dense())
+                .expect("dense always builds");
+            for x in &features {
+                assert_eq!(
+                    back.scores(x).ok(),
+                    dense.scores(x).ok(),
+                    "byte {i} flipped: the loaded {} kernel diverged from its dense path",
+                    back.kernel().name()
+                );
+            }
+        }
+        assert!(loaded > 0, "no flip loaded: the sweep checked nothing");
     }
 }
 
-/// LKS1 defines kernel-section tags 0 (dense, no payload) and 1 (SLT1).
+/// Older writers stored the score-LUT's tables (an `SLT1` payload) in
+/// the tag-1 section. Readers skip those bytes and rebuild the tables,
+/// so such an artifact loads and serves the tables fit built, whatever
+/// the stored payload says.
+#[test]
+fn legacy_tables_in_the_lut_section_are_skipped_and_rebuilt() {
+    for decorrelate in [false, true] {
+        let (clf, features) = tiny_lut_classifier(decorrelate);
+        let lut = clf.score_lut().expect("lut");
+        let mut bytes = clf.to_bytes().expect("serialization failed");
+        // Writers end a LUT artifact with tag 1 and an empty section.
+        assert_eq!(&bytes[bytes.len() - 5..], &[1, 0, 0, 0, 0]);
+        bytes.truncate(bytes.len() - 4);
+        // An SLT1 layout (magic, chunk and column counts, rows per chunk,
+        // entries) whose entries are all wrong.
+        let mut payload = b"SLT1".to_vec();
+        payload.extend_from_slice(&(lut.n_chunks() as u32).to_le_bytes());
+        payload.extend_from_slice(&(lut.n_columns() as u32).to_le_bytes());
+        let mut entries = 0;
+        for i in 0..lut.n_chunks() {
+            payload.extend_from_slice(&(lut.rows(i) as u64).to_le_bytes());
+            entries += lut.rows(i) * lut.n_columns();
+        }
+        for _ in 0..entries {
+            payload.extend_from_slice(&0x5A5A_5A5A_i64.to_le_bytes());
+        }
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        let back = LookHdClassifier::from_bytes(&bytes).expect("legacy artifact refused");
+        assert_eq!(back.score_lut(), clf.score_lut());
+        for x in &features {
+            assert_eq!(back.scores(x).unwrap(), clf.scores(x).unwrap());
+        }
+        // Rewritten, it is the current artifact again.
+        assert_eq!(
+            back.to_bytes().expect("serialization failed"),
+            clf.to_bytes().expect("serialization failed")
+        );
+    }
+}
+
+/// The LKS1 header's `dim` must match both embedded models, and the
+/// uncompressed and compressed models must agree on the class count.
+/// Flipping byte 4 turns the header `dim` 64 into 191: such an artifact
+/// used to load, and then every predict failed with a dimension
+/// mismatch. Splicing in the compressed section of a 3-class model
+/// under a 2-class one is refused the same way.
+#[test]
+fn lks1_header_and_sections_must_agree_at_load() {
+    let (clf, _) = tiny_classifier();
+    let bytes = clf.to_bytes().expect("serialization failed");
+    assert_eq!(&bytes[4..8], &64u32.to_le_bytes());
+    let mut dim = bytes.clone();
+    dim[4] ^= 0xFF;
+    let err = LookHdClassifier::from_bytes(&dim).expect_err("flipped dim loaded");
+    assert!(err.to_string().contains("dim 191"), "{err}");
+
+    // A 3-class model at the same D.
+    let (features, labels): (Vec<Vec<f64>>, Vec<usize>) = (0..24)
+        .map(|i| (vec![0.2 + 0.1 * (i % 3) as f64; 4], i % 3))
+        .unzip();
+    let config = LookHdConfig::new().with_dim(64).with_retrain_epochs(1);
+    let three = LookHdClassifier::fit(&config, &features, &labels).expect("training failed");
+    assert_eq!(three.compressed().n_classes(), 3);
+    // A dense LKS1 ends with the u32 LKC1 length, the LKC1 section and
+    // kernel tag 0.
+    let lkc1 = clf.compressed().to_bytes().expect("serialization failed");
+    let other = three.compressed().to_bytes().expect("serialization failed");
+    let mut spliced = bytes[..bytes.len() - 1 - lkc1.len() - 4].to_vec();
+    spliced.extend_from_slice(&(other.len() as u32).to_le_bytes());
+    spliced.extend_from_slice(&other);
+    spliced.push(0);
+    let err = LookHdClassifier::from_bytes(&spliced).expect_err("spliced classes loaded");
+    assert!(err.to_string().contains("n_classes"), "{err}");
+}
+
+/// LKS1 defines kernel-section tags 0 (dense, no section) and 1 (LUT).
 /// Tag 2 was the retired binary Hamming kernel's section: a stream carrying
 /// it, with or without a well-formed length and payload, is rejected at
 /// load instead of silently serving some other kernel.
